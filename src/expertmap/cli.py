@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .errors import ExpertMapError, InternalError, ValidationError
+from .errors import ExpertMapError, InternalError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,36 +61,31 @@ def _overrides(args) -> dict:
     return over
 
 
+# (command, action) -> step.  The lambdas look pipeline functions up at call
+# time, so a wrapper later bound onto the pipeline module is honoured.
+COMMANDS = {
+    ("synth", None): lambda ws, args: pipeline.run_synth(ws),
+    ("preprocess", None): lambda ws, args: pipeline.run_preprocess(ws),
+    ("organize", None): lambda ws, args: pipeline.run_organize(ws),
+    ("pseudopoints", "export"): lambda ws, args: pipeline.run_pseudopoints_export(ws),
+    ("pseudopoints", "import"):
+        lambda ws, args: pipeline.run_pseudopoints_import(ws, labels_path=args.labels),
+    ("pseudopoints", "auto"): lambda ws, args: pipeline.run_pseudopoints_auto(ws),
+    ("train", None): lambda ws, args: pipeline.run_train(ws),
+    ("embed", None): lambda ws, args: pipeline.run_embed(ws),
+    ("standardize", None): lambda ws, args: pipeline.run_standardize(ws),
+    ("extend", None): lambda ws, args: pipeline.run_extend(ws, args.new_points),
+    ("validate", None): lambda ws, args: pipeline.run_validate(ws),
+    ("report", None): lambda ws, args: pipeline.run_report(ws),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = pipeline.load_config(args.config, overrides=_overrides(args))
         ws = pipeline.Workspace(cfg["paths"]["out"], cfg)
-        if args.command == "synth":
-            pipeline.run_synth(ws)
-        elif args.command == "preprocess":
-            pipeline.run_preprocess(ws)
-        elif args.command == "organize":
-            pipeline.run_organize(ws)
-        elif args.command == "pseudopoints":
-            if args.action == "export":
-                pipeline.run_pseudopoints_export(ws)
-            elif args.action == "import":
-                pipeline.run_pseudopoints_import(ws, labels_path=args.labels)
-            else:
-                pipeline.run_pseudopoints_auto(ws)
-        elif args.command == "train":
-            pipeline.run_train(ws)
-        elif args.command == "embed":
-            pipeline.run_embed(ws)
-        elif args.command == "standardize":
-            pipeline.run_standardize(ws)
-        elif args.command == "extend":
-            pipeline.run_extend(ws, args.new_points)
-        elif args.command == "validate":
-            pipeline.run_validate(ws)
-        elif args.command == "report":
-            pipeline.run_report(ws)
+        COMMANDS[args.command, getattr(args, "action", None)](ws, args)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

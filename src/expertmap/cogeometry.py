@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -19,33 +19,6 @@ from scipy.spatial.distance import cdist
 from .dataset import DataMatrix, ReferenceSet
 from .errors import InternalError, ValidationError
 from . import spectral
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric affinity with unit diagonal; cosine in [-1,1], kernel in [0,1]."""
-
-    entries: np.ndarray
-    kind: str = "kernel"          # "cosine" | "kernel"
-    flagged_pairs: tuple = ()     # pairs where a zero restricted norm forced 0
-
-    def __post_init__(self):
-        a = self.entries
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError(f"affinity must be square, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("affinity has non-finite entries")
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValidationError("affinity not symmetric within 1e-12")
-        if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
-            raise ValidationError("affinity diagonal is not 1")
-        lo = -1.0 if self.kind == "cosine" else 0.0
-        if a.min() < lo - 1e-12 or a.max() > 1.0 + 1e-12:
-            raise ValidationError(f"{self.kind} affinity entries outside [{lo}, 1]")
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -94,12 +67,17 @@ class PartitionTree:
             raise ValidationError(f"level must be in [1, {self.depth}], got {level}")
         return self.levels[level - 1]
 
+    def indicator(self, level: int) -> np.ndarray:
+        """(size, folders) 0/1 matrix: entry [i, j] is 1 when i is in folder j."""
+        folders = self.folders_at(level)
+        ind = np.zeros((self.size, len(folders)))
+        for j, folder in enumerate(folders):
+            ind[list(folder), j] = 1.0
+        return ind
+
     def folder_of(self, level: int) -> np.ndarray:
         """Map index -> folder position at the given level."""
-        out = np.empty(self.size, dtype=np.int64)
-        for j, folder in enumerate(self.folders_at(level)):
-            out[list(folder)] = j
-        return out
+        return self.indicator(level).argmax(axis=1)
 
     def to_json(self) -> dict:
         return {"levels": [[list(f) for f in level] for level in self.levels],
@@ -122,23 +100,11 @@ class PartitionTree:
 
 
 @dataclass(frozen=True)
-class Imputation:
-    """One filled entry: the deepest folder with an observed sibling."""
-
-    index: int
-    value: float
-    level: int
-    folder: int
-    support_count: int
-
-
-@dataclass(frozen=True)
 class TreeConfig:
     depth: int | None = None       # default ceil(log2(n)) - 1
     balance_factor: float = 1.5    # folder size cap = factor * axis/target
     embed_dim: int = 10
     beta: float = 1.0              # EMD level-weight exponent
-    refine_iters: int = 2
 
     def depth_for(self, n: int) -> int:
         d = self.depth if self.depth is not None else max(1, math.ceil(math.log2(n)) - 1)
@@ -146,12 +112,13 @@ class TreeConfig:
         return max(1, min(d, int(math.floor(math.log2(n))) + 1)) if n > 1 else 1
 
 
-def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> AffinityMatrix:
-    """Cosine affinity over jointly observed entries, unit diagonal.
+def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> tuple[spectral.Kernel, tuple]:
+    """Cosine affinity over jointly observed entries, mapped onto [0, 1].
 
-    A pair with empty joint support is a hard error (the reference set is
-    supposed to guarantee overlap); a pair where either restricted norm is 0
-    gets affinity 0 and is flagged.
+    Returns the kernel (cosine c becomes (c + 1) / 2, unit diagonal) and the
+    flagged pairs.  A pair with empty joint support is a hard error (the
+    reference set is supposed to guarantee overlap); a pair where either
+    restricted norm is 0 gets cosine 0 and is flagged.
     """
     rows = d.values[omega.indices]
     mask = d.mask[omega.indices]
@@ -177,20 +144,9 @@ def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> AffinityMatrix:
     if np.any(zero_norm):
         flagged = [tuple(p) for p in np.argwhere(np.triu(zero_norm, 1))]
     entries = np.clip(0.5 * (entries + entries.T), -1.0, 1.0)
-    np.fill_diagonal(entries, 1.0)
-    return AffinityMatrix(entries=entries, kind="cosine", flagged_pairs=tuple(flagged))
-
-
-def _affinity_to_kernel(a: AffinityMatrix) -> spectral.Kernel:
-    """Map a cosine affinity onto [0, 1] so it can drive a diffusion map."""
-    if a.kind == "cosine":
-        entries = 0.5 * (a.entries + 1.0)
-    else:
-        entries = a.entries.copy()
-    entries = np.clip(entries, 0.0, 1.0)
-    np.fill_diagonal(entries, 1.0)
-    entries = 0.5 * (entries + entries.T)
-    return spectral.Kernel(entries=entries, bandwidth={"rule": "affinity", "value": 1.0})
+    kernel = 0.5 * (entries + 1.0)
+    np.fill_diagonal(kernel, 1.0)
+    return spectral.Kernel(entries=kernel), tuple(flagged)
 
 
 def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float):
@@ -265,16 +221,15 @@ def _best_pair(dist, sizes, active, folders, cap):
     return best
 
 
-def build_partition_tree(a: AffinityMatrix, cfg: TreeConfig | None = None,
+def build_partition_tree(kernel: spectral.Kernel, cfg: TreeConfig | None = None,
                          axis: str = "points") -> PartitionTree:
-    """Diffusion-embed the affinity, then agglomerate into a ~dyadic tree."""
+    """Diffusion-embed the kernel, then agglomerate into a ~dyadic tree."""
     cfg = cfg or TreeConfig()
-    n = a.size
+    n = kernel.size
     depth = cfg.depth_for(n)
     if depth == 1 or n == 1:
         return PartitionTree(axis=axis, levels=((tuple(range(n)),),))
 
-    kernel = _affinity_to_kernel(a)
     q = max(1, min(cfg.embed_dim, n - 1))
     emb = spectral.diffusion_embed(kernel, d=q, t=1.0)
     snapshots = _balanced_agglomerate(emb.coordinates, depth, cfg.balance_factor)
@@ -303,9 +258,7 @@ def _folder_stats(tree: PartitionTree, vectors: np.ndarray, beta: float):
     L = tree.depth
     for l in range(1, L + 1):
         folders = tree.folders_at(l)
-        ind = np.zeros((width, len(folders)))
-        for j, folder in enumerate(folders):
-            ind[list(folder), j] = 1.0
+        ind = tree.indicator(l)
         sums = filled @ ind
         counts = obs.astype(float) @ ind
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -314,19 +267,6 @@ def _folder_stats(tree: PartitionTree, vectors: np.ndarray, beta: float):
         level_w = 2.0 ** (beta * (l - L))
         weights.extend(level_w * len(folder) for folder in folders)
     return np.concatenate(means_blocks, axis=1), np.asarray(weights)
-
-
-def tree_emd_distance(tree: PartitionTree, x: np.ndarray, y: np.ndarray,
-                      beta: float = 1.0) -> float:
-    """Multiscale tree-L1 distance between two vectors on the tree's axis.
-
-    Folders where either vector has no observed entries are excluded from
-    both sides (symmetric exclusion of missing data).
-    """
-    means, weights = _folder_stats(tree, np.vstack([x, y]), beta)
-    diff = means[0] - means[1]
-    ok = np.isfinite(diff)
-    return float(np.sum(weights[ok] * np.abs(diff[ok])))
 
 
 def emd_distance_matrix(tree: PartitionTree, vectors: np.ndarray,
@@ -338,7 +278,7 @@ def emd_distance_matrix(tree: PartitionTree, vectors: np.ndarray,
     return cdist(means * weights, means * weights, metric="cityblock")
 
 
-def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) -> AffinityMatrix:
+def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) -> spectral.Kernel:
     """exp(-d_EMD / eps) with eps = median nonzero pairwise distance."""
     dist = emd_distance_matrix(tree, vectors, beta)
     nonzero = dist[dist > 0]
@@ -346,47 +286,19 @@ def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) ->
     entries = np.exp(-dist / eps)
     entries = 0.5 * (entries + entries.T)
     np.fill_diagonal(entries, 1.0)
-    return AffinityMatrix(entries=entries, kind="kernel")
-
-
-def impute(v: np.ndarray, tree: PartitionTree) -> list[Imputation]:
-    """Fill each missing entry from the deepest folder with observed siblings.
-
-    ``v`` is indexed by the tree's axis with NaN marking missing entries; the
-    imputed value is the mean of the observed entries in the folder.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (tree.size,):
-        raise ValidationError(f"vector length {v.shape} does not match tree axis {tree.size}")
-    observed = np.isfinite(v)
-    if not observed.any():
-        raise ValidationError("cannot impute: vector has no observed entries")
-
-    out = []
-    for k in np.flatnonzero(~observed):
-        for level in range(tree.depth, 0, -1):
-            j = int(tree.folder_of(level)[k])
-            members = np.asarray(tree.folders_at(level)[j])
-            known = members[observed[members]]
-            if len(known):
-                out.append(Imputation(index=int(k), value=float(v[known].mean()),
-                                      level=level, folder=j, support_count=len(known)))
-                break
-        else:
-            raise InternalError(f"root folder missing entry {k}; tree does not cover axis")
-    return out
-
-
-def imputed_vector(v: np.ndarray, tree: PartitionTree) -> np.ndarray:
-    out = np.asarray(v, dtype=float).copy()
-    for imp in impute(out, tree):
-        out[imp.index] = imp.value
-    return out
+    return spectral.Kernel(entries=entries)
 
 
 def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
-    """Row-wise imputation against a tree on the column axis (vectorized)."""
+    """Fill each row's missing entries from the deepest folder with observed siblings.
+
+    ``rows`` are indexed by the tree's axis along columns, NaN marking missing
+    entries; a filled value is the mean of the row's observed entries in that
+    folder.
+    """
     rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != tree.size:
+        raise ValidationError(f"rows of shape {rows.shape} do not match tree axis {tree.size}")
     obs = np.isfinite(rows)
     no_obs = ~obs.any(axis=1)
     if no_obs.any():
@@ -398,10 +310,7 @@ def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
     for level in range(tree.depth, 0, -1):
         if not remaining.any():
             break
-        folders = tree.folders_at(level)
-        ind = np.zeros((tree.size, len(folders)))
-        for j, folder in enumerate(folders):
-            ind[list(folder), j] = 1.0
+        ind = tree.indicator(level)
         sums = filled @ ind
         counts = obs.astype(float) @ ind
         folder_of = tree.folder_of(level)
@@ -430,7 +339,7 @@ def coupled_refine(omega: ReferenceSet, d: DataMatrix, iters: int = 2,
     cfg = cfg or TreeConfig()
 
     rows = d.values[omega.indices]
-    a_pts = cosine_affinity(omega, d)
+    a_pts, _ = cosine_affinity(omega, d)
 
     points_tree = obs_tree = None
     for _ in range(iters):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cogeometry import PartitionTree, imputed_vector
+from .cogeometry import PartitionTree, impute_matrix
 from .dataset import DataMatrix, PolarityMap, ReferenceSet
 from .errors import InternalError, ValidationError
 
@@ -92,7 +92,7 @@ def extract_pseudopoints(tree: PartitionTree, level: int, omega: ReferenceSet,
                 raise ValidationError(
                     f"folder {j} observes nothing for features {holes.tolist()} "
                     "and no observation tree was given for fallback imputation")
-            centroid = imputed_vector(centroid, obs_tree)
+            centroid = impute_matrix(centroid[None, :], obs_tree)[0]
             imputed_cells.extend((j, int(k)) for k in holes)
         centroids[j] = centroid
         counts.append(len(folder))

@@ -88,15 +88,6 @@ def forward_batch(net: Net, X: np.ndarray):
     return H1, H2, f
 
 
-def net_forward(net: Net, x: np.ndarray):
-    """Single-vector forward pass: (h1, h2, f scalar)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("input vector has non-finite entries")
-    H1, H2, f = forward_batch(net, x[None, :])
-    return H1[0], H2[0], float(f[0])
-
-
 def loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float):
     """Full-batch loss C + mu*sum(W^2) and gradients for every parameter."""
     n = X.shape[0]
@@ -206,30 +197,6 @@ def pretrain_autoencoder(net: Net, X: np.ndarray, epochs: int,
     return replace(net, W1=W1, b1=b1, W2=W2, b2=b2)
 
 
-def reconstruction_mse(net: Net, X: np.ndarray, rng: np.random.Generator,
-                       epochs: int, learning_rate: float) -> np.ndarray:
-    """Layer-1 clean-input reconstruction MSE per epoch (diagnostic loop)."""
-    n, width = X.shape
-    W, b = net.W1.copy(), net.b1.copy()
-    D = _glorot(rng, width, W.shape[0])
-    c = np.zeros(width)
-    losses = np.empty(epochs)
-    for e in range(epochs):
-        H = sigmoid(X @ W.T + b)
-        recon = H @ D.T + c
-        losses[e] = np.mean((recon - X) ** 2)
-        diff = (2.0 / (n * width)) * (recon - X)
-        dD = diff.T @ H
-        dc = diff.sum(axis=0)
-        dH = diff @ D
-        dZ = dH * H * (1.0 - H)
-        W -= learning_rate * dZ.T @ X
-        b -= learning_rate * dZ.sum(axis=0)
-        D -= learning_rate * dD
-        c -= learning_rate * dc
-    return losses
-
-
 @dataclass(frozen=True)
 class HyperRanges:
     """Per-net sampling intervals; h1 centered at width 50 by default."""
@@ -256,8 +223,7 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
                    master_seed: int = 0,
                    epochs: int = 200, learning_rate: float = 0.5,
                    pretrain_epochs: int = 60,
-                   train_rows: np.ndarray | None = None,
-                   backprop: bool = True) -> NetEnsemble:
+                   train_rows: np.ndarray | None = None) -> NetEnsemble:
     """K independently seeded nets; deterministic given (data, config, seed).
 
     ``train_rows`` restricts which rows are used for fitting (rows carrying
@@ -283,8 +249,7 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
             hyper = sample_hyper(ranges, i, rng, learning_rate * lr_scale, epochs)
             net = init_net(X.shape[1], hyper, rng)
             net = pretrain_autoencoder(net, Xt, pretrain_epochs, rng)
-            if backprop:
-                net, _ = train_backprop(net, Xt, gt)
+            net, _ = train_backprop(net, Xt, gt)
             return net
 
         try:
@@ -310,12 +275,6 @@ def ensemble_rank(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
     """Mean of the per-net outputs, still on the [0, 1] training scale."""
     X = np.atleast_2d(X)
     return np.mean([forward_batch(net, X)[2] for net in e.nets], axis=0)
-
-
-def dnn_distance(e: NetEnsemble, x: np.ndarray, y: np.ndarray) -> float:
-    rx = representation(e, np.asarray(x, dtype=float)[None, :])
-    ry = representation(e, np.asarray(y, dtype=float)[None, :])
-    return float(np.linalg.norm(rx - ry))
 
 
 def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
-from .dataset import (DataMatrix, ReferenceSet, StandardizationParams,
+from .dataset import (DataMatrix, PolarityMap, ReferenceSet, StandardizationParams,
                       load_matrix, preprocess, save_matrix, select_reference)
 from .errors import ValidationError
 
@@ -39,7 +39,7 @@ DEFAULT_CONFIG = {
     "pseudopoints": {"level": 6, "score_min": 1.0, "score_max": 10.0},
     "net": {"k": 100, "epochs": 220, "learning_rate": 1.0, "pretrain_epochs": 60,
             "master_seed": 7, "h1": [30, 70], "h2": [15, 35],
-            "dropout": [0.0, 0.3], "weight_decay": [1e-5, 1e-2], "backprop": True},
+            "dropout": [0.0, 0.3], "weight_decay": [1e-5, 1e-2]},
     "kernel": {"r": 10},
     "embedding": {"d": 8, "t": 1.0},
     "whiten": {"k": None, "pinv_tol": 1e-6},
@@ -222,8 +222,7 @@ def _load_trees(ws: Workspace):
 def _tree_config(cfg: dict) -> cogeometry.TreeConfig:
     t = cfg["tree"]
     return cogeometry.TreeConfig(depth=t["depth"], balance_factor=t["balance_factor"],
-                                 embed_dim=t["embed_dim"], beta=t["beta"],
-                                 refine_iters=t["iters"])
+                                 embed_dim=t["embed_dim"], beta=t["beta"])
 
 
 def _omega_matrix(d: DataMatrix, omega: ReferenceSet, obs_tree) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +248,13 @@ def _load_label_function(ws: Workspace) -> expert.LabelFunction:
 def _ensemble_kernel(ws: Workspace, ensemble, filled: np.ndarray) -> spectral.Kernel:
     rep = netens.representation(ensemble, filled)
     return spectral.gaussian_kernel(rep, r=ws.cfg["kernel"]["r"])
+
+
+def _local_moments(ws: Workspace, emb: spectral.Embedding) -> whiten.LocalMoments:
+    k = ws.cfg["whiten"]["k"]
+    if k is None:
+        k = whiten.default_neighborhood(emb.dim)
+    return whiten.local_moments(emb, k=int(k), pinv_tol=float(ws.cfg["whiten"]["pinv_tol"]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +310,22 @@ def run_organize(ws: Workspace) -> None:
         ws.record(name, inputs)
 
 
-def run_pseudopoints_export(ws: Workspace) -> None:
-    d, omega = _load_preprocessed(ws)
-    points_tree, obs_tree = _load_trees(ws)
-    level = min(int(ws.cfg["pseudopoints"]["level"]), points_tree.depth)
-    ps = expert.extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
-    expert.export_centroids(ps, ws.path("pseudopoints.csv"))
-    ws.record("pseudopoints.csv", ["points_tree.json", "obs_tree.json",
-                                   "preprocessed.csv"])
-
-
 def _pseudopoints(ws: Workspace):
     d, omega = _load_preprocessed(ws)
     points_tree, obs_tree = _load_trees(ws)
     level = min(int(ws.cfg["pseudopoints"]["level"]), points_tree.depth)
     ps = expert.extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
     return d, omega, points_tree, obs_tree, level, ps
+
+
+def run_pseudopoints_export(ws: Workspace) -> None:
+    """Centroid CSV for the expert, shown in the input data's original signs."""
+    *_, ps = _pseudopoints(ws)
+    with open(ws.path("reference.json"), "r", encoding="utf-8") as fh:
+        flips = np.asarray(json.load(fh)["polarity_flips"], dtype=bool)
+    expert.export_centroids(ps, ws.path("pseudopoints.csv"), polarity=PolarityMap(flip=flips))
+    ws.record("pseudopoints.csv", ["points_tree.json", "obs_tree.json",
+                                   "preprocessed.csv", "reference.json"])
 
 
 def run_pseudopoints_import(ws: Workspace, labels_path=None) -> None:
@@ -391,7 +397,7 @@ def run_train(ws: Workspace) -> None:
         master_seed=int(net_cfg["master_seed"]), epochs=int(net_cfg["epochs"]),
         learning_rate=float(net_cfg["learning_rate"]),
         pretrain_epochs=int(net_cfg["pretrain_epochs"]),
-        train_rows=complete, backprop=bool(net_cfg["backprop"]))
+        train_rows=complete)
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
     f01 = netens.ensemble_rank(ensemble, filled)
@@ -422,10 +428,7 @@ def run_embed(ws: Workspace) -> None:
 def run_standardize(ws: Workspace) -> None:
     ids, emb = read_embedding(ws.require("embedding.csv", "embed"),
                               ws.require("embedding.json", "embed"))
-    k = ws.cfg["whiten"]["k"]
-    if k is None:
-        k = whiten.default_neighborhood(emb.dim)
-    lm = whiten.local_moments(emb, k=int(k), pinv_tol=float(ws.cfg["whiten"]["pinv_tol"]))
+    lm = _local_moments(ws, emb)
     std = whiten.standardized_embedding(emb, lm, d=int(ws.cfg["embedding"]["d"]),
                                         t=float(ws.cfg["embedding"]["t"]),
                                         r=int(ws.cfg["kernel"]["r"]))
@@ -462,10 +465,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     cross = np.exp(-(cdist(rep_new, rep_ref) ** 2) / sigma ** 2)
     coords_new = spectral.nystrom_extend(emb, cross)
 
-    k = ws.cfg["whiten"]["k"]
-    if k is None:
-        k = whiten.default_neighborhood(emb.dim)
-    lm = whiten.local_moments(emb, k=int(k), pinv_tol=float(ws.cfg["whiten"]["pinv_tol"]))
+    lm = _local_moments(ws, emb)
     psi_new = whiten.extend_standardized(lm, emb, std_emb, coords_new)
 
     f01 = netens.ensemble_rank(ensemble, new_filled)

@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 from .dataset import DataMatrix
 from .errors import BoundViolation, ValidationError
-from .spectral import Kernel, MarkovOperator, signed_power
+from .spectral import Kernel, MarkovOperator, _symmetric_eigensystem, signed_power
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +115,7 @@ def spectral_dimension(k: Kernel, cutoff: float = 0.01):
     The diffusion time normalizes across kernels: t = 1 / (1 - S_1), the mean
     time to diffuse across the system.
     """
-    sums = k.entries.sum(axis=1)
-    half = 1.0 / np.sqrt(sums)
-    sym = half[:, None] * k.entries * half[None, :]
-    vals = np.linalg.eigvalsh(0.5 * (sym + sym.T))[::-1]
-    vals = np.clip(vals, -1.0, 1.0)
+    vals, _ = _symmetric_eigensystem(k)
     s1 = vals[1]
     if s1 >= 1.0 - 1e-12:
         n_comp, _ = connected_components((k.entries > 1e-12).astype(int), directed=False)
@@ -312,19 +308,12 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None):
     return x, kkt
 
 
-def nnls_rank(d: DataMatrix, target: np.ndarray, group: str | None = None):
+def nnls_rank(d: DataMatrix, target: np.ndarray):
     """Nonnegative least-squares weights fitting ``target`` from the features.
 
-    Rows must be complete (imputed beforehand); ``group`` restricts the
-    design to one feature group.
+    Rows must be complete (imputed beforehand).
     """
-    if group is None:
-        cols = list(range(d.n_features))
-    else:
-        cols = [k for k, f in enumerate(d.feature_names) if d.group_of[f] == group]
-        if not cols:
-            raise ValidationError(f"no features in group {group!r}")
-    design = d.values[:, cols]
+    design = d.values
     if not np.all(np.isfinite(design)):
         raise ValidationError("NNLS needs complete rows; impute missing entries first")
     weights, kkt = nnls(design, np.asarray(target, dtype=float))
@@ -355,55 +344,8 @@ def confusion(initial: np.ndarray, final: np.ndarray, bins: int = 4) -> np.ndarr
     return out
 
 
-def align_embeddings(e1: np.ndarray, e2: np.ndarray):
-    """Orthogonal Procrustes: rotate e2 onto e1, returning (R, relative residual)."""
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if e1.shape != e2.shape:
-        raise ValidationError(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
-    u, _, vt = np.linalg.svd(e2.T @ e1)
-    rot = u @ vt
-    denom = np.linalg.norm(e1)
-    residual = float(np.linalg.norm(e1 - e2 @ rot) / denom) if denom > 0 else 0.0
-    return rot, residual
-
-
 # ---------------------------------------------------------------------------
-# per-group summaries and neighbor smoothness
-
-@dataclass(frozen=True)
-class GroupScores:
-    group_names: tuple[str, ...]
-    means: np.ndarray                        # (n, n_groups), NaN when unobserved
-    nnls_scores: np.ndarray | None = None
-    nnls_weights: dict = field(default_factory=dict)
-
-
-def group_scores(d: DataMatrix, target: np.ndarray | None = None) -> GroupScores:
-    names = tuple(sorted(set(d.group_of.values())))
-    filled = np.where(d.mask, d.values, 0.0)
-    means = np.empty((d.n_points, len(names)))
-    for gi, gname in enumerate(names):
-        cols = [k for k, f in enumerate(d.feature_names) if d.group_of[f] == gname]
-        if not cols:
-            raise ValidationError(f"group {gname!r} has no features")
-        counts = d.mask[:, cols].sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means[:, gi] = np.where(counts > 0,
-                                    filled[:, cols].sum(axis=1) / np.maximum(counts, 1),
-                                    np.nan)
-    if target is None:
-        return GroupScores(group_names=names, means=means)
-
-    scores = np.empty_like(means)
-    weights = {}
-    for gi, gname in enumerate(names):
-        w, fitted, _ = nnls_rank(d, target, group=gname)
-        scores[:, gi] = fitted
-        weights[gname] = w.tolist()
-    return GroupScores(group_names=names, means=means, nnls_scores=scores,
-                       nnls_weights=weights)
-
+# neighbor smoothness
 
 @dataclass(frozen=True)
 class SmoothnessResult:
@@ -424,7 +366,7 @@ def neighbor_smoothness(space, f: np.ndarray, n_neighbors: int = 10) -> Smoothne
         return SmoothnessResult(averages=f.copy(), correlation=float("nan"),
                                 degenerate=True)
 
-    if hasattr(space, "entries"):                    # Kernel / AffinityMatrix
+    if hasattr(space, "entries"):                    # Kernel
         weights = np.asarray(space.entries, dtype=float).copy()
         np.fill_diagonal(weights, 0.0)
         sums = weights.sum(axis=1)

@@ -8,15 +8,14 @@ The kernel of that distance yields the standardized embedding.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .spectral import (EIGENVALUE_FLOOR, Embedding, Kernel, diffusion_embed,
-                       nn_bandwidth)
+from .spectral import (Embedding, Kernel, diffusion_embed, nn_bandwidth,
+                       nystrom_extend)
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,11 @@ def local_moments(emb: Embedding, k: int | None = None,
                         sigma_pinv=pinv, k=k)
 
 
-def whitened_distance(lm: LocalMoments, emb: Embedding, x: int, y: int) -> float:
-    """d_t(x,y) = 1/2 (c_x - c_y)^T (S_x+ + S_y+) (c_x - c_y), c = coord - mu."""
-    coords = emb.coordinates
-    delta = (coords[x] - lm.mu[x]) - (coords[y] - lm.mu[y])
-    return float(0.5 * delta @ (lm.sigma_pinv[x] + lm.sigma_pinv[y]) @ delta)
-
-
 def whitened_distance_matrix(lm: LocalMoments, emb: Embedding) -> np.ndarray:
-    """All pairwise whitened distances (squared-distance-like, not rooted)."""
+    """All pairwise whitened distances (squared-distance-like, not rooted).
+
+    d_t(x,y) = 1/2 (c_x - c_y)^T (S_x+ + S_y+) (c_x - c_y), c = coord - mu.
+    """
     coords = emb.coordinates
     centered = coords - lm.mu
     n = coords.shape[0]
@@ -146,8 +141,9 @@ def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
     """Extend the standardized eigenvectors to new embedding coordinates.
 
     ``new_coords`` are diffusion coordinates of the new points (already
-    extended through the plain Nystrom step); rows of the one-sided kernel
-    are normalized and each eigenvector maps through s_i^(-1/2) B psi_i.
+    extended through the plain Nystrom step).  This is the Nystrom extension
+    of ``psi`` with the one-sided kernel B as the cross kernel: rows of B are
+    normalized and each eigenvector maps through s_i^(-1/2) B psi_i.
     """
     new_coords = np.atleast_2d(np.asarray(new_coords, dtype=float))
     if new_coords.shape[1] != emb_full.dim:
@@ -159,18 +155,4 @@ def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
                                   "pass sigma explicitly")
 
     b = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords, float(sigma))
-    sums = b.sum(axis=1)
-    bad = np.flatnonzero(sums <= 0)
-    if len(bad):
-        raise ValidationError(f"one-sided kernel rows with zero sum: {bad.tolist()}")
-    b_tilde = b / sums[:, None]
-
-    out = np.zeros((new_coords.shape[0], psi.dim))
-    for i in range(psi.dim):
-        s = psi.eigenvalues[i]
-        if s <= EIGENVALUE_FLOOR:
-            warnings.warn(f"skipping standardized extension of coordinate {i}: "
-                          f"eigenvalue {s:.3e}", stacklevel=2)
-            continue
-        out[:, i] = (b_tilde @ psi.eigenvectors[:, i]) / np.sqrt(s)
-    return out
+    return nystrom_extend(psi, b)

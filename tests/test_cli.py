@@ -1,0 +1,90 @@
+"""End to end: every CLI subcommand on a small synthetic config."""
+
+import csv
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from expertmap import cli, pipeline
+from expertmap.cogeometry import PartitionTree
+from expertmap.dataset import ReferenceSet, load_matrix
+from expertmap.errors import BoundViolation
+from expertmap.expert import extract_pseudopoints
+
+CONFIG = {"synth": {"n_points": 150},
+          "net": {"k": 5, "epochs": 40, "pretrain_epochs": 10},
+          "pseudopoints": {"level": 4}}
+
+STAGES = (["synth"], ["preprocess"], ["organize"], ["pseudopoints", "export"],
+          ["pseudopoints", "auto"], ["train"], ["embed"], ["standardize"],
+          ["extend", "--new-points", "{out}/data.csv"], ["report"])
+
+
+def run_chain(root):
+    """Run every stage but validate into ``root/out``; returns (config, out, exit codes)."""
+    root.mkdir(parents=True, exist_ok=True)
+    config = root / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = root / "out"
+    codes = {}
+    for stage in STAGES:
+        args = [a.format(out=out) for a in stage]
+        codes[" ".join(stage)] = cli.main(["--config", str(config), "--out", str(out)] + args)
+    return config, out, codes
+
+
+def artifact_hashes(out):
+    """sha256 of every artifact; sidecars carry a timestamp and are left out."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if not p.name.endswith(".meta.json")}
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    config, out, codes = run_chain(tmp_path_factory.mktemp("first"))
+    return config, out, codes, artifact_hashes(out)
+
+
+def test_every_stage_exits_zero(chain):
+    _, _, codes, _ = chain
+    assert codes == {key: 0 for key in codes}
+
+
+def test_rerun_is_byte_identical(chain, tmp_path):
+    _, _, _, first = chain
+    _, out, _ = run_chain(tmp_path)
+    assert "report.csv" in first and "extended_std_embedding.csv" in first
+    assert artifact_hashes(out) == first
+
+
+def test_exported_centroids_carry_original_polarity(chain):
+    _, out, _, _ = chain
+    with open(out / "reference.json") as fh:
+        ref = json.load(fh)
+    flips = np.asarray(ref["polarity_flips"], dtype=bool)
+    assert flips.any()
+
+    d = load_matrix(out / "preprocessed.csv")
+    omega = ReferenceSet(indices=np.asarray(ref["indices"]), eta=ref["eta"])
+    points_tree = PartitionTree.load(out / "points_tree.json")
+    obs_tree = PartitionTree.load(out / "obs_tree.json")
+    level = min(CONFIG["pseudopoints"]["level"], points_tree.depth)
+    ps = extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
+
+    with open(out / "pseudopoints.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    shown = np.array([[float(v) for v in row[2:-1]] for row in rows])
+    expected = np.where(flips, -ps.centroids, ps.centroids)
+    np.testing.assert_array_equal(shown, expected)
+
+
+@pytest.mark.xfail(strict=True, raises=BoundViolation,
+                   reason="ROADMAP open item 1: separation_bound_check asserts a form "
+                          "that is not an inequality (LHS 0.121 < RHS 0.304 here)")
+def test_validate_stage(chain):
+    config, out, _, _ = chain
+    ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
+    pipeline.run_validate(ws)
+    assert cli.main(["--config", str(config), "--out", str(out), "validate"]) == 0

@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from expertmap.cogeometry import (AffinityMatrix, PartitionTree, TreeConfig,
-                                  build_partition_tree, cosine_affinity,
-                                  coupled_refine, emd_affinity, impute,
-                                  imputed_vector, impute_matrix,
-                                  tree_emd_distance)
+from expertmap.cogeometry import (PartitionTree, TreeConfig, build_partition_tree,
+                                  cosine_affinity, coupled_refine, emd_affinity,
+                                  emd_distance_matrix, impute_matrix)
 from expertmap.dataset import DataMatrix, ReferenceSet, select_reference
 from expertmap.errors import ValidationError
+from expertmap.spectral import Kernel, gaussian_kernel
 
 
 def matrix_from(values):
@@ -33,18 +32,23 @@ NA = np.nan
 class TestCosineAffinity:
     def test_hand_support_restricted(self):
         d = matrix_from([[1.0, 2.0, NA], [2.0, 4.0, 5.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a, _ = cosine_affinity(full_reference(d), d)
         # over the shared support {0, 1}: 10 / (sqrt(5) * sqrt(20)) = 1
         assert a.entries[0, 1] == pytest.approx(1.0)
 
     def test_hand_orthogonal(self):
         d = matrix_from([[1.0, 0.0, NA], [0.0, 1.0, 3.0]])
-        a = cosine_affinity(full_reference(d), d)
-        assert a.entries[0, 1] == pytest.approx(0.0)
+        a, _ = cosine_affinity(full_reference(d), d)
+        assert a.entries[0, 1] == pytest.approx(0.5)    # cosine 0 -> (0 + 1) / 2
+
+    def test_hand_opposite(self):
+        d = matrix_from([[1.0, 2.0, NA], [-2.0, -4.0, 1.0]])
+        a, _ = cosine_affinity(full_reference(d), d)
+        assert a.entries[0, 1] == pytest.approx(0.0)    # cosine -1 -> 0
 
     def test_self_affinity_is_one(self):
         d = matrix_from([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a, _ = cosine_affinity(full_reference(d), d)
         assert a.entries[0, 1] == pytest.approx(1.0)
         np.testing.assert_array_equal(np.diag(a.entries), 1.0)
 
@@ -55,9 +59,9 @@ class TestCosineAffinity:
         # keep joint support nonempty: first two columns always observed
         values[:, :2] = rng.normal(size=(25, 2))
         d = matrix_from(values)
-        a = cosine_affinity(full_reference(d), d)
+        a, _ = cosine_affinity(full_reference(d), d)
         assert np.max(np.abs(a.entries - a.entries.T)) <= 1e-12
-        assert a.entries.min() >= -1.0 and a.entries.max() <= 1.0
+        assert a.entries.min() >= 0.0 and a.entries.max() <= 1.0
 
     def test_empty_joint_support_is_hard_error(self):
         d = matrix_from([[1.0, NA], [NA, 2.0]])
@@ -66,9 +70,9 @@ class TestCosineAffinity:
 
     def test_zero_restricted_norm_flagged(self):
         d = matrix_from([[0.0, 0.0], [1.0, 2.0]])
-        a = cosine_affinity(full_reference(d), d)
-        assert a.entries[0, 1] == 0.0
-        assert (0, 1) in a.flagged_pairs
+        a, flagged = cosine_affinity(full_reference(d), d)
+        assert a.entries[0, 1] == 0.5                   # cosine forced to 0
+        assert (0, 1) in flagged
 
 
 def pair_block_affinity():
@@ -76,7 +80,7 @@ def pair_block_affinity():
                         [0.9, 1.0, 0.1, 0.1],
                         [0.1, 0.1, 1.0, 0.9],
                         [0.1, 0.1, 0.9, 1.0]])
-    return AffinityMatrix(entries=entries, kind="kernel")
+    return Kernel(entries=entries)
 
 
 class TestBuildPartitionTree:
@@ -101,7 +105,7 @@ class TestBuildPartitionTree:
 
     def test_identical_rows_satisfy_invariants(self):
         n = 8
-        a = AffinityMatrix(entries=np.ones((n, n)), kind="kernel")
+        a = Kernel(entries=np.ones((n, n)))
         tree = build_partition_tree(a, TreeConfig(depth=3))
         # construction of PartitionTree revalidates nesting/cover invariants
         assert tree.depth >= 2
@@ -110,10 +114,7 @@ class TestBuildPartitionTree:
     def test_invariants_on_random_affinity(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(30, 3))
-        from expertmap.spectral import gaussian_kernel
-        k = gaussian_kernel(pts, r=5)
-        a = AffinityMatrix(entries=k.entries, kind="kernel")
-        tree = build_partition_tree(a, TreeConfig(depth=4))
+        tree = build_partition_tree(gaussian_kernel(pts, r=5), TreeConfig(depth=4))
         assert tree.depth == 4
         for level in range(1, 5):
             assert len(tree.folders_at(level)) <= 2 ** (level - 1)
@@ -122,7 +123,7 @@ class TestBuildPartitionTree:
         entries = np.ones((3, 3))
         entries[0, 1] = entries[1, 0] = np.inf
         with pytest.raises(ValidationError):
-            AffinityMatrix(entries=entries, kind="kernel")
+            Kernel(entries=entries)
 
     def test_json_round_trip(self, tmp_path):
         tree = build_partition_tree(pair_block_affinity(), TreeConfig(depth=2))
@@ -138,43 +139,39 @@ def line_tree():
                          levels=(((0, 1, 2, 3),), ((0, 1), (2, 3))))
 
 
+def emd(tree, x, y):
+    return emd_distance_matrix(tree, np.vstack([x, y]))[0, 1]
+
+
 class TestTreeEmd:
     def test_zero_on_equal_vectors(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert tree_emd_distance(line_tree(), x, x) == 0.0
+        assert emd(line_tree(), x, x) == 0.0
 
     def test_root_only_collapses_to_mean_gap(self):
         tree = PartitionTree(axis="observations", levels=(((0, 1, 2),),))
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([2.0, 3.0, 4.0])
         # single folder of size 3, weight 2^0: 3 * |mean gap| = 3 * 1
-        assert tree_emd_distance(tree, x, y) == pytest.approx(3.0)
+        assert emd(tree, x, y) == pytest.approx(3.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
-        x, y = rng.normal(size=4), rng.normal(size=4)
-        t = line_tree()
-        assert tree_emd_distance(t, x, y) == pytest.approx(tree_emd_distance(t, y, x))
+        dist = emd_distance_matrix(line_tree(), rng.normal(size=(5, 4)))
+        np.testing.assert_array_equal(dist, dist.T)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(3)
         tree = build_partition_tree(pair_block_affinity(), TreeConfig(depth=2))
         tree = PartitionTree(axis="observations", levels=tree.levels)
-        for _ in range(200):
-            x, y, z = rng.normal(size=(3, 4))
-            dxy = tree_emd_distance(tree, x, y)
-            dyz = tree_emd_distance(tree, y, z)
-            dxz = tree_emd_distance(tree, x, z)
-            assert dxz <= dxy + dyz + 1e-12
+        dist = emd_distance_matrix(tree, rng.normal(size=(60, 4)))
+        # [x, y, z]: d(x, z) <= d(x, y) + d(y, z) over every triple
+        assert np.all(dist[:, None, :] <= dist[:, :, None] + dist[None, :, :] + 1e-12)
 
-    def test_missing_entries_excluded_symmetrically(self):
-        tree = line_tree()
-        x = np.array([1.0, NA, 3.0, 4.0])
-        y = np.array([0.5, 7.0, 3.0, 4.0])
-        d = tree_emd_distance(tree, x, y)
-        assert np.isfinite(d) and d > 0
-        # swapping arguments keeps the exclusion symmetric
-        assert d == pytest.approx(tree_emd_distance(tree, y, x))
+    def test_missing_entries_rejected(self):
+        x = np.array([[1.0, NA, 3.0, 4.0], [0.5, 7.0, 3.0, 4.0]])
+        with pytest.raises(ValidationError, match="impute first"):
+            emd_distance_matrix(line_tree(), x)
 
 
 def planted_blocks(n_per=12, m_per=4, seed=4, sep=5.0):
@@ -234,50 +231,61 @@ class TestCoupledRefine:
         assert set(points_tree.folders_at(2)) == {tuple(range(12)), tuple(range(12, 24))}
 
 
+def impute_entrywise(v, tree):
+    """Per-entry reference: each hole takes the mean of the observed entries
+    in its deepest folder that has any."""
+    v = np.asarray(v, dtype=float)
+    out = v.copy()
+    observed = np.isfinite(v)
+    for k in np.flatnonzero(~observed):
+        for level in range(tree.depth, 0, -1):
+            folder = next(f for f in tree.folders_at(level) if k in f)
+            known = [i for i in folder if observed[i]]
+            if known:
+                out[k] = v[known].mean()
+                break
+    return out
+
+
 class TestImpute:
     def tree(self):
         return PartitionTree(axis="observations",
                              levels=(((0, 1, 2, 3, 4),), ((0, 1), (2, 3, 4))))
 
+    def impute(self, v, tree=None):
+        return impute_matrix(np.asarray(v, dtype=float)[None, :], tree or self.tree())[0]
+
     def test_folder_mean(self):
-        v = np.array([9.0, 9.0, NA, 2.0, 4.0])
-        result = impute(v, self.tree())
-        assert len(result) == 1
-        imp = result[0]
-        assert imp.value == pytest.approx(3.0)
-        assert imp.level == 2
-        assert imp.support_count == 2
+        # the level-2 folder {2, 3, 4} observes 2 and 4; the root mean would be 6
+        filled = self.impute([9.0, 9.0, NA, 2.0, 4.0])
+        assert filled[2] == pytest.approx(3.0)
 
     def test_root_fallback_max_uncertainty(self):
-        v = np.array([1.0, 3.0, NA, NA, NA])
-        by_index = {imp.index: imp for imp in impute(v, self.tree())}
-        assert by_index[2].level == 1
-        assert by_index[2].value == pytest.approx(2.0)
+        filled = self.impute([1.0, 3.0, NA, NA, NA])
+        np.testing.assert_allclose(filled[2:], 2.0)
 
     def test_fully_observed_gives_empty_list(self):
-        assert impute(np.arange(5.0), self.tree()) == []
+        # no entry is imputed: the row comes back unchanged
+        np.testing.assert_array_equal(self.impute(np.arange(5.0)), np.arange(5.0))
 
     def test_all_missing_rejected(self):
         with pytest.raises(ValidationError, match="no observed"):
-            impute(np.full(5, NA), self.tree())
+            self.impute(np.full(5, NA))
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="tree axis"):
+            self.impute(np.arange(4.0))
 
     def test_level_deepens_as_siblings_appear(self):
         tree = PartitionTree(
             axis="observations",
             levels=(((0, 1, 2, 3),), ((0, 1), (2, 3))))
-        v = np.array([NA, NA, 5.0, 7.0])
-        first = impute(v, tree)[0]
-        assert first.index == 0 and first.level == 1
-        v2 = np.array([NA, 4.0, 5.0, 7.0])
-        second = [imp for imp in impute(v2, tree) if imp.index == 0][0]
-        assert second.level == 2
-        assert second.value == pytest.approx(4.0)
+        assert self.impute([NA, NA, 5.0, 7.0], tree)[0] == pytest.approx(6.0)
+        assert self.impute([NA, 4.0, 5.0, 7.0], tree)[0] == pytest.approx(4.0)
 
     def test_never_reads_masked_entries(self):
-        v = np.array([NA, 4.0, NA, 6.0, 8.0])
-        for imp in impute(v, self.tree()):
-            assert np.isfinite(imp.value)
-        filled = imputed_vector(v, self.tree())
+        filled = self.impute([NA, 4.0, NA, 6.0, 8.0])
+        assert np.all(np.isfinite(filled))
         assert filled[0] == pytest.approx(4.0)
         assert filled[2] == pytest.approx(7.0)
 
@@ -288,7 +296,7 @@ class TestImpute:
         rows[:, 0] = rng.normal(size=20)   # keep every row imputable
         tree = self.tree()
         fast = impute_matrix(rows, tree)
-        slow = np.vstack([imputed_vector(rows[i], tree) for i in range(20)])
+        slow = np.vstack([impute_entrywise(rows[i], tree) for i in range(20)])
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 

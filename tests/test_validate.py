@@ -6,21 +6,20 @@ import pytest
 from expertmap.dataset import DataMatrix
 from expertmap.errors import BoundViolation, ValidationError
 from expertmap.spectral import Kernel, gaussian_kernel, markov_normalize
-from expertmap.validate import (ValidationReport, affinity_histograms,
-                                align_embeddings, confusion, feature_lipschitz,
-                                group_scores, neighbor_smoothness,
+from expertmap.validate import (ValidationReport, affinity_histograms, confusion,
+                                feature_lipschitz, neighbor_smoothness,
                                 neighborhood_mass, nnls, nnls_rank, row_sum_rank,
                                 separation_bound_check, spectral_dimension)
 
 
-def matrix_from(values, groups=None):
+def matrix_from(values):
     values = np.asarray(values, dtype=float)
     mask = np.isfinite(values)
     n, m = values.shape
     names = tuple(f"q{k}" for k in range(m))
     return DataMatrix(values=values, mask=mask, feature_names=names,
                       point_ids=tuple(f"p{i}" for i in range(n)),
-                      group_of={f: (groups or {}).get(f, "default") for f in names},
+                      group_of={f: "default" for f in names},
                       weight_of={"default": 1.0})
 
 
@@ -301,15 +300,6 @@ class TestNnls:
         with pytest.raises(ValidationError, match="impute"):
             nnls_rank(d, np.array([1.0, 2.0]))
 
-    def test_nnls_rank_group_restriction(self):
-        rng = np.random.default_rng(9)
-        values = rng.normal(size=(25, 4))
-        d = matrix_from(values, groups={"q0": "a", "q1": "a", "q2": "b", "q3": "b"})
-        target = values[:, 0] * 2.0
-        w, fitted, kkt = nnls_rank(d, target, group="a")
-        assert len(w) == 2
-        assert kkt <= 1e-8
-
 
 class TestConfusion:
     def test_identity_is_diagonal(self):
@@ -331,71 +321,6 @@ class TestConfusion:
         mat = confusion(initial, initial)
         # three points sit in the first range quarter despite 4 points total
         assert mat[0, 0] == 3 and mat[3, 3] == 1
-
-
-class TestProcrustes:
-    def test_construct_and_recover(self):
-        rng = np.random.default_rng(12)
-        e1 = rng.normal(size=(40, 4))
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        e2 = e1 @ q.T
-        rot, residual = align_embeddings(e1, e2)
-        assert residual < 1e-10
-        np.testing.assert_allclose(e2 @ rot, e1, atol=1e-10)
-
-    def test_identity(self):
-        e = np.random.default_rng(13).normal(size=(10, 3))
-        rot, residual = align_embeddings(e, e)
-        np.testing.assert_allclose(rot, np.eye(3), atol=1e-10)
-        assert residual < 1e-12
-
-    def test_residual_invariant_to_row_permutation(self):
-        rng = np.random.default_rng(14)
-        e1 = rng.normal(size=(30, 3))
-        e2 = rng.normal(size=(30, 3))
-        perm = rng.permutation(30)
-        _, r1 = align_embeddings(e1, e2)
-        _, r2 = align_embeddings(e1[perm], e2[perm])
-        assert r1 == pytest.approx(r2, rel=1e-10)
-
-    def test_residual_invariant_to_common_rotation(self):
-        rng = np.random.default_rng(15)
-        e1 = rng.normal(size=(30, 3))
-        e2 = rng.normal(size=(30, 3))
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        _, r1 = align_embeddings(e1, e2)
-        _, r2 = align_embeddings(e1 @ q, e2 @ q)
-        assert r1 == pytest.approx(r2, rel=1e-8)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            align_embeddings(np.zeros((5, 2)), np.zeros((5, 3)))
-
-
-class TestGroupScores:
-    def test_single_group_equals_scaled_row_sum(self):
-        rng = np.random.default_rng(16)
-        d = matrix_from(rng.normal(size=(20, 5)))
-        gs = group_scores(d)
-        np.testing.assert_allclose(gs.means[:, 0], row_sum_rank(d) / d.n_features,
-                                   atol=1e-12)
-
-    def test_disjoint_groups_recompose_mean(self):
-        rng = np.random.default_rng(17)
-        values = rng.normal(size=(15, 4))
-        d = matrix_from(values, groups={"q0": "a", "q1": "a", "q2": "b", "q3": "b"})
-        gs = group_scores(d)
-        overall = values.mean(axis=1)
-        weighted = 0.5 * gs.means[:, gs.group_names.index("a")] + \
-            0.5 * gs.means[:, gs.group_names.index("b")]
-        np.testing.assert_allclose(weighted, overall, atol=1e-12)
-
-    def test_single_feature_group(self):
-        values = np.random.default_rng(18).normal(size=(10, 3))
-        d = matrix_from(values, groups={"q2": "solo"})
-        gs = group_scores(d)
-        np.testing.assert_allclose(gs.means[:, gs.group_names.index("solo")],
-                                   values[:, 2], atol=1e-12)
 
 
 class TestNeighborSmoothness:

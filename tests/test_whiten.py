@@ -4,7 +4,7 @@ import pytest
 from expertmap.spectral import Embedding, Kernel, diffusion_embed, nn_bandwidth
 from expertmap.whiten import (LocalMoments, extend_standardized, local_moments,
                               one_sided_cross_kernel, standardized_embedding,
-                              whitened_distance, whitened_distance_matrix)
+                              whitened_distance_matrix)
 
 
 def coords_embedding(coords, t=1.0):
@@ -12,6 +12,13 @@ def coords_embedding(coords, t=1.0):
     coords = np.asarray(coords, dtype=float)
     return Embedding(eigenvalues=np.ones(coords.shape[1]),
                      eigenvectors=coords, t=t)
+
+
+def whitened_distance(lm, emb, x, y):
+    """Scalar reference: 1/2 (c_x - c_y)^T (S_x+ + S_y+) (c_x - c_y), c = coord - mu."""
+    coords = emb.coordinates
+    delta = (coords[x] - lm.mu[x]) - (coords[y] - lm.mu[y])
+    return float(0.5 * delta @ (lm.sigma_pinv[x] + lm.sigma_pinv[y]) @ delta)
 
 
 def identity_moments(n, d, coords):
