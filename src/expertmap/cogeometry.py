@@ -153,9 +153,26 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
     """Bottom-up average-linkage merging with ~dyadic size targets.
 
     Returns partitions at folder counts 2^(depth-1), ..., 2, 1 (finest
-    first).  Ties in linkage break on the smallest member indices so the
-    construction is deterministic.
+    first).  Each merge joins the active pair of minimum average linkage
+    among those whose merged size fits under the cap, ceil(balance_factor *
+    n / target) and at least 2, doubled while no pair fits.  Ties within
+    1e-12 break on the smallest sorted pair of first members, and the band
+    is chained: scanning pairs in ascending linkage (row-major among equal
+    values), an accepted tie moves the reference linkage up to its own, so
+    the band can reach 1e-12 past each winner in turn.
+
+    Cost: O(n) per merge plus O(n^2) per cap change.  The eligible linkages
+    (upper triangle; inf where a folder is gone or the pair is over the cap)
+    and each row's minimum are updated from the merged pair's row and column
+    alone.  Selection scans only the pairs within a window of the global
+    minimum, stable-sorted as in a sort of all eligible pairs.  The trees
+    are byte-identical to that full sort only if the chained band is
+    replayed exactly, and a chain can pass any fixed window; so when the scan
+    reaches the window's end without leaving the band, the window widens to
+    the current winner + 1e-12 and the scan repeats.
     """
+    if not np.all(np.isfinite(coords)):
+        raise InternalError("agglomeration needs finite coordinates")
     n = coords.shape[0]
     dist = cdist(coords, coords)
     np.fill_diagonal(dist, np.inf)
@@ -170,12 +187,14 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
     count = n
     for target in targets:
         cap = max(2.0, math.ceil(balance_factor * n / target))
+        linkage, low, low_at = _eligible_linkage(dist, sizes, active, cap)
         while count > target:
-            pair = _best_pair(dist, sizes, active, folders, cap)
+            pair = _select_pair(linkage, low, folders)
             while pair is None:
                 cap *= 2.0
-                pair = _best_pair(dist, sizes, active, folders, cap)
-            i, j = pair
+                linkage, low, low_at = _eligible_linkage(dist, sizes, active, cap)
+                pair = _select_pair(linkage, low, folders)
+            i, j = pair                                  # i < j
             merged = tuple(sorted(folders[i] + folders[j]))
             # Lance-Williams update for average linkage
             ni, nj = sizes[i], sizes[j]
@@ -190,35 +209,59 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
             sizes[i] = ni + nj
             active[j] = False
             count -= 1
+
+            fits = active & (sizes + sizes[i] <= cap)
+            linkage[:i, i] = np.where(fits[:i], dist[:i, i], np.inf)
+            linkage[i, i + 1:] = np.where(fits[i + 1:], dist[i, i + 1:], np.inf)
+            linkage[j, :] = np.inf
+            linkage[:, j] = np.inf
+            stale = np.union1d(np.flatnonzero((low_at == i) | (low_at == j)), (i, j))
+            low_at[stale] = linkage[stale].argmin(axis=1)
+            low[stale] = linkage[stale, low_at[stale]]
+            # the weighted mean of two linkages can round below both
+            lower = np.flatnonzero(linkage[:i, i] < low[:i])
+            low[lower] = linkage[lower, i]
+            low_at[lower] = i
         part = sorted((f for f, alive in zip(folders, active) if alive and f is not None),
                       key=lambda f: f[0])
         snapshots.append(tuple(part))
     return snapshots
 
 
-def _best_pair(dist, sizes, active, folders, cap):
-    """Minimum-linkage active pair whose merged size fits under the cap."""
-    idx = np.flatnonzero(active)
-    best = None
-    best_d = np.inf
-    best_key = None
-    sub = dist[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    if len(iu[0]) == 0:
+def _eligible_linkage(dist, sizes, active, cap):
+    """Upper-triangle linkages of active pairs that fit under the cap, inf
+    elsewhere; with each row's minimum and a column that attains it."""
+    fits = np.triu(active[:, None] & active[None, :]
+                   & (sizes[:, None] + sizes[None, :] <= cap), 1)
+    linkage = np.where(fits, dist, np.inf)
+    low_at = linkage.argmin(axis=1)
+    return linkage, linkage[np.arange(len(low_at)), low_at], low_at
+
+
+def _select_pair(linkage, low, folders):
+    """The pair the chained-tie scan of _balanced_agglomerate picks; None if none fits."""
+    window = low.min() + 1e-12
+    if not np.isfinite(window):
         return None
-    vals = sub[iu]
-    order = np.argsort(vals, kind="stable")
-    for o in order:
-        a, b = idx[iu[0][o]], idx[iu[1][o]]
-        if sizes[a] + sizes[b] > cap:
-            continue
-        d = vals[o]
-        if d > best_d + 1e-12 and best is not None:
-            break
-        key = tuple(sorted((folders[a][0], folders[b][0])))
-        if best is None or d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and key < best_key):
-            best, best_d, best_key = (a, b), d, key
-    return best
+    while True:
+        rows = np.flatnonzero(low <= window)
+        block = linkage[rows]
+        r, c = np.nonzero(block <= window)                 # row-major, as the full scan
+        vals = block[r, c]
+        best = None
+        best_d = np.inf
+        best_key = None
+        for o in np.argsort(vals, kind="stable"):
+            a, b = rows[r[o]], c[o]
+            d = vals[o]
+            if d > best_d + 1e-12 and best is not None:
+                return best
+            key = tuple(sorted((folders[a][0], folders[b][0])))
+            if best is None or d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and key < best_key):
+                best, best_d, best_key = (a, b), d, key
+        if best_d + 1e-12 <= window:       # the next pair lies past the band
+            return best
+        window = best_d + 1e-12
 
 
 def build_partition_tree(kernel: spectral.Kernel, cfg: TreeConfig | None = None,

@@ -52,15 +52,18 @@ DEFAULT_CONFIG = {
 
 
 def merge_config(overrides: dict | None) -> dict:
-    def deep(base, over):
+    """DEFAULT_CONFIG updated from nested overrides; an unknown key is an error."""
+    def deep(base, over, prefix):
         out = dict(base)
         for key, value in (over or {}).items():
-            if isinstance(value, dict) and isinstance(base.get(key), dict):
-                out[key] = deep(base[key], value)
+            if key not in base:
+                raise ValidationError(f"unknown config key {prefix + key!r}")
+            if isinstance(value, dict) and isinstance(base[key], dict):
+                out[key] = deep(base[key], value, f"{prefix}{key}.")
             else:
                 out[key] = value
         return out
-    return deep(DEFAULT_CONFIG, overrides or {})
+    return deep(DEFAULT_CONFIG, overrides or {}, "")
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -75,13 +78,16 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 
 def merge_config_into(cfg: dict, overrides: dict) -> dict:
+    """A copy of cfg with dotted-key overrides; a key cfg lacks is an error."""
     out = json.loads(json.dumps(cfg))
     for dotted, value in overrides.items():
         node = out
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        *parents, leaf = dotted.split(".")
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or leaf not in node:
+            raise ValidationError(f"unknown config key {dotted!r}")
+        node[leaf] = value
     return out
 
 
@@ -329,7 +335,12 @@ def run_pseudopoints_export(ws: Workspace) -> None:
 
 
 def run_pseudopoints_import(ws: Workspace, labels_path=None) -> None:
-    d, omega, points_tree, _, level, ps = _pseudopoints(ws)
+    _import_labels(ws, _pseudopoints(ws), labels_path)
+
+
+def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
+    """Import step on what ``_pseudopoints`` already loaded."""
+    d, omega, points_tree, _, level, ps = loaded
     ws.require("pseudopoints.csv", "pseudopoints export")
     labels_path = labels_path or ws.cfg["paths"]["labels"]
     labels_file = Path(labels_path)
@@ -357,7 +368,8 @@ def run_pseudopoints_import(ws: Workspace, labels_path=None) -> None:
 
 def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
-    d, omega, points_tree, _, level, ps = _pseudopoints(ws)
+    loaded = _pseudopoints(ws)
+    d, omega, points_tree, _, level, ps = loaded
     truth_path = ws.require("truth.json", "synth")
     with open(truth_path, "r", encoding="utf-8") as fh:
         truth = json.load(fh)
@@ -379,7 +391,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
         for fid, score in zip(ps.folder_ids, scores):
             writer.writerow([fid, _fmt(score)])
     ws.record("labels.csv", ["pseudopoints.csv", "truth.json"])
-    run_pseudopoints_import(ws, labels_path=ws.path("labels.csv"))
+    _import_labels(ws, loaded, ws.path("labels.csv"))
 
 
 def run_train(ws: Workspace) -> None:

@@ -3,14 +3,15 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from expertmap import cli, pipeline
+from expertmap import cli, expert, pipeline
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
-from expertmap.errors import BoundViolation
+from expertmap.errors import BoundViolation, ValidationError
 from expertmap.expert import extract_pseudopoints
 
 CONFIG = {"synth": {"n_points": 150},
@@ -78,6 +79,43 @@ def test_exported_centroids_carry_original_polarity(chain):
     shown = np.array([[float(v) for v in row[2:-1]] for row in rows])
     expected = np.where(flips, -ps.centroids, ps.centroids)
     np.testing.assert_array_equal(shown, expected)
+
+
+def test_auto_extracts_pseudopoints_once(chain, tmp_path, monkeypatch):
+    config, out, _, first = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    calls = []
+
+    def counted(*args, _extract=expert.extract_pseudopoints, **kwargs):
+        calls.append(args)
+        return _extract(*args, **kwargs)
+    monkeypatch.setattr(expert, "extract_pseudopoints", counted)
+    ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
+    pipeline.run_pseudopoints_auto(ws)
+    assert len(calls) == 1
+    for name in ("labels.csv", "label_function.csv"):
+        assert hashlib.sha256((work / name).read_bytes()).hexdigest() == first[name]
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"net": {"k": 3, "epochz": 1}}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "synth"]) == 1
+    assert "'net.epochz'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError, match="'paths.outdir'"):
+        pipeline.load_config(overrides={"paths.outdir": "x"})
+    with pytest.raises(ValidationError, match="'paths.schema.x'"):
+        pipeline.load_config(overrides={"paths.schema.x": 1})
+
+
+def test_config_keys_written_by_the_benchmark_load(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {"out": "o", "data": "d.csv"},
+                                  "net": {"k": 2, "epochs": 3, "pretrain_epochs": 1}}))
+    cfg = pipeline.load_config(config, {"paths.out": "p", "net.master_seed": 5})
+    assert (cfg["paths"], cfg["net"]["k"], cfg["net"]["master_seed"]) == (
+        dict(pipeline.DEFAULT_CONFIG["paths"], out="p", data="d.csv"), 2, 5)
 
 
 @pytest.mark.xfail(strict=True, raises=BoundViolation,

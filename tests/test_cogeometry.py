@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from expertmap.cogeometry import (PartitionTree, TreeConfig, build_partition_tree,
+from expertmap.cogeometry import (PartitionTree, TreeConfig, _balanced_agglomerate,
+                                  build_partition_tree,
                                   cosine_affinity, coupled_refine, emd_affinity,
                                   emd_distance_matrix, impute_matrix)
 from expertmap.dataset import DataMatrix, ReferenceSet, select_reference
-from expertmap.errors import ValidationError
+from expertmap.errors import InternalError, ValidationError
 from expertmap.spectral import Kernel, gaussian_kernel
 
 
@@ -131,6 +134,113 @@ class TestBuildPartitionTree:
         tree.save(path)
         again = PartitionTree.load(path)
         assert again == tree
+
+
+def agglomerate_oracle(coords, depth, balance_factor):
+    """Reference agglomeration: a stable argsort of every active pair per merge."""
+    n = coords.shape[0]
+    dist = cdist(coords, coords)
+    np.fill_diagonal(dist, np.inf)
+
+    folders = [(i,) for i in range(n)]
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    targets = [2 ** (l - 1) for l in range(depth, 0, -1)]
+    targets = [t for t in targets if t <= n]
+
+    snapshots = []
+    count = n
+    for target in targets:
+        cap = max(2.0, math.ceil(balance_factor * n / target))
+        while count > target:
+            pair = best_pair_oracle(dist, sizes, active, folders, cap)
+            while pair is None:
+                cap *= 2.0
+                pair = best_pair_oracle(dist, sizes, active, folders, cap)
+            i, j = pair
+            merged = tuple(sorted(folders[i] + folders[j]))
+            # Lance-Williams update for average linkage
+            ni, nj = sizes[i], sizes[j]
+            new_row = (ni * dist[i] + nj * dist[j]) / (ni + nj)
+            dist[i, :] = new_row
+            dist[:, i] = new_row
+            dist[i, i] = np.inf
+            dist[j, :] = np.inf
+            dist[:, j] = np.inf
+            folders[i] = merged
+            folders[j] = None
+            sizes[i] = ni + nj
+            active[j] = False
+            count -= 1
+        part = sorted((f for f, alive in zip(folders, active) if alive and f is not None),
+                      key=lambda f: f[0])
+        snapshots.append(tuple(part))
+    return snapshots
+
+
+def best_pair_oracle(dist, sizes, active, folders, cap):
+    """Minimum-linkage active pair whose merged size fits under the cap."""
+    idx = np.flatnonzero(active)
+    best = None
+    best_d = np.inf
+    best_key = None
+    sub = dist[np.ix_(idx, idx)]
+    iu = np.triu_indices(len(idx), k=1)
+    if len(iu[0]) == 0:
+        return None
+    vals = sub[iu]
+    order = np.argsort(vals, kind="stable")
+    for o in order:
+        a, b = idx[iu[0][o]], idx[iu[1][o]]
+        if sizes[a] + sizes[b] > cap:
+            continue
+        d = vals[o]
+        if d > best_d + 1e-12 and best is not None:
+            break
+        key = tuple(sorted((folders[a][0], folders[b][0])))
+        if best is None or d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and key < best_key):
+            best, best_d, best_key = (a, b), d, key
+    return best
+
+
+def grid(*sides):
+    return np.array(list(itertools.product(*(range(s) for s in sides))), dtype=float)
+
+
+AGGLOMERATION_INPUTS = {
+    "random60": lambda rng: rng.normal(size=(60, 10)),
+    "random150": lambda rng: rng.normal(size=(150, 10)),
+    "random324": lambda rng: rng.normal(size=(324, 10)),
+    "grid_exact_ties": lambda rng: grid(10, 15),
+    # distances within the 1e-12 band but not equal: chained ties
+    "grid_jitter": lambda rng: grid(5, 6, 4) + 1e-14 * rng.normal(size=(120, 3)),
+    "identical": lambda rng: np.ones((40, 3)),
+}
+
+
+@pytest.mark.parametrize("balance_factor", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("name", sorted(AGGLOMERATION_INPUTS))
+def test_agglomeration_matches_full_sort_oracle(name, balance_factor):
+    coords = AGGLOMERATION_INPUTS[name](np.random.default_rng(11))
+    depth = TreeConfig().depth_for(len(coords))
+    assert (_balanced_agglomerate(coords, depth, balance_factor)
+            == agglomerate_oracle(coords, depth, balance_factor))
+
+
+def test_chained_ties_reach_past_the_first_window():
+    # pair linkages 1 + 1.2e-12, 1 + 0.6e-12 and 1: each within 1e-12 of the
+    # next, so the scan from (4, 5) chains through (2, 3) to (0, 1)
+    coords = np.array([0.0, 1.0 + 1.2e-12, 100.0, 101.0 + 0.6e-12, 300.0, 301.0])[:, None]
+    finest = _balanced_agglomerate(coords, depth=3, balance_factor=1.5)[0]
+    assert finest == ((0, 1), (2, 3), (4,), (5,))
+    assert finest == agglomerate_oracle(coords, 3, 1.5)[0]
+
+
+def test_agglomeration_rejects_non_finite_coordinates():
+    coords = np.zeros((4, 2))
+    coords[1, 0] = np.nan
+    with pytest.raises(InternalError, match="finite"):
+        _balanced_agglomerate(coords, depth=2, balance_factor=1.5)
 
 
 def line_tree():
