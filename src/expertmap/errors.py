@@ -1,8 +1,20 @@
 """Exception hierarchy shared by all modules."""
 
 
+def _rebuild(cls, args):
+    return cls.__new__(cls, *args)
+
+
 class ExpertMapError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    An error pickles as its message arguments plus its attributes and is
+    rebuilt without calling ``__init__``, so one raised in a worker process
+    reaches the caller with every attribute a subclass's constructor set.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args), self.__dict__
 
 
 class ParseError(ExpertMapError):

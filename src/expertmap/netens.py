@@ -4,13 +4,31 @@ Each net is input -> sigmoid(h1) -> sigmoid(h2) -> sigmoid scalar, pretrained
 layerwise as a denoising autoencoder and then trained by plain full-batch
 gradient descent on squared error plus an L2 weight penalty.  The ensemble's
 concatenated first-layer activations define the learned metric.
+
+``train_ensemble`` trains nets side by side in as many processes as the cores
+available to this process can hold without more threads than cores: the
+calling process trains nets itself, alongside a pool of spawned helper
+processes.  Each process's BLAS starts its own threads (one per core unless
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS says otherwise), so
+with one BLAS thread every core trains a net, and with one per core the
+calling process trains them all.  The helpers inherit this process's
+environment, so every net is computed with the same BLAS threading, which
+the last bits of a matrix product depend on.  The calling process draws each
+net's hyperparameters and initial weights from the net's own generator,
+seeded with [master_seed, i], and the rest of that generator goes with the
+net to whichever process trains it; the nets are collected in index order.
+So the ensemble is the same to the byte whatever the number of processes.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
+import resource
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -49,6 +67,17 @@ class TrainReport:
     final_cost: float          # squared-error term only, no weight penalty
     trajectory: np.ndarray     # full loss per epoch
     epochs_run: int
+
+
+@dataclass(frozen=True)
+class TrainingRecord:
+    """How train_ensemble went; returned beside the ensemble, never saved in it."""
+
+    reports: tuple[TrainReport, ...]   # one per kept net, in net order
+    retried: tuple[int, ...]           # net indices kept at half the learning rate
+    workers: int                       # processes that trained nets, the caller included
+    children_max_rss_mb: float         # largest peak RSS of any child this process
+                                       # has waited for so far, helpers included
 
 
 @dataclass(frozen=True)
@@ -113,15 +142,19 @@ def loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float):
     return loss, cost, grads
 
 
+def _check_labels(X: np.ndarray, g01: np.ndarray) -> None:
+    if g01.min() < 0.0 or g01.max() > 1.0:
+        raise ValidationError("labels must be rescaled into [0, 1] before training")
+    if X.shape[0] != len(g01):
+        raise ValidationError("row count of data and labels differ")
+
+
 def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray,
                    epochs: int | None = None,
                    learning_rate: float | None = None) -> tuple[Net, TrainReport]:
     """Gradient descent on the combined loss; raises on non-finite loss."""
     g01 = np.asarray(g01, dtype=float)
-    if g01.min() < 0.0 or g01.max() > 1.0:
-        raise ValidationError("labels must be rescaled into [0, 1] before training")
-    if X.shape[0] != len(g01):
-        raise ValidationError("row count of data and labels differ")
+    _check_labels(X, g01)
     epochs = net.hyper.epochs if epochs is None else epochs
     lr = net.hyper.learning_rate if learning_rate is None else learning_rate
     mu = net.hyper.weight_decay
@@ -218,19 +251,63 @@ def sample_hyper(ranges: HyperRanges, index: int, rng: np.random.Generator,
                     weight_decay=mu, learning_rate=learning_rate, epochs=epochs)
 
 
+def _start_net(m: int, ranges: HyperRanges, master_seed: int, epochs: int,
+               learning_rate: float, i: int) -> tuple[Net, np.random.Generator]:
+    """Net i before training, and its generator as the initial draws leave it."""
+    rng = np.random.default_rng([master_seed, i])
+    hyper = sample_hyper(ranges, i, rng, learning_rate, epochs)
+    return init_net(m, hyper, rng), rng
+
+
+def _train_net(Xt: np.ndarray, gt: np.ndarray, pretrain_epochs: int, net: Net,
+               rng: np.random.Generator):
+    """Train a started net at its learning rate and, if that diverges, at half.
+
+    Both tries begin from the same weights and generator state, as if the net
+    were drawn afresh at the lower rate.  Returns (net, report, retried) from
+    the first try that converged, or None when both diverged.
+    """
+    for retried in (False, True):
+        if retried:
+            net = replace(net, hyper=replace(net.hyper,
+                                             learning_rate=net.hyper.learning_rate * 0.5))
+        try:
+            trained = pretrain_autoencoder(net, Xt, pretrain_epochs, copy.deepcopy(rng))
+            trained, report = train_backprop(trained, Xt, gt)
+        except TrainingDiverged:
+            continue
+        return trained, report, retried
+    return None
+
+
+def _blas_threads(cores: int) -> int:
+    """Threads the BLAS of each process starts, as set by the variables BLAS
+    libraries read when they load; one per core when none is set."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores)
+    return cores
+
+
 def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
                    hyper_ranges: HyperRanges | None = None,
                    master_seed: int = 0,
                    epochs: int = 200, learning_rate: float = 0.5,
                    pretrain_epochs: int = 60,
-                   train_rows: np.ndarray | None = None) -> NetEnsemble:
+                   train_rows: np.ndarray | None = None
+                   ) -> tuple[NetEnsemble, TrainingRecord]:
     """K independently seeded nets; deterministic given (data, config, seed).
 
     ``train_rows`` restricts which rows are used for fitting (rows carrying
     imputed entries are normally excluded); representation later runs on
     everything.  A net whose loss diverges is retried once at half the
-    learning rate; the ensemble fails if more than 10% of nets do.
+    learning rate; the ensemble fails if more than 10% of nets do.  The
+    inputs are checked here, before any helper process starts.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     ranges = hyper_ranges or HyperRanges()
@@ -240,29 +317,43 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
         Xt, gt = X[train_rows], np.asarray(g01, dtype=float)[train_rows]
     if Xt.shape[0] == 0:
         raise ValidationError("empty training set after excluding imputed rows")
+    _check_labels(Xt, gt)
 
-    nets: list[Net] = []
-    failed: list[int] = []
-    for i in range(K):
-        def attempt(lr_scale: float) -> Net:
-            rng = np.random.default_rng([master_seed, i])
-            hyper = sample_hyper(ranges, i, rng, learning_rate * lr_scale, epochs)
-            net = init_net(X.shape[1], hyper, rng)
-            net = pretrain_autoencoder(net, Xt, pretrain_epochs, rng)
-            net, _ = train_backprop(net, Xt, gt)
-            return net
+    starts = [_start_net(X.shape[1], ranges, master_seed, epochs, learning_rate, i)
+              for i in range(K)]
+    train_net = partial(_train_net, Xt, gt, pretrain_epochs)
+    cores = len(os.sched_getaffinity(0))
+    workers = min(K, max(1, cores // _blas_threads(cores)))
+    pool = (ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context("spawn"))
+            if workers > 1 else None)
+    results: list = [None] * K
+    try:
+        futures = [pool.submit(train_net, *start) for start in starts] if pool else []
+        # Helpers take the nets from the first up; this process takes them from
+        # the last down, each one that no helper has started.
+        for i in reversed(range(K)):
+            if futures and not futures[i].cancel():
+                break
+            results[i] = train_net(*starts[i])
+        for i, future in enumerate(futures):
+            if not future.cancelled():
+                results[i] = future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    children_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
-        try:
-            nets.append(attempt(1.0))
-        except TrainingDiverged:
-            try:
-                nets.append(attempt(0.5))
-            except TrainingDiverged:
-                failed.append(i)
-
+    failed = [i for i, result in enumerate(results) if result is None]
     if len(failed) > 0.1 * K:
         raise ValidationError(f"{len(failed)} of {K} nets diverged: {failed}")
-    return NetEnsemble(nets=tuple(nets), master_seed=master_seed, failed=tuple(failed))
+    kept = [result for result in results if result is not None]
+    ensemble = NetEnsemble(nets=tuple(net for net, _, _ in kept), master_seed=master_seed,
+                           failed=tuple(failed))
+    record = TrainingRecord(
+        reports=tuple(report for _, report, _ in kept),
+        retried=tuple(i for i, result in enumerate(results) if result and result[2]),
+        workers=workers, children_max_rss_mb=children_rss)
+    return ensemble, record
 
 
 def representation(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
@@ -341,7 +432,7 @@ def ensemble_from_json(obj: dict) -> NetEnsemble:
 
 def save_ensemble(e: NetEnsemble, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_json(e), fh, sort_keys=True)
+        fh.write(json.dumps(ensemble_to_json(e), sort_keys=True))
 
 
 def load_ensemble(path) -> NetEnsemble:

@@ -122,12 +122,14 @@ class Workspace:
     def sidecar(self, name: str) -> Path:
         return self.outdir / f"{name}.meta.json"
 
-    def record(self, name: str, inputs: list[str]) -> None:
+    def record(self, name: str, inputs: list[str], diagnostics: dict | None = None) -> None:
         meta = {"schema_version": SCHEMA_VERSION,
                 "config_hash": self.cfg_hash,
                 "created": datetime.now(timezone.utc).isoformat(),
                 "inputs": {inp: file_hash(self.path(inp)) for inp in inputs
                            if self.path(inp).exists()}}
+        if diagnostics is not None:
+            meta["diagnostics"] = diagnostics
         with open(self.sidecar(name), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
@@ -338,8 +340,10 @@ def run_pseudopoints_import(ws: Workspace, labels_path=None) -> None:
     _import_labels(ws, _pseudopoints(ws), labels_path)
 
 
-def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
-    """Import step on what ``_pseudopoints`` already loaded."""
+def _import_labels(ws: Workspace, loaded, labels_path=None,
+                   label_inputs=("pseudopoints.csv",)) -> None:
+    """Import step on what ``_pseudopoints`` already loaded; ``labels.csv`` is
+    recorded as made from ``label_inputs``."""
     d, omega, points_tree, _, level, ps = loaded
     ws.require("pseudopoints.csv", "pseudopoints export")
     labels_path = labels_path or ws.cfg["paths"]["labels"]
@@ -361,7 +365,7 @@ def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
     if labels_file != ws.path("labels.csv"):
         with open(labels_file, "rb") as src, open(ws.path("labels.csv"), "wb") as dst:
             dst.write(src.read())
-    ws.record("labels.csv", ["pseudopoints.csv"])
+    ws.record("labels.csv", list(label_inputs))
     ws.record("label_function.csv", ["labels.csv", "points_tree.json",
                                      "pseudopoints.csv"])
 
@@ -390,8 +394,8 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
         writer.writerow(["folder_id", "score"])
         for fid, score in zip(ps.folder_ids, scores):
             writer.writerow([fid, _fmt(score)])
-    ws.record("labels.csv", ["pseudopoints.csv", "truth.json"])
-    _import_labels(ws, loaded, ws.path("labels.csv"))
+    _import_labels(ws, loaded, ws.path("labels.csv"),
+                   label_inputs=("pseudopoints.csv", "truth.json"))
 
 
 def run_train(ws: Workspace) -> None:
@@ -404,7 +408,7 @@ def run_train(ws: Workspace) -> None:
     ranges = netens.HyperRanges(h1=tuple(net_cfg["h1"]), h2=tuple(net_cfg["h2"]),
                                 dropout=tuple(net_cfg["dropout"]),
                                 weight_decay=tuple(net_cfg["weight_decay"]))
-    ensemble = netens.train_ensemble(
+    ensemble, record = netens.train_ensemble(
         filled, lf.rescaled, K=int(net_cfg["k"]), hyper_ranges=ranges,
         master_seed=int(net_cfg["master_seed"]), epochs=int(net_cfg["epochs"]),
         learning_rate=float(net_cfg["learning_rate"]),
@@ -417,8 +421,14 @@ def run_train(ws: Workspace) -> None:
     _write_table(ws.path("ranking.csv"), ["point_id", "f_rescaled", "f_score"],
                  [[pid, _fmt(f01[i]), _fmt(f_score[i])]
                   for i, pid in enumerate(lf.point_ids)])
+    diagnostics = {"nets": [{"index": net.hyper.seed, "final_cost": report.final_cost,
+                             "epochs": report.epochs_run}
+                            for net, report in zip(ensemble.nets, record.reports)],
+                   "retried": list(record.retried), "failed": list(ensemble.failed),
+                   "workers": record.workers,
+                   "children_max_rss_mb": record.children_max_rss_mb}
     inputs = ["preprocessed.csv", "label_function.csv", "obs_tree.json"]
-    ws.record("ensemble.json", inputs)
+    ws.record("ensemble.json", inputs, diagnostics)
     ws.record("ranking.csv", inputs + ["ensemble.json"])
 
 

@@ -97,6 +97,26 @@ def test_auto_extracts_pseudopoints_once(chain, tmp_path, monkeypatch):
         assert hashlib.sha256((work / name).read_bytes()).hexdigest() == first[name]
 
 
+def test_auto_labels_record_the_truth_they_came_from(chain):
+    _, out, _, _ = chain
+    meta = json.loads((out / "labels.csv.meta.json").read_text())
+    assert sorted(meta["inputs"]) == ["pseudopoints.csv", "truth.json"]
+
+
+def test_train_sidecar_carries_the_training_record(chain):
+    _, out, _, _ = chain
+    meta = json.loads((out / "ensemble.json.meta.json").read_text())
+    diagnostics = meta["diagnostics"]
+    k, epochs = CONFIG["net"]["k"], CONFIG["net"]["epochs"]
+    assert [net["index"] for net in diagnostics["nets"]] == list(range(k))
+    assert all(net["epochs"] == epochs and 0.0 <= net["final_cost"] <= 1.0
+               for net in diagnostics["nets"])
+    assert diagnostics["retried"] == [] and diagnostics["failed"] == []
+    assert 1 <= diagnostics["workers"] <= k
+    # a helper process ran, so some child's peak RSS has been seen
+    assert diagnostics["workers"] == 1 or diagnostics["children_max_rss_mb"] > 0
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"net": {"k": 3, "epochz": 1}}))

@@ -1,15 +1,18 @@
+import concurrent.futures
 import json
 
 import numpy as np
 import pytest
 from scipy.special import expit as sigmoid
 
+from expertmap import netens
 from expertmap.errors import TrainingDiverged, ValidationError
-from expertmap.netens import (HyperRanges, Net, NetHyper, ensemble_from_json,
-                              ensemble_rank, ensemble_to_json, forward_batch,
-                              init_net, lipschitz_bound, loss_and_gradients,
-                              pretrain_autoencoder, representation, spectral_norm,
-                              train_backprop, train_ensemble)
+from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
+                              ensemble_from_json, ensemble_rank, ensemble_to_json,
+                              forward_batch, init_net, lipschitz_bound,
+                              loss_and_gradients, pretrain_autoencoder, representation,
+                              sample_hyper, spectral_norm, train_backprop,
+                              train_ensemble)
 
 
 def zero_net(m, h1, h2):
@@ -165,52 +168,194 @@ class TestBackprop:
         assert np.all(np.isfinite(report.trajectory))
 
 
-class TestEnsemble:
-    def small_ranges(self):
-        return HyperRanges(h1=(3, 6), h2=(2, 4), dropout=(0.0, 0.2),
-                           weight_decay=(1e-5, 1e-3))
+def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
+                          hyper_ranges: HyperRanges | None = None,
+                          master_seed: int = 0,
+                          epochs: int = 200, learning_rate: float = 0.5,
+                          pretrain_epochs: int = 60,
+                          train_rows: np.ndarray | None = None) -> NetEnsemble:
+    """The serial loop train_ensemble replaced, kept as the reference."""
+    if K < 1:
+        raise ValidationError(f"K must be >= 1, got {K}")
+    ranges = hyper_ranges or HyperRanges()
+    if train_rows is None:
+        Xt, gt = X, np.asarray(g01, dtype=float)
+    else:
+        Xt, gt = X[train_rows], np.asarray(g01, dtype=float)[train_rows]
+    if Xt.shape[0] == 0:
+        raise ValidationError("empty training set after excluding imputed rows")
 
+    nets: list[Net] = []
+    failed: list[int] = []
+    for i in range(K):
+        def attempt(lr_scale: float) -> Net:
+            rng = np.random.default_rng([master_seed, i])
+            hyper = sample_hyper(ranges, i, rng, learning_rate * lr_scale, epochs)
+            net = init_net(X.shape[1], hyper, rng)
+            net = pretrain_autoencoder(net, Xt, pretrain_epochs, rng)
+            net, _ = train_backprop(net, Xt, gt)
+            return net
+
+        try:
+            nets.append(attempt(1.0))
+        except TrainingDiverged:
+            try:
+                nets.append(attempt(0.5))
+            except TrainingDiverged:
+                failed.append(i)
+
+    if len(failed) > 0.1 * K:
+        raise ValidationError(f"{len(failed)} of {K} nets diverged: {failed}")
+    return NetEnsemble(nets=tuple(nets), master_seed=master_seed, failed=tuple(failed))
+
+
+def small_ranges():
+    return HyperRanges(h1=(3, 6), h2=(2, 4), dropout=(0.0, 0.2),
+                       weight_decay=(1e-5, 1e-3))
+
+
+def ensemble_bytes(e: NetEnsemble) -> str:
+    return json.dumps(ensemble_to_json(e), sort_keys=True)
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if train_ensemble starts a worker pool."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse_pool)
+
+
+class TestPoolMatchesSerialLoop:
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        """Size the pool as for a BLAS pinned to one thread: one process a core."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.mark.parametrize("K", [1, 2, 7])
+    def test_bytes_equal_oracle(self, K):
+        # K=7: more nets than workers on up to 6 cores, and uneven widths
+        X, g = separable_toy(seed=32)
+        kwargs = dict(K=K, hyper_ranges=HyperRanges(h1=(3, 12), h2=(2, 6)),
+                      master_seed=4, epochs=30, pretrain_epochs=6)
+        e, record = train_ensemble(X, g, **kwargs)
+        assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
+        if K == 7:
+            assert len({net.W1.shape[0] for net in e.nets}) > 1
+        assert record.retried == () and 1 <= record.workers <= K
+        assert [r.epochs_run for r in record.reports] == [30] * K
+        assert record.workers == 1 or record.children_max_rss_mb > 0
+
+    @pytest.mark.parametrize("blas, cores, workers", [
+        (None, 4, 1),     # BLAS takes every core: this process trains all nets
+        ("2", 4, 2),
+        ("1", 3, 3),      # more processes than this machine may have cores
+        ("1", 1, 1),
+    ])
+    def test_processes_times_blas_threads_fit_the_cores(self, blas, cores, workers,
+                                                        monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", blas)
+        monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        if workers == 1:
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse_pool)
+        X, g = separable_toy(seed=35)
+        kwargs = dict(K=7, hyper_ranges=small_ranges(), master_seed=8, epochs=15,
+                      pretrain_epochs=3)
+        e, record = train_ensemble(X, g, **kwargs)
+        assert record.workers == workers
+        assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
+
+    def test_train_rows_bytes_equal_oracle(self):
+        X, g = separable_toy(seed=33)
+        rows = np.arange(len(X)) % 3 != 0
+        kwargs = dict(K=3, hyper_ranges=small_ranges(), master_seed=6, epochs=20,
+                      pretrain_epochs=4, train_rows=rows)
+        assert ensemble_bytes(train_ensemble(X, g, **kwargs)[0]) == \
+            ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
+
+    RETRY = dict(K=20, hyper_ranges=small_ranges(), master_seed=5, epochs=10,
+                 pretrain_epochs=0)
+
+    def test_retry_at_half_rate_matches_oracle(self):
+        X, g = separable_toy(seed=11)
+        kwargs = dict(self.RETRY, learning_rate=1e20)
+        e, record = train_ensemble(X, g, **kwargs)
+        oracle = train_ensemble_oracle(X, g, **kwargs)
+        assert ensemble_bytes(e) == ensemble_bytes(oracle)
+        assert e.failed == () and len(record.retried) == 5
+        rates = [net.hyper.learning_rate for net in e.nets]
+        assert [i for i, rate in enumerate(rates) if rate == 0.5e20] == \
+            list(record.retried)
+        assert rates.count(1e20) == 15
+
+    def test_too_many_failures_match_oracle(self):
+        X, g = separable_toy(seed=11)
+        kwargs = dict(self.RETRY, learning_rate=10 ** 20.5)
+        with pytest.raises(ValidationError) as oracle:
+            train_ensemble_oracle(X, g, **kwargs)
+        assert str(oracle.value).startswith("7 of 20 nets diverged")
+        with pytest.raises(ValidationError) as pooled:
+            train_ensemble(X, g, **kwargs)
+        assert str(pooled.value) == str(oracle.value)
+
+    @pytest.mark.usefixtures("no_pool")
+    def test_invalid_labels_rejected_before_any_worker(self):
+        X, g = separable_toy(seed=34)
+        with pytest.raises(ValidationError, match="rescaled"):
+            train_ensemble(X, g * 10.0, K=3, hyper_ranges=small_ranges())
+        with pytest.raises(ValidationError, match="row count"):
+            train_ensemble(X, g[:-1], K=3, hyper_ranges=small_ranges())
+
+
+class TestEnsemble:
     def test_k1_representation_is_single_h1(self):
         X, g = separable_toy(seed=20)
-        e = train_ensemble(X, g, K=1, hyper_ranges=self.small_ranges(),
-                           master_seed=5, epochs=30, pretrain_epochs=10)
+        e, _ = train_ensemble(X, g, K=1, hyper_ranges=small_ranges(),
+                              master_seed=5, epochs=30, pretrain_epochs=10)
         rep = representation(e, X)
         h1 = forward_batch(e.nets[0], X)[0]
         np.testing.assert_array_equal(rep, h1)
 
     def test_same_seed_bit_identical(self):
         X, g = separable_toy(seed=21)
-        kwargs = dict(K=3, hyper_ranges=self.small_ranges(), master_seed=9,
+        kwargs = dict(K=3, hyper_ranges=small_ranges(), master_seed=9,
                       epochs=25, pretrain_epochs=8)
-        a = train_ensemble(X, g, **kwargs)
-        b = train_ensemble(X, g, **kwargs)
+        a, _ = train_ensemble(X, g, **kwargs)
+        b, _ = train_ensemble(X, g, **kwargs)
         assert json.dumps(ensemble_to_json(a), sort_keys=True) == \
             json.dumps(ensemble_to_json(b), sort_keys=True)
 
     def test_representation_dim_concatenates_widths(self):
         X, g = separable_toy(seed=22)
-        e = train_ensemble(X, g, K=3, hyper_ranges=self.small_ranges(),
-                           master_seed=2, epochs=10, pretrain_epochs=5)
+        e, _ = train_ensemble(X, g, K=3, hyper_ranges=small_ranges(),
+                              master_seed=2, epochs=10, pretrain_epochs=5)
         widths = [net.W1.shape[0] for net in e.nets]
         assert representation(e, X).shape == (len(X), sum(widths))
 
     def test_persistence_round_trip(self):
         X, g = separable_toy(seed=23)
-        e = train_ensemble(X, g, K=2, hyper_ranges=self.small_ranges(),
-                           master_seed=3, epochs=10, pretrain_epochs=5)
+        e, _ = train_ensemble(X, g, K=2, hyper_ranges=small_ranges(),
+                              master_seed=3, epochs=10, pretrain_epochs=5)
         again = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(e))))
         np.testing.assert_array_equal(representation(e, X), representation(again, X))
 
+    @pytest.mark.usefixtures("no_pool")
     def test_k_must_be_positive(self):
         X, g = separable_toy(seed=24)
         with pytest.raises(ValidationError):
             train_ensemble(X, g, K=0)
 
+    @pytest.mark.usefixtures("no_pool")
     def test_train_rows_respected(self):
         X, g = separable_toy(seed=25)
         rows = np.zeros(len(X), dtype=bool)
         with pytest.raises(ValidationError, match="empty training set"):
-            train_ensemble(X, g, K=1, hyper_ranges=self.small_ranges(),
+            train_ensemble(X, g, K=1, hyper_ranges=small_ranges(),
                            train_rows=rows, epochs=5, pretrain_epochs=2)
 
 
