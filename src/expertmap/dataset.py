@@ -3,6 +3,10 @@
 The matrix is N points by m observations with an explicit observed-entry
 mask.  Unobserved cells are stored as NaN so that accidental reads are loud;
 every statistic here is computed over observed entries only.
+
+Preprocessing (standardize, depolarize, weight) is fit once, by
+``preprocess``, into a ``StandardizationParams``; its ``transform`` then maps
+both the training points and any new points.
 """
 
 from __future__ import annotations
@@ -77,14 +81,9 @@ class ReferenceSet:
 
 @dataclass(frozen=True)
 class PolarityMap:
-    """Per-feature sign flips; applying twice is the identity."""
+    """Per-feature sign flips."""
 
     flip: np.ndarray  # (m,) bool
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        out[:, self.flip] *= -1.0
-        return out
 
 
 def _resolve_schema(schema) -> tuple[dict[str, str], dict[str, float]]:
@@ -170,35 +169,6 @@ def save_matrix(d: DataMatrix, path, id_column: str = "point_id") -> None:
             writer.writerow(row)
 
 
-def standardize(d: DataMatrix) -> DataMatrix:
-    """Per-feature observed mean 0 and sample sd 1; mask unchanged.
-
-    Constant features (and features with a single observed entry) cannot be
-    scaled: their observed values are zeroed and the feature is flagged
-    degenerate so it cannot influence affinities downstream.
-    """
-    values = d.values.copy()
-    degenerate = set(d.degenerate)
-    for k, name in enumerate(d.feature_names):
-        obs = d.mask[:, k]
-        count = int(obs.sum())
-        if count == 0:
-            raise ValidationError(f"feature {name!r} has no observed entries")
-        col = values[obs, k]
-        if count < 2:
-            values[obs, k] = 0.0
-            degenerate.add(name)
-            continue
-        mean = col.mean()
-        sd = col.std(ddof=1)
-        if sd == 0.0:
-            values[obs, k] = 0.0
-            degenerate.add(name)
-            continue
-        values[obs, k] = (col - mean) / sd
-    return replace(d, values=values, degenerate=tuple(sorted(degenerate)))
-
-
 def _pairwise_complete_covariance(values: np.ndarray, mask: np.ndarray,
                                   min_support: int = 3) -> np.ndarray:
     """Feature covariance over jointly observed rows; pairs with joint
@@ -226,41 +196,23 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[idx] < 0 else vec
 
 
-def depolarize(d: DataMatrix) -> tuple[DataMatrix, PolarityMap]:
-    """Sign-align all features with the top principal loading.
+def depolarize(values: np.ndarray, mask: np.ndarray) -> PolarityMap:
+    """The flips that sign-align all features with the top principal loading.
 
     The loading is the top eigenvector of the pairwise-complete feature
     covariance (equivalent to the top eigenvector of the covariance of the
-    sign-doubled matrix).  Features with non-positive loadings are flipped so
+    sign-doubled matrix).  Features with negative loadings are flipped so
     that "above the mean" points the same way everywhere; exact zeros keep
     their original polarity.
     """
-    cov = _pairwise_complete_covariance(d.values, d.mask)
+    cov = _pairwise_complete_covariance(values, mask)
     if not np.all(np.isfinite(cov)):
         raise ValidationError("covariance not computable: non-finite entries")
     if not np.any(cov):
         raise ValidationError("covariance not computable: no feature pair has "
                               "sufficient joint support")
     _, eigvecs = np.linalg.eigh(cov)
-    u = _fix_sign(eigvecs[:, -1])
-    flip = u < 0.0
-    values = d.values.copy()
-    values[:, flip] *= -1.0
-    return replace(d, values=values), PolarityMap(flip=flip)
-
-
-def apply_weights(d: DataMatrix) -> DataMatrix:
-    """Multiply each feature column by its group weight."""
-    weights = np.empty(d.n_features)
-    for k, name in enumerate(d.feature_names):
-        group = d.group_of[name]
-        w = d.weight_of.get(group)
-        if w is None:
-            raise ValidationError(f"no weight defined for group {group!r}")
-        if w <= 0:
-            raise ValidationError(f"non-positive weight {w} for group {group!r}")
-        weights[k] = w
-    return replace(d, values=d.values * weights)
+    return PolarityMap(flip=_fix_sign(eigvecs[:, -1]) < 0.0)
 
 
 def select_reference(d: DataMatrix, eta: int) -> ReferenceSet:
@@ -287,9 +239,8 @@ class StandardizationParams:
 
     def transform(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Apply standardize -> depolarize -> weight with stored parameters."""
-        out = values.copy()
         with np.errstate(invalid="ignore"):
-            scaled = (out - self.means) / np.where(self.sds > 0, self.sds, 1.0)
+            scaled = (values - self.means) / np.where(self.sds > 0, self.sds, 1.0)
         out = np.where(self.sds > 0, scaled, 0.0)
         out[:, self.flip] *= -1.0
         out = out * self.weights
@@ -315,23 +266,40 @@ class StandardizationParams:
 
 
 def preprocess(d: DataMatrix) -> tuple[DataMatrix, PolarityMap, StandardizationParams]:
-    """standardize -> depolarize -> apply_weights, recording the transform."""
-    means = np.zeros(d.n_features)
-    sds = np.zeros(d.n_features)
-    for k in range(d.n_features):
-        obs = d.mask[:, k]
-        col = d.values[obs, k]
+    """Fit the preprocessing transform on ``d`` and apply it.
+
+    Per feature: the observed mean and sample sd, the group weight, and the
+    sign flip ``depolarize`` fits on the standardized, unweighted matrix.  A
+    constant feature, or one with a single observed entry, cannot be scaled:
+    it is flagged degenerate and its observed values become 0, so it cannot
+    influence affinities downstream.  The returned matrix is
+    ``params.transform(d.values, d.mask)``, the call that maps new points.
+    """
+    m = d.n_features
+    means, sds, weights = np.zeros(m), np.zeros(m), np.empty(m)
+    degenerate = set(d.degenerate)
+    for k, name in enumerate(d.feature_names):
+        col = d.values[d.mask[:, k], k]
+        if len(col) == 0:
+            raise ValidationError(f"feature {name!r} has no observed entries")
+        means[k] = col.mean()
         if len(col) >= 2:
-            means[k] = col.mean()
             sds[k] = col.std(ddof=1)
-        elif len(col) == 1:
-            means[k] = col[0]
+        if sds[k] == 0.0:
+            degenerate.add(name)
+        group = d.group_of[name]
+        w = d.weight_of.get(group)
+        if w is None:
+            raise ValidationError(f"no weight defined for group {group!r}")
+        if w <= 0:
+            raise ValidationError(f"non-positive weight {w} for group {group!r}")
+        weights[k] = w
 
-    std = standardize(d)
-    depol, polarity = depolarize(std)
-    weighted = apply_weights(depol)
-
-    weights = np.array([d.weight_of[d.group_of[f]] for f in d.feature_names])
-    params = StandardizationParams(means=means, sds=sds, flip=polarity.flip.copy(),
-                                   weights=weights, degenerate=weighted.degenerate)
-    return weighted, polarity, params
+    unit = StandardizationParams(means=means, sds=sds, flip=np.zeros(m, dtype=bool),
+                                 weights=np.ones(m))
+    polarity = depolarize(unit.transform(d.values, d.mask), d.mask)
+    params = replace(unit, flip=polarity.flip, weights=weights,
+                     degenerate=tuple(sorted(degenerate)))
+    processed = replace(d, values=params.transform(d.values, d.mask),
+                        degenerate=params.degenerate)
+    return processed, polarity, params

@@ -368,37 +368,9 @@ def ensemble_rank(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
     return np.mean([forward_batch(net, X)[2] for net in e.nets], axis=0)
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> float:
-    """Operator 2-norm by power iteration on A^T A."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(max_iter):
-        v_new = a.T @ (a @ v)
-        norm = np.linalg.norm(v_new)
-        if norm == 0.0:
-            return 0.0
-        v = v_new / norm
-        sigma = float(np.linalg.norm(a @ v))
-        if abs(sigma - last) <= tol * max(sigma, 1.0):
-            return sigma
-        last = sigma
-    return float(last)
-
-
-def lipschitz_bound(net: Net) -> tuple[float, float]:
-    """(metric bound ||W1||/4, output bound ||V|| ||W2|| ||W1|| / 64)."""
-    w1 = spectral_norm(net.W1)
-    w2 = spectral_norm(net.W2)
-    v = spectral_norm(net.V)
-    return w1 / 4.0, v * w2 * w1 / 64.0
-
-
 def layer_norm_product(net: Net) -> float:
     """Product of the non-input layer operator norms (||W2|| * ||V||)."""
-    return spectral_norm(net.W2) * spectral_norm(net.V)
+    return float(np.linalg.norm(net.W2, 2) * np.linalg.norm(net.V, 2))
 
 
 def _net_to_json(net: Net) -> dict:

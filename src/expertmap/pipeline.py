@@ -108,13 +108,19 @@ def file_hash(path) -> str:
 
 
 class Workspace:
-    """Output directory with sidecar bookkeeping."""
+    """Output directory with sidecar bookkeeping for one stage run.
+
+    Make one instance per stage.  It remembers every artifact the stage
+    fetched with ``require`` or wrote with ``record``, with the hash it had
+    then, and ``record`` lists all of them as the new artifact's inputs.
+    """
 
     def __init__(self, outdir, cfg: dict):
         self.outdir = Path(outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
         self.cfg_hash = config_hash(cfg)
+        self.inputs: dict[str, str] = {}
 
     def path(self, name: str) -> Path:
         return self.outdir / name
@@ -122,16 +128,17 @@ class Workspace:
     def sidecar(self, name: str) -> Path:
         return self.outdir / f"{name}.meta.json"
 
-    def record(self, name: str, inputs: list[str], diagnostics: dict | None = None) -> None:
+    def record(self, name: str, diagnostics: dict | None = None) -> None:
+        """Write ``name``'s sidecar; call it after the artifact is written."""
         meta = {"schema_version": SCHEMA_VERSION,
                 "config_hash": self.cfg_hash,
                 "created": datetime.now(timezone.utc).isoformat(),
-                "inputs": {inp: file_hash(self.path(inp)) for inp in inputs
-                           if self.path(inp).exists()}}
+                "inputs": self.inputs}
         if diagnostics is not None:
             meta["diagnostics"] = diagnostics
         with open(self.sidecar(name), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
+        self.inputs[name] = file_hash(self.path(name))
 
     def require(self, name: str, producer: str) -> Path:
         """Fetch an artifact, refusing when it is missing or stale."""
@@ -144,10 +151,16 @@ class Workspace:
                 meta = json.load(fh)
             for inp, recorded in meta.get("inputs", {}).items():
                 inp_path = self.path(inp)
-                if inp_path.exists() and file_hash(inp_path) != recorded:
-                    raise ValidationError(
-                        f"artifact {name!r} is stale: its input {inp!r} changed "
-                        f"since it was produced; rerun '{producer}'")
+                if not inp_path.exists():
+                    why = "has been removed"
+                elif file_hash(inp_path) != recorded:
+                    why = "has changed"
+                else:
+                    continue
+                raise ValidationError(
+                    f"artifact {name!r} is stale: its input {inp!r} {why} since "
+                    f"it was produced; rerun '{producer}'")
+        self.inputs[name] = file_hash(path)
         return path
 
 
@@ -273,8 +286,8 @@ def run_synth(ws: Workspace) -> None:
     cfg["cluster_spread_ratios"] = tuple(cfg["cluster_spread_ratios"])
     scfg = synthmod.SynthConfig(**cfg)
     synthmod.emit(scfg, ws.path("data.csv"), ws.path("truth.json"))
-    ws.record("data.csv", [])
-    ws.record("truth.json", ["data.csv"])
+    ws.record("data.csv")
+    ws.record("truth.json")
 
 
 def run_preprocess(ws: Workspace) -> None:
@@ -302,7 +315,7 @@ def run_preprocess(ws: Workspace) -> None:
                    "polarity_flips": polarity.flip.astype(int).tolist()},
                   fh, sort_keys=True)
     for name in ("preprocessed.csv", "scaler.json", "reference.json"):
-        ws.record(name, [])
+        ws.record(name)
 
 
 def run_organize(ws: Workspace) -> None:
@@ -313,9 +326,8 @@ def run_organize(ws: Workspace) -> None:
     points_tree.save(ws.path("points_tree.json"))
     obs_tree.save(ws.path("obs_tree.json"))
     np.save(ws.path("affinity.npy"), affinity.entries)
-    inputs = ["preprocessed.csv", "reference.json"]
     for name in ("points_tree.json", "obs_tree.json", "affinity.npy"):
-        ws.record(name, inputs)
+        ws.record(name)
 
 
 def _pseudopoints(ws: Workspace):
@@ -329,21 +341,18 @@ def _pseudopoints(ws: Workspace):
 def run_pseudopoints_export(ws: Workspace) -> None:
     """Centroid CSV for the expert, shown in the input data's original signs."""
     *_, ps = _pseudopoints(ws)
-    with open(ws.path("reference.json"), "r", encoding="utf-8") as fh:
+    with open(ws.require("reference.json", "preprocess"), "r", encoding="utf-8") as fh:
         flips = np.asarray(json.load(fh)["polarity_flips"], dtype=bool)
     expert.export_centroids(ps, ws.path("pseudopoints.csv"), polarity=PolarityMap(flip=flips))
-    ws.record("pseudopoints.csv", ["points_tree.json", "obs_tree.json",
-                                   "preprocessed.csv", "reference.json"])
+    ws.record("pseudopoints.csv")
 
 
 def run_pseudopoints_import(ws: Workspace, labels_path=None) -> None:
     _import_labels(ws, _pseudopoints(ws), labels_path)
 
 
-def _import_labels(ws: Workspace, loaded, labels_path=None,
-                   label_inputs=("pseudopoints.csv",)) -> None:
-    """Import step on what ``_pseudopoints`` already loaded; ``labels.csv`` is
-    recorded as made from ``label_inputs``."""
+def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
+    """Import step on what ``_pseudopoints`` already loaded."""
     d, omega, points_tree, _, level, ps = loaded
     ws.require("pseudopoints.csv", "pseudopoints export")
     labels_path = labels_path or ws.cfg["paths"]["labels"]
@@ -365,9 +374,8 @@ def _import_labels(ws: Workspace, loaded, labels_path=None,
     if labels_file != ws.path("labels.csv"):
         with open(labels_file, "rb") as src, open(ws.path("labels.csv"), "wb") as dst:
             dst.write(src.read())
-    ws.record("labels.csv", list(label_inputs))
-    ws.record("label_function.csv", ["labels.csv", "points_tree.json",
-                                     "pseudopoints.csv"])
+    ws.record("labels.csv")
+    ws.record("label_function.csv")
 
 
 def run_pseudopoints_auto(ws: Workspace) -> None:
@@ -394,8 +402,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
         writer.writerow(["folder_id", "score"])
         for fid, score in zip(ps.folder_ids, scores):
             writer.writerow([fid, _fmt(score)])
-    _import_labels(ws, loaded, ws.path("labels.csv"),
-                   label_inputs=("pseudopoints.csv", "truth.json"))
+    _import_labels(ws, loaded, ws.path("labels.csv"))
 
 
 def run_train(ws: Workspace) -> None:
@@ -427,9 +434,8 @@ def run_train(ws: Workspace) -> None:
                    "retried": list(record.retried), "failed": list(ensemble.failed),
                    "workers": record.workers,
                    "children_max_rss_mb": record.children_max_rss_mb}
-    inputs = ["preprocessed.csv", "label_function.csv", "obs_tree.json"]
-    ws.record("ensemble.json", inputs, diagnostics)
-    ws.record("ranking.csv", inputs + ["ensemble.json"])
+    ws.record("ensemble.json", diagnostics)
+    ws.record("ranking.csv")
 
 
 def run_embed(ws: Workspace) -> None:
@@ -442,9 +448,8 @@ def run_embed(ws: Workspace) -> None:
                                    t=float(ws.cfg["embedding"]["t"]))
     ids = [d.point_ids[i] for i in omega.indices]
     write_embedding(ws.path("embedding.csv"), ws.path("embedding.json"), ids, emb)
-    inputs = ["preprocessed.csv", "ensemble.json", "obs_tree.json"]
-    ws.record("embedding.csv", inputs)
-    ws.record("embedding.json", inputs)
+    ws.record("embedding.csv")
+    ws.record("embedding.json")
 
 
 def run_standardize(ws: Workspace) -> None:
@@ -455,9 +460,8 @@ def run_standardize(ws: Workspace) -> None:
                                         t=float(ws.cfg["embedding"]["t"]),
                                         r=int(ws.cfg["kernel"]["r"]))
     write_embedding(ws.path("std_embedding.csv"), ws.path("std_embedding.json"), ids, std)
-    inputs = ["embedding.csv", "embedding.json"]
-    ws.record("std_embedding.csv", inputs)
-    ws.record("std_embedding.json", inputs)
+    ws.record("std_embedding.csv")
+    ws.record("std_embedding.json")
 
 
 def run_extend(ws: Workspace, new_points_path) -> None:
@@ -504,10 +508,9 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     _write_table(ws.path("extended_ranking.csv"), ["point_id", "f_rescaled", "f_score"],
                  [[pid, _fmt(f01[i]), _fmt(f_score[i])]
                   for i, pid in enumerate(new_raw.point_ids)])
-    inputs = ["ensemble.json", "embedding.csv", "std_embedding.csv", "scaler.json"]
     for name in ("extended_embedding.csv", "extended_std_embedding.csv",
                  "extended_ranking.csv"):
-        ws.record(name, inputs)
+        ws.record(name)
 
 
 def run_validate(ws: Workspace) -> None:
@@ -602,11 +605,9 @@ def run_validate(ws: Workspace) -> None:
         "degenerate": smooth.degenerate})
 
     report.write(ws.outdir)
-    inputs = ["preprocessed.csv", "ensemble.json", "embedding.csv",
-              "label_function.csv"]
     for name in ("validation.json", "lipschitz.csv", "neighborhood_mass.csv",
                  "eigencurve.csv", "confusion.csv", "histograms.csv"):
-        ws.record(name, inputs)
+        ws.record(name)
 
 
 def run_report(ws: Workspace) -> None:
@@ -635,5 +636,4 @@ def run_report(ws: Workspace) -> None:
                     + [_fmt(v) for v in coords[i]]
                     + [_fmt(v) for v in std_coords[i]] + feats)
     _write_table(ws.path("report.csv"), header, rows)
-    ws.record("report.csv", ["embedding.csv", "std_embedding.csv",
-                             "ranking.csv", "label_function.csv"])
+    ws.record("report.csv")

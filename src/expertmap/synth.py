@@ -156,12 +156,3 @@ def emit(cfg: SynthConfig, csv_path, truth_path) -> tuple[DataMatrix, np.ndarray
                    "ground_truth": truth.tolist(),
                    "cluster_ids": clusters.tolist()}, fh, sort_keys=True)
     return data, truth, clusters
-
-
-def acceptance_fixture(seed: int = 7) -> SynthConfig:
-    """The canonical 600 x 60 three-cluster fixture used by the test suite."""
-    return SynthConfig(n_points=600, intrinsic_dim=2, n_relevant_features=40,
-                       n_noise_features=20, n_clusters=3,
-                       cluster_spread_ratios=(1.0, 1.0, 0.1),
-                       missing_rate=0.10, polarity_flip_rate=0.15,
-                       label_noise=0.0, seed=seed)

@@ -4,10 +4,14 @@ import csv
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expertmap
 from expertmap import cli, expert, pipeline
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
@@ -100,7 +104,36 @@ def test_auto_extracts_pseudopoints_once(chain, tmp_path, monkeypatch):
 def test_auto_labels_record_the_truth_they_came_from(chain):
     _, out, _, _ = chain
     meta = json.loads((out / "labels.csv.meta.json").read_text())
-    assert sorted(meta["inputs"]) == ["pseudopoints.csv", "truth.json"]
+    assert sorted(meta["inputs"]) == ["obs_tree.json", "points_tree.json",
+                                      "preprocessed.csv", "pseudopoints.csv",
+                                      "reference.json", "truth.json"]
+    meta = json.loads((out / "label_function.csv.meta.json").read_text())
+    assert sorted(meta["inputs"]) == ["labels.csv", "obs_tree.json", "points_tree.json",
+                                      "preprocessed.csv", "pseudopoints.csv",
+                                      "reference.json", "truth.json"]
+
+
+def test_extended_ranking_records_the_label_function(chain):
+    _, out, _, _ = chain
+    inputs = json.loads((out / "extended_ranking.csv.meta.json").read_text())["inputs"]
+    assert {"label_function.csv", "scaler.json", "extended_embedding.csv"} <= set(inputs)
+    for inp, digest in inputs.items():
+        assert digest == hashlib.sha256((out / inp).read_bytes()).hexdigest(), inp
+
+
+@pytest.mark.parametrize("damage", ["remove", "change"])
+def test_stage_refuses_a_missing_or_changed_input(chain, tmp_path, capsys, damage):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    if damage == "remove":
+        (work / "label_function.csv").unlink()
+    else:
+        with open(work / "label_function.csv", "a") as fh:
+            fh.write("\n")
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), "embed"]) == 1
+    err = capsys.readouterr().err
+    assert "'ensemble.json' is stale" in err and "'label_function.csv'" in err
 
 
 def test_train_sidecar_carries_the_training_record(chain):
@@ -115,6 +148,17 @@ def test_train_sidecar_carries_the_training_record(chain):
     assert 1 <= diagnostics["workers"] <= k
     # a helper process ran, so some child's peak RSS has been seen
     assert diagnostics["workers"] == 1 or diagnostics["children_max_rss_mb"] > 0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs every process ~0.13 s and ~9 MB; only validate's
+    # NNLS needs it, and it imports it when called
+    src = str(Path(expertmap.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import expertmap.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from expertmap.dataset import (DataMatrix, apply_weights, depolarize, load_matrix,
-                               preprocess, save_matrix, select_reference,
-                               standardize)
+from expertmap.dataset import (DataMatrix, depolarize, load_matrix, preprocess,
+                               save_matrix, select_reference)
 from expertmap.errors import ParseError, ValidationError
 
 
@@ -77,23 +76,33 @@ class TestLoadMatrix:
         assert d.weight_of["default"] == 1.0
 
 
+def zscore(values, mask):
+    """Oracle: per-feature observed mean 0 and sample sd 1, 0 for a feature
+    that cannot be scaled, NaN where unobserved."""
+    out = np.full(values.shape, np.nan)
+    for k in range(values.shape[1]):
+        col = values[mask[:, k], k]
+        sd = col.std(ddof=1) if len(col) > 1 else 0.0
+        out[mask[:, k], k] = (col - col.mean()) / sd if sd > 0 else 0.0
+    return out
+
+
 class TestStandardize:
     def test_hand_column(self):
-        d = make_matrix([[1.0], [2.0], [3.0]])
-        out = standardize(d)
+        out, _, _ = preprocess(make_matrix([[1.0], [2.0], [3.0]]))
         np.testing.assert_allclose(out.values[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
 
     def test_constant_column_degenerate_and_zeroed(self):
         d = make_matrix([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-        out = standardize(d)
-        assert "f0" in out.degenerate
+        out, _, params = preprocess(d)
+        assert "f0" in out.degenerate and params.degenerate == out.degenerate
         np.testing.assert_array_equal(out.values[:, 0], 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         d = make_matrix(rng.normal(2.0, 3.0, size=(40, 4)))
-        once = standardize(d)
-        twice = standardize(once)
+        once, _, _ = preprocess(d)
+        twice, _, _ = preprocess(once)
         np.testing.assert_allclose(once.values, twice.values, atol=1e-9)
 
     def test_observed_moments(self):
@@ -101,7 +110,7 @@ class TestStandardize:
         values = rng.normal(5.0, 2.0, size=(30, 3))
         mask = rng.random((30, 3)) > 0.2
         mask[:2] = True   # keep every column populated
-        out = standardize(make_matrix(values, mask))
+        out, _, _ = preprocess(make_matrix(values, mask))
         for k in range(3):
             col = out.values[out.mask[:, k], k]
             assert abs(col.mean()) < 1e-9
@@ -110,74 +119,88 @@ class TestStandardize:
     def test_unobserved_feature_is_named(self):
         d = make_matrix([[1.0, np.nan], [2.0, np.nan]])
         with pytest.raises(ValidationError, match="f1"):
-            standardize(d)
+            preprocess(d)
 
     def test_mask_unchanged(self):
         rng = np.random.default_rng(5)
         mask = rng.random((20, 3)) > 0.3
         mask[0] = True
         d = make_matrix(rng.normal(size=(20, 3)), mask)
-        assert np.array_equal(standardize(d).mask, d.mask)
+        assert np.array_equal(preprocess(d)[0].mask, d.mask)
 
 
 class TestDepolarize:
     def test_anticorrelated_pair_gets_one_flip(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=50)
-        d = standardize(make_matrix(np.column_stack([x, -x])))
-        out, polarity = depolarize(d)
+        values = np.column_stack([x, -x])
+        mask = np.ones_like(values, dtype=bool)
+        z = zscore(values, mask)
+        polarity = depolarize(z, mask)
         assert polarity.flip.sum() == 1
-        corr = np.corrcoef(out.values[:, 0], out.values[:, 1])[0, 1]
-        assert corr == pytest.approx(1.0, abs=1e-12)
+        out = np.where(polarity.flip, -z, z)
+        assert np.corrcoef(out[:, 0], out[:, 1])[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_positively_loaded_features_untouched(self):
         rng = np.random.default_rng(7)
         base = rng.normal(size=60)
-        cols = [base + 0.1 * rng.normal(size=60) for _ in range(3)]
-        d = standardize(make_matrix(np.column_stack(cols)))
-        _, polarity = depolarize(d)
-        assert not polarity.flip.any()
+        values = np.column_stack([base + 0.1 * rng.normal(size=60) for _ in range(3)])
+        mask = np.ones_like(values, dtype=bool)
+        assert not depolarize(zscore(values, mask), mask).flip.any()
 
     def test_second_pass_adds_no_flips(self):
         rng = np.random.default_rng(8)
         values = rng.normal(size=(80, 5))
         values[:, 2] *= -1.0
         values[:, 2] += values[:, 0] * -2.0
-        d = standardize(make_matrix(values))
-        once, _ = depolarize(d)
-        _, second = depolarize(once)
-        assert not second.flip.any()
+        mask = np.ones_like(values, dtype=bool)
+        z = zscore(values, mask)
+        once = depolarize(z, mask)
+        assert once.flip.any()
+        assert not depolarize(np.where(once.flip, -z, z), mask).flip.any()
 
     def test_mask_unchanged(self):
         rng = np.random.default_rng(9)
         mask = rng.random((40, 3)) > 0.2
         mask[:3] = True
-        d = standardize(make_matrix(rng.normal(size=(40, 3)), mask))
-        out, _ = depolarize(d)
+        values = rng.normal(size=(40, 3))
+        values[:, 1] = -values[:, 0] + 0.1 * values[:, 1]
+        d = make_matrix(values, mask)
+        out, polarity, _ = preprocess(d)
+        assert polarity.flip.any()
         assert np.array_equal(out.mask, d.mask)
 
 
 class TestApplyWeights:
     def test_doubling_one_group(self):
-        d = make_matrix([[1.0, 1.0], [2.0, 2.0]], groups={"f0": "mortality"},
+        d = make_matrix([[1.0, 1.0], [2.0, 2.0], [4.0, 3.0]], groups={"f0": "mortality"},
                         weights={"mortality": 2.0})
-        out = apply_weights(d)
-        np.testing.assert_allclose(out.values[:, 0], [2.0, 4.0])
-        np.testing.assert_allclose(out.values[:, 1], [1.0, 2.0])
+        out, polarity, _ = preprocess(d)
+        z = zscore(d.values, d.mask)
+        assert not polarity.flip.any()
+        np.testing.assert_array_equal(out.values[:, 0], 2.0 * z[:, 0])
+        np.testing.assert_array_equal(out.values[:, 1], z[:, 1])
 
     def test_unit_weights_identity(self):
-        d = make_matrix([[1.0, -3.0], [0.5, 2.0]])
-        np.testing.assert_array_equal(apply_weights(d).values, d.values)
+        d = make_matrix([[1.0, -3.0], [0.5, 2.0], [2.0, 1.0], [0.0, -1.0]])
+        out, polarity, _ = preprocess(d)
+        z = zscore(d.values, d.mask)
+        np.testing.assert_array_equal(out.values, np.where(polarity.flip, -z, z))
 
     def test_scalar_multiply(self):
         d = make_matrix([[1.0], [-1.0], [0.0]], groups={"f0": "g"},
                         weights={"g": 1.5})
-        np.testing.assert_allclose(apply_weights(d).values[:, 0], [1.5, -1.5, 0.0])
+        np.testing.assert_allclose(preprocess(d)[0].values[:, 0], [1.5, -1.5, 0.0])
 
     def test_non_positive_weight_rejected(self):
         d = make_matrix([[1.0]], groups={"f0": "g"}, weights={"g": 0.0})
         with pytest.raises(ValidationError, match="non-positive"):
-            apply_weights(d)
+            preprocess(d)
+
+    def test_undefined_weight_rejected(self):
+        d = make_matrix([[1.0]], groups={"f0": "g"})
+        with pytest.raises(ValidationError, match="no weight defined for group 'g'"):
+            preprocess(d)
 
 
 class TestSelectReference:
@@ -226,13 +249,20 @@ class TestSelectReference:
 
 
 def test_preprocess_transform_matches_pipeline():
+    """The training matrix equals standardize -> depolarize -> weight written
+    out step by step, and the stored transform gives the same rows alone."""
     rng = np.random.default_rng(12)
     values = rng.normal(3.0, 2.0, size=(50, 4))
     values[:, 1] *= -1.0
+    values[:, 2] = 4.0        # constant: degenerate
     mask = rng.random((50, 4)) > 0.1
     mask[:3] = True
     d = make_matrix(values, mask, groups={"f3": "heavy"}, weights={"heavy": 2.0})
-    processed, _, params = preprocess(d)
-    replayed = params.transform(d.values, d.mask)
-    np.testing.assert_allclose(replayed[processed.mask],
-                               processed.values[processed.mask], atol=1e-9)
+    processed, polarity, params = preprocess(d)
+    z = zscore(d.values, d.mask)
+    expected = np.where(polarity.flip, -z, z) * np.array([1.0, 1.0, 1.0, 2.0])
+    assert polarity.flip.any() and processed.degenerate == ("f2",)
+    np.testing.assert_array_equal(processed.values, expected)
+    # row by row, as run_extend applies it to new points
+    np.testing.assert_array_equal(params.transform(d.values[:5], d.mask[:5]),
+                                  processed.values[:5])
