@@ -97,6 +97,23 @@ def _resolve_schema(schema) -> tuple[dict[str, str], dict[str, float]]:
     return groups, weights
 
 
+def _raise_first_fault(path, body: list[list[str]], feature_names: tuple[str, ...]) -> None:
+    """Raise the ParseError for the first ragged row or non-numeric cell in
+    file order; ``body`` must hold one of them."""
+    m = len(feature_names)
+    for r, row in enumerate(body, start=2):  # 1-based, header is line 1
+        if len(row) != m + 1:
+            raise ParseError(f"{path}: row {r}: expected {m + 1} fields, got {len(row)}")
+        for k, cell in enumerate(row[1:]):
+            if cell in MISSING_TOKENS:
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: row {r}: non-numeric value {cell!r} "
+                                 f"in column {feature_names[k]!r}") from None
+
+
 def load_matrix(path, schema=None) -> DataMatrix:
     """Load a CSV (header row, first column = point id, missing = '' or 'NA').
 
@@ -122,23 +139,20 @@ def load_matrix(path, schema=None) -> DataMatrix:
     if not body:
         raise ParseError(f"{path}: no data rows")
 
-    n, m = len(body), len(feature_names)
-    values = np.full((n, m), np.nan)
-    mask = np.zeros((n, m), dtype=bool)
-    ids: list[str] = []
-    for r, row in enumerate(body, start=2):  # 1-based, header is line 1
-        if len(row) != m + 1:
-            raise ParseError(f"{path}: row {r}: expected {m + 1} fields, got {len(row)}")
-        ids.append(row[0])
-        for k, cell in enumerate(row[1:]):
-            if cell in MISSING_TOKENS:
-                continue
-            try:
-                values[r - 2, k] = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: row {r}: non-numeric value {cell!r} "
-                                 f"in column {feature_names[k]!r}") from None
-            mask[r - 2, k] = True
+    m = len(feature_names)
+    if any(len(row) != m + 1 for row in body):
+        _raise_first_fault(path, body, feature_names)
+    cells = np.array(body, dtype=object)[:, 1:]
+    mask = np.ones(cells.shape, dtype=bool)
+    for token in MISSING_TOKENS:
+        mask &= cells != token
+    cells[~mask] = "nan"
+    try:
+        # float() of every cell, as an object-to-float cast does it
+        values = cells.astype(float)
+    except ValueError:
+        _raise_first_fault(path, body, feature_names)
+    ids = [row[0] for row in body]
 
     if len(set(ids)) != len(ids):
         seen, dups = set(), []

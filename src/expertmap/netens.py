@@ -356,16 +356,33 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     return ensemble, record
 
 
+def ensemble_forward(e: NetEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass of every net: (representation, mean output).
+
+    The representation is the nets' first-layer activations side by side in
+    net order, written net by net into one preallocated array, so that no
+    net's activations outlive its turn.  The mean output is on the [0, 1]
+    training scale.
+    """
+    X = np.atleast_2d(X)
+    rep = np.empty((X.shape[0], e.representation_dim))
+    outputs = np.empty((e.k, X.shape[0]))
+    col = 0
+    for i, net in enumerate(e.nets):
+        H1, _, outputs[i] = forward_batch(net, X)
+        rep[:, col:col + H1.shape[1]] = H1
+        col += H1.shape[1]
+    return rep, np.mean(outputs, axis=0)
+
+
 def representation(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
     """Concatenated first-layer activations, fixed net order."""
-    X = np.atleast_2d(X)
-    return np.concatenate([forward_batch(net, X)[0] for net in e.nets], axis=1)
+    return ensemble_forward(e, X)[0]
 
 
 def ensemble_rank(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
     """Mean of the per-net outputs, still on the [0, 1] training scale."""
-    X = np.atleast_2d(X)
-    return np.mean([forward_batch(net, X)[2] for net in e.nets], axis=0)
+    return ensemble_forward(e, X)[1]
 
 
 def layer_norm_product(net: Net) -> float:

@@ -17,7 +17,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
 from .dataset import (DataMatrix, PolarityMap, ReferenceSet, StandardizationParams,
@@ -113,6 +112,8 @@ class Workspace:
     Make one instance per stage.  It remembers every artifact the stage
     fetched with ``require`` or wrote with ``record``, with the hash it had
     then, and ``record`` lists all of them as the new artifact's inputs.
+    Each file is hashed once per stage: when first checked or read, and
+    again only when the stage records a new version of it.
     """
 
     def __init__(self, outdir, cfg: dict):
@@ -121,12 +122,18 @@ class Workspace:
         self.cfg = cfg
         self.cfg_hash = config_hash(cfg)
         self.inputs: dict[str, str] = {}
+        self._hashes: dict[str, str] = {}
 
     def path(self, name: str) -> Path:
         return self.outdir / name
 
     def sidecar(self, name: str) -> Path:
         return self.outdir / f"{name}.meta.json"
+
+    def _hash(self, name: str) -> str:
+        if name not in self._hashes:
+            self._hashes[name] = file_hash(self.path(name))
+        return self._hashes[name]
 
     def record(self, name: str, diagnostics: dict | None = None) -> None:
         """Write ``name``'s sidecar; call it after the artifact is written."""
@@ -138,7 +145,7 @@ class Workspace:
             meta["diagnostics"] = diagnostics
         with open(self.sidecar(name), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
-        self.inputs[name] = file_hash(self.path(name))
+        self.inputs[name] = self._hashes[name] = file_hash(self.path(name))
 
     def require(self, name: str, producer: str) -> Path:
         """Fetch an artifact, refusing when it is missing or stale."""
@@ -150,17 +157,16 @@ class Workspace:
             with open(meta_path, "r", encoding="utf-8") as fh:
                 meta = json.load(fh)
             for inp, recorded in meta.get("inputs", {}).items():
-                inp_path = self.path(inp)
-                if not inp_path.exists():
+                if not self.path(inp).exists():
                     why = "has been removed"
-                elif file_hash(inp_path) != recorded:
+                elif self._hash(inp) != recorded:
                     why = "has changed"
                 else:
                     continue
                 raise ValidationError(
                     f"artifact {name!r} is stale: its input {inp!r} {why} since "
                     f"it was produced; rerun '{producer}'")
-        self.inputs[name] = file_hash(path)
+        self.inputs[name] = self._hash(name)
         return path
 
 
@@ -171,19 +177,30 @@ def _write_table(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_rows(path, header: list[str], ids, values: np.ndarray) -> None:
+    """One line per id: the id, then its row of ``values``, each float
+    written as its repr (the string ``_fmt`` gives)."""
+    _write_table(path, header, ([pid, *map(repr, row)]
+                                for pid, row in zip(ids, values.tolist())))
+
+
+RANKING_HEADER = ["point_id", "f_rescaled", "f_score"]
+
+
+def _write_coords(path, ids, coords: np.ndarray) -> None:
+    header = ["point_id"] + [f"coord_{i + 1}" for i in range(coords.shape[1])]
+    _write_rows(path, header, ids, coords)
+
+
 def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
-    header = ["point_id"] + [f"coord_{i + 1}" for i in range(emb.dim)]
-    coords = emb.coordinates
-    rows = [[pid] + [_fmt(v) for v in coords[i]] for i, pid in enumerate(ids)]
-    _write_table(path_csv, header, rows)
+    _write_coords(path_csv, ids, emb.coordinates)
     with open(path_json, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": SCHEMA_VERSION,
                    "eigenvalues": emb.eigenvalues.tolist(),
@@ -217,6 +234,37 @@ def _read_column_csv(path) -> dict[str, list[str]]:
         for row in reader:
             for key, value in row.items():
                 out[key].append(value)
+    return out
+
+
+# The row count of a product block is fixed: the last bits of a BLAS product
+# can depend on it.
+CDIST_BLOCK = 1024
+
+
+def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and the rows of ``b``.
+
+    Expands |x - y|^2 = |x|^2 + |y|^2 - 2 x.y, so that the work is one BLAS
+    product per block of CDIST_BLOCK rows of ``a``.  Rounding can leave a
+    tiny squared distance below 0; it is clamped to 0 before the root.  The
+    squared distances agree with the direct sum of squared differences to
+    ~1e-13 relative; at one BLAS thread the result is the same to the byte
+    from run to run, but a second thread can change the last bits.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    b_sq = np.einsum("ij,ij->i", b, b)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], CDIST_BLOCK):
+        block = a[start:start + CDIST_BLOCK]
+        sq = out[start:start + CDIST_BLOCK]
+        np.matmul(block, b.T, out=sq)
+        sq *= -2.0
+        sq += np.einsum("ij,ij->i", block, block)[:, None]
+        sq += b_sq
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=sq)
     return out
 
 
@@ -367,10 +415,8 @@ def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
                               score_min=ws.cfg["pseudopoints"]["score_min"],
                               score_max=ws.cfg["pseudopoints"]["score_max"])
     lf = expert.propagate_labels(lm, points_tree, level, omega, d)
-    _write_table(ws.path("label_function.csv"),
-                 ["point_id", "g_score", "g_rescaled"],
-                 [[pid, _fmt(lf.values[i]), _fmt(lf.rescaled[i])]
-                  for i, pid in enumerate(lf.point_ids)])
+    _write_rows(ws.path("label_function.csv"), ["point_id", "g_score", "g_rescaled"],
+                lf.point_ids, np.column_stack((lf.values, lf.rescaled)))
     if labels_file != ws.path("labels.csv"):
         with open(labels_file, "rb") as src, open(ws.path("labels.csv"), "wb") as dst:
             dst.write(src.read())
@@ -424,10 +470,8 @@ def run_train(ws: Workspace) -> None:
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
     f01 = netens.ensemble_rank(ensemble, filled)
-    f_score = lf.to_label_scale(f01)
-    _write_table(ws.path("ranking.csv"), ["point_id", "f_rescaled", "f_score"],
-                 [[pid, _fmt(f01[i]), _fmt(f_score[i])]
-                  for i, pid in enumerate(lf.point_ids)])
+    _write_rows(ws.path("ranking.csv"), RANKING_HEADER, lf.point_ids,
+                np.column_stack((f01, lf.to_label_scale(f01))))
     diagnostics = {"nets": [{"index": net.hyper.seed, "final_cost": report.final_cost,
                              "epochs": report.epochs_run}
                             for net, report in zip(ensemble.nets, record.reports)],
@@ -486,31 +530,36 @@ def run_extend(ws: Workspace, new_points_path) -> None:
 
     filled, _ = _omega_matrix(d, omega, obs_tree)
     rep_ref = netens.representation(ensemble, filled)
-    rep_new = netens.representation(ensemble, new_filled)
-    sigma = emb.bandwidth["value"]
-    cross = np.exp(-(cdist(rep_new, rep_ref) ** 2) / sigma ** 2)
+    rep_new, f01 = netens.ensemble_forward(ensemble, new_filled)
+    cross = cdist(rep_new, rep_ref)
+    del rep_new
+    # exp(-d^2 / sigma^2), in place
+    np.square(cross, out=cross)
+    np.negative(cross, out=cross)
+    cross /= emb.bandwidth["value"] ** 2
+    np.exp(cross, out=cross)
+    cross_min = float(cross.sum(axis=1).min())
     coords_new = spectral.nystrom_extend(emb, cross)
+    del cross
 
     lm = _local_moments(ws, emb)
-    psi_new = whiten.extend_standardized(lm, emb, std_emb, coords_new)
+    psi_new, one_sided_sums = whiten.extend_standardized(lm, emb, std_emb, coords_new)
 
-    f01 = netens.ensemble_rank(ensemble, new_filled)
-    f_score = lf.to_label_scale(f01)
+    ids = new_raw.point_ids
+    _write_coords(ws.path("extended_embedding.csv"), ids, coords_new)
+    _write_coords(ws.path("extended_std_embedding.csv"), ids, psi_new)
+    _write_rows(ws.path("extended_ranking.csv"), RANKING_HEADER, ids,
+                np.column_stack((f01, lf.to_label_scale(f01))))
 
-    header = ["point_id"] + [f"coord_{i + 1}" for i in range(coords_new.shape[1])]
-    _write_table(ws.path("extended_embedding.csv"), header,
-                 [[pid] + [_fmt(v) for v in coords_new[i]]
-                  for i, pid in enumerate(new_raw.point_ids)])
-    header = ["point_id"] + [f"coord_{i + 1}" for i in range(psi_new.shape[1])]
-    _write_table(ws.path("extended_std_embedding.csv"), header,
-                 [[pid] + [_fmt(v) for v in psi_new[i]]
-                  for i, pid in enumerate(new_raw.point_ids)])
-    _write_table(ws.path("extended_ranking.csv"), ["point_id", "f_rescaled", "f_score"],
-                 [[pid, _fmt(f01[i]), _fmt(f_score[i])]
-                  for i, pid in enumerate(new_raw.point_ids)])
-    for name in ("extended_embedding.csv", "extended_std_embedding.csv",
-                 "extended_ranking.csv"):
-        ws.record(name)
+    # nystrom_extend leaves the coordinates of these eigenvalues at 0
+    skipped = {name: np.flatnonzero(e.eigenvalues <= spectral.EIGENVALUE_FLOOR).tolist()
+               for name, e in (("embedding", emb), ("std_embedding", std_emb))}
+    diagnostics = {"new_points": len(ids), "skipped_coordinates": skipped,
+                   "min_kernel_row_sum": {"cross": cross_min,
+                                          "one_sided": float(one_sided_sums.min())}}
+    ws.record("extended_embedding.csv", diagnostics)
+    ws.record("extended_std_embedding.csv")
+    ws.record("extended_ranking.csv")
 
 
 def run_validate(ws: Workspace) -> None:

@@ -122,28 +122,31 @@ def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray,
                            new_coords: np.ndarray, sigma: float) -> np.ndarray:
     """b(x,y) = exp(-1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma).
 
-    Only the reference point's moments appear; both terms are centered at
-    mu_y exactly as the asymmetric kernel is written.
+    Only the reference point's moments appear.  Both terms are centered at
+    mu_y, so mu_y cancels: the form is (x - y)^T S_y+ (x - y), computed for
+    all new points x against one reference point y at a time.  Returns one
+    row per new point and one column per reference point.
     """
-    n_new = new_coords.shape[0]
-    n_ref = ref_coords.shape[0]
-    out = np.empty((n_new, n_ref))
-    for j in range(n_ref):
-        u = (new_coords - lm.mu[j]) - (ref_coords[j] - lm.mu[j])
-        out[:, j] = np.exp(-0.5 * np.einsum("nd,de,ne->n", u, lm.sigma_pinv[j], u)
-                           / sigma)
-    return out
+    q = np.empty((ref_coords.shape[0], new_coords.shape[0]))
+    for j, y in enumerate(ref_coords):
+        u = new_coords - y
+        q[j] = np.einsum("nd,nd->n", u @ lm.sigma_pinv[j], u)
+    q /= -2.0 * sigma
+    np.exp(q, out=q)
+    return q.T
 
 
 def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
                         new_coords: np.ndarray,
-                        sigma: float | None = None) -> np.ndarray:
+                        sigma: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Extend the standardized eigenvectors to new embedding coordinates.
 
     ``new_coords`` are diffusion coordinates of the new points (already
     extended through the plain Nystrom step).  This is the Nystrom extension
     of ``psi`` with the one-sided kernel B as the cross kernel: rows of B are
     normalized and each eigenvector maps through s_i^(-1/2) B psi_i.
+    Returns the extended coordinates and the row sums of B, the kernel mass
+    each new point has on the reference set.
     """
     new_coords = np.atleast_2d(np.asarray(new_coords, dtype=float))
     if new_coords.shape[1] != emb_full.dim:
@@ -155,4 +158,4 @@ def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
                                   "pass sigma explicitly")
 
     b = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords, float(sigma))
-    return nystrom_extend(psi, b)
+    return nystrom_extend(psi, b), b.sum(axis=1)

@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +136,63 @@ def test_stage_refuses_a_missing_or_changed_input(chain, tmp_path, capsys, damag
     assert cli.main(["--config", str(config), "--out", str(work), "embed"]) == 1
     err = capsys.readouterr().err
     assert "'ensemble.json' is stale" in err and "'label_function.csv'" in err
+
+
+def test_each_stage_hashes_each_file_once(chain, tmp_path, monkeypatch):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    hashed = []
+    real = pipeline.file_hash
+    monkeypatch.setattr(pipeline, "file_hash",
+                        lambda path: hashed.append(Path(path).name) or real(path))
+    for stage in STAGES[1:]:
+        hashed.clear()
+        args = [a.format(out=work) for a in stage]
+        assert cli.main(["--config", str(config), "--out", str(work)] + args) == 0
+        counts = Counter(hashed)
+        assert counts and max(counts.values()) == 1, (stage, counts)
+    # the rerun's sidecars name the same inputs with the same hashes
+    for meta in sorted(out.glob("*.meta.json")):
+        first, again = (json.loads(p.read_text()) for p in (meta, work / meta.name))
+        assert again["inputs"] == first["inputs"], meta.name
+
+
+def test_extend_sidecar_carries_its_diagnostics(chain):
+    _, out, _, _ = chain
+    meta = json.loads((out / "extended_embedding.csv.meta.json").read_text())
+    diagnostics = meta["diagnostics"]
+    n_ref = len(json.loads((out / "reference.json").read_text())["indices"])
+    assert diagnostics["new_points"] == CONFIG["synth"]["n_points"]
+    assert diagnostics["skipped_coordinates"] == {"embedding": [], "std_embedding": []}
+    # the new points include the reference points, each at kernel value 1 from itself
+    for kind in ("cross", "one_sided"):
+        assert 1.0 <= diagnostics["min_kernel_row_sum"][kind] <= n_ref, kind
+
+
+def read_coordinates(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(v) for v in row[1:]] for row in rows])
+
+
+def test_extend_agrees_across_blas_threads(chain, tmp_path):
+    # the cross kernel's matrix product may round differently with a second
+    # BLAS thread; the extended coordinates must stay within the tolerance
+    config, out, _, _ = chain
+    src = str(Path(expertmap.__file__).parents[1])
+    got = {}
+    for threads in (1, 2):
+        work = shutil.copytree(out, tmp_path / f"threads{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "expertmap.cli", "--config", str(config),
+                        "--out", str(work), "extend", "--new-points", str(work / "data.csv")],
+                       env=env, check=True, capture_output=True, timeout=120)
+        got[threads] = work
+    for name, tolerance in (("extended_embedding.csv", 1e-12),
+                            ("extended_std_embedding.csv", 1e-9)):
+        one, two = (read_coordinates(got[t] / name) for t in (1, 2))
+        assert one.shape == two.shape
+        assert np.max(np.abs(one - two)) <= tolerance * np.max(np.abs(one)), name
 
 
 def test_train_sidecar_carries_the_training_record(chain):

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from expertmap.dataset import (DataMatrix, depolarize, load_matrix, preprocess,
-                               save_matrix, select_reference)
+from expertmap.dataset import (MISSING_TOKENS, DataMatrix, depolarize, load_matrix,
+                               preprocess, save_matrix, select_reference)
 from expertmap.errors import ParseError, ValidationError
 
 
@@ -74,6 +76,72 @@ class TestLoadMatrix:
         assert d.group_of == {"a": "mortality", "b": "default"}
         assert d.weight_of["mortality"] == 2.0
         assert d.weight_of["default"] == 1.0
+
+
+def parse_cells_oracle(path):
+    """Oracle: the cell-by-cell parse, one float() per observed cell."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    body = rows[1:]
+    values = np.full((len(body), len(rows[0]) - 1), np.nan)
+    mask = np.zeros(values.shape, dtype=bool)
+    for r, row in enumerate(body):
+        for k, cell in enumerate(row[1:]):
+            if cell in MISSING_TOKENS:
+                continue
+            values[r, k] = float(cell)
+            mask[r, k] = True
+    return values, mask
+
+
+class TestParsePath:
+    TRICKY = ["", "NA", " 1.5", "nan", "-0.0", "1e-320", "1_000", "-inf", "+2.5e3 ",
+              "1e400", "-nan", "3.", "7"]
+
+    def test_tricky_tokens_bit_equal_to_the_cell_loop(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scales = 10.0 ** rng.integers(-300, 300, 40)
+        tokens = self.TRICKY + [repr(x) for x in (rng.normal(size=40) * scales).tolist()]
+        cells = rng.choice(tokens, size=(60, 7))
+        header = "id," + ",".join(f"c{k}" for k in range(7))
+        lines = [f"p{i}," + ",".join(row) for i, row in enumerate(cells)]
+        path = write(tmp_path, "\n".join([header] + lines) + "\n")
+        d = load_matrix(path)
+        values, mask = parse_cells_oracle(path)
+        assert np.array_equal(d.mask, mask)
+        assert d.values.tobytes() == values.tobytes()
+
+    def test_each_token_alone(self, tmp_path):
+        for token in self.TRICKY:
+            path = write(tmp_path, f"id,a,b\np1,{token},2\n")
+            values, mask = parse_cells_oracle(path)
+            d = load_matrix(path)
+            assert np.array_equal(d.mask, mask), token
+            assert d.values.tobytes() == values.tobytes(), token
+
+    def test_non_numeric_names_row_and_column(self, tmp_path):
+        path = write(tmp_path, "id,a,b\np1,1,2\np2,3,x1\np3,oops,4\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: row 3: non-numeric value 'x1' in column 'b'"
+
+    def test_padded_missing_token_is_not_missing(self, tmp_path):
+        with pytest.raises(ParseError, match="row 2: non-numeric value ' NA' in column 'a'"):
+            load_matrix(write(tmp_path, "id,a\np1, NA\n"))
+
+    def test_ragged_row_named(self, tmp_path):
+        path = write(tmp_path, "id,a,b\np1,1,2\np2,3,4,5\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: row 3: expected 3 fields, got 4"
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        path = write(tmp_path, "id,a,b\np1,1,zz\np2,3\n")
+        with pytest.raises(ParseError, match="row 2: non-numeric value 'zz' in column 'b'"):
+            load_matrix(path)
+        path = write(tmp_path, "id,a,b\np1,1\np2,3,zz\n")
+        with pytest.raises(ParseError, match="row 2: expected 3 fields, got 2"):
+            load_matrix(path)
 
 
 def zscore(values, mask):

@@ -8,7 +8,8 @@ from scipy.special import expit as sigmoid
 from expertmap import netens
 from expertmap.errors import TrainingDiverged, ValidationError
 from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
-                              ensemble_from_json, ensemble_rank, ensemble_to_json,
+                              ensemble_forward, ensemble_from_json, ensemble_rank,
+                              ensemble_to_json,
                               forward_batch, init_net, loss_and_gradients,
                               pretrain_autoencoder, representation, sample_hyper,
                               train_backprop, train_ensemble)
@@ -362,6 +363,35 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match="empty training set"):
             train_ensemble(X, g, K=1, hyper_ranges=small_ranges(),
                            train_rows=rows, epochs=5, pretrain_epochs=2)
+
+
+class TestOneForwardPass:
+    """ensemble_forward against the forms that ran every net once per output."""
+
+    @staticmethod
+    def ensemble(m=6):
+        nets = tuple(random_net(m, h1, h2, seed=i, scale=3.0)
+                     for i, (h1, h2) in enumerate([(5, 3), (9, 4), (1, 2), (7, 7)]))
+        return NetEnsemble(nets=nets, master_seed=0)
+
+    def test_bit_equal_to_concatenate_and_mean(self):
+        e = self.ensemble()
+        X = np.random.default_rng(30).normal(size=(57, 6))
+        rep, mean = ensemble_forward(e, X)
+        concat = np.concatenate([forward_batch(net, X)[0] for net in e.nets], axis=1)
+        averaged = np.mean([forward_batch(net, X)[2] for net in e.nets], axis=0)
+        assert rep.tobytes() == concat.tobytes() and rep.shape == concat.shape
+        assert mean.tobytes() == averaged.tobytes()
+        assert representation(e, X).tobytes() == concat.tobytes()
+        assert ensemble_rank(e, X).tobytes() == averaged.tobytes()
+
+    def test_single_row(self):
+        e = self.ensemble()
+        x = np.random.default_rng(31).normal(size=6)
+        rep, mean = ensemble_forward(e, x)
+        assert rep.shape == (1, e.representation_dim) and mean.shape == (1,)
+        assert ensemble_rank(e, x).tobytes() == np.mean(
+            [forward_batch(net, x)[2] for net in e.nets], axis=0).tobytes()
 
 
 def constant_output_net(m, value):

@@ -185,7 +185,7 @@ class TestExtendStandardized:
         # with constant moments, b at half the bandwidth coincides with the
         # standardized kernel W, so the plain Nystrom algebra applies exactly
         sigma = std.bandwidth["value"]
-        extended = extend_standardized(lm, emb, std, coords, sigma=sigma / 2.0)
+        extended, _ = extend_standardized(lm, emb, std, coords, sigma=sigma / 2.0)
         expected = std.eigenvectors * np.sqrt(std.eigenvalues)[None, :]
         np.testing.assert_allclose(extended, expected,
                                    atol=1e-8 * np.abs(expected).max())
@@ -193,8 +193,8 @@ class TestExtendStandardized:
     def test_duplicate_point_matches_reference_row(self):
         coords, emb, lm, std = self.constant_moment_setup(seed=11)
         z = 4
-        whole = extend_standardized(lm, emb, std, coords)
-        dup = extend_standardized(lm, emb, std, coords[[z]])
+        whole, _ = extend_standardized(lm, emb, std, coords)
+        dup, _ = extend_standardized(lm, emb, std, coords[[z]])
         np.testing.assert_allclose(dup[0], whole[z], atol=1e-8)
 
     def test_uniform_row_gives_scaled_mean(self):
@@ -208,9 +208,10 @@ class TestExtendStandardized:
                                sigma=np.zeros_like(lm_real.sigma),
                                sigma_pinv=np.zeros_like(lm_real.sigma_pinv),
                                k=lm_real.k)
-        out = extend_standardized(lm_flat, emb, std, coords[[0]])
+        out, row_sums = extend_standardized(lm_flat, emb, std, coords[[0]])
         expected = std.eigenvectors.mean(axis=0) / np.sqrt(std.eigenvalues)
         np.testing.assert_allclose(out[0], expected, atol=1e-10)
+        assert row_sums.tolist() == [15.0]
 
     def test_one_sided_kernel_centers_cancel(self):
         rng = np.random.default_rng(13)
@@ -224,3 +225,20 @@ class TestExtendStandardized:
                 delta = coords[i] - coords[j]
                 expected = np.exp(-0.5 * delta @ lm.sigma_pinv[j] @ delta)
                 assert b[i, j] == pytest.approx(expected, rel=1e-12)
+
+    def test_one_sided_kernel_matches_the_per_reference_einsum(self):
+        rng = np.random.default_rng(14)
+        coords = rng.normal(size=(40, 3))
+        emb = coords_embedding(coords)
+        lm = local_moments(emb, k=6)
+        new = rng.normal(size=(25, 3)) * 1.5
+        sigma = 0.7
+        # oracle: the form as written, centered at mu_y on both sides
+        oracle = np.empty((25, 40))
+        for j in range(40):
+            u = (new - lm.mu[j]) - (coords[j] - lm.mu[j])
+            oracle[:, j] = np.exp(-0.5 * np.einsum("nd,de,ne->n", u, lm.sigma_pinv[j], u)
+                                  / sigma)
+        b = one_sided_cross_kernel(lm, coords, new, sigma)
+        assert b.shape == (25, 40)
+        np.testing.assert_allclose(b, oracle, rtol=0, atol=1e-10)
