@@ -18,6 +18,13 @@ net's hyperparameters and initial weights from the net's own generator,
 seeded with [master_seed, i], and the rest of that generator goes with the
 net to whichever process trains it; the nets are collected in index order.
 So the ensemble is the same to the byte whatever the number of processes.
+
+Each net is trained in float32: its started weights, the training rows and
+the labels are rounded to float32 once, every product and update of the
+training loop stays in float32, and the trained net is cast back to float64.
+Nets are stored, saved and evaluated in float64.  Weights and dropout masks
+are still drawn in float64 from the net's generator, so a net starts where
+a float64 net with the same seed would, to float32 precision.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import TrainingDiverged, ValidationError
 
@@ -45,6 +51,9 @@ class NetHyper:
     weight_decay: float = 1e-4
     learning_rate: float = 0.5
     epochs: int = 200
+
+
+PARAMS = ("W1", "b1", "W2", "b2", "V", "b3")
 
 
 @dataclass(frozen=True)
@@ -106,35 +115,68 @@ def init_net(m: int, hyper: NetHyper, rng: np.random.Generator) -> Net:
                V=_glorot(rng, 1, hyper.h2), b3=np.zeros(1), hyper=hyper)
 
 
+def _cast_net(net: Net, dtype) -> Net:
+    return replace(net, **{name: getattr(net, name).astype(dtype) for name in PARAMS})
+
+
+def sigmoid(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-Z)) elementwise for a float array, into ``out`` if given.
+
+    exp(-Z) overflows to inf where Z is below about -709 (-88 in float32),
+    which gives exactly 0; that overflow is expected and not warned about.
+    """
+    with np.errstate(over="ignore"):
+        out = np.negative(Z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
+
+
+def _affine_sigmoid(A: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sigmoid(A @ W.T + b), formed in the one buffer the product allocates."""
+    Z = A @ W.T
+    Z += b
+    return sigmoid(Z, out=Z)
+
+
 def forward_batch(net: Net, X: np.ndarray):
     """Activations for a batch: (H1, H2, f) with f in (0, 1)."""
     X = np.atleast_2d(X)
     if X.shape[1] != net.n_inputs:
         raise ValidationError(f"input width {X.shape[1]} != net input {net.n_inputs}")
-    H1 = sigmoid(X @ net.W1.T + net.b1)
-    H2 = sigmoid(H1 @ net.W2.T + net.b2)
-    f = sigmoid(H2 @ net.V.T + net.b3).ravel()
+    H1 = _affine_sigmoid(X, net.W1, net.b1)
+    H2 = _affine_sigmoid(H1, net.W2, net.b2)
+    f = _affine_sigmoid(H2, net.V, net.b3).ravel()
     return H1, H2, f
 
 
 def loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float):
-    """Full-batch loss C + mu*sum(W^2) and gradients for every parameter."""
+    """Full-batch loss C + mu*sum(W^2) and gradients for every parameter.
+
+    A loss that overflows comes back non-finite, without a warning; the
+    caller decides what that means.
+    """
     n = X.shape[0]
     H1, H2, f = forward_batch(net, X)
     err = f - g
-    cost = float(np.mean(err ** 2))
-    penalty = mu * (np.sum(net.W1 ** 2) + np.sum(net.W2 ** 2) + np.sum(net.V ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = float(np.mean(err ** 2))
+        penalty = mu * (np.sum(net.W1 ** 2) + np.sum(net.W2 ** 2) + np.sum(net.V ** 2))
     loss = cost + float(penalty)
 
-    dz3 = (2.0 / n) * err * f * (1.0 - f)            # (n,)
+    dz3 = (2.0 / n) * err                            # (n,)
+    dz3 *= f
+    dz3 *= 1.0 - f
     dV = dz3[None, :] @ H2 + 2.0 * mu * net.V
     db3 = np.array([dz3.sum()])
-    dH2 = dz3[:, None] @ net.V                       # (n, h2)
-    dZ2 = dH2 * H2 * (1.0 - H2)
+    dZ2 = dz3[:, None] @ net.V                       # dH2, (n, h2)
+    dZ2 *= H2
+    dZ2 *= 1.0 - H2
     dW2 = dZ2.T @ H1 + 2.0 * mu * net.W2
     db2 = dZ2.sum(axis=0)
-    dH1 = dZ2 @ net.W2
-    dZ1 = dH1 * H1 * (1.0 - H1)
+    dZ1 = dZ2 @ net.W2                               # dH1, (n, h1)
+    dZ1 *= H1
+    dZ1 *= 1.0 - H1
     dW1 = dZ1.T @ X + 2.0 * mu * net.W1
     db1 = dZ1.sum(axis=0)
 
@@ -152,15 +194,18 @@ def _check_labels(X: np.ndarray, g01: np.ndarray) -> None:
 def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray,
                    epochs: int | None = None,
                    learning_rate: float | None = None) -> tuple[Net, TrainReport]:
-    """Gradient descent on the combined loss; raises on non-finite loss."""
-    g01 = np.asarray(g01, dtype=float)
+    """Gradient descent on the combined loss; raises on non-finite loss.
+
+    The labels are cast to the dtype of ``X``.  The parameters are copied
+    once and then updated in place.
+    """
+    g01 = np.asarray(g01, dtype=X.dtype)
     _check_labels(X, g01)
     epochs = net.hyper.epochs if epochs is None else epochs
     lr = net.hyper.learning_rate if learning_rate is None else learning_rate
     mu = net.hyper.weight_decay
 
-    params = {"W1": net.W1.copy(), "b1": net.b1.copy(), "W2": net.W2.copy(),
-              "b2": net.b2.copy(), "V": net.V.copy(), "b3": net.b3.copy()}
+    params = {name: getattr(net, name).copy() for name in PARAMS}
     trajectory = np.empty(epochs)
     current = replace(net, **params)
     for epoch in range(epochs):
@@ -169,9 +214,10 @@ def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray,
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch} "
                                    f"(learning rate {lr})", epoch=epoch, learning_rate=lr)
         trajectory[epoch] = loss
-        for name in params:
-            params[name] = params[name] - lr * grads[name]
-        current = replace(net, **params)
+        for name, p in params.items():
+            g = grads[name]
+            g *= lr
+            p -= g
 
     final_cost = float(np.mean((forward_batch(current, X)[2] - g01) ** 2))
     if not np.isfinite(final_cost):
@@ -184,32 +230,39 @@ def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray,
 def _train_dae_layer(inputs: np.ndarray, W: np.ndarray, b: np.ndarray,
                      dropout_rate: float, epochs: int, lr: float,
                      rng: np.random.Generator):
-    """One denoising layer: corrupt, encode with sigmoid, decode linearly."""
+    """One denoising layer: corrupt, encode with sigmoid, decode linearly.
+
+    The decoder is drawn in float64 from ``rng`` and trained in the dtype of
+    ``inputs``.
+    """
     n, width = inputs.shape
     h = W.shape[0]
-    D = _glorot(rng, width, h)
-    c = np.zeros(width)
+    D = _glorot(rng, width, h).astype(inputs.dtype)
+    c = np.zeros(width, dtype=inputs.dtype)
     W, b = W.copy(), b.copy()
+    corrupted = np.empty_like(inputs)
     for epoch in range(epochs):
-        corrupted = inputs.copy()
+        np.copyto(corrupted, inputs)
         if dropout_rate > 0:
             corrupted[rng.random(inputs.shape) < dropout_rate] = 0.0
-        H = sigmoid(corrupted @ W.T + b)
-        recon = H @ D.T + c
-        diff = (2.0 / (n * width)) * (recon - inputs)
+        H = _affine_sigmoid(corrupted, W, b)
+        recon = H @ D.T
+        recon += c
         if not np.all(np.isfinite(recon)):
             raise TrainingDiverged("autoencoder reconstruction non-finite",
                                    epoch=epoch, learning_rate=lr)
+        diff = np.subtract(recon, inputs, out=recon)
+        diff *= 2.0 / (n * width)
         dD = diff.T @ H
         dc = diff.sum(axis=0)
-        dH = diff @ D
-        dZ = dH * H * (1.0 - H)
+        dZ = diff @ D                                # dH, (n, h)
+        dZ *= H
+        dZ *= 1.0 - H
         dW = dZ.T @ corrupted
         db = dZ.sum(axis=0)
-        W -= lr * dW
-        b -= lr * db
-        D -= lr * dD
-        c -= lr * dc
+        for p, g in ((W, dW), (b, db), (D, dD), (c, dc)):
+            g *= lr
+            p -= g
     return W, b
 
 
@@ -224,7 +277,7 @@ def pretrain_autoencoder(net: Net, X: np.ndarray, epochs: int,
     lr = net.hyper.learning_rate if learning_rate is None else learning_rate
     W1, b1 = _train_dae_layer(X, net.W1, net.b1, net.hyper.dropout_rate,
                               epochs, lr, rng)
-    H1 = sigmoid(X @ W1.T + b1)
+    H1 = _affine_sigmoid(X, W1, b1)
     W2, b2 = _train_dae_layer(H1, net.W2, net.b2, net.hyper.dropout_rate,
                               epochs, lr, rng)
     return replace(net, W1=W1, b1=b1, W2=W2, b2=b2)
@@ -264,9 +317,13 @@ def _train_net(Xt: np.ndarray, gt: np.ndarray, pretrain_epochs: int, net: Net,
     """Train a started net at its learning rate and, if that diverges, at half.
 
     Both tries begin from the same weights and generator state, as if the net
-    were drawn afresh at the lower rate.  Returns (net, report, retried) from
-    the first try that converged, or None when both diverged.
+    were drawn afresh at the lower rate.  Training runs in float32 on float32
+    roundings of the rows, labels and started weights; the net comes back in
+    float64.  Returns (net, report, retried) from the first try that
+    converged, or None when both diverged.
     """
+    Xt, gt = Xt.astype(np.float32), gt.astype(np.float32)
+    net = _cast_net(net, np.float32)
     for retried in (False, True):
         if retried:
             net = replace(net, hyper=replace(net.hyper,
@@ -276,7 +333,7 @@ def _train_net(Xt: np.ndarray, gt: np.ndarray, pretrain_epochs: int, net: Net,
             trained, report = train_backprop(trained, Xt, gt)
         except TrainingDiverged:
             continue
-        return trained, report, retried
+        return _cast_net(trained, np.float64), report, retried
     return None
 
 

@@ -1,11 +1,15 @@
 import concurrent.futures
+import copy
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit as sigmoid
 
-from expertmap import netens
+from expertmap import netens, synth
 from expertmap.errors import TrainingDiverged, ValidationError
 from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
                               ensemble_forward, ensemble_from_json, ensemble_rank,
@@ -34,6 +38,39 @@ def random_net(m, h1, h2, seed=0, scale=1.0):
     return Net(W1=scale * net.W1, b1=rng.normal(0, 0.1, h1),
                W2=scale * net.W2, b2=rng.normal(0, 0.1, h2),
                V=scale * net.V, b3=rng.normal(0, 0.1, 1), hyper=hyper)
+
+
+class TestSigmoid:
+    def test_matches_expit_on_a_grid(self):
+        z = np.linspace(-800.0, 800.0, 160001)
+        np.testing.assert_allclose(netens.sigmoid(z), sigmoid(z), rtol=0, atol=2.3e-16)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_saturates_exactly_without_warning(self, dtype):
+        out = netens.sigmoid(np.array([-1000.0, 1000.0], dtype=dtype))
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_keeps_float32(self):
+        z = np.linspace(-5.0, 5.0, 11, dtype=np.float32)
+        assert netens.sigmoid(z).dtype == np.float32
+        np.testing.assert_allclose(netens.sigmoid(z), sigmoid(z.astype(float)), rtol=1e-6)
+
+    def test_writes_into_out(self):
+        z = np.linspace(-3.0, 3.0, 7)
+        expected = sigmoid(z)
+        assert netens.sigmoid(z, out=z) is z
+        np.testing.assert_allclose(z, expected, rtol=0, atol=2.3e-16)
+
+
+def test_import_leaves_scipy_unloaded():
+    # every helper process that trains nets imports netens and nothing else
+    src = str(Path(netens.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import expertmap.netens; "
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 class TestForward:
@@ -151,6 +188,7 @@ class TestBackprop:
         after = sum(np.sum(w ** 2) for w in (trained.W1, trained.W2, trained.V))
         assert after < before
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_raises_with_diagnostics(self):
         X, g = separable_toy(seed=15)
         hyper = NetHyper(h1=3, h2=2, seed=0, weight_decay=1e6,
@@ -174,13 +212,23 @@ class TestBackprop:
         assert np.all(np.isfinite(report.trajectory))
 
 
+def cast_net(net: Net, dtype) -> Net:
+    return Net(W1=net.W1.astype(dtype), b1=net.b1.astype(dtype),
+               W2=net.W2.astype(dtype), b2=net.b2.astype(dtype),
+               V=net.V.astype(dtype), b3=net.b3.astype(dtype), hyper=net.hyper)
+
+
 def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
                           hyper_ranges: HyperRanges | None = None,
                           master_seed: int = 0,
                           epochs: int = 200, learning_rate: float = 0.5,
                           pretrain_epochs: int = 60,
                           train_rows: np.ndarray | None = None) -> NetEnsemble:
-    """The serial loop train_ensemble replaced, kept as the reference."""
+    """The serial loop train_ensemble replaced, kept as the reference.
+
+    Each net trains in float32 on float32 roundings of the rows, labels and
+    drawn weights, and is kept in float64, as in train_ensemble.
+    """
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     ranges = hyper_ranges or HyperRanges()
@@ -190,6 +238,7 @@ def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
         Xt, gt = X[train_rows], np.asarray(g01, dtype=float)[train_rows]
     if Xt.shape[0] == 0:
         raise ValidationError("empty training set after excluding imputed rows")
+    Xt, gt = Xt.astype(np.float32), gt.astype(np.float32)
 
     nets: list[Net] = []
     failed: list[int] = []
@@ -197,10 +246,10 @@ def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
         def attempt(lr_scale: float) -> Net:
             rng = np.random.default_rng([master_seed, i])
             hyper = sample_hyper(ranges, i, rng, learning_rate * lr_scale, epochs)
-            net = init_net(X.shape[1], hyper, rng)
+            net = cast_net(init_net(X.shape[1], hyper, rng), np.float32)
             net = pretrain_autoencoder(net, Xt, pretrain_epochs, rng)
             net, _ = train_backprop(net, Xt, gt)
-            return net
+            return cast_net(net, np.float64)
 
         try:
             nets.append(attempt(1.0))
@@ -213,6 +262,23 @@ def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
     if len(failed) > 0.1 * K:
         raise ValidationError(f"{len(failed)} of {K} nets diverged: {failed}")
     return NetEnsemble(nets=tuple(nets), master_seed=master_seed, failed=tuple(failed))
+
+
+def test_float32_training_within_tolerance_of_float64():
+    """_train_net's float32 nets against the same starts trained in float64."""
+    data, truth, _ = synth.generate(synth.SynthConfig(n_points=300, missing_rate=0.0))
+    X = (data.values - data.values.mean(axis=0)) / data.values.std(axis=0)
+    g = (truth - truth.min()) / (truth.max() - truth.min())
+    for i in range(2):
+        net, rng = netens._start_net(X.shape[1], HyperRanges(), 3, 200, 0.5, i)
+        trained32, _, retried = netens._train_net(X, g, 60, net, rng)
+        trained64 = pretrain_autoencoder(net, X, 60, copy.deepcopy(rng))
+        trained64, _ = train_backprop(trained64, X, g)
+        assert not retried and trained32.W1.dtype == np.float64
+        rep32, mean32 = ensemble_forward(NetEnsemble((trained32,), 0), X)
+        rep64, mean64 = ensemble_forward(NetEnsemble((trained64,), 0), X)
+        np.testing.assert_allclose(rep32, rep64, rtol=0, atol=1e-4)
+        np.testing.assert_allclose(mean32, mean64, rtol=0, atol=1e-5)
 
 
 def small_ranges():
@@ -284,24 +350,26 @@ class TestPoolMatchesSerialLoop:
         assert ensemble_bytes(train_ensemble(X, g, **kwargs)[0]) == \
             ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
 
+    # In float32 the penalty's W**2 overflows at far smaller rates than in
+    # float64: 1e5 gives 5 retries at half rate and 10**5.5 makes 7 nets fail.
     RETRY = dict(K=20, hyper_ranges=small_ranges(), master_seed=5, epochs=10,
                  pretrain_epochs=0)
 
     def test_retry_at_half_rate_matches_oracle(self):
         X, g = separable_toy(seed=11)
-        kwargs = dict(self.RETRY, learning_rate=1e20)
+        kwargs = dict(self.RETRY, learning_rate=1e5)
         e, record = train_ensemble(X, g, **kwargs)
         oracle = train_ensemble_oracle(X, g, **kwargs)
         assert ensemble_bytes(e) == ensemble_bytes(oracle)
         assert e.failed == () and len(record.retried) == 5
         rates = [net.hyper.learning_rate for net in e.nets]
-        assert [i for i, rate in enumerate(rates) if rate == 0.5e20] == \
+        assert [i for i, rate in enumerate(rates) if rate == 0.5e5] == \
             list(record.retried)
-        assert rates.count(1e20) == 15
+        assert rates.count(1e5) == 15
 
     def test_too_many_failures_match_oracle(self):
         X, g = separable_toy(seed=11)
-        kwargs = dict(self.RETRY, learning_rate=10 ** 20.5)
+        kwargs = dict(self.RETRY, learning_rate=10 ** 5.5)
         with pytest.raises(ValidationError) as oracle:
             train_ensemble_oracle(X, g, **kwargs)
         assert str(oracle.value).startswith("7 of 20 nets diverged")
