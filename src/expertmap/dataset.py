@@ -12,6 +12,7 @@ both the training points and any new points.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -97,11 +98,12 @@ def _resolve_schema(schema) -> tuple[dict[str, str], dict[str, float]]:
     return groups, weights
 
 
-def _raise_first_fault(path, body: list[list[str]], feature_names: tuple[str, ...]) -> None:
+def _raise_first_fault(path, rows: list[list[str]], feature_names: tuple[str, ...],
+                       first_line: int) -> None:
     """Raise the ParseError for the first ragged row or non-numeric cell in
-    file order; ``body`` must hold one of them."""
+    file order; ``rows`` must hold one of them and start at line ``first_line``."""
     m = len(feature_names)
-    for r, row in enumerate(body, start=2):  # 1-based, header is line 1
+    for r, row in enumerate(rows, start=first_line):
         if len(row) != m + 1:
             raise ParseError(f"{path}: row {r}: expected {m + 1} fields, got {len(row)}")
         for k, cell in enumerate(row[1:]):
@@ -114,45 +116,66 @@ def _raise_first_fault(path, body: list[list[str]], feature_names: tuple[str, ..
                                  f"in column {feature_names[k]!r}") from None
 
 
-def load_matrix(path, schema=None) -> DataMatrix:
-    """Load a CSV (header row, first column = point id, missing = '' or 'NA').
-
-    ``schema`` may be a parsed {"groups": ..., "weights": ...} dict or a path
-    to a JSON file with that shape.
-    """
-    groups, weights = _resolve_schema(schema)
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = rows[0]
-    if len(header) < 2:
-        raise ParseError(f"{path}: header must contain an id column and at least one feature")
-    feature_names = tuple(header[1:])
-    if len(set(feature_names)) != len(feature_names):
-        raise ValidationError(f"{path}: duplicate feature names in header")
-
-    body = rows[1:]
-    if not body:
-        raise ParseError(f"{path}: no data rows")
-
+def _parse_rows(path, rows: list[list[str]], feature_names: tuple[str, ...],
+                first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mask) of data rows that start at line ``first_line``."""
     m = len(feature_names)
-    if any(len(row) != m + 1 for row in body):
-        _raise_first_fault(path, body, feature_names)
-    cells = np.array(body, dtype=object)[:, 1:]
+    if any(len(row) != m + 1 for row in rows):
+        _raise_first_fault(path, rows, feature_names, first_line)
+    cells = np.array(rows, dtype=object)[:, 1:]
     mask = np.ones(cells.shape, dtype=bool)
     for token in MISSING_TOKENS:
         mask &= cells != token
     cells[~mask] = "nan"
     try:
         # float() of every cell, as an object-to-float cast does it
-        values = cells.astype(float)
+        return cells.astype(float), mask
     except ValueError:
-        _raise_first_fault(path, body, feature_names)
-    ids = [row[0] for row in body]
+        _raise_first_fault(path, rows, feature_names, first_line)
+
+
+# Data rows parsed at a time, so that only one chunk of cells is ever held
+# as strings.
+PARSE_ROWS = 1024
+
+
+def load_matrix(path, schema=None) -> DataMatrix:
+    """Load a CSV (header row, first column = point id, missing = '' or 'NA').
+
+    ``schema`` may be a parsed {"groups": ..., "weights": ...} dict or a path
+    to a JSON file with that shape.
+
+    The rows are parsed PARSE_ROWS at a time: each chunk's cells become a
+    float array and a mask before the next chunk is read, so the strings of
+    one chunk at most are alive.  A malformed file raises the ParseError of
+    its first fault in file order, with the row's line number in the file.
+    """
+    groups, weights = _resolve_schema(schema)
+
+    ids: list[str] = []
+    value_chunks, mask_chunks = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        if len(header) < 2:
+            raise ParseError(f"{path}: header must contain an id column and at least one feature")
+        feature_names = tuple(header[1:])
+        if len(set(feature_names)) != len(feature_names):
+            raise ValidationError(f"{path}: duplicate feature names in header")
+
+        while rows := list(itertools.islice(reader, PARSE_ROWS)):
+            # 1-based line numbers; the header is line 1
+            values, mask = _parse_rows(path, rows, feature_names, len(ids) + 2)
+            value_chunks.append(values)
+            mask_chunks.append(mask)
+            ids.extend(row[0] for row in rows)
+
+    if not ids:
+        raise ParseError(f"{path}: no data rows")
+    values = np.concatenate(value_chunks)
+    mask = np.concatenate(mask_chunks)
 
     if len(set(ids)) != len(ids):
         seen, dups = set(), []

@@ -237,35 +237,25 @@ def _read_column_csv(path) -> dict[str, list[str]]:
     return out
 
 
-# The row count of a product block is fixed: the last bits of a BLAS product
-# can depend on it.
-CDIST_BLOCK = 1024
-
-
 def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and the rows of ``b``.
 
     Expands |x - y|^2 = |x|^2 + |y|^2 - 2 x.y, so that the work is one BLAS
-    product per block of CDIST_BLOCK rows of ``a``.  Rounding can leave a
-    tiny squared distance below 0; it is clamped to 0 before the root.  The
-    squared distances agree with the direct sum of squared differences to
-    ~1e-13 relative; at one BLAS thread the result is the same to the byte
-    from run to run, but a second thread can change the last bits.
+    product.  Rounding can leave a tiny squared distance below 0; it is
+    clamped to 0 before the root.  The squared distances agree with the
+    direct sum of squared differences to ~1e-13 relative; at one BLAS thread
+    the result is the same to the byte from run to run, but a second thread,
+    or another row count of ``a``, can change the last bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    b_sq = np.einsum("ij,ij->i", b, b)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], CDIST_BLOCK):
-        block = a[start:start + CDIST_BLOCK]
-        sq = out[start:start + CDIST_BLOCK]
-        np.matmul(block, b.T, out=sq)
-        sq *= -2.0
-        sq += np.einsum("ij,ij->i", block, block)[:, None]
-        sq += b_sq
-        np.maximum(sq, 0.0, out=sq)
-        np.sqrt(sq, out=sq)
-    return out
+    sq = a @ b.T
+    sq *= -2.0
+    sq += np.einsum("ij,ij->i", a, a)[:, None]
+    sq += np.einsum("ij,ij->i", b, b)
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    return sq
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +498,27 @@ def run_standardize(ws: Workspace) -> None:
     ws.record("std_embedding.json")
 
 
+# New points that run_extend takes through the extension at a time.
+EXTEND_BLOCK = 1024
+
+
 def run_extend(ws: Workspace, new_points_path) -> None:
-    """Impute new rows, extend both embeddings, and rank them."""
+    """Impute new rows, extend both embeddings, and rank them.
+
+    The new points go through in blocks of EXTEND_BLOCK rows.  Each block is
+    transformed, imputed and passed once through the ensemble; then its
+    cross kernel on the reference representation, its Nystrom coordinates
+    and its standardized extension are formed, and written into the output
+    arrays.  Only one block's representation and kernels are alive at a
+    time, so memory beyond the input rows and the outputs does not grow with
+    the number of new points.
+
+    The block is a fixed 1024 rows, not a setting: the last bits of a BLAS
+    product can depend on the row count of its operand, so a fixed block
+    keeps the output bytes independent of anything but the input.  A file of
+    at most 1024 new points is one block, and gives the bytes of extending
+    all its points at once.
+    """
     d, omega = _load_preprocessed(ws)
     _, obs_tree = _load_trees(ws)
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
@@ -525,27 +534,45 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     new_raw = load_matrix(new_points_path, ws.cfg["paths"].get("schema"))
     if new_raw.feature_names != d.feature_names:
         raise ValidationError("new-point features do not match the training data")
-    new_values = params.transform(new_raw.values, new_raw.mask)
-    new_filled = cogeometry.impute_matrix(new_values, obs_tree)
+    ids = new_raw.point_ids
+    empty = np.flatnonzero(~new_raw.mask.any(axis=1))
+    if len(empty):
+        raise ValidationError(f"new points with no observed entry: "
+                              f"{[ids[i] for i in empty]}")
 
     filled, _ = _omega_matrix(d, omega, obs_tree)
     rep_ref = netens.representation(ensemble, filled)
-    rep_new, f01 = netens.ensemble_forward(ensemble, new_filled)
-    cross = cdist(rep_new, rep_ref)
-    del rep_new
-    # exp(-d^2 / sigma^2), in place
-    np.square(cross, out=cross)
-    np.negative(cross, out=cross)
-    cross /= emb.bandwidth["value"] ** 2
-    np.exp(cross, out=cross)
-    cross_min = float(cross.sum(axis=1).min())
-    coords_new = spectral.nystrom_extend(emb, cross)
-    del cross
-
     lm = _local_moments(ws, emb)
-    psi_new, one_sided_sums = whiten.extend_standardized(lm, emb, std_emb, coords_new)
 
-    ids = new_raw.point_ids
+    n_new = new_raw.n_points
+    coords_new = np.empty((n_new, emb.dim))
+    psi_new = np.empty((n_new, std_emb.dim))
+    f01 = np.empty(n_new)
+    cross_min = one_sided_min = np.inf
+    for start in range(0, n_new, EXTEND_BLOCK):
+        rows = slice(start, start + EXTEND_BLOCK)
+        new_values = params.transform(new_raw.values[rows], new_raw.mask[rows])
+        new_filled = cogeometry.impute_matrix(new_values, obs_tree)
+        rep_new, f01[rows] = netens.ensemble_forward(ensemble, new_filled)
+        cross = cdist(rep_new, rep_ref)
+        del rep_new
+        # exp(-d^2 / sigma^2), in place
+        np.square(cross, out=cross)
+        np.negative(cross, out=cross)
+        cross /= emb.bandwidth["value"] ** 2
+        np.exp(cross, out=cross)
+        cross_min = min(cross_min, float(cross.sum(axis=1).min()))
+        try:
+            coords_new[rows] = spectral.nystrom_extend(emb, cross)
+            del cross
+            psi_new[rows], one_sided_sums = whiten.extend_standardized(
+                lm, emb, std_emb, coords_new[rows])
+        except ValidationError as exc:
+            # a kernel row of zero sum is named by its index in the block
+            raise ValidationError(f"{exc}, counting rows from new point "
+                                  f"{ids[start]!r}") from exc
+        one_sided_min = min(one_sided_min, float(one_sided_sums.min()))
+
     _write_coords(ws.path("extended_embedding.csv"), ids, coords_new)
     _write_coords(ws.path("extended_std_embedding.csv"), ids, psi_new)
     _write_rows(ws.path("extended_ranking.csv"), RANKING_HEADER, ids,
@@ -555,8 +582,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     skipped = {name: np.flatnonzero(e.eigenvalues <= spectral.EIGENVALUE_FLOOR).tolist()
                for name, e in (("embedding", emb), ("std_embedding", std_emb))}
     diagnostics = {"new_points": len(ids), "skipped_coordinates": skipped,
-                   "min_kernel_row_sum": {"cross": cross_min,
-                                          "one_sided": float(one_sided_sums.min())}}
+                   "min_kernel_row_sum": {"cross": cross_min, "one_sided": one_sided_min}}
     ws.record("extended_embedding.csv", diagnostics)
     ws.record("extended_std_embedding.csv")
     ws.record("extended_ranking.csv")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import expertmap
-from expertmap import cli, expert, pipeline
+from expertmap import cli, expert, pipeline, whiten
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
 from expertmap.errors import BoundViolation, ValidationError
@@ -193,6 +193,91 @@ def test_extend_agrees_across_blas_threads(chain, tmp_path):
         one, two = (read_coordinates(got[t] / name) for t in (1, 2))
         assert one.shape == two.shape
         assert np.max(np.abs(one - two)) <= tolerance * np.max(np.abs(one)), name
+
+
+def run_extend_on(work, config, new_points):
+    ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
+    pipeline.run_extend(ws, new_points)
+
+
+@pytest.fixture
+def extended_in_blocks(chain, tmp_path, monkeypatch):
+    """extend on the chain's 150 new points in blocks of 32 (four full blocks
+    and a ragged one); returns the workspace and the row count of each
+    cdist call."""
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    rows_per_call = []
+    real = pipeline.cdist
+    monkeypatch.setattr(pipeline, "cdist",
+                        lambda a, b: rows_per_call.append(len(a)) or real(a, b))
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    run_extend_on(work, config, work / "data.csv")
+    return work, rows_per_call
+
+
+def test_extend_in_blocks_matches_one_block(chain, extended_in_blocks):
+    _, out, _, _ = chain
+    work, _ = extended_in_blocks
+    for name, tolerance in (("extended_embedding.csv", 1e-12),
+                            ("extended_std_embedding.csv", 1e-9),
+                            ("extended_ranking.csv", 1e-12)):
+        whole, blocked = read_coordinates(out / name), read_coordinates(work / name)
+        assert whole.shape == blocked.shape
+        assert np.max(np.abs(whole - blocked)) <= tolerance * np.max(np.abs(whole)), name
+    whole, blocked = (json.loads((w / "extended_embedding.csv.meta.json").read_text())
+                      ["diagnostics"] for w in (out, work))
+    for key in ("new_points", "skipped_coordinates"):
+        assert blocked[key] == whole[key], key
+    for kind, value in whole["min_kernel_row_sum"].items():
+        assert blocked["min_kernel_row_sum"][kind] == pytest.approx(value, rel=1e-12), kind
+
+
+def test_extend_streams_its_new_points(extended_in_blocks):
+    _, rows_per_call = extended_in_blocks
+    assert sum(rows_per_call) == CONFIG["synth"]["n_points"]
+    assert max(rows_per_call) <= pipeline.EXTEND_BLOCK
+
+
+def test_extend_names_new_points_with_no_observed_entry(chain, tmp_path, monkeypatch):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    with open(work / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # data rows 5 and 40: one in the first block, one past it
+    for row in (rows[6], rows[41]):
+        row[1:] = [""] * (len(row) - 1)
+    new_points = tmp_path / "new.csv"
+    with open(new_points, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    with pytest.raises(ValidationError) as err:
+        run_extend_on(work, config, new_points)
+    assert str(err.value) == (f"new points with no observed entry: "
+                              f"{[rows[6][0], rows[41][0]]}")
+
+
+def test_extend_locates_a_kernel_row_of_zero_sum(chain, tmp_path, monkeypatch):
+    # the one-sided kernel row of new point 37 underflows to 0; the error
+    # names its index within its block and the block's first point
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    real = whiten.one_sided_cross_kernel
+    calls = []
+
+    def underflow(*args):
+        b = real(*args)
+        calls.append(len(b))
+        if len(calls) == 2:  # the second block: new points 32 to 63
+            b[5] = 0.0
+        return b
+    monkeypatch.setattr(whiten, "one_sided_cross_kernel", underflow)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    ids = load_matrix(work / "data.csv").point_ids
+    with pytest.raises(ValidationError) as err:
+        run_extend_on(work, config, work / "data.csv")
+    assert str(err.value) == (f"cross-kernel rows with zero sum: [5], counting rows "
+                              f"from new point {ids[32]!r}")
 
 
 def test_train_sidecar_carries_the_training_record(chain):

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from expertmap import dataset
 from expertmap.dataset import (MISSING_TOKENS, DataMatrix, depolarize, load_matrix,
                                preprocess, save_matrix, select_reference)
 from expertmap.errors import ParseError, ValidationError
@@ -94,11 +95,34 @@ def parse_cells_oracle(path):
     return values, mask
 
 
+def load_in_chunks(path, monkeypatch):
+    """load_matrix with PARSE_ROWS at 1, 2 and its default.  Every chunking
+    must give the same bytes, or raise the same message; that matrix is
+    returned, or that error raised."""
+    outcomes = []
+    for rows in (1, 2, dataset.PARSE_ROWS):
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "PARSE_ROWS", rows)
+            try:
+                outcomes.append(load_matrix(path))
+            except ParseError as exc:
+                outcomes.append(exc)
+    first = outcomes[0]
+    if isinstance(first, ParseError):
+        assert [str(o) for o in outcomes] == [str(first)] * 3
+        raise first
+    for other in outcomes[1:]:
+        assert other.point_ids == first.point_ids
+        assert np.array_equal(other.mask, first.mask)
+        assert other.values.tobytes() == first.values.tobytes()
+    return first
+
+
 class TestParsePath:
     TRICKY = ["", "NA", " 1.5", "nan", "-0.0", "1e-320", "1_000", "-inf", "+2.5e3 ",
               "1e400", "-nan", "3.", "7"]
 
-    def test_tricky_tokens_bit_equal_to_the_cell_loop(self, tmp_path):
+    def test_tricky_tokens_bit_equal_to_the_cell_loop(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         scales = 10.0 ** rng.integers(-300, 300, 40)
         tokens = self.TRICKY + [repr(x) for x in (rng.normal(size=40) * scales).tolist()]
@@ -106,42 +130,46 @@ class TestParsePath:
         header = "id," + ",".join(f"c{k}" for k in range(7))
         lines = [f"p{i}," + ",".join(row) for i, row in enumerate(cells)]
         path = write(tmp_path, "\n".join([header] + lines) + "\n")
-        d = load_matrix(path)
+        d = load_in_chunks(path, monkeypatch)
         values, mask = parse_cells_oracle(path)
         assert np.array_equal(d.mask, mask)
         assert d.values.tobytes() == values.tobytes()
 
-    def test_each_token_alone(self, tmp_path):
+    def test_each_token_alone(self, tmp_path, monkeypatch):
         for token in self.TRICKY:
             path = write(tmp_path, f"id,a,b\np1,{token},2\n")
             values, mask = parse_cells_oracle(path)
-            d = load_matrix(path)
+            d = load_in_chunks(path, monkeypatch)
             assert np.array_equal(d.mask, mask), token
             assert d.values.tobytes() == values.tobytes(), token
 
-    def test_non_numeric_names_row_and_column(self, tmp_path):
+    def test_non_numeric_names_row_and_column(self, tmp_path, monkeypatch):
         path = write(tmp_path, "id,a,b\np1,1,2\np2,3,x1\np3,oops,4\n")
         with pytest.raises(ParseError) as err:
-            load_matrix(path)
+            load_in_chunks(path, monkeypatch)
         assert str(err.value) == f"{path}: row 3: non-numeric value 'x1' in column 'b'"
 
-    def test_padded_missing_token_is_not_missing(self, tmp_path):
+    def test_padded_missing_token_is_not_missing(self, tmp_path, monkeypatch):
         with pytest.raises(ParseError, match="row 2: non-numeric value ' NA' in column 'a'"):
-            load_matrix(write(tmp_path, "id,a\np1, NA\n"))
+            load_in_chunks(write(tmp_path, "id,a\np1, NA\n"), monkeypatch)
 
-    def test_ragged_row_named(self, tmp_path):
+    def test_ragged_row_named(self, tmp_path, monkeypatch):
         path = write(tmp_path, "id,a,b\np1,1,2\np2,3,4,5\n")
         with pytest.raises(ParseError) as err:
-            load_matrix(path)
+            load_in_chunks(path, monkeypatch)
         assert str(err.value) == f"{path}: row 3: expected 3 fields, got 4"
 
-    def test_first_fault_in_file_order_wins(self, tmp_path):
+    def test_first_fault_in_file_order_wins(self, tmp_path, monkeypatch):
         path = write(tmp_path, "id,a,b\np1,1,zz\np2,3\n")
         with pytest.raises(ParseError, match="row 2: non-numeric value 'zz' in column 'b'"):
-            load_matrix(path)
+            load_in_chunks(path, monkeypatch)
         path = write(tmp_path, "id,a,b\np1,1\np2,3,zz\n")
         with pytest.raises(ParseError, match="row 2: expected 3 fields, got 2"):
-            load_matrix(path)
+            load_in_chunks(path, monkeypatch)
+        # a fault in a later chunk is found after the earlier chunks parse
+        path = write(tmp_path, "id,a,b\np1,1,2\np2,3,4\np3,5,6\np4,7,zz\np5,9\n")
+        with pytest.raises(ParseError, match="row 5: non-numeric value 'zz' in column 'b'"):
+            load_in_chunks(path, monkeypatch)
 
 
 def zscore(values, mask):

@@ -6,9 +6,9 @@ from scipy.spatial.distance import cdist as scipy_cdist
 from expertmap import pipeline
 
 
-def test_cdist_matches_scipy_across_blocks():
+def test_cdist_matches_scipy():
     rng = np.random.default_rng(40)
-    n = 2 * pipeline.CDIST_BLOCK + 37
+    n = 2 * pipeline.EXTEND_BLOCK + 37
     a = rng.normal(size=(n, 30)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
     b = rng.normal(size=(23, 30))
     got = pipeline.cdist(a, b)
