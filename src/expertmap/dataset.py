@@ -23,6 +23,9 @@ from .errors import ParseError, ValidationError
 
 MISSING_TOKENS = ("", "NA")
 DEFAULT_GROUP = "default"
+ID_COLUMN = "point_id"            # header of the id column save_matrix writes
+# joint observations a feature pair needs for its covariance to count
+MIN_SUPPORT = 3
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,6 @@ class DataMatrix:
         """Number of unobserved entries per point."""
         return (~self.mask).sum(axis=1)
 
-    def feature_index(self, name: str) -> int:
-        return self.feature_names.index(name)
-
-    def equals(self, other: "DataMatrix") -> bool:
-        """Exact equality, treating NaN==NaN in unobserved cells."""
-        if self.feature_names != other.feature_names or self.point_ids != other.point_ids:
-            return False
-        if not np.array_equal(self.mask, other.mask):
-            return False
-        if not np.array_equal(self.values[self.mask], other.values[other.mask]):
-            return False
-        return self.group_of == other.group_of and self.weight_of == other.weight_of
-
 
 @dataclass(frozen=True)
 class ReferenceSet:
@@ -80,22 +70,35 @@ class ReferenceSet:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class PolarityMap:
-    """Per-feature sign flips."""
-
-    flip: np.ndarray  # (m,) bool
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file ``path``; ``what`` names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object, "
+                              f"not a {type(obj).__name__}")
+    return obj
 
 
 def _resolve_schema(schema) -> tuple[dict[str, str], dict[str, float]]:
     if schema is None:
         return {}, {}
+    where = "schema"
     if isinstance(schema, (str, Path)):
-        with open(schema, "r", encoding="utf-8") as fh:
-            schema = json.load(fh)
-    groups = dict(schema.get("groups", {}))
-    weights = {g: float(w) for g, w in schema.get("weights", {}).items()}
-    return groups, weights
+        where = f"schema file {schema}"
+        schema = read_json_object(schema, "schema file")
+    groups, weights = schema.get("groups", {}), schema.get("weights", {})
+    if not isinstance(groups, dict) or not isinstance(weights, dict):
+        raise ValidationError(f"{where}: 'groups' and 'weights' must be JSON objects")
+    try:
+        return dict(groups), {g: float(w) for g, w in weights.items()}
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: every weight must be a number") from None
 
 
 def _raise_first_fault(path, rows: list[list[str]], feature_names: tuple[str, ...],
@@ -194,11 +197,11 @@ def load_matrix(path, schema=None) -> DataMatrix:
                       point_ids=tuple(ids), group_of=group_of, weight_of=weight_of)
 
 
-def save_matrix(d: DataMatrix, path, id_column: str = "point_id") -> None:
+def save_matrix(d: DataMatrix, path) -> None:
     """Emit the same CSV dialect load_matrix reads; round-trips exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([id_column, *d.feature_names])
+        writer.writerow([ID_COLUMN, *d.feature_names])
         for i, pid in enumerate(d.point_ids):
             row = [pid]
             for k in range(d.n_features):
@@ -206,10 +209,9 @@ def save_matrix(d: DataMatrix, path, id_column: str = "point_id") -> None:
             writer.writerow(row)
 
 
-def _pairwise_complete_covariance(values: np.ndarray, mask: np.ndarray,
-                                  min_support: int = 3) -> np.ndarray:
+def _pairwise_complete_covariance(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Feature covariance over jointly observed rows; pairs with joint
-    support below ``min_support`` fall back to 0."""
+    support below MIN_SUPPORT fall back to 0."""
     filled = np.where(mask, values, 0.0)
     msk = mask.astype(float)
 
@@ -217,7 +219,7 @@ def _pairwise_complete_covariance(values: np.ndarray, mask: np.ndarray,
     sums = filled.T @ msk                     # sums[j, k] = sum of x_j over joint support with k
     prods = filled.T @ filled                 # sum of x_j * x_k over joint support
 
-    ok = counts >= min_support
+    ok = counts >= MIN_SUPPORT
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_j = np.where(counts > 0, sums / counts, 0.0)
         # E[xy] - E[x]E[y], sample-corrected by n/(n-1)
@@ -233,8 +235,9 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[idx] < 0 else vec
 
 
-def depolarize(values: np.ndarray, mask: np.ndarray) -> PolarityMap:
-    """The flips that sign-align all features with the top principal loading.
+def depolarize(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The per-feature flips, a bool array, that sign-align all features
+    with the top principal loading.
 
     The loading is the top eigenvector of the pairwise-complete feature
     covariance (equivalent to the top eigenvector of the covariance of the
@@ -249,7 +252,7 @@ def depolarize(values: np.ndarray, mask: np.ndarray) -> PolarityMap:
         raise ValidationError("covariance not computable: no feature pair has "
                               "sufficient joint support")
     _, eigvecs = np.linalg.eigh(cov)
-    return PolarityMap(flip=_fix_sign(eigvecs[:, -1]) < 0.0)
+    return _fix_sign(eigvecs[:, -1]) < 0.0
 
 
 def select_reference(d: DataMatrix, eta: int) -> ReferenceSet:
@@ -302,7 +305,7 @@ class StandardizationParams:
                    degenerate=tuple(obj.get("degenerate", ())))
 
 
-def preprocess(d: DataMatrix) -> tuple[DataMatrix, PolarityMap, StandardizationParams]:
+def preprocess(d: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:
     """Fit the preprocessing transform on ``d`` and apply it.
 
     Per feature: the observed mean and sample sd, the group weight, and the
@@ -334,9 +337,9 @@ def preprocess(d: DataMatrix) -> tuple[DataMatrix, PolarityMap, StandardizationP
 
     unit = StandardizationParams(means=means, sds=sds, flip=np.zeros(m, dtype=bool),
                                  weights=np.ones(m))
-    polarity = depolarize(unit.transform(d.values, d.mask), d.mask)
-    params = replace(unit, flip=polarity.flip, weights=weights,
+    flip = depolarize(unit.transform(d.values, d.mask), d.mask)
+    params = replace(unit, flip=flip, weights=weights,
                      degenerate=tuple(sorted(degenerate)))
     processed = replace(d, values=params.transform(d.values, d.mask),
                         degenerate=params.degenerate)
-    return processed, polarity, params
+    return processed, params

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cogeometry import PartitionTree, impute_matrix
-from .dataset import DataMatrix, PolarityMap, ReferenceSet
+from .dataset import DataMatrix, ReferenceSet
 from .errors import InternalError, ValidationError
 
 
@@ -21,26 +21,11 @@ from .errors import InternalError, ValidationError
 class PseudopointSet:
     """Folder centroids at one tree level, acting as labelable data types."""
 
-    level: int
     folder_ids: tuple[int, ...]
     centroids: np.ndarray            # (n_folders, m)
     member_counts: tuple[int, ...]
     feature_names: tuple[str, ...]
     imputed_cells: tuple[tuple[int, int], ...] = ()   # (folder_id, feature) pairs
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """One score per level-l folder, constrained to [score_min, score_max]."""
-
-    scores: dict[int, float]
-    level: int
-    score_min: float = 1.0
-    score_max: float = 10.0
-
-    @property
-    def class_set(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.scores.values())))
 
 
 @dataclass(frozen=True)
@@ -53,9 +38,6 @@ class LabelFunction:
     degenerate: bool = False         # constant scores; rescaled pinned at 0.5
     scale: tuple[float, float] = (0.0, 1.0)   # (min, max) used in the rescale
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.point_ids, self.values.tolist()))
-
     def to_label_scale(self, rescaled_values: np.ndarray) -> np.ndarray:
         """Invert the affine rescale back to the original score scale."""
         lo, hi = self.scale
@@ -65,7 +47,7 @@ class LabelFunction:
 
 
 def extract_pseudopoints(tree: PartitionTree, level: int, omega: ReferenceSet,
-                         d: DataMatrix, obs_tree: PartitionTree | None = None) -> PseudopointSet:
+                         d: DataMatrix, obs_tree: PartitionTree) -> PseudopointSet:
     """Centroids over observed entries of every folder at ``level``.
 
     A centroid cell that no member observes is filled by imputing the
@@ -88,32 +70,28 @@ def extract_pseudopoints(tree: PartitionTree, level: int, omega: ReferenceSet,
             centroid = np.where(obs > 0, sub.sum(axis=0) / np.maximum(obs, 1), np.nan)
         holes = np.flatnonzero(obs == 0)
         if len(holes):
-            if obs_tree is None:
-                raise ValidationError(
-                    f"folder {j} observes nothing for features {holes.tolist()} "
-                    "and no observation tree was given for fallback imputation")
             centroid = impute_matrix(centroid[None, :], obs_tree)[0]
             imputed_cells.extend((j, int(k)) for k in holes)
         centroids[j] = centroid
         counts.append(len(folder))
 
-    return PseudopointSet(level=level, folder_ids=tuple(range(len(folders))),
+    return PseudopointSet(folder_ids=tuple(range(len(folders))),
                           centroids=centroids, member_counts=tuple(counts),
                           feature_names=d.feature_names,
                           imputed_cells=tuple(imputed_cells))
 
 
-def export_centroids(ps: PseudopointSet, path, polarity: PolarityMap | None = None) -> None:
+def export_centroids(ps: PseudopointSet, path, flip: np.ndarray) -> None:
     """CSV of folder_id, member_count, centroid features, empty score column.
 
-    Centroid values are written with original polarity restored so the
-    signs read naturally for the labeler.
+    Centroid values are written with original polarity restored (the
+    features ``flip`` marks are negated back) so the signs read naturally
+    for the labeler.
     """
     if len(ps.folder_ids) == 0:
         raise ValidationError("cannot export an empty pseudopoint set")
     display = ps.centroids.copy()
-    if polarity is not None:
-        display[:, polarity.flip] *= -1.0
+    display[:, flip] *= -1.0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["folder_id", "member_count", *ps.feature_names, "score"])
@@ -123,8 +101,9 @@ def export_centroids(ps: PseudopointSet, path, polarity: PolarityMap | None = No
 
 
 def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
-                  score_max: float = 10.0) -> LabelMap:
-    """Read back the score column; every folder must carry one valid score."""
+                  score_max: float = 10.0) -> dict[int, float]:
+    """Read back the score column: one score in [score_min, score_max] per
+    folder id, and every folder must carry one."""
     scores: dict[int, float] = {}
     problems: list[str] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -133,7 +112,11 @@ def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
                 or "score" not in reader.fieldnames:
             raise ValidationError(f"{path}: need 'folder_id' and 'score' columns")
         for row in reader:
-            fid = int(row["folder_id"])
+            try:
+                fid = int(row["folder_id"])
+            except (TypeError, ValueError):
+                problems.append(f"folder {row['folder_id']!r}: folder_id is not an integer")
+                continue
             raw = (row["score"] or "").strip()
             if fid not in ps.folder_ids:
                 problems.append(f"unknown folder {fid}")
@@ -156,22 +139,20 @@ def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
         problems.append(f"missing scores for folders {missing}")
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
-    return LabelMap(scores=scores, level=ps.level, score_min=score_min,
-                    score_max=score_max)
+    return scores
 
 
-def propagate_labels(lm: LabelMap, tree: PartitionTree, level: int,
+def propagate_labels(scores: dict[int, float], tree: PartitionTree, level: int,
                      omega: ReferenceSet, d: DataMatrix) -> LabelFunction:
-    """Assign each reference point its folder's score; rescale into [0, 1]."""
-    folders = tree.folders_at(level)
-    missing = [j for j in range(len(folders)) if j not in lm.scores]
-    if missing:
-        raise ValidationError(f"label map does not cover folders {missing} at level {level}")
+    """Assign each reference point its folder's score; rescale into [0, 1].
 
+    ``scores`` must hold a score for every folder at ``level``, as
+    ``import_labels`` checks.
+    """
     g = np.empty(len(omega.indices))
     folder_of = tree.folder_of(level)
     for pos in range(len(omega.indices)):
-        g[pos] = lm.scores[int(folder_of[pos])]
+        g[pos] = scores[int(folder_of[pos])]
 
     ids = tuple(d.point_ids[i] for i in omega.indices)
     lo, hi = float(g.min()), float(g.max())

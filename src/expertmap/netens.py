@@ -191,19 +191,16 @@ def _check_labels(X: np.ndarray, g01: np.ndarray) -> None:
         raise ValidationError("row count of data and labels differ")
 
 
-def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray,
-                   epochs: int | None = None,
-                   learning_rate: float | None = None) -> tuple[Net, TrainReport]:
+def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray) -> tuple[Net, TrainReport]:
     """Gradient descent on the combined loss; raises on non-finite loss.
 
-    The labels are cast to the dtype of ``X``.  The parameters are copied
-    once and then updated in place.
+    Epochs, learning rate and weight decay come from ``net.hyper``.  The
+    labels are cast to the dtype of ``X``.  The parameters are copied once
+    and then updated in place.
     """
     g01 = np.asarray(g01, dtype=X.dtype)
     _check_labels(X, g01)
-    epochs = net.hyper.epochs if epochs is None else epochs
-    lr = net.hyper.learning_rate if learning_rate is None else learning_rate
-    mu = net.hyper.weight_decay
+    epochs, lr, mu = net.hyper.epochs, net.hyper.learning_rate, net.hyper.weight_decay
 
     params = {name: getattr(net, name).copy() for name in PARAMS}
     trajectory = np.empty(epochs)
@@ -267,14 +264,14 @@ def _train_dae_layer(inputs: np.ndarray, W: np.ndarray, b: np.ndarray,
 
 
 def pretrain_autoencoder(net: Net, X: np.ndarray, epochs: int,
-                         rng: np.random.Generator,
-                         learning_rate: float | None = None) -> Net:
-    """Layerwise denoising pretraining; 0 epochs is an exact no-op."""
+                         rng: np.random.Generator) -> Net:
+    """Layerwise denoising pretraining at the net's learning rate; 0 epochs
+    is an exact no-op."""
     if X.shape[0] == 0:
         raise ValidationError("empty training set")
     if epochs == 0:
         return net
-    lr = net.hyper.learning_rate if learning_rate is None else learning_rate
+    lr = net.hyper.learning_rate
     W1, b1 = _train_dae_layer(X, net.W1, net.b1, net.hyper.dropout_rate,
                               epochs, lr, rng)
     H1 = _affine_sigmoid(X, W1, b1)

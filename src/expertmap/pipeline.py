@@ -12,15 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
-from .dataset import (DataMatrix, PolarityMap, ReferenceSet, StandardizationParams,
-                      load_matrix, preprocess, save_matrix, select_reference)
+from .dataset import (DataMatrix, ReferenceSet, StandardizationParams, load_matrix,
+                      preprocess, read_json_object, save_matrix, select_reference)
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
@@ -30,8 +29,7 @@ SCHEMA_VERSION = 1
 # configuration
 
 DEFAULT_CONFIG = {
-    "paths": {"out": "out", "data": "data.csv", "schema": None,
-              "labels": "labels.csv", "truth": "truth.json"},
+    "paths": {"out": "out", "data": "data.csv", "schema": None, "labels": "labels.csv"},
     "eta": None,                      # default floor(0.1 * m)
     "tree": {"depth": None, "iters": 2, "beta": 1.0,
              "balance_factor": 1.5, "embed_dim": 10},
@@ -57,7 +55,9 @@ def merge_config(overrides: dict | None) -> dict:
         for key, value in (over or {}).items():
             if key not in base:
                 raise ValidationError(f"unknown config key {prefix + key!r}")
-            if isinstance(value, dict) and isinstance(base[key], dict):
+            if isinstance(base[key], dict):
+                if not isinstance(value, dict):
+                    raise ValidationError(f"config key {prefix + key!r} must be an object")
                 out[key] = deep(base[key], value, f"{prefix}{key}.")
             else:
                 out[key] = value
@@ -66,10 +66,7 @@ def merge_config(overrides: dict | None) -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    cfg = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+    cfg = {} if path is None else read_json_object(path, "config file")
     cfg = merge_config(cfg)
     if overrides:
         cfg = merge_config_into(cfg, overrides)
@@ -304,16 +301,13 @@ def _load_label_function(ws: Workspace) -> expert.LabelFunction:
                                 scale=(lo, hi))
 
 
-def _ensemble_kernel(ws: Workspace, ensemble, filled: np.ndarray) -> spectral.Kernel:
-    rep = netens.representation(ensemble, filled)
+def _ensemble_kernel(ws: Workspace, rep: np.ndarray) -> spectral.Kernel:
     return spectral.gaussian_kernel(rep, r=ws.cfg["kernel"]["r"])
 
 
 def _local_moments(ws: Workspace, emb: spectral.Embedding) -> whiten.LocalMoments:
-    k = ws.cfg["whiten"]["k"]
-    if k is None:
-        k = whiten.default_neighborhood(emb.dim)
-    return whiten.local_moments(emb, k=int(k), pinv_tol=float(ws.cfg["whiten"]["pinv_tol"]))
+    return whiten.local_moments(emb, k=ws.cfg["whiten"]["k"],
+                                pinv_tol=float(ws.cfg["whiten"]["pinv_tol"]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def run_preprocess(ws: Workspace) -> None:
         raise ValidationError(f"input data file not found: {src}")
     raw = load_matrix(src, ws.cfg["paths"].get("schema"))
 
-    processed, polarity, params = preprocess(raw)
+    processed, params = preprocess(raw)
     eta = ws.cfg["eta"]
     if eta is None:
         eta = int(0.1 * raw.n_features)
@@ -350,7 +344,7 @@ def run_preprocess(ws: Workspace) -> None:
     with open(ws.path("reference.json"), "w", encoding="utf-8") as fh:
         json.dump({"schema_version": SCHEMA_VERSION, "eta": eta,
                    "indices": omega.indices.tolist(),
-                   "polarity_flips": polarity.flip.astype(int).tolist()},
+                   "polarity_flips": params.flip.astype(int).tolist()},
                   fh, sort_keys=True)
     for name in ("preprocessed.csv", "scaler.json", "reference.json"):
         ws.record(name)
@@ -381,7 +375,7 @@ def run_pseudopoints_export(ws: Workspace) -> None:
     *_, ps = _pseudopoints(ws)
     with open(ws.require("reference.json", "preprocess"), "r", encoding="utf-8") as fh:
         flips = np.asarray(json.load(fh)["polarity_flips"], dtype=bool)
-    expert.export_centroids(ps, ws.path("pseudopoints.csv"), polarity=PolarityMap(flip=flips))
+    expert.export_centroids(ps, ws.path("pseudopoints.csv"), flip=flips)
     ws.record("pseudopoints.csv")
 
 
@@ -401,10 +395,10 @@ def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
         raise ValidationError(
             f"labels file not found: {labels_file}; export pseudopoints, have the "
             "expert fill the score column, then import")
-    lm = expert.import_labels(labels_file, ps,
-                              score_min=ws.cfg["pseudopoints"]["score_min"],
-                              score_max=ws.cfg["pseudopoints"]["score_max"])
-    lf = expert.propagate_labels(lm, points_tree, level, omega, d)
+    scores = expert.import_labels(labels_file, ps,
+                                  score_min=ws.cfg["pseudopoints"]["score_min"],
+                                  score_max=ws.cfg["pseudopoints"]["score_max"])
+    lf = expert.propagate_labels(scores, points_tree, level, omega, d)
     _write_rows(ws.path("label_function.csv"), ["point_id", "g_score", "g_rescaled"],
                 lf.point_ids, np.column_stack((lf.values, lf.rescaled)))
     if labels_file != ws.path("labels.csv"):
@@ -477,7 +471,7 @@ def run_embed(ws: Workspace) -> None:
     _, obs_tree = _load_trees(ws)
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
     filled, _ = _omega_matrix(d, omega, obs_tree)
-    kernel = _ensemble_kernel(ws, ensemble, filled)
+    kernel = _ensemble_kernel(ws, netens.representation(ensemble, filled))
     emb = spectral.diffusion_embed(kernel, d=int(ws.cfg["embedding"]["d"]),
                                    t=float(ws.cfg["embedding"]["t"]))
     ids = [d.point_ids[i] for i in omega.indices]
@@ -519,6 +513,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     at most 1024 new points is one block, and gives the bytes of extending
     all its points at once.
     """
+    if not Path(new_points_path).is_file():
+        raise ValidationError(f"new points file not found: {new_points_path}")
     d, omega = _load_preprocessed(ws)
     _, obs_tree = _load_trees(ws)
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
@@ -599,7 +595,9 @@ def run_validate(ws: Workspace) -> None:
 
     report = validate.ValidationReport(config_hash=ws.cfg_hash)
 
-    dnn_kernel = _ensemble_kernel(ws, ensemble, filled)
+    rep, f01 = netens.ensemble_forward(ensemble, filled)
+    dnn_kernel = _ensemble_kernel(ws, rep)
+    del rep
     euclid_kernel = spectral.gaussian_kernel(filled, r=ws.cfg["kernel"]["r"])
 
     # neighborhood concentration under both metrics
@@ -645,7 +643,6 @@ def run_validate(ws: Workspace) -> None:
                       for i in range(len(hist.thresholds))])
 
     # separation bound on the ensemble-averaged ranking
-    f01 = netens.ensemble_rank(ensemble, filled)
     scaling = float(np.mean([netens.layer_norm_product(net) for net in ensemble.nets]))
     record = validate.separation_bound_check(f01, lf.rescaled,
                                              layer_norm_product=scaling)
@@ -671,8 +668,9 @@ def run_validate(ws: Workspace) -> None:
         "nnls_weights": {name: float(weights[k])
                          for k, name in enumerate(d.feature_names)
                          if weights[k] > 0}})
-    report.add_table("confusion", ["initial_quartile"] + [f"final_q{j + 1}" for j in range(4)],
-                     [[i + 1] + [int(conf[i, j]) for j in range(4)] for i in range(4)])
+    bins = range(validate.CONFUSION_BINS)
+    report.add_table("confusion", ["initial_quartile"] + [f"final_q{j + 1}" for j in bins],
+                     [[i + 1] + [int(conf[i, j]) for j in bins] for i in bins])
 
     smooth = validate.neighbor_smoothness(dnn_kernel, lf.values)
     report.add_section("neighbor_smoothness", {

@@ -17,6 +17,8 @@ from scipy.spatial.distance import cdist
 from .errors import ValidationError
 
 EIGENVALUE_FLOOR = 1e-12
+# largest eigensolver residual |P phi - lambda phi| accepted, relative to |phi|
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,23 +75,13 @@ def gaussian_kernel(vectors: np.ndarray, r: int = 10) -> Kernel:
     return Kernel(entries=entries, bandwidth={"rule": f"mean-{r}nn", "value": sigma})
 
 
-@dataclass(frozen=True)
-class MarkovOperator:
-    """Row-stochastic P = D^-1 K plus its stationary measure d_i / sum(d)."""
-
-    transition: np.ndarray
-    stationary: np.ndarray
-    row_sums: np.ndarray
-
-
-def markov_normalize(k: Kernel) -> MarkovOperator:
+def markov_normalize(k: Kernel) -> np.ndarray:
+    """The row-stochastic transition matrix P = D^-1 K."""
     sums = k.entries.sum(axis=1)
     bad = np.flatnonzero(sums <= 0)
     if len(bad):
         raise ValidationError(f"isolated points with zero kernel row sum: {bad.tolist()}")
-    return MarkovOperator(transition=k.entries / sums[:, None],
-                          stationary=sums / sums.sum(),
-                          row_sums=sums)
+    return k.entries / sums[:, None]
 
 
 def _symmetric_eigensystem(k: Kernel):
@@ -161,14 +153,14 @@ def diffusion_embed(k: Kernel, d: int, t: float = 1.0) -> Embedding:
     return emb
 
 
-def _check_residuals(k: Kernel, emb: Embedding, tol: float = 1e-8) -> None:
-    p = markov_normalize(k).transition
+def _check_residuals(k: Kernel, emb: Embedding) -> None:
+    p = markov_normalize(k)
     for i in range(emb.dim):
         phi = emb.eigenvectors[:, i]
         res = np.linalg.norm(p @ phi - emb.eigenvalues[i] * phi)
-        if res > tol * np.linalg.norm(phi):
-            raise ValidationError(
-                f"eigensolver residual {res:.3e} for eigenpair {i} exceeds {tol:.0e}")
+        if res > RESIDUAL_TOL * np.linalg.norm(phi):
+            raise ValidationError(f"eigensolver residual {res:.3e} for eigenpair {i} "
+                                  f"exceeds {RESIDUAL_TOL:.0e}")
 
 
 def nystrom_extend(emb: Embedding, cross_kernel: np.ndarray) -> np.ndarray:

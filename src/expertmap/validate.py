@@ -16,7 +16,16 @@ from scipy.spatial.distance import cdist
 
 from .dataset import DataMatrix
 from .errors import BoundViolation, ValidationError
-from .spectral import Kernel, MarkovOperator, _symmetric_eigensystem, signed_power
+from .spectral import Kernel, _symmetric_eigensystem, signed_power
+
+# powered nontrivial eigenvalues above this count toward the spectral dimension
+DIMENSION_CUTOFF = 0.01
+# lowest bin edge and threshold of the affinity histograms
+AFFINITY_FLOOR = 0.1
+# score-range bins per ranking in the confusion table
+CONFUSION_BINS = 4
+# rounding allowance of the separation bound
+SEPARATION_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -35,23 +44,20 @@ class LipschitzTable:
 
 
 def feature_lipschitz(coords: np.ndarray, features: dict[str, np.ndarray],
-                      n_neighbors: int = 10, all_pairs: bool = False) -> LipschitzTable:
+                      n_neighbors: int = 10) -> LipschitzTable:
     """Largest |f(x)-f(y)| / ||x-y|| over neighbor pairs, per feature.
 
     Features are normalized by their range first; the estimate is restricted
-    to each point's nearest neighbors unless ``all_pairs`` is set (the
-    all-pairs max is dominated by near-duplicate points).
+    to each point's nearest neighbors (the all-pairs max is dominated by
+    near-duplicate points).
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
     dists = cdist(coords, coords)
-    if all_pairs:
-        pair_i, pair_j = np.triu_indices(n, k=1)
-    else:
-        order = np.argsort(dists + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
-        kk = min(n_neighbors, n - 1)
-        pair_i = np.repeat(np.arange(n), kk)
-        pair_j = order[:, :kk].ravel()
+    order = np.argsort(dists + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
+    kk = min(n_neighbors, n - 1)
+    pair_i = np.repeat(np.arange(n), kk)
+    pair_j = order[:, :kk].ravel()
     gap = dists[pair_i, pair_j]
     usable = gap > 0
 
@@ -81,18 +87,15 @@ class MassStats:
     sd: float
 
 
-def neighborhood_mass(p: np.ndarray | MarkovOperator,
-                      include_self: bool = False) -> MassStats:
-    """Minimal number of neighbors holding half of each point's transition mass."""
-    trans = p.transition if isinstance(p, MarkovOperator) else np.asarray(p, dtype=float)
+def neighborhood_mass(trans: np.ndarray) -> MassStats:
+    """Minimal number of other points holding half of each point's transition mass."""
     n = trans.shape[0]
     if np.max(np.abs(trans.sum(axis=1) - 1.0)) > 1e-9:
         raise ValidationError("rows of the transition matrix must sum to 1")
     counts = np.empty(n, dtype=np.int64)
     for i in range(n):
         row = trans[i].copy()
-        if not include_self:
-            row[i] = 0.0
+        row[i] = 0.0
         row = np.sort(row)[::-1]
         cum = np.cumsum(row)
         hit = np.flatnonzero(cum >= 0.5)
@@ -103,14 +106,14 @@ def neighborhood_mass(p: np.ndarray | MarkovOperator,
 # ---------------------------------------------------------------------------
 # spectral dimension
 
-def dimension_from_curve(eigencurve: np.ndarray, cutoff: float = 0.01) -> int:
-    """max { d : S_d^t > cutoff } over the powered nontrivial eigenvalues."""
-    above = np.flatnonzero(np.asarray(eigencurve) > cutoff)
+def dimension_from_curve(eigencurve: np.ndarray) -> int:
+    """max { d : S_d^t > DIMENSION_CUTOFF } over the powered nontrivial eigenvalues."""
+    above = np.flatnonzero(np.asarray(eigencurve) > DIMENSION_CUTOFF)
     return int(above[-1]) + 1 if len(above) else 0
 
 
-def spectral_dimension(k: Kernel, cutoff: float = 0.01):
-    """Count of powered nontrivial eigenvalues above the cutoff.
+def spectral_dimension(k: Kernel):
+    """Count of powered nontrivial eigenvalues above DIMENSION_CUTOFF.
 
     The diffusion time normalizes across kernels: t = 1 / (1 - S_1), the mean
     time to diffuse across the system.
@@ -123,7 +126,7 @@ def spectral_dimension(k: Kernel, cutoff: float = 0.01):
                               "spectral dimension undefined")
     t = 1.0 / (1.0 - s1)
     eigencurve = signed_power(vals[1:], t)
-    return dimension_from_curve(eigencurve, cutoff), t, eigencurve
+    return dimension_from_curve(eigencurve), t, eigencurve
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +135,16 @@ def spectral_dimension(k: Kernel, cutoff: float = 0.01):
 @dataclass(frozen=True)
 class AffinityHistograms:
     bin_edges: np.ndarray
-    hist_unequal: np.ndarray       # per-bin counts of unequal-label affinities >= floor
+    hist_unequal: np.ndarray       # per-bin counts of unequal-label affinities >= the floor
     thresholds: np.ndarray
     ratio: np.ndarray              # P_neq(t) / P_eq(t), estimates P(K > t | neq) / P(K > t | eq);
                                    # nan where P_eq = 0
-    floor: float
     survivors_unequal: np.ndarray  # per threshold: unequal-label pairs with affinity > t
     survivors_equal: np.ndarray    # per threshold: equal-label pairs with affinity > t
 
 
-def affinity_histograms(entries: np.ndarray, g: np.ndarray, bins: int = 18,
-                        floor: float = 0.1) -> AffinityHistograms:
+def affinity_histograms(entries: np.ndarray, g: np.ndarray,
+                        bins: int = 18) -> AffinityHistograms:
     """Survival ratio of affinities across unequal- vs equal-label pairs.
 
     Over the distinct pairs x < y, ``ratio[i]`` is P_neq(t) / P_eq(t) at
@@ -153,8 +155,8 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray, bins: int = 18,
     that ignores the labels, below 1 where the kernel separates points the
     experts rate differently.
 
-    ``floor`` is the lowest bin edge and the lowest threshold; the
-    histogram of unequal-label affinities counts only values >= ``floor``.
+    AFFINITY_FLOOR is the lowest bin edge and the lowest threshold; the
+    histogram of unequal-label affinities counts only values at or above it.
     The denominators of P_neq and P_eq count every pair of each kind,
     sub-floor ones included.
 
@@ -172,8 +174,8 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray, bins: int = 18,
     if not unequal.any():
         raise ValidationError("no unequal-label pairs; labels are constant")
 
-    edges = np.linspace(floor, 1.0, bins + 1)
-    hist_unequal, _ = np.histogram(vals[unequal & (vals >= floor)], bins=edges)
+    edges = np.linspace(AFFINITY_FLOOR, 1.0, bins + 1)
+    hist_unequal, _ = np.histogram(vals[unequal & (vals >= AFFINITY_FLOOR)], bins=edges)
 
     thresholds = edges[:-1]
     n_neq = max(int(unequal.sum()), 1)
@@ -185,7 +187,7 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray, bins: int = 18,
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(p_eq > 0, p_neq / np.where(p_eq > 0, p_eq, 1.0), np.nan)
     return AffinityHistograms(bin_edges=edges, hist_unequal=hist_unequal,
-                              thresholds=thresholds, ratio=ratio, floor=floor,
+                              thresholds=thresholds, ratio=ratio,
                               survivors_unequal=survivors_unequal,
                               survivors_equal=survivors_equal)
 
@@ -203,16 +205,14 @@ class SeparationRecord:
     rhs: float
     holds: bool
     rhs_scaled: float | None = None
-    slack: float = 1e-9
 
 
 def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
-                           layer_norm_product: float | None = None,
-                           slack: float = 1e-9) -> SeparationRecord:
+                           layer_norm_product: float | None = None) -> SeparationRecord:
     """Check E_neq f-gap^2 >= E_neq g-gap^2 - 2 (max_i S_i n / S) C.
 
     Computed exactly over all ordered unequal-label pairs.  Raises
-    BoundViolation when the inequality fails beyond the slack; the scaled
+    BoundViolation when the inequality fails beyond SEPARATION_SLACK; the scaled
     right-hand side (divided by the later-layer norm product) is reported
     but never asserted.
     """
@@ -237,13 +237,13 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
     rhs = e_g - 2.0 * max_factor * cost
     rhs_scaled = rhs / layer_norm_product if layer_norm_product else None
 
-    holds = lhs >= rhs - slack
+    holds = lhs >= rhs - SEPARATION_SLACK
     record = SeparationRecord(lhs=lhs, e_neq_g_gap=e_g, s_pairs=s_pairs,
                               max_factor=float(max_factor), cost=cost, rhs=rhs,
-                              holds=holds, rhs_scaled=rhs_scaled, slack=slack)
+                              holds=holds, rhs_scaled=rhs_scaled)
     if not holds:
         raise BoundViolation(f"separation bound violated: LHS {lhs:.6g} < "
-                             f"RHS {rhs:.6g} - {slack}", record=record)
+                             f"RHS {rhs:.6g} - {SEPARATION_SLACK}", record=record)
     return record
 
 
@@ -297,7 +297,7 @@ def nnls_rank(d: DataMatrix, target: np.ndarray):
 # ---------------------------------------------------------------------------
 # ranking agreement
 
-def confusion(initial: np.ndarray, final: np.ndarray, bins: int = 4) -> np.ndarray:
+def confusion(initial: np.ndarray, final: np.ndarray) -> np.ndarray:
     """Counts by score-range quarter of each ranking (not population quantiles)."""
     initial = np.asarray(initial, dtype=float)
     final = np.asarray(final, dtype=float)
@@ -308,12 +308,12 @@ def confusion(initial: np.ndarray, final: np.ndarray, bins: int = 4) -> np.ndarr
         lo, hi = values.min(), values.max()
         if hi == lo:
             return np.zeros(len(values), dtype=np.int64)
-        idx = np.floor((values - lo) / (hi - lo) * bins).astype(np.int64)
-        return np.clip(idx, 0, bins - 1)
+        idx = np.floor((values - lo) / (hi - lo) * CONFUSION_BINS).astype(np.int64)
+        return np.clip(idx, 0, CONFUSION_BINS - 1)
 
     rows = bin_of(initial)
     cols = bin_of(final)
-    out = np.zeros((bins, bins), dtype=np.int64)
+    out = np.zeros((CONFUSION_BINS, CONFUSION_BINS), dtype=np.int64)
     np.add.at(out, (rows, cols), 1)
     return out
 
@@ -328,32 +328,16 @@ class SmoothnessResult:
     degenerate: bool
 
 
-def neighbor_smoothness(space, f: np.ndarray, n_neighbors: int = 10) -> SmoothnessResult:
-    """Neighbor-averaged f (affinity-weighted or k-NN mean) and its correlation.
-
-    ``space`` is either a square affinity/kernel matrix (weights) or a
-    coordinate array (k-NN in Euclidean distance).
-    """
+def neighbor_smoothness(k: Kernel, f: np.ndarray) -> SmoothnessResult:
+    """Affinity-weighted neighbor average of f, self excluded, and its
+    correlation with f."""
     f = np.asarray(f, dtype=float)
-    n = len(f)
-    if n < 2:
-        return SmoothnessResult(averages=f.copy(), correlation=float("nan"),
-                                degenerate=True)
-
-    if hasattr(space, "entries"):                    # Kernel
-        weights = np.asarray(space.entries, dtype=float).copy()
-        np.fill_diagonal(weights, 0.0)
-        sums = weights.sum(axis=1)
-        if np.any(sums <= 0):
-            raise ValidationError("a point has zero affinity to all others")
-        averages = (weights / sums[:, None]) @ f
-    else:                                            # coordinates -> k-NN mean
-        coords = space.coordinates if hasattr(space, "coordinates") else space
-        coords = np.asarray(coords, dtype=float)
-        dists = cdist(coords, coords)
-        order = np.argsort(dists + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
-        hood = order[:, :min(n_neighbors, n - 1)]
-        averages = f[hood].mean(axis=1)
+    weights = k.entries.copy()
+    np.fill_diagonal(weights, 0.0)
+    sums = weights.sum(axis=1)
+    if np.any(sums <= 0):
+        raise ValidationError("a point has zero affinity to all others")
+    averages = (weights / sums[:, None]) @ f
 
     if np.ptp(f) == 0.0 or np.ptp(averages) == 0.0:
         return SmoothnessResult(averages=averages, correlation=float("nan"),

@@ -20,17 +20,10 @@ from .spectral import (Embedding, Kernel, diffusion_embed, nn_bandwidth,
 
 @dataclass(frozen=True)
 class LocalMoments:
-    """Per-point neighborhood mean, covariance, and pseudoinverse."""
+    """Per-point neighborhood mean and covariance pseudoinverse."""
 
-    neighborhoods: np.ndarray   # (n, k) neighbor indices, self included
     mu: np.ndarray              # (n, d)
-    sigma: np.ndarray           # (n, d, d)
     sigma_pinv: np.ndarray      # (n, d, d)
-    k: int
-
-    @property
-    def n(self) -> int:
-        return self.mu.shape[0]
 
 
 def _eigh_pinv(mat: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
@@ -44,39 +37,31 @@ def _eigh_pinv(mat: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def default_neighborhood(d: int) -> int:
-    """k large enough to make a d-dimensional covariance estimable."""
-    return max(2 * d + 2, 20)
-
-
 def local_moments(emb: Embedding, k: int | None = None,
                   pinv_tol: float = 1e-6) -> LocalMoments:
     """k-NN moments around every point of the embedding (population 1/k).
 
-    Rank-deficient covariances are expected when k is small relative to the
-    dimension; the pseudoinverse handles them.
+    ``k`` None means max(2d + 2, 20), enough to make a d-dimensional
+    covariance estimable; k is clamped to the point count.  Rank-deficient
+    covariances are expected when k is small relative to the dimension; the
+    pseudoinverse handles them.
     """
     coords = emb.coordinates
     n, d = coords.shape
-    if k is None:
-        k = default_neighborhood(d)
-    k = min(k, n)
+    k = min(max(2 * d + 2, 20) if k is None else int(k), n)
 
     dists = cdist(coords, coords)
     order = np.argsort(dists, axis=1, kind="stable")
     hoods = order[:, :k]
 
     mu = np.empty((n, d))
-    sigma = np.empty((n, d, d))
     pinv = np.empty((n, d, d))
     for i in range(n):
         block = coords[hoods[i]]
         mu[i] = block.mean(axis=0)
         centered = block - mu[i]
-        sigma[i] = centered.T @ centered / k
-        pinv[i] = _eigh_pinv(sigma[i], pinv_tol)
-    return LocalMoments(neighborhoods=hoods, mu=mu, sigma=sigma,
-                        sigma_pinv=pinv, k=k)
+        pinv[i] = _eigh_pinv(centered.T @ centered / k, pinv_tol)
+    return LocalMoments(mu=mu, sigma_pinv=pinv)
 
 
 def whitened_distance_matrix(lm: LocalMoments, emb: Embedding) -> np.ndarray:
@@ -137,25 +122,20 @@ def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray,
 
 
 def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
-                        new_coords: np.ndarray,
-                        sigma: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        new_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extend the standardized eigenvectors to new embedding coordinates.
 
     ``new_coords`` are diffusion coordinates of the new points (already
     extended through the plain Nystrom step).  This is the Nystrom extension
     of ``psi`` with the one-sided kernel B as the cross kernel: rows of B are
-    normalized and each eigenvector maps through s_i^(-1/2) B psi_i.
-    Returns the extended coordinates and the row sums of B, the kernel mass
-    each new point has on the reference set.
+    normalized and each eigenvector maps through s_i^(-1/2) B psi_i, with
+    the bandwidth ``psi`` was built with.  Returns the extended coordinates
+    and the row sums of B, the kernel mass each new point has on the
+    reference set.
     """
     new_coords = np.atleast_2d(np.asarray(new_coords, dtype=float))
     if new_coords.shape[1] != emb_full.dim:
         raise ValidationError(f"new coordinates must have dimension {emb_full.dim}")
-    if sigma is None:
-        sigma = psi.bandwidth.get("value")
-        if sigma is None:
-            raise ValidationError("no bandwidth stored on the standardized embedding; "
-                                  "pass sigma explicitly")
-
-    b = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords, float(sigma))
+    b = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords,
+                               float(psi.bandwidth["value"]))
     return nystrom_extend(psi, b), b.sum(axis=1)

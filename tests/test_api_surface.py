@@ -1,0 +1,94 @@
+"""Every default parameter in the library is passed by some program call.
+
+A parameter with a default that no call in ``src/`` or ``perfbench/``
+passes is a mode only tests reach; it belongs in the tests as an oracle, or
+as a module constant if no caller changes it.  The check is syntactic:
+calls are matched to definitions by name (``f(...)`` and ``obj.f(...)``
+both count for every function ``f``), and ``Cls(...)`` counts for
+``Cls.__init__``.  A call passes a parameter by keyword, or by position
+when it has enough positional arguments; ``*args`` and ``**kwargs`` pass
+everything of their kind.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "expertmap"
+PROGRAM = sorted(LIBRARY.glob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py")
+    if "tests" not in p.relative_to(ROOT / "perfbench").parts)
+
+# (function, parameter) pairs exempt from the check; keep it empty
+ALLOWED: set[tuple[str, str]] = set()
+
+
+def defaulted_parameters(path: Path):
+    """(call name, qualified name, parameter, position or None) for every
+    parameter with a default of every function defined in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = {id(fn): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for fn in node.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = classes.get(id(fn))
+        positional = fn.args.posonlyargs + fn.args.args
+        if owner and positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        call_name = owner if owner and fn.name == "__init__" else fn.name
+        qualified = f"{path.stem}.{owner + '.' if owner else ''}{fn.name}"
+        first_default = len(positional) - len(fn.args.defaults)
+        for index, arg in enumerate(positional[first_default:], start=first_default):
+            yield call_name, qualified, arg.arg, index
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield call_name, qualified, arg.arg, None
+
+
+def program_calls(program):
+    """Call name -> list of (positional count, keyword names, *args, **kwargs)."""
+    calls = defaultdict(list)
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            double_starred = any(k.arg is None for k in node.keywords)
+            calls[name].append((len(node.args), keywords, starred, double_starred))
+    return calls
+
+
+def unpassed_parameters(library, program) -> list[str]:
+    calls = program_calls(program)
+    found = []
+    for path in library:
+        for call_name, qualified, param, index in defaulted_parameters(path):
+            passed = any(param in keywords or double_starred
+                         or (index is not None and (n_args > index or starred))
+                         for n_args, keywords, starred, double_starred in calls[call_name])
+            if not passed and (qualified, param) not in ALLOWED:
+                found.append(f"{qualified}({param})")
+    return found
+
+
+def test_every_default_parameter_is_passed_by_the_program():
+    unpassed = unpassed_parameters(sorted(LIBRARY.glob("*.py")), PROGRAM)
+    assert not unpassed, ("parameters with a default that no call in src/ or perfbench/ "
+                          f"passes: {unpassed}")
+
+
+def test_the_check_sees_an_unpassed_default(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("def probe(a, b=1, *, c=2):\n    return a\n\n"
+                      "class Box:\n    def __init__(self, x, y=0):\n        self.x = x\n\n"
+                      "probe(1, c=3)\nBox(1, 2)\n")
+    assert unpassed_parameters([module], [module]) == ["probe.probe(b)"]

@@ -1,5 +1,6 @@
 """End to end: every CLI subcommand on a small synthetic config."""
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import expertmap
-from expertmap import cli, expert, pipeline, whiten
+from expertmap import cli, expert, netens, pipeline, whiten
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
 from expertmap.errors import BoundViolation, ValidationError
@@ -315,6 +316,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         pipeline.load_config(overrides={"paths.outdir": "x"})
     with pytest.raises(ValidationError, match="'paths.schema.x'"):
         pipeline.load_config(overrides={"paths.schema.x": 1})
+    with pytest.raises(ValidationError, match="config key 'net' must be an object"):
+        pipeline.merge_config({"net": 3})
 
 
 def test_config_keys_written_by_the_benchmark_load(tmp_path):
@@ -334,3 +337,89 @@ def test_validate_stage(chain):
     ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
     pipeline.run_validate(ws)
     assert cli.main(["--config", str(config), "--out", str(out), "validate"]) == 0
+
+
+def read_rows(path):
+    """point_id -> that row of a CSV, as a dict of column -> cell."""
+    with open(path, newline="") as fh:
+        return {row["point_id"]: row for row in csv.DictReader(fh)}
+
+
+def test_report_joins_the_per_point_artifacts(chain):
+    _, out, _, _ = chain
+    report = read_rows(out / "report.csv")
+    embedding = read_rows(out / "embedding.csv")
+    std_embedding = read_rows(out / "std_embedding.csv")
+    labels, ranking = read_rows(out / "label_function.csv"), read_rows(out / "ranking.csv")
+    preprocessed = read_rows(out / "preprocessed.csv")
+    assert list(report) == list(embedding) == list(std_embedding) == list(labels)
+    for pid, row in report.items():
+        # embedding.csv and std_embedding.csv both name their columns coord_i
+        for prefix, source in (("", embedding), ("std_", std_embedding)):
+            for name, value in source[pid].items():
+                if name != "point_id":
+                    assert float(row[prefix + name]) == float(value), (pid, prefix + name)
+        assert float(row["g_score"]) == float(labels[pid]["g_score"])
+        assert row["f_score"] == ranking[pid]["f_score"]
+        for name, cell in preprocessed[pid].items():
+            if name != "point_id":
+                assert (row[name] == "") == (cell == ""), (pid, name)
+                assert cell == "" or float(row[name]) == float(cell), (pid, name)
+
+
+@pytest.mark.parametrize("text, message", [("{not json", "is not valid JSON"),
+                                           ("[1, 2]", "must hold a JSON object, not a list")])
+def test_malformed_config_file_exits_1(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}") and message in err
+
+
+@pytest.mark.parametrize("text, message", [("{not json", "is not valid JSON"),
+                                           ("[1, 2]", "must hold a JSON object, not a list"),
+                                           ('{"weights": {"g": "heavy"}}', "must be a number")])
+def test_malformed_schema_file_exits_1(chain, tmp_path, capsys, text, message):
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    schema = tmp_path / "schema.json"
+    schema.write_text(text)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIG, paths={"schema": str(schema)})))
+    assert cli.main(["--config", str(config), "--out", str(work), "preprocess"]) == 1
+    err = capsys.readouterr().err
+    assert f"schema file {schema}" in err and message in err
+
+
+def test_non_integer_folder_id_exits_1(chain, tmp_path, capsys):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("folder_id,score\nx,5\n")
+    args = ["--config", str(config), "--out", str(work), "pseudopoints", "import",
+            "--labels", str(labels)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labels}: folder 'x': folder_id is not an integer")
+
+
+def test_missing_new_points_file_exits_1(chain, tmp_path, capsys):
+    config, out, _, _ = chain
+    missing = tmp_path / "missing.csv"
+    args = ["--config", str(config), "--out", str(out), "extend", "--new-points", str(missing)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: new points file not found: {missing}\n"
+
+
+def test_validate_runs_the_ensemble_once(chain, tmp_path, monkeypatch):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    calls = []
+    real = netens.ensemble_forward
+    monkeypatch.setattr(netens, "ensemble_forward",
+                        lambda e, X: calls.append(len(X)) or real(e, X))
+    ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
+    with contextlib.suppress(BoundViolation):     # ROADMAP open item 2
+        pipeline.run_validate(ws)
+    assert len(calls) == 1

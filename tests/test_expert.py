@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expertmap.cogeometry import PartitionTree
-from expertmap.dataset import DataMatrix, PolarityMap, ReferenceSet
+from expertmap.dataset import DataMatrix, ReferenceSet
 from expertmap.errors import ValidationError
 from expertmap.expert import (export_centroids, extract_pseudopoints,
                               import_labels, propagate_labels)
@@ -36,26 +36,32 @@ def full_reference(d):
     return ReferenceSet(indices=np.arange(d.n_points), eta=d.n_features)
 
 
+def pseudopoints(tree, level, d):
+    """Pseudopoints of a complete matrix, whose observation tree is never used."""
+    obs_tree = PartitionTree(axis="observations", levels=((tuple(range(d.n_features)),),))
+    return extract_pseudopoints(tree, level, full_reference(d), d, obs_tree)
+
+
 class TestExtractPseudopoints:
     def test_dyadic_level_with_32_folders_on_cms_sized_reference(self):
         # the 32-bin labeling layer on a 1614-point reference set
         n = 1614
         tree = dyadic_tree(n, depth=6)
         d = matrix_from(np.random.default_rng(0).normal(size=(n, 3)))
-        ps = extract_pseudopoints(tree, 6, full_reference(d), d)
+        ps = pseudopoints(tree, 6, d)
         assert len(ps.folder_ids) == 32
         assert sum(ps.member_counts) == n
 
     def test_identical_points_yield_that_point(self):
         d = matrix_from(np.tile([1.5, -2.0], (4, 1)))
         tree = dyadic_tree(4, depth=1)
-        ps = extract_pseudopoints(tree, 1, full_reference(d), d)
+        ps = pseudopoints(tree, 1, d)
         np.testing.assert_allclose(ps.centroids[0], [1.5, -2.0])
 
     def test_mean_of_two_points(self):
         d = matrix_from([[0.0, 2.0], [2.0, 0.0]])
         tree = dyadic_tree(2, depth=1)
-        ps = extract_pseudopoints(tree, 1, full_reference(d), d)
+        ps = pseudopoints(tree, 1, d)
         np.testing.assert_allclose(ps.centroids[0], [1.0, 1.0])
 
     def test_unobserved_cell_imputed_and_flagged(self):
@@ -72,22 +78,15 @@ class TestExtractPseudopoints:
         assert (0, 1) in ps.imputed_cells
         assert ps.centroids[0, 1] == pytest.approx(6.0)   # mean of q2 values 5,7
 
-    def test_missing_obs_tree_is_an_error(self):
-        values = np.array([[1.0, np.nan], [2.0, np.nan]])
-        d = matrix_from(values)
-        tree = dyadic_tree(2, depth=1)
-        with pytest.raises(ValidationError, match="observation tree"):
-            extract_pseudopoints(tree, 1, full_reference(d), d)
-
 
 class TestLabelRoundTrip:
     def build(self, tmp_path, n=8):
         rng = np.random.default_rng(1)
         d = matrix_from(rng.normal(size=(n, 3)))
         tree = dyadic_tree(n, depth=4)   # level 4 holds 8 singleton folders
-        ps = extract_pseudopoints(tree, 4, full_reference(d), d)
+        ps = pseudopoints(tree, 4, d)
         path = tmp_path / "centroids.csv"
-        export_centroids(ps, path)
+        export_centroids(ps, path, flip=np.zeros(d.n_features, dtype=bool))
         return d, tree, ps, path
 
     def fill_scores(self, path, out, scores):
@@ -119,9 +118,9 @@ class TestLabelRoundTrip:
     def test_polarity_restored_for_display(self, tmp_path):
         d = matrix_from([[1.0, -2.0], [3.0, -4.0]])
         tree = dyadic_tree(2, depth=1)
-        ps = extract_pseudopoints(tree, 1, full_reference(d), d)
+        ps = pseudopoints(tree, 1, d)
         path = tmp_path / "c.csv"
-        export_centroids(ps, path, polarity=PolarityMap(flip=np.array([False, True])))
+        export_centroids(ps, path, flip=np.array([False, True]))
         with open(path, newline="") as fh:
             row = list(csv.reader(fh))[1]
         assert float(row[3]) == pytest.approx(3.0)   # -(-3) displayed
@@ -131,15 +130,14 @@ class TestLabelRoundTrip:
         scores = [1.25, 9.875, 3.0, 7.5, 2.0, 4.5, 6.25, 10.0]
         filled = tmp_path / "filled.csv"
         self.fill_scores(path, filled, scores)
-        lm = import_labels(filled, ps)
-        assert [lm.scores[fid] for fid in ps.folder_ids] == scores
+        got = import_labels(filled, ps)
+        assert [got[fid] for fid in ps.folder_ids] == scores
 
     def test_constant_scores_are_valid(self, tmp_path):
         _, _, ps, path = self.build(tmp_path)
         filled = tmp_path / "filled.csv"
         self.fill_scores(path, filled, [7.0] * 8)
-        lm = import_labels(filled, ps)
-        assert lm.class_set == (7.0,)
+        assert set(import_labels(filled, ps).values()) == {7.0}
 
     def test_missing_folder_named(self, tmp_path):
         _, _, ps, path = self.build(tmp_path)
@@ -176,55 +174,52 @@ class TestLabelRoundTrip:
 
     def test_empty_pseudopoint_set_cannot_export(self, tmp_path):
         from expertmap.expert import PseudopointSet
-        ps = PseudopointSet(level=1, folder_ids=(), centroids=np.zeros((0, 2)),
+        ps = PseudopointSet(folder_ids=(), centroids=np.zeros((0, 2)),
                             member_counts=(), feature_names=("a", "b"))
         with pytest.raises(ValidationError, match="empty"):
-            export_centroids(ps, tmp_path / "x.csv")
+            export_centroids(ps, tmp_path / "x.csv", flip=np.zeros(2, dtype=bool))
 
 
 class TestPropagate:
     def setup_case(self, scores, n=6):
         d = matrix_from(np.random.default_rng(2).normal(size=(n, 2)))
         tree = dyadic_tree(n, depth=2)
-        ps = extract_pseudopoints(tree, 2, full_reference(d), d)
-        from expertmap.expert import LabelMap
-        lm = LabelMap(scores=dict(enumerate(scores)), level=2)
-        return d, tree, lm
+        return d, tree, dict(enumerate(scores))
 
     def test_two_folders_split_evenly(self):
-        d, tree, lm = self.setup_case([1.0, 10.0])
-        lf = propagate_labels(lm, tree, 2, full_reference(d), d)
+        d, tree, scores = self.setup_case([1.0, 10.0])
+        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
         values, counts = np.unique(lf.values, return_counts=True)
         np.testing.assert_array_equal(values, [1.0, 10.0])
         np.testing.assert_array_equal(counts, [3, 3])
 
     def test_rescale_hits_zero_and_one(self):
-        d, tree, lm = self.setup_case([2.0, 8.0])
-        lf = propagate_labels(lm, tree, 2, full_reference(d), d)
+        d, tree, scores = self.setup_case([2.0, 8.0])
+        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
         assert lf.rescaled.min() == 0.0 and lf.rescaled.max() == 1.0
         assert not lf.degenerate
 
     def test_constant_scores_pin_half(self):
-        d, tree, lm = self.setup_case([4.0, 4.0])
-        lf = propagate_labels(lm, tree, 2, full_reference(d), d)
+        d, tree, scores = self.setup_case([4.0, 4.0])
+        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
         np.testing.assert_array_equal(lf.rescaled, 0.5)
         assert lf.degenerate
 
     def test_constant_on_folders(self):
-        d, tree, lm = self.setup_case([3.0, 9.0], n=10)
-        lf = propagate_labels(lm, tree, 2, full_reference(d), d)
+        d, tree, scores = self.setup_case([3.0, 9.0], n=10)
+        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
         for j, folder in enumerate(tree.folders_at(2)):
             folder_values = lf.values[list(folder)]
-            assert np.all(folder_values == lm.scores[j])
+            assert np.all(folder_values == scores[j])
 
     def test_rescale_preserves_order(self):
-        d, tree, lm = self.setup_case([2.5, 7.5], n=8)
-        lf = propagate_labels(lm, tree, 2, full_reference(d), d)
+        d, tree, scores = self.setup_case([2.5, 7.5], n=8)
+        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
         order_raw = np.argsort(lf.values, kind="stable")
         order_rescaled = np.argsort(lf.rescaled, kind="stable")
         np.testing.assert_array_equal(order_raw, order_rescaled)
 
     def test_label_scale_round_trip(self):
-        d, tree, lm = self.setup_case([2.0, 8.0])
-        lf = propagate_labels(lm, tree, 2, full_reference(d), d)
+        d, tree, scores = self.setup_case([2.0, 8.0])
+        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
         np.testing.assert_allclose(lf.to_label_scale(lf.rescaled), lf.values)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from expertmap.spectral import Embedding, Kernel, diffusion_embed, nn_bandwidth
 from expertmap.whiten import (LocalMoments, extend_standardized, local_moments,
@@ -22,23 +25,29 @@ def whitened_distance(lm, emb, x, y):
 
 
 def identity_moments(n, d, coords):
-    eye = np.tile(np.eye(d), (n, 1, 1))
-    return LocalMoments(neighborhoods=np.tile(np.arange(n), (n, 1))[:, :1],
-                        mu=np.zeros((n, d)), sigma=eye, sigma_pinv=eye, k=1)
+    return LocalMoments(mu=np.zeros((n, d)), sigma_pinv=np.tile(np.eye(d), (n, 1, 1)))
+
+
+def covariances(coords, k):
+    """Oracle: population covariance of each point's k nearest points, self
+    included, ties broken by index."""
+    hoods = np.argsort(cdist(coords, coords), axis=1, kind="stable")[:, :k]
+    centered = coords[hoods] - coords[hoods].mean(axis=1, keepdims=True)
+    return np.einsum("nkd,nke->nde", centered, centered) / k
 
 
 class TestLocalMoments:
     def test_identical_neighbors_zero_covariance(self):
         emb = coords_embedding(np.zeros((5, 2)))
         lm = local_moments(emb, k=5)
-        np.testing.assert_array_equal(lm.sigma, 0.0)
         np.testing.assert_array_equal(lm.sigma_pinv, 0.0)
 
     def test_hand_three_point_neighborhood(self):
         emb = coords_embedding([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         lm = local_moments(emb, k=3)
         np.testing.assert_allclose(lm.mu[2], [0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(lm.sigma[2], np.diag([2.0 / 3.0, 0.0]), atol=1e-12)
+        # covariance diag(2/3, 0), whose pseudoinverse is diag(3/2, 0)
+        np.testing.assert_allclose(lm.sigma_pinv[2], np.diag([1.5, 0.0]), atol=1e-12)
 
     def test_k_equals_n_shares_moments(self):
         rng = np.random.default_rng(0)
@@ -46,23 +55,24 @@ class TestLocalMoments:
         lm = local_moments(emb, k=12)
         for i in range(1, 12):
             np.testing.assert_allclose(lm.mu[i], lm.mu[0], atol=1e-12)
-            np.testing.assert_allclose(lm.sigma[i], lm.sigma[0], atol=1e-12)
+            np.testing.assert_allclose(lm.sigma_pinv[i], lm.sigma_pinv[0], atol=1e-9)
 
     def test_penrose_conditions(self):
         rng = np.random.default_rng(1)
-        emb = coords_embedding(rng.normal(size=(30, 3)))
-        lm = local_moments(emb, k=6)   # k < 2d+2: rank deficiency expected
-        for i in range(30):
-            s, p = lm.sigma[i], lm.sigma_pinv[i]
+        coords = rng.normal(size=(30, 3))
+        lm = local_moments(coords_embedding(coords), k=6)   # k < 2d+2: rank deficiency expected
+        for i, s in enumerate(covariances(coords, 6)):
+            p = lm.sigma_pinv[i]
             np.testing.assert_allclose(s @ p @ s, s, atol=1e-8)
             np.testing.assert_allclose(p @ s @ p, p, atol=1e-8)
             np.testing.assert_allclose((s @ p).T, s @ p, atol=1e-8)
             np.testing.assert_allclose((p @ s).T, p @ s, atol=1e-8)
 
     def test_neighborhood_size_clamped(self):
-        emb = coords_embedding(np.random.default_rng(2).normal(size=(4, 2)))
-        lm = local_moments(emb, k=50)
-        assert lm.k == 4
+        coords = np.random.default_rng(2).normal(size=(4, 2))
+        lm = local_moments(coords_embedding(coords), k=50)
+        # every neighborhood is all 4 points
+        np.testing.assert_allclose(lm.mu, np.tile(coords.mean(axis=0), (4, 1)), atol=1e-12)
 
 
 class TestWhitenedDistance:
@@ -129,7 +139,6 @@ class TestStandardizedEmbedding:
         lm = identity_moments(30, 2, coords)
         std = standardized_embedding(emb, lm, d=2, t=1.0, r=5)
 
-        from scipy.spatial.distance import cdist
         sq = cdist(coords, coords) ** 2
         sigma = nn_bandwidth(sq, 5)
         entries = np.exp(-sq / sigma)
@@ -184,8 +193,9 @@ class TestExtendStandardized:
         coords, emb, lm, std = self.constant_moment_setup()
         # with constant moments, b at half the bandwidth coincides with the
         # standardized kernel W, so the plain Nystrom algebra applies exactly
-        sigma = std.bandwidth["value"]
-        extended, _ = extend_standardized(lm, emb, std, coords, sigma=sigma / 2.0)
+        half = dataclasses.replace(std, bandwidth={**std.bandwidth,
+                                                   "value": std.bandwidth["value"] / 2.0})
+        extended, _ = extend_standardized(lm, emb, half, coords)
         expected = std.eigenvectors * np.sqrt(std.eigenvalues)[None, :]
         np.testing.assert_allclose(extended, expected,
                                    atol=1e-8 * np.abs(expected).max())
@@ -204,10 +214,7 @@ class TestExtendStandardized:
         lm_real = local_moments(emb, k=6)
         std = standardized_embedding(emb, lm_real, d=2, t=1.0, r=5)
         # zero pseudoinverses make every one-sided affinity 1 (uniform row)
-        lm_flat = LocalMoments(neighborhoods=lm_real.neighborhoods, mu=lm_real.mu,
-                               sigma=np.zeros_like(lm_real.sigma),
-                               sigma_pinv=np.zeros_like(lm_real.sigma_pinv),
-                               k=lm_real.k)
+        lm_flat = LocalMoments(mu=lm_real.mu, sigma_pinv=np.zeros_like(lm_real.sigma_pinv))
         out, row_sums = extend_standardized(lm_flat, emb, std, coords[[0]])
         expected = std.eigenvectors.mean(axis=0) / np.sqrt(std.eigenvalues)
         np.testing.assert_allclose(out[0], expected, atol=1e-10)
