@@ -11,6 +11,7 @@ both the training points and any new points.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -137,6 +138,17 @@ def _parse_rows(path, rows: list[list[str]], feature_names: tuple[str, ...],
         _raise_first_fault(path, rows, feature_names, first_line)
 
 
+@contextlib.contextmanager
+def open_csv(path):
+    """``path`` opened for csv reading; bytes that are not UTF-8 raise a
+    ParseError naming the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 # Data rows parsed at a time, so that only one chunk of cells is ever held
 # as strings.
 PARSE_ROWS = 1024
@@ -157,7 +169,7 @@ def load_matrix(path, schema=None) -> DataMatrix:
 
     ids: list[str] = []
     value_chunks, mask_chunks = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cogeometry import PartitionTree, impute_matrix
-from .dataset import DataMatrix, ReferenceSet
+from .dataset import DataMatrix, ReferenceSet, open_csv
 from .errors import InternalError, ValidationError
 
 
@@ -106,7 +106,7 @@ def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
     folder id, and every folder must carry one."""
     scores: dict[int, float] = {}
     problems: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "folder_id" not in reader.fieldnames \
                 or "score" not in reader.fieldnames:

@@ -412,6 +412,21 @@ def test_missing_new_points_file_exits_1(chain, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: new points file not found: {missing}\n"
 
 
+@pytest.mark.parametrize("stage", ["preprocess", "import", "extend"])
+def test_csv_that_is_not_utf8_exits_1(chain, tmp_path, capsys, stage):
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"point_id,x\n\xff\xfe,1\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIG, paths={"data": str(bad)})))
+    args = {"preprocess": ["preprocess"],
+            "import": ["pseudopoints", "import", "--labels", str(bad)],
+            "extend": ["extend", "--new-points", str(bad)]}[stage]
+    assert cli.main(["--config", str(config), "--out", str(work)] + args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
+
 def test_validate_runs_the_ensemble_once(chain, tmp_path, monkeypatch):
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")

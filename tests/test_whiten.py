@@ -71,8 +71,10 @@ class TestLocalMoments:
     def test_neighborhood_size_clamped(self):
         coords = np.random.default_rng(2).normal(size=(4, 2))
         lm = local_moments(coords_embedding(coords), k=50)
-        # every neighborhood is all 4 points
+        # every neighborhood is all 4 points, and its covariance divides by 4
         np.testing.assert_allclose(lm.mu, np.tile(coords.mean(axis=0), (4, 1)), atol=1e-12)
+        np.testing.assert_allclose(lm.sigma_pinv, np.linalg.pinv(covariances(coords, 4)),
+                                   atol=1e-9)
 
 
 class TestWhitenedDistance:
