@@ -61,14 +61,10 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class ReferenceSet:
-    """Points with at most ``eta`` unobserved entries, sorted ascending."""
+    """Points with at most eta unobserved entries, sorted ascending; eta is
+    the threshold ``select_reference`` was given."""
 
     indices: np.ndarray
-    eta: int
-
-    @property
-    def n(self) -> int:
-        return len(self.indices)
 
 
 def read_json_object(path, what: str) -> dict:
@@ -276,7 +272,7 @@ def select_reference(d: DataMatrix, eta: int) -> ReferenceSet:
     if len(indices) == 0:
         raise ValidationError(f"no point has <= {eta} missing entries "
                               f"(minimum observed is {int(missing.min())}); increase eta")
-    return ReferenceSet(indices=indices, eta=eta)
+    return ReferenceSet(indices=indices)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ seeded with [master_seed, i], and the rest of that generator goes with the
 net to whichever process trains it; the nets are collected in index order.
 So the ensemble is the same to the byte whatever the number of processes.
 
+The nets are trained in rounds: nets 0 to 19 first, then ten at a time, up
+to K.  The helper pool stays up across rounds, and each round's nets are
+drawn at its start.  After each round the calling process alone decides
+whether to stop, from the nets trained so far (see ``train_ensemble``).
+Those nets are the same to the byte whatever the number of processes, so
+the decision, and with it the ensemble, is too.
+
 Each net is trained in float32: its started weights, the training rows and
 the labels are rounded to float32 once, every product and update of the
 training loop stays in float32, and the trained net is cast back to float64.
@@ -55,6 +62,11 @@ class NetHyper:
 
 PARAMS = ("W1", "b1", "W2", "b2", "V", "b3")
 
+# Nets a round trains; the first round trains twice as many.
+ROUND = 10
+# Split-half agreement at which train_ensemble stops training rounds.
+CONVERGED_OVERLAP = 0.85
+
 
 @dataclass(frozen=True)
 class Net:
@@ -74,7 +86,6 @@ class Net:
 @dataclass(frozen=True)
 class TrainReport:
     final_cost: float          # squared-error term only, no weight penalty
-    trajectory: np.ndarray     # full loss per epoch
     epochs_run: int
 
 
@@ -84,6 +95,8 @@ class TrainingRecord:
 
     reports: tuple[TrainReport, ...]   # one per kept net, in net order
     retried: tuple[int, ...]           # net indices kept at half the learning rate
+    checks: tuple[tuple[int, float | None], ...]   # (nets trained, split-half
+                                       # agreement or None if it raised), per check
     workers: int                       # processes that trained nets, the caller included
     children_max_rss_mb: float         # largest peak RSS of any child this process
                                        # has waited for so far, helpers included
@@ -203,14 +216,12 @@ def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray) -> tuple[Net, Train
     epochs, lr, mu = net.hyper.epochs, net.hyper.learning_rate, net.hyper.weight_decay
 
     params = {name: getattr(net, name).copy() for name in PARAMS}
-    trajectory = np.empty(epochs)
     current = replace(net, **params)
     for epoch in range(epochs):
         loss, _, grads = loss_and_gradients(current, X, g01, mu)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch} "
                                    f"(learning rate {lr})", epoch=epoch, learning_rate=lr)
-        trajectory[epoch] = loss
         for name, p in params.items():
             g = grads[name]
             g *= lr
@@ -220,8 +231,7 @@ def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray) -> tuple[Net, Train
     if not np.isfinite(final_cost):
         raise TrainingDiverged(f"cost non-finite after {epochs} epochs "
                                f"(learning rate {lr})", epoch=epochs, learning_rate=lr)
-    return current, TrainReport(final_cost=final_cost, trajectory=trajectory,
-                                epochs_run=epochs)
+    return current, TrainReport(final_cost=final_cost, epochs_run=epochs)
 
 
 def _train_dae_layer(inputs: np.ndarray, W: np.ndarray, b: np.ndarray,
@@ -344,20 +354,65 @@ def _blas_threads(cores: int) -> int:
     return cores
 
 
+def _rounds(K: int):
+    """(first, end) net indices of each round: 2 * ROUND nets, then ROUND at a
+    time, the last round cut at K."""
+    lo, h = 0, min(2 * ROUND, K)
+    while lo < K:
+        yield lo, h
+        lo, h = h, min(h + ROUND, K)
+
+
+def _train_round(pool, train_net, starts: list) -> list:
+    """_train_net's result for each started net, in order.
+
+    The helpers in ``pool`` take the nets from the first up; this process
+    takes them from the last down, each one that no helper has started.
+    """
+    futures = [pool.submit(train_net, *start) for start in starts] if pool else []
+    results: list = [None] * len(starts)
+    for i in reversed(range(len(starts))):
+        if futures and not futures[i].cancel():
+            break
+        results[i] = train_net(*starts[i])
+    for i, future in enumerate(futures):
+        if not future.cancelled():
+            results[i] = future.result()
+    return results
+
+
+def _split_half_overlap(agreement, kept: list[Net], master_seed: int) -> float | None:
+    """``agreement`` of the nets at even and at odd positions of ``kept``;
+    None when it raises ValidationError."""
+    halves = (NetEnsemble(nets=tuple(kept[parity::2]), master_seed=master_seed)
+              for parity in (0, 1))
+    try:
+        return float(agreement(*halves))
+    except ValidationError:
+        return None
+
+
 def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
                    hyper_ranges: HyperRanges | None = None,
                    master_seed: int = 0,
                    epochs: int = 200, learning_rate: float = 0.5,
                    pretrain_epochs: int = 60,
-                   train_rows: np.ndarray | None = None
-                   ) -> tuple[NetEnsemble, TrainingRecord]:
-    """K independently seeded nets; deterministic given (data, config, seed).
+                   train_rows: np.ndarray | None = None,
+                   agreement=None) -> tuple[NetEnsemble, TrainingRecord]:
+    """Up to K independently seeded nets; deterministic given (data, config, seed).
 
     ``train_rows`` restricts which rows are used for fitting (rows carrying
     imputed entries are normally excluded); representation later runs on
     everything.  A net whose loss diverges is retried once at half the
-    learning rate; the ensemble fails if more than 10% of nets do.  The
-    inputs are checked here, before any helper process starts.
+    learning rate; the ensemble fails if more than 10% of the nets trained
+    do.  The inputs are checked here, before any helper process starts.
+
+    Nets are trained in rounds (see ``_rounds``).  After each round that
+    leaves fewer than K nets, ``agreement(a, b)`` is called on the kept nets
+    at even positions and at odd positions, two NetEnsembles, and training
+    stops when it returns at least CONVERGED_OVERLAP.  A call that raises
+    ValidationError counts as not converged.  Without ``agreement`` all K
+    nets are trained.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -373,40 +428,40 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
         raise ValidationError("empty training set after excluding imputed rows")
     _check_labels(Xt, gt)
 
-    starts = [_start_net(X.shape[1], ranges, master_seed, epochs, learning_rate, i)
-              for i in range(K)]
     train_net = partial(_train_net, Xt, gt, pretrain_epochs)
     cores = len(os.sched_getaffinity(0))
     workers = min(K, max(1, cores // _blas_threads(cores)))
     pool = (ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context("spawn"))
             if workers > 1 else None)
-    results: list = [None] * K
+    results: list = []
+    checks: list[tuple[int, float | None]] = []
     try:
-        futures = [pool.submit(train_net, *start) for start in starts] if pool else []
-        # Helpers take the nets from the first up; this process takes them from
-        # the last down, each one that no helper has started.
-        for i in reversed(range(K)):
-            if futures and not futures[i].cancel():
+        for lo, h in _rounds(K):
+            results += _train_round(pool, train_net, [
+                _start_net(X.shape[1], ranges, master_seed, epochs, learning_rate, i)
+                for i in range(lo, h)])
+            if agreement is None or h == K:
+                continue
+            overlap = _split_half_overlap(
+                agreement, [result[0] for result in results if result], master_seed)
+            checks.append((h, overlap))
+            if overlap is not None and overlap >= CONVERGED_OVERLAP:
                 break
-            results[i] = train_net(*starts[i])
-        for i, future in enumerate(futures):
-            if not future.cancelled():
-                results[i] = future.result()
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     children_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
     failed = [i for i, result in enumerate(results) if result is None]
-    if len(failed) > 0.1 * K:
-        raise ValidationError(f"{len(failed)} of {K} nets diverged: {failed}")
+    if len(failed) > 0.1 * len(results):
+        raise ValidationError(f"{len(failed)} of {len(results)} nets diverged: {failed}")
     kept = [result for result in results if result is not None]
     ensemble = NetEnsemble(nets=tuple(net for net, _, _ in kept), master_seed=master_seed,
                            failed=tuple(failed))
     record = TrainingRecord(
         reports=tuple(report for _, report, _ in kept),
         retried=tuple(i for i, result in enumerate(results) if result and result[2]),
-        workers=workers, children_max_rss_mb=children_rss)
+        checks=tuple(checks), workers=workers, children_max_rss_mb=children_rss)
     return ensemble, record
 
 

@@ -65,7 +65,12 @@ def gaussian_kernel(vectors: np.ndarray, r: int = 10) -> Kernel:
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] < 2:
         raise ValidationError("gaussian_kernel needs >= 2 vectors")
-    dists = cdist(vectors, vectors)
+    return kernel_from_distances(cdist(vectors, vectors), r)
+
+
+def kernel_from_distances(dists: np.ndarray, r: int) -> Kernel:
+    """``gaussian_kernel`` of the points whose square distance matrix is
+    ``dists``; its diagonal is not read."""
     sigma = nn_bandwidth(dists, r)
     if sigma <= 0.0:
         raise ValidationError("all points identical: bandwidth is 0")
@@ -161,6 +166,26 @@ def _check_residuals(k: Kernel, emb: Embedding) -> None:
         if res > RESIDUAL_TOL * np.linalg.norm(phi):
             raise ValidationError(f"eigensolver residual {res:.3e} for eigenpair {i} "
                                   f"exceeds {RESIDUAL_TOL:.0e}")
+
+
+def neighbour_overlap(a: np.ndarray, b: np.ndarray, k: int) -> float:
+    """Mean share of a point's k nearest neighbours by the rows of ``a`` that
+    are also among its k nearest by the rows of ``b``, in [0, 1].
+
+    The point itself is excluded, k is clamped to the other points, and of
+    equally near neighbours the lower index counts as nearer.
+    """
+    n = a.shape[0]
+    k = min(k, n - 1)
+    rows = np.arange(n)[:, None]
+    near = []
+    for coords in (a, b):
+        dists = cdist(coords, coords)
+        np.fill_diagonal(dists, np.inf)
+        near.append(np.argsort(dists, axis=1, kind="stable")[:, :k])
+    in_a = np.zeros((n, n), dtype=bool)
+    in_a[rows, near[0]] = True
+    return float(in_a[rows, near[1]].sum()) / (n * k)
 
 
 def nystrom_extend(emb: Embedding, cross_kernel: np.ndarray) -> np.ndarray:

@@ -134,7 +134,6 @@ def spectral_dimension(k: Kernel):
 
 @dataclass(frozen=True)
 class AffinityHistograms:
-    bin_edges: np.ndarray
     hist_unequal: np.ndarray       # per-bin counts of unequal-label affinities >= the floor
     thresholds: np.ndarray
     ratio: np.ndarray              # P_neq(t) / P_eq(t), estimates P(K > t | neq) / P(K > t | eq);
@@ -186,7 +185,7 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray,
     p_eq = survivors_equal / n_eq
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(p_eq > 0, p_neq / np.where(p_eq > 0, p_eq, 1.0), np.nan)
-    return AffinityHistograms(bin_edges=edges, hist_unequal=hist_unequal,
+    return AffinityHistograms(hist_unequal=hist_unequal,
                               thresholds=thresholds, ratio=ratio,
                               survivors_unequal=survivors_unequal,
                               survivors_equal=survivors_equal)

@@ -103,9 +103,9 @@ def standardized_embedding(emb: Embedding, lm: LocalMoments, d: int,
                      t=out.t, bandwidth=out.bandwidth, standardized=True)
 
 
-def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray,
-                           new_coords: np.ndarray, sigma: float) -> np.ndarray:
-    """b(x,y) = exp(-1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma).
+def one_sided_exponents(lm: LocalMoments, ref_coords: np.ndarray,
+                        new_coords: np.ndarray, sigma: float) -> np.ndarray:
+    """e(x,y) = 1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma.
 
     Only the reference point's moments appear.  Both terms are centered at
     mu_y, so mu_y cancels: the form is (x - y)^T S_y+ (x - y), computed for
@@ -116,9 +116,21 @@ def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray,
     for j, y in enumerate(ref_coords):
         u = new_coords - y
         q[j] = np.einsum("nd,nd->n", u @ lm.sigma_pinv[j], u)
-    q /= -2.0 * sigma
-    np.exp(q, out=q)
+    q /= 2.0 * sigma
     return q.T
+
+
+def one_sided_cross_kernel(exponents: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """b(x,y) = exp(-e(x,y)) / exp(-nearest(x)), in the buffer of ``exponents``.
+
+    ``nearest`` is each new point's smallest exponent, so every row's largest
+    entry is exactly 1 and no row underflows to zero sum, however far its
+    point lies.  The rows are normalized before use, so the shift changes
+    nothing else in exact arithmetic.
+    """
+    exponents -= nearest[:, None]
+    np.negative(exponents, out=exponents)
+    return np.exp(exponents, out=exponents)
 
 
 def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
@@ -130,12 +142,13 @@ def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
     of ``psi`` with the one-sided kernel B as the cross kernel: rows of B are
     normalized and each eigenvector maps through s_i^(-1/2) B psi_i, with
     the bandwidth ``psi`` was built with.  Returns the extended coordinates
-    and the row sums of B, the kernel mass each new point has on the
-    reference set.
+    and each new point's smallest exponent of B, its whitened distance to
+    the nearest reference point in bandwidths.
     """
     new_coords = np.atleast_2d(np.asarray(new_coords, dtype=float))
     if new_coords.shape[1] != emb_full.dim:
         raise ValidationError(f"new coordinates must have dimension {emb_full.dim}")
-    b = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords,
-                               float(psi.bandwidth["value"]))
-    return nystrom_extend(psi, b), b.sum(axis=1)
+    exponents = one_sided_exponents(lm, emb_full.coordinates, new_coords,
+                                    float(psi.bandwidth["value"]))
+    nearest = exponents.min(axis=1)
+    return nystrom_extend(psi, one_sided_cross_kernel(exponents, nearest)), nearest

@@ -75,7 +75,7 @@ def test_exported_centroids_carry_original_polarity(chain):
     assert flips.any()
 
     d = load_matrix(out / "preprocessed.csv")
-    omega = ReferenceSet(indices=np.asarray(ref["indices"]), eta=ref["eta"])
+    omega = ReferenceSet(indices=np.asarray(ref["indices"]))
     points_tree = PartitionTree.load(out / "points_tree.json")
     obs_tree = PartitionTree.load(out / "obs_tree.json")
     level = min(CONFIG["pseudopoints"]["level"], points_tree.depth)
@@ -86,6 +86,8 @@ def test_exported_centroids_carry_original_polarity(chain):
     shown = np.array([[float(v) for v in row[2:-1]] for row in rows])
     expected = np.where(flips, -ps.centroids, ps.centroids)
     np.testing.assert_array_equal(shown, expected)
+    meta = json.loads((out / "pseudopoints.csv.meta.json").read_text())
+    assert meta["diagnostics"] == {"imputed_cells": len(ps.imputed_cells)}
 
 
 def test_auto_extracts_pseudopoints_once(chain, tmp_path, monkeypatch):
@@ -165,9 +167,11 @@ def test_extend_sidecar_carries_its_diagnostics(chain):
     n_ref = len(json.loads((out / "reference.json").read_text())["indices"])
     assert diagnostics["new_points"] == CONFIG["synth"]["n_points"]
     assert diagnostics["skipped_coordinates"] == {"embedding": [], "std_embedding": []}
-    # the new points include the reference points, each at kernel value 1 from itself
+    # the new points include the reference points, each at exponent 0 from
+    # itself, and the others lie among them
     for kind in ("cross", "one_sided"):
-        assert 1.0 <= diagnostics["min_kernel_row_sum"][kind] <= n_ref, kind
+        assert 0.0 <= diagnostics["max_nearest_exponent"][kind] < np.inf, kind
+        assert 0 <= diagnostics["beyond_one_bandwidth"][kind] <= CONFIG["synth"]["n_points"] - n_ref
 
 
 def read_coordinates(path):
@@ -228,10 +232,10 @@ def test_extend_in_blocks_matches_one_block(chain, extended_in_blocks):
         assert np.max(np.abs(whole - blocked)) <= tolerance * np.max(np.abs(whole)), name
     whole, blocked = (json.loads((w / "extended_embedding.csv.meta.json").read_text())
                       ["diagnostics"] for w in (out, work))
-    for key in ("new_points", "skipped_coordinates"):
+    for key in ("new_points", "skipped_coordinates", "beyond_one_bandwidth"):
         assert blocked[key] == whole[key], key
-    for kind, value in whole["min_kernel_row_sum"].items():
-        assert blocked["min_kernel_row_sum"][kind] == pytest.approx(value, rel=1e-12), kind
+    for kind, value in whole["max_nearest_exponent"].items():
+        assert blocked["max_nearest_exponent"][kind] == pytest.approx(value, rel=1e-12), kind
 
 
 def test_extend_streams_its_new_points(extended_in_blocks):
@@ -281,6 +285,33 @@ def test_extend_locates_a_kernel_row_of_zero_sum(chain, tmp_path, monkeypatch):
                               f"from new point {ids[32]!r}")
 
 
+def test_extend_places_a_far_point(chain, tmp_path, monkeypatch):
+    # a new point whose representation lies 1e3 spreads from the reference
+    # representations: its cross-kernel row underflows to zero sum unless it
+    # is formed in the log domain
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    with open(work / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[:2]
+    rows[1][0] = "far"
+    with open(tmp_path / "far.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    real = netens.ensemble_forward
+
+    def far_forward(e, X):
+        rep, mean = real(e, X)
+        return (rep + 1e3 * rep.std(), mean) if len(X) == 1 else (rep, mean)
+    monkeypatch.setattr(netens, "ensemble_forward", far_forward)
+    run_extend_on(work, config, tmp_path / "far.csv")
+    for name in ("extended_embedding.csv", "extended_std_embedding.csv"):
+        coords = read_coordinates(work / name)
+        assert coords.shape[0] == 1 and np.all(np.isfinite(coords)), name
+    diagnostics = json.loads((work / "extended_embedding.csv.meta.json").read_text())[
+        "diagnostics"]
+    assert diagnostics["beyond_one_bandwidth"]["cross"] == 1
+    assert diagnostics["max_nearest_exponent"]["cross"] > 1e3
+
+
 def test_train_sidecar_carries_the_training_record(chain):
     _, out, _, _ = chain
     meta = json.loads((out / "ensemble.json.meta.json").read_text())
@@ -293,6 +324,28 @@ def test_train_sidecar_carries_the_training_record(chain):
     assert 1 <= diagnostics["workers"] <= k
     # a helper process ran, so some child's peak RSS has been seen
     assert diagnostics["workers"] == 1 or diagnostics["children_max_rss_mb"] > 0
+    # one round trains every net, with no check
+    assert (diagnostics["cap"], diagnostics["stopped_at"], diagnostics["split_half"]) == \
+        (k, k, [])
+
+
+@pytest.mark.parametrize("threshold, checked, stopped", [(1.01, [20, 30], 40),
+                                                         (0.0, [20], 20)])
+def test_train_sidecar_records_the_split_half_checks(chain, tmp_path, monkeypatch,
+                                                     threshold, checked, stopped):
+    # net.k is a cap: out of reach, the agreement is checked after 20 and 30
+    # nets and all 40 train; at 0, train stops at the first check
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], "k": 40}}))
+    monkeypatch.setattr(netens, "CONVERGED_OVERLAP", threshold)
+    assert cli.main(["--config", str(config), "--out", str(work), "train"]) == 0
+    diagnostics = json.loads((work / "ensemble.json.meta.json").read_text())["diagnostics"]
+    assert (diagnostics["cap"], diagnostics["stopped_at"]) == (40, stopped)
+    assert [check["nets"] for check in diagnostics["split_half"]] == checked
+    assert all(0.0 < check["overlap"] <= 1.0 for check in diagnostics["split_half"])
+    assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == stopped
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

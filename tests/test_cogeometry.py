@@ -26,7 +26,7 @@ def matrix_from(values):
 
 
 def full_reference(d):
-    return ReferenceSet(indices=np.arange(d.n_points), eta=d.n_features)
+    return ReferenceSet(indices=np.arange(d.n_points))
 
 
 NA = np.nan

@@ -311,7 +311,7 @@ class TestSelectReference:
     def test_eta_m_takes_everything(self):
         mask = np.array([[True, False], [False, False], [True, True]])
         d = make_matrix(np.ones((3, 2)), mask)
-        assert select_reference(d, 2).n == 3
+        np.testing.assert_array_equal(select_reference(d, 2).indices, [0, 1, 2])
 
     def test_eta_zero_fully_observed(self):
         d = make_matrix(np.ones((4, 3)))

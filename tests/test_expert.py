@@ -33,7 +33,7 @@ def dyadic_tree(n, depth, axis="points"):
 
 
 def full_reference(d):
-    return ReferenceSet(indices=np.arange(d.n_points), eta=d.n_features)
+    return ReferenceSet(indices=np.arange(d.n_points))
 
 
 def pseudopoints(tree, level, d):

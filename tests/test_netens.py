@@ -11,6 +11,7 @@ from scipy.special import expit as sigmoid
 
 from expertmap import netens, synth
 from expertmap.errors import TrainingDiverged, ValidationError
+from expertmap.spectral import neighbour_overlap
 from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
                               ensemble_forward, ensemble_from_json, ensemble_rank,
                               ensemble_to_json,
@@ -204,12 +205,13 @@ class TestBackprop:
             train_backprop(random_net(2, 3, 2), X, g * 10.0)
 
     def test_trajectory_finite_and_complete(self):
+        # every epoch runs, and the reported cost is the trained net's own
         X, g = separable_toy(seed=18)
         hyper = NetHyper(h1=3, h2=2, seed=0, learning_rate=0.5, epochs=50)
         net = init_net(2, hyper, np.random.default_rng(19))
-        _, report = train_backprop(net, X, g)
-        assert report.epochs_run == 50
-        assert np.all(np.isfinite(report.trajectory))
+        trained, report = train_backprop(net, X, g)
+        assert report.epochs_run == 50 and np.isfinite(report.final_cost)
+        assert report.final_cost == float(np.mean((forward_batch(trained, X)[2] - g) ** 2))
 
 
 def cast_net(net: Net, dtype) -> Net:
@@ -384,6 +386,77 @@ class TestPoolMatchesSerialLoop:
             train_ensemble(X, g * 10.0, K=3, hyper_ranges=small_ranges())
         with pytest.raises(ValidationError, match="row count"):
             train_ensemble(X, g[:-1], K=3, hyper_ranges=small_ranges())
+
+
+class TestStoppingRule:
+    """Rounds of nets that stop when the split-half check agrees, against the
+    oracle's first nets."""
+
+    KWARGS = dict(hyper_ranges=small_ranges(), master_seed=10, epochs=15, pretrain_epochs=3)
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @staticmethod
+    def representation_overlap(X):
+        """An agreement that depends on the nets alone: the 5-NN overlap of
+        the two halves' representations of X."""
+        return lambda a, b: neighbour_overlap(representation(a, X), representation(b, X), 5)
+
+    def test_stopped_ensemble_is_the_oracle_prefix_whatever_the_processes(self, monkeypatch):
+        # at 0.98 this toy's check fails after 20 nets and passes after 30
+        monkeypatch.setattr(netens, "CONVERGED_OVERLAP", 0.98)
+        X, g = separable_toy(seed=36)
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            e, record = train_ensemble(X, g, K=50, agreement=self.representation_overlap(X),
+                                       **self.KWARGS)
+            assert record.workers == cores
+            runs.append((ensemble_bytes(e), record.checks))
+        assert runs[0] == runs[1]
+        h, overlap = runs[0][1][-1]
+        assert overlap >= netens.CONVERGED_OVERLAP and h < 50
+        assert all(o < netens.CONVERGED_OVERLAP for _, o in runs[0][1][:-1])
+        assert runs[0][0] == ensemble_bytes(train_ensemble_oracle(X, g, K=h, **self.KWARGS))
+
+    @pytest.mark.parametrize("K", [7, 20])
+    def test_one_round_never_checks(self, K):
+        def never(a, b):
+            raise AssertionError("the check ran")
+        X, g = separable_toy(seed=37)
+        e, record = train_ensemble(X, g, K=K, agreement=never, **self.KWARGS)
+        assert record.checks == ()
+        assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, K=K,
+                                                                         **self.KWARGS))
+
+    @pytest.mark.parametrize("threshold, checked", [(0.0, [20]), (1.01, [20, 30])])
+    def test_threshold_sets_the_stop(self, monkeypatch, threshold, checked):
+        monkeypatch.setattr(netens, "CONVERGED_OVERLAP", threshold)
+        X, g = separable_toy(seed=38)
+        e, record = train_ensemble(X, g, K=40, agreement=self.representation_overlap(X),
+                                   **self.KWARGS)
+        assert [h for h, _ in record.checks] == checked
+        stopped = 20 if threshold == 0.0 else 40
+        assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, K=stopped,
+                                                                         **self.KWARGS))
+
+    def test_a_check_that_raises_trains_to_the_cap(self):
+        def failing(a, b):
+            raise ValidationError("kernel not symmetric")
+        X, g = separable_toy(seed=39)
+        e, record = train_ensemble(X, g, K=35, agreement=failing, **self.KWARGS)
+        assert record.checks == ((20, None), (30, None)) and e.k == 35
+
+    def test_divergence_rule_counts_the_nets_trained(self, monkeypatch):
+        # stopped at 20 nets, 7 diverged: the oracle's K=20 error, not 7 of 40
+        monkeypatch.setattr(netens, "CONVERGED_OVERLAP", 0.0)
+        X, g = separable_toy(seed=11)
+        kwargs = dict(TestPoolMatchesSerialLoop.RETRY, K=40, learning_rate=10 ** 5.5)
+        with pytest.raises(ValidationError) as err:
+            train_ensemble(X, g, agreement=lambda a, b: 1.0, **kwargs)
+        assert str(err.value).startswith("7 of 20 nets diverged")
 
 
 class TestEnsemble:

@@ -3,7 +3,8 @@ import pytest
 
 from expertmap.errors import ValidationError
 from expertmap.spectral import (Embedding, Kernel, diffusion_embed, gaussian_kernel,
-                                markov_normalize, nn_bandwidth, nystrom_extend)
+                                kernel_from_distances, markov_normalize, neighbour_overlap,
+                                nn_bandwidth, nystrom_extend)
 
 
 def two_cluster_points(n_per=20, gap=3.0, seed=0):
@@ -46,6 +47,15 @@ class TestGaussianKernel:
         np.fill_diagonal(dists, np.inf)
         expected = np.sort(dists, axis=1)[:, 4].mean()
         assert k.bandwidth["value"] == pytest.approx(expected)
+
+    def test_from_distances_ignores_the_diagonal(self):
+        vectors = np.random.default_rng(3).normal(size=(12, 3))
+        dists = np.linalg.norm(vectors[:, None] - vectors[None], axis=2)
+        np.fill_diagonal(dists, 1e-7)       # as a BLAS expansion can leave it
+        k, ref = kernel_from_distances(dists, r=3), gaussian_kernel(vectors, r=3)
+        assert k.bandwidth["rule"] == ref.bandwidth["rule"]
+        assert k.bandwidth["value"] == pytest.approx(ref.bandwidth["value"], rel=1e-14)
+        np.testing.assert_allclose(k.entries, ref.entries, rtol=1e-13)
 
 
 class TestMarkovNormalize:
@@ -189,3 +199,21 @@ class TestNystrom:
 def test_nn_bandwidth_uses_farthest_when_r_too_large():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert nn_bandwidth(d, r=10) == pytest.approx(1.0)
+
+
+class TestNeighbourOverlap:
+    def test_same_geometry_overlaps_fully(self):
+        coords = np.random.default_rng(4).normal(size=(30, 3))
+        assert neighbour_overlap(coords, 2.0 * coords + 1.0, 5) == 1.0
+
+    def test_hand_line(self):
+        # nearest neighbour, ties to the lower index: 1, 0, 1, 2 on the line
+        # 0 1 2 3, and 1, 0, 3, 1 when the last two points swap places
+        a = np.array([[0.0], [1.0], [2.0], [3.0]])
+        b = np.array([[0.0], [1.0], [3.0], [2.0]])
+        assert neighbour_overlap(a, b, 1) == 0.5
+
+    def test_k_clamped_to_the_other_points(self):
+        coords = np.random.default_rng(5).normal(size=(4, 2))
+        other = np.random.default_rng(6).normal(size=(4, 2))
+        assert neighbour_overlap(coords, other, 10) == 1.0

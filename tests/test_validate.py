@@ -196,7 +196,7 @@ class TestAffinityHistograms:
         hist = affinity_histograms(entries, g)
         # all unequal-pair affinities are 1/3; the histogram mass sits there
         assert hist.hist_unequal.sum() == 4
-        assert hist.bin_edges[0] == pytest.approx(0.1)
+        assert hist.thresholds[0] == pytest.approx(0.1)
 
 
 class TestSeparationBound:

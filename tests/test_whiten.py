@@ -6,8 +6,8 @@ from scipy.spatial.distance import cdist
 
 from expertmap.spectral import Embedding, Kernel, diffusion_embed, nn_bandwidth
 from expertmap.whiten import (LocalMoments, extend_standardized, local_moments,
-                              one_sided_cross_kernel, standardized_embedding,
-                              whitened_distance_matrix)
+                              one_sided_cross_kernel, one_sided_exponents,
+                              standardized_embedding, whitened_distance_matrix)
 
 
 def coords_embedding(coords, t=1.0):
@@ -217,23 +217,31 @@ class TestExtendStandardized:
         std = standardized_embedding(emb, lm_real, d=2, t=1.0, r=5)
         # zero pseudoinverses make every one-sided affinity 1 (uniform row)
         lm_flat = LocalMoments(mu=lm_real.mu, sigma_pinv=np.zeros_like(lm_real.sigma_pinv))
-        out, row_sums = extend_standardized(lm_flat, emb, std, coords[[0]])
+        out, nearest = extend_standardized(lm_flat, emb, std, coords[[0]])
         expected = std.eigenvectors.mean(axis=0) / np.sqrt(std.eigenvalues)
         np.testing.assert_allclose(out[0], expected, atol=1e-10)
-        assert row_sums.tolist() == [15.0]
+        assert nearest.tolist() == [0.0]
+
+    def test_far_point_gets_finite_coordinates(self):
+        # 1e3 spreads from the reference set, exp of the one-sided form
+        # underflows to 0 for every reference point
+        coords, emb, lm, std = self.constant_moment_setup(seed=15)
+        far = coords.mean(axis=0) + 1e3 * coords.std(axis=0)
+        out, nearest = extend_standardized(lm, emb, std, far[None, :])
+        assert np.all(np.isfinite(out)) and nearest[0] > 745.0
 
     def test_one_sided_kernel_centers_cancel(self):
         rng = np.random.default_rng(13)
         coords = rng.normal(size=(10, 2))
         emb = coords_embedding(coords)
         lm = local_moments(emb, k=4)
-        b = one_sided_cross_kernel(lm, coords, coords[:3], sigma=1.0)
+        e = one_sided_exponents(lm, coords, coords[:3], sigma=1.0)
         # the mu_y centering appears on both sides and cancels exactly
         for i in range(3):
             for j in range(10):
                 delta = coords[i] - coords[j]
-                expected = np.exp(-0.5 * delta @ lm.sigma_pinv[j] @ delta)
-                assert b[i, j] == pytest.approx(expected, rel=1e-12)
+                expected = 0.5 * delta @ lm.sigma_pinv[j] @ delta
+                assert e[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_one_sided_kernel_matches_the_per_reference_einsum(self):
         rng = np.random.default_rng(14)
@@ -246,8 +254,13 @@ class TestExtendStandardized:
         oracle = np.empty((25, 40))
         for j in range(40):
             u = (new - lm.mu[j]) - (coords[j] - lm.mu[j])
-            oracle[:, j] = np.exp(-0.5 * np.einsum("nd,de,ne->n", u, lm.sigma_pinv[j], u)
-                                  / sigma)
-        b = one_sided_cross_kernel(lm, coords, new, sigma)
-        assert b.shape == (25, 40)
-        np.testing.assert_allclose(b, oracle, rtol=0, atol=1e-10)
+            oracle[:, j] = 0.5 * np.einsum("nd,de,ne->n", u, lm.sigma_pinv[j], u) / sigma
+        e = one_sided_exponents(lm, coords, new, sigma)
+        assert e.shape == (25, 40)
+        np.testing.assert_allclose(e, oracle, rtol=1e-12, atol=1e-12)
+        # the kernel is exp(-e), each row scaled so that its largest entry is 1
+        b = one_sided_cross_kernel(e.copy(), e.min(axis=1))
+        assert b.max(axis=1).tolist() == [1.0] * 25
+        np.testing.assert_allclose(b / b.sum(axis=1, keepdims=True),
+                                   np.exp(-oracle) / np.exp(-oracle).sum(axis=1, keepdims=True),
+                                   rtol=1e-10, atol=1e-15)
