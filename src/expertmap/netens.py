@@ -22,7 +22,8 @@ So the ensemble is the same to the byte whatever the number of processes.
 The nets are trained in rounds: nets 0 to 19 first, then ten at a time, up
 to K.  The helper pool stays up across rounds, and each round's nets are
 drawn at its start.  After each round the calling process alone decides
-whether to stop, from the nets trained so far (see ``train_ensemble``).
+whether to stop, from the nets trained so far and those trained before the
+round (see ``train_ensemble``).
 Those nets are the same to the byte whatever the number of processes, so
 the decision, and with it the ensemble, is too.
 
@@ -64,8 +65,6 @@ PARAMS = ("W1", "b1", "W2", "b2", "V", "b3")
 
 # Nets a round trains; the first round trains twice as many.
 ROUND = 10
-# Split-half agreement at which train_ensemble stops training rounds.
-CONVERGED_OVERLAP = 0.85
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,8 @@ class TrainingRecord:
 
     reports: tuple[TrainReport, ...]   # one per kept net, in net order
     retried: tuple[int, ...]           # net indices kept at half the learning rate
-    checks: tuple[tuple[int, float | None], ...]   # (nets trained, split-half
-                                       # agreement or None if it raised), per check
+    checks: tuple[tuple[int, float | None], ...]   # (nets trained, agreement
+                                       # or None if the check raised), per check
     workers: int                       # processes that trained nets, the caller included
     children_max_rss_mb: float         # largest peak RSS of any child this process
                                        # has waited for so far, helpers included
@@ -381,15 +380,22 @@ def _train_round(pool, train_net, starts: list) -> list:
     return results
 
 
-def _split_half_overlap(agreement, kept: list[Net], master_seed: int) -> float | None:
-    """``agreement`` of the nets at even and at odd positions of ``kept``;
-    None when it raises ValidationError."""
-    halves = (NetEnsemble(nets=tuple(kept[parity::2]), master_seed=master_seed)
-              for parity in (0, 1))
+def _run_check(check, earlier: NetEnsemble, current: NetEnsemble) -> tuple[float | None, bool]:
+    """``check(earlier, current)``; (None, False) when it raises ValidationError."""
     try:
-        return float(agreement(*halves))
+        agreement, converged = check(earlier, current)
     except ValidationError:
-        return None
+        return None, False
+    return float(agreement), bool(converged)
+
+
+def _failed(results: list) -> list[int]:
+    return [i for i, result in enumerate(results) if result is None]
+
+
+def _too_many_failed(results: list) -> bool:
+    """More than 10% of the nets trained so far diverged."""
+    return len(_failed(results)) > 0.1 * len(results)
 
 
 def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
@@ -398,7 +404,7 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
                    epochs: int = 200, learning_rate: float = 0.5,
                    pretrain_epochs: int = 60,
                    train_rows: np.ndarray | None = None,
-                   agreement=None) -> tuple[NetEnsemble, TrainingRecord]:
+                   *, check) -> tuple[NetEnsemble, TrainingRecord]:
     """Up to K independently seeded nets; deterministic given (data, config, seed).
 
     ``train_rows`` restricts which rows are used for fitting (rows carrying
@@ -407,12 +413,14 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     learning rate; the ensemble fails if more than 10% of the nets trained
     do.  The inputs are checked here, before any helper process starts.
 
-    Nets are trained in rounds (see ``_rounds``).  After each round that
-    leaves fewer than K nets, ``agreement(a, b)`` is called on the kept nets
-    at even positions and at odd positions, two NetEnsembles, and training
-    stops when it returns at least CONVERGED_OVERLAP.  A call that raises
-    ValidationError counts as not converged.  Without ``agreement`` all K
-    nets are trained.
+    Nets are trained in rounds (see ``_rounds``).  After each round but the
+    first that leaves fewer than K nets, of which no more than 10% diverged,
+    ``check(earlier, current)`` is called on two NetEnsembles: the nets kept
+    before the round and those kept after it.  It returns (agreement,
+    converged), and training stops when converged is true.  A call that
+    raises ValidationError counts as not converged.  So training stops only
+    where the nets trained pass the divergence rule, and the ensemble fails
+    only where training all K nets would.
     """
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -435,25 +443,27 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
             if workers > 1 else None)
     results: list = []
     checks: list[tuple[int, float | None]] = []
+    earlier = None
     try:
         for lo, h in _rounds(K):
             results += _train_round(pool, train_net, [
                 _start_net(X.shape[1], ranges, master_seed, epochs, learning_rate, i)
                 for i in range(lo, h)])
-            if agreement is None or h == K:
-                continue
-            overlap = _split_half_overlap(
-                agreement, [result[0] for result in results if result], master_seed)
-            checks.append((h, overlap))
-            if overlap is not None and overlap >= CONVERGED_OVERLAP:
-                break
+            current = NetEnsemble(nets=tuple(result[0] for result in results if result),
+                                  master_seed=master_seed)
+            if earlier is not None and h < K and not _too_many_failed(results):
+                agreement, converged = _run_check(check, earlier, current)
+                checks.append((h, agreement))
+                if converged:
+                    break
+            earlier = current
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     children_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
-    failed = [i for i, result in enumerate(results) if result is None]
-    if len(failed) > 0.1 * len(results):
+    failed = _failed(results)
+    if _too_many_failed(results):
         raise ValidationError(f"{len(failed)} of {len(results)} nets diverged: {failed}")
     kept = [result for result in results if result is not None]
     ensemble = NetEnsemble(nets=tuple(net for net, _, _ in kept), master_seed=master_seed,

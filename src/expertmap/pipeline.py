@@ -304,29 +304,45 @@ def _ensemble_kernel(ws: Workspace, rep: np.ndarray) -> spectral.Kernel:
     return spectral.gaussian_kernel(rep, r=ws.cfg["kernel"]["r"])
 
 
-# Nearest neighbours compared by train's split-half check.
-SPLIT_HALF_NEIGHBOURS = 10
+# train's stopping check: the nearest neighbours it compares, and the mean
+# overlap of theirs at which it stops training.
+CHECK_NEIGHBOURS = 10
+CONVERGED_OVERLAP = 0.95
 
 
-def _split_half_agreement(ws: Workspace, filled: np.ndarray):
-    """The check train_ensemble stops on: the mean SPLIT_HALF_NEIGHBOURS-NN
-    overlap of two ensembles' raw diffusion embeddings of the reference rows.
+def _round_check(ws: Workspace, filled: np.ndarray):
+    """The check train_ensemble stops on: the mean CHECK_NEIGHBOURS-NN
+    overlap of the raw diffusion embeddings of the reference rows by the
+    nets kept before a round and by those kept after it, and whether it
+    reaches CONVERGED_OVERLAP: whether the round changed fewer than 5% of
+    the points' nearest neighbours.
 
     Each embedding is formed as embed forms embedding.csv, except that the
-    distances come from the BLAS product of ``cdist``: they agree with
-    SciPy's to ~1e-14 relative and cost a tenth as much at this width.
+    distances come from the BLAS product of ``cdist`` (they agree with
+    SciPy's to ~1e-14 relative and cost a tenth as much at this width), and
+    that only the top eigenpairs are solved for.  So a check costs O(n^2)
+    in the n reference rows, not the O(n^3) of a full eigensolve.  The nets
+    before a round are those after the one before it, so each check
+    embeds one ensemble and keeps its embedding for the next.
     """
     r = int(ws.cfg["kernel"]["r"])
     d, t = int(ws.cfg["embedding"]["d"]), float(ws.cfg["embedding"]["t"])
+    last: dict[int, np.ndarray] = {}    # net count -> embedding, of the last ensemble
 
-    def embedding(half: netens.NetEnsemble) -> np.ndarray:
-        rep = netens.representation(half, filled)
-        kernel = spectral.kernel_from_distances(cdist(rep, rep), r)
-        return spectral.diffusion_embed(kernel, d=d, t=t).coordinates
+    def embedding(e: netens.NetEnsemble) -> np.ndarray:
+        if e.k not in last:
+            rep = netens.representation(e, filled)
+            kernel = spectral.kernel_from_distances(cdist(rep, rep), r)
+            coords = spectral.diffusion_embed(kernel, d=d, t=t, lanczos=True).coordinates
+            last.clear()
+            last[e.k] = coords
+        return last[e.k]
 
-    def agreement(a: netens.NetEnsemble, b: netens.NetEnsemble) -> float:
-        return spectral.neighbour_overlap(embedding(a), embedding(b), SPLIT_HALF_NEIGHBOURS)
-    return agreement
+    def check(earlier: netens.NetEnsemble, current: netens.NetEnsemble) -> tuple[float, bool]:
+        overlap = spectral.neighbour_overlap(embedding(earlier), embedding(current),
+                                             CHECK_NEIGHBOURS)
+        return overlap, overlap >= CONVERGED_OVERLAP
+    return check
 
 
 def _local_moments(ws: Workspace, emb: spectral.Embedding) -> whiten.LocalMoments:
@@ -475,7 +491,7 @@ def run_train(ws: Workspace) -> None:
         master_seed=int(net_cfg["master_seed"]), epochs=int(net_cfg["epochs"]),
         learning_rate=float(net_cfg["learning_rate"]),
         pretrain_epochs=int(net_cfg["pretrain_epochs"]),
-        train_rows=complete, agreement=_split_half_agreement(ws, filled))
+        train_rows=complete, check=_round_check(ws, filled))
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
     f01 = netens.ensemble_rank(ensemble, filled)
@@ -487,8 +503,8 @@ def run_train(ws: Workspace) -> None:
                    "retried": list(record.retried), "failed": list(ensemble.failed),
                    "cap": int(net_cfg["k"]),
                    "stopped_at": ensemble.k + len(ensemble.failed),
-                   "split_half": [{"nets": nets, "overlap": overlap}
-                                  for nets, overlap in record.checks],
+                   "checks": [{"nets": nets, "overlap": overlap}
+                              for nets, overlap in record.checks],
                    "workers": record.workers,
                    "children_max_rss_mb": record.children_max_rss_mb}
     ws.record("ensemble.json", diagnostics)
@@ -573,7 +589,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     coords_new = np.empty((n_new, emb.dim))
     psi_new = np.empty((n_new, std_emb.dim))
     f01 = np.empty(n_new)
-    # each new point's smallest exponent in each cross kernel
+    # each new point's smallest exponent in each cross kernel: d^2 / sigma^2 in
+    # the Gaussian one, q / (2 sigma) in the one-sided one (see whiten)
     nearest = {kind: np.empty(n_new) for kind in ("cross", "one_sided")}
     for start in range(0, n_new, EXTEND_BLOCK):
         rows = slice(start, start + EXTEND_BLOCK)
@@ -582,14 +599,10 @@ def run_extend(ws: Workspace, new_points_path) -> None:
         rep_new, f01[rows] = netens.ensemble_forward(ensemble, new_filled)
         cross = cdist(rep_new, rep_ref)
         del rep_new
-        # exp(-d^2 / sigma^2) in the log domain, in place: each row's smallest
-        # exponent is subtracted before exp, so a far point's row keeps a 1
+        # exp(-d^2 / sigma^2), in place
         np.square(cross, out=cross)
         cross /= emb.bandwidth["value"] ** 2
-        nearest["cross"][rows] = cross.min(axis=1)
-        cross -= nearest["cross"][rows, None]
-        np.negative(cross, out=cross)
-        np.exp(cross, out=cross)
+        cross, nearest["cross"][rows] = spectral.log_domain_kernel(cross)
         try:
             coords_new[rows] = spectral.nystrom_extend(emb, cross)
             del cross

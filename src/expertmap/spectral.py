@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
@@ -55,8 +56,8 @@ def nn_bandwidth(distances: np.ndarray, r: int) -> float:
     n = distances.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 points for a bandwidth")
-    off = np.sort(distances + np.diag(np.full(n, np.inf)), axis=1)
     r_eff = min(r, n - 1)
+    off = np.partition(distances + np.diag(np.full(n, np.inf)), r_eff - 1, axis=1)
     return float(off[:, r_eff - 1].mean())
 
 
@@ -89,15 +90,28 @@ def markov_normalize(k: Kernel) -> np.ndarray:
     return k.entries / sums[:, None]
 
 
-def _symmetric_eigensystem(k: Kernel):
-    """All eigenpairs of P via the conjugate symmetric matrix, descending."""
+def _symmetric_eigensystem(k: Kernel, count: int | None = None):
+    """The top ``count`` eigenpairs of P (all when None) via the conjugate
+    symmetric matrix, descending.
+
+    A count below n is found by ARPACK's Lanczos iteration from a fixed
+    start vector: matrix-vector products, O(n^2) each, in place of the full
+    O(n^3) solve.  It agrees with the full solve to rounding, not bit for bit.
+    """
     sums = k.entries.sum(axis=1)
     if np.any(sums <= 0):
         raise ValidationError("zero kernel row sum")
     half = 1.0 / np.sqrt(sums)
     sym = half[:, None] * k.entries * half[None, :]
     sym = 0.5 * (sym + sym.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    if count is not None and count < k.size:
+        start = np.random.default_rng(0).standard_normal(k.size)
+        try:
+            eigvals, eigvecs = eigsh(sym, k=count, which="LA", v0=start)
+        except ArpackNoConvergence as exc:
+            raise ValidationError(f"Lanczos iteration did not converge: {exc}") from exc
+    else:
+        eigvals, eigvecs = np.linalg.eigh(sym)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], -1.0, 1.0)
     # right eigenvectors of P, unit norm under the stationary measure
@@ -134,18 +148,19 @@ class Embedding:
         return self.eigenvectors * signed_power(self.eigenvalues, self.t)[None, :]
 
 
-def diffusion_embed(k: Kernel, d: int, t: float = 1.0) -> Embedding:
+def diffusion_embed(k: Kernel, d: int, t: float = 1.0, lanczos: bool = False) -> Embedding:
     """Embed by the top-d nontrivial eigenpairs of the normalized kernel.
 
     Eigenvector signs are fixed deterministically (largest-magnitude entry
-    positive) so repeated runs agree bit for bit.
+    positive) so repeated runs agree bit for bit.  With ``lanczos`` only the
+    top d + 1 eigenpairs are solved for (see ``_symmetric_eigensystem``).
     """
     n = k.size
     if not 1 <= d < n:
         raise ValidationError(f"embedding dimension must satisfy 1 <= d < n, got d={d}, n={n}")
     if t <= 0:
         raise ValidationError(f"diffusion time must be positive, got {t}")
-    eigvals, phi = _symmetric_eigensystem(k)
+    eigvals, phi = _symmetric_eigensystem(k, d + 1 if lanczos else None)
     vals = eigvals[1:d + 1]
     vecs = phi[:, 1:d + 1].copy()
     for i in range(vecs.shape[1]):
@@ -177,15 +192,35 @@ def neighbour_overlap(a: np.ndarray, b: np.ndarray, k: int) -> float:
     """
     n = a.shape[0]
     k = min(k, n - 1)
-    rows = np.arange(n)[:, None]
-    near = []
-    for coords in (a, b):
-        dists = cdist(coords, coords)
-        np.fill_diagonal(dists, np.inf)
-        near.append(np.argsort(dists, axis=1, kind="stable")[:, :k])
-    in_a = np.zeros((n, n), dtype=bool)
-    in_a[rows, near[0]] = True
-    return float(in_a[rows, near[1]].sum()) / (n * k)
+    return float(np.count_nonzero(_nearest(a, k) & _nearest(b, k))) / (n * k)
+
+
+def _nearest(coords: np.ndarray, k: int) -> np.ndarray:
+    """(n, n) flags of each point's k nearest other points, as
+    ``neighbour_overlap`` orders them; O(n^2), no sort."""
+    dists = cdist(coords, coords)
+    np.fill_diagonal(dists, np.inf)
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+    near = dists < kth
+    ties = dists == kth
+    # the lowest-index points at the k-th distance fill each row up to k
+    near |= ties & (np.cumsum(ties, axis=1) <= k - near.sum(axis=1, keepdims=True))
+    return near
+
+
+def log_domain_kernel(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-e(x,y) + min_y e(x,y)), min_y e(x,y)) of exponents e with one
+    row per new point x, the kernel in the buffer of ``exponents``.
+
+    Every row's largest entry is exactly 1, so no row underflows to zero sum
+    however far its point lies.  Rows are normalized before use (see
+    ``nystrom_extend``), so the shift changes nothing else in exact
+    arithmetic.
+    """
+    nearest = exponents.min(axis=1)
+    exponents -= nearest[:, None]
+    np.negative(exponents, out=exponents)
+    return np.exp(exponents, out=exponents), nearest
 
 
 def nystrom_extend(emb: Embedding, cross_kernel: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .spectral import (Embedding, Kernel, diffusion_embed, nn_bandwidth,
-                       nystrom_extend)
+from .spectral import (Embedding, Kernel, diffusion_embed, log_domain_kernel,
+                       nn_bandwidth, nystrom_extend)
 
 
 @dataclass(frozen=True)
@@ -103,34 +103,22 @@ def standardized_embedding(emb: Embedding, lm: LocalMoments, d: int,
                      t=out.t, bandwidth=out.bandwidth, standardized=True)
 
 
-def one_sided_exponents(lm: LocalMoments, ref_coords: np.ndarray,
-                        new_coords: np.ndarray, sigma: float) -> np.ndarray:
-    """e(x,y) = 1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma.
+def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray, new_coords: np.ndarray,
+                           sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """b(x,y) = exp(-e(x,y)), e(x,y) = 1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma,
+    formed by ``log_domain_kernel``: (kernel, each new point's smallest e).
 
     Only the reference point's moments appear.  Both terms are centered at
     mu_y, so mu_y cancels: the form is (x - y)^T S_y+ (x - y), computed for
-    all new points x against one reference point y at a time.  Returns one
-    row per new point and one column per reference point.
+    all new points x against one reference point y at a time.  The kernel
+    has one row per new point and one column per reference point.
     """
     q = np.empty((ref_coords.shape[0], new_coords.shape[0]))
     for j, y in enumerate(ref_coords):
         u = new_coords - y
         q[j] = np.einsum("nd,nd->n", u @ lm.sigma_pinv[j], u)
     q /= 2.0 * sigma
-    return q.T
-
-
-def one_sided_cross_kernel(exponents: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """b(x,y) = exp(-e(x,y)) / exp(-nearest(x)), in the buffer of ``exponents``.
-
-    ``nearest`` is each new point's smallest exponent, so every row's largest
-    entry is exactly 1 and no row underflows to zero sum, however far its
-    point lies.  The rows are normalized before use, so the shift changes
-    nothing else in exact arithmetic.
-    """
-    exponents -= nearest[:, None]
-    np.negative(exponents, out=exponents)
-    return np.exp(exponents, out=exponents)
+    return log_domain_kernel(q.T)
 
 
 def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
@@ -142,13 +130,12 @@ def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
     of ``psi`` with the one-sided kernel B as the cross kernel: rows of B are
     normalized and each eigenvector maps through s_i^(-1/2) B psi_i, with
     the bandwidth ``psi`` was built with.  Returns the extended coordinates
-    and each new point's smallest exponent of B, its whitened distance to
-    the nearest reference point in bandwidths.
+    and each new point's smallest exponent of B, q/(2 sigma) for the squared
+    whitened distance q to its nearest reference point.
     """
     new_coords = np.atleast_2d(np.asarray(new_coords, dtype=float))
     if new_coords.shape[1] != emb_full.dim:
         raise ValidationError(f"new coordinates must have dimension {emb_full.dim}")
-    exponents = one_sided_exponents(lm, emb_full.coordinates, new_coords,
-                                    float(psi.bandwidth["value"]))
-    nearest = exponents.min(axis=1)
-    return nystrom_extend(psi, one_sided_cross_kernel(exponents, nearest)), nearest
+    b, nearest = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords,
+                                        float(psi.bandwidth["value"]))
+    return nystrom_extend(psi, b), nearest

@@ -271,11 +271,11 @@ def test_extend_locates_a_kernel_row_of_zero_sum(chain, tmp_path, monkeypatch):
     calls = []
 
     def underflow(*args):
-        b = real(*args)
+        b, nearest = real(*args)
         calls.append(len(b))
         if len(calls) == 2:  # the second block: new points 32 to 63
             b[5] = 0.0
-        return b
+        return b, nearest
     monkeypatch.setattr(whiten, "one_sided_cross_kernel", underflow)
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
     ids = load_matrix(work / "data.csv").point_ids
@@ -325,26 +325,26 @@ def test_train_sidecar_carries_the_training_record(chain):
     # a helper process ran, so some child's peak RSS has been seen
     assert diagnostics["workers"] == 1 or diagnostics["children_max_rss_mb"] > 0
     # one round trains every net, with no check
-    assert (diagnostics["cap"], diagnostics["stopped_at"], diagnostics["split_half"]) == \
+    assert (diagnostics["cap"], diagnostics["stopped_at"], diagnostics["checks"]) == \
         (k, k, [])
 
 
-@pytest.mark.parametrize("threshold, checked, stopped", [(1.01, [20, 30], 40),
-                                                         (0.0, [20], 20)])
-def test_train_sidecar_records_the_split_half_checks(chain, tmp_path, monkeypatch,
-                                                     threshold, checked, stopped):
-    # net.k is a cap: out of reach, the agreement is checked after 20 and 30
-    # nets and all 40 train; at 0, train stops at the first check
+@pytest.mark.parametrize("threshold, checked, stopped", [(1.01, [30, 40], 50),
+                                                         (0.0, [30], 30)])
+def test_train_sidecar_records_the_round_checks(chain, tmp_path, monkeypatch,
+                                                threshold, checked, stopped):
+    # net.k is a cap: out of reach, the geometry is checked after 30 and 40
+    # nets and all 50 train; at 0, train stops at the first check
     _, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
     config = tmp_path / "cap.json"
-    config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], "k": 40}}))
-    monkeypatch.setattr(netens, "CONVERGED_OVERLAP", threshold)
+    config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], "k": 50}}))
+    monkeypatch.setattr(pipeline, "CONVERGED_OVERLAP", threshold)
     assert cli.main(["--config", str(config), "--out", str(work), "train"]) == 0
     diagnostics = json.loads((work / "ensemble.json.meta.json").read_text())["diagnostics"]
-    assert (diagnostics["cap"], diagnostics["stopped_at"]) == (40, stopped)
-    assert [check["nets"] for check in diagnostics["split_half"]] == checked
-    assert all(0.0 < check["overlap"] <= 1.0 for check in diagnostics["split_half"])
+    assert (diagnostics["cap"], diagnostics["stopped_at"]) == (50, stopped)
+    assert [check["nets"] for check in diagnostics["checks"]] == checked
+    assert all(0.0 < check["overlap"] <= 1.0 for check in diagnostics["checks"])
     assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == stopped
 
 

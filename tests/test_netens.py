@@ -292,6 +292,11 @@ def ensemble_bytes(e: NetEnsemble) -> str:
     return json.dumps(ensemble_to_json(e), sort_keys=True)
 
 
+def never(earlier, current):
+    """A stopping check for ensembles too small to run one."""
+    raise AssertionError("the check ran")
+
+
 def refuse_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
@@ -314,7 +319,7 @@ class TestPoolMatchesSerialLoop:
         X, g = separable_toy(seed=32)
         kwargs = dict(K=K, hyper_ranges=HyperRanges(h1=(3, 12), h2=(2, 6)),
                       master_seed=4, epochs=30, pretrain_epochs=6)
-        e, record = train_ensemble(X, g, **kwargs)
+        e, record = train_ensemble(X, g, check=never, **kwargs)
         assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
         if K == 7:
             assert len({net.W1.shape[0] for net in e.nets}) > 1
@@ -340,7 +345,7 @@ class TestPoolMatchesSerialLoop:
         X, g = separable_toy(seed=35)
         kwargs = dict(K=7, hyper_ranges=small_ranges(), master_seed=8, epochs=15,
                       pretrain_epochs=3)
-        e, record = train_ensemble(X, g, **kwargs)
+        e, record = train_ensemble(X, g, check=never, **kwargs)
         assert record.workers == workers
         assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
 
@@ -349,7 +354,7 @@ class TestPoolMatchesSerialLoop:
         rows = np.arange(len(X)) % 3 != 0
         kwargs = dict(K=3, hyper_ranges=small_ranges(), master_seed=6, epochs=20,
                       pretrain_epochs=4, train_rows=rows)
-        assert ensemble_bytes(train_ensemble(X, g, **kwargs)[0]) == \
+        assert ensemble_bytes(train_ensemble(X, g, check=never, **kwargs)[0]) == \
             ensemble_bytes(train_ensemble_oracle(X, g, **kwargs))
 
     # In float32 the penalty's W**2 overflows at far smaller rates than in
@@ -360,7 +365,7 @@ class TestPoolMatchesSerialLoop:
     def test_retry_at_half_rate_matches_oracle(self):
         X, g = separable_toy(seed=11)
         kwargs = dict(self.RETRY, learning_rate=1e5)
-        e, record = train_ensemble(X, g, **kwargs)
+        e, record = train_ensemble(X, g, check=never, **kwargs)
         oracle = train_ensemble_oracle(X, g, **kwargs)
         assert ensemble_bytes(e) == ensemble_bytes(oracle)
         assert e.failed == () and len(record.retried) == 5
@@ -376,21 +381,21 @@ class TestPoolMatchesSerialLoop:
             train_ensemble_oracle(X, g, **kwargs)
         assert str(oracle.value).startswith("7 of 20 nets diverged")
         with pytest.raises(ValidationError) as pooled:
-            train_ensemble(X, g, **kwargs)
+            train_ensemble(X, g, check=never, **kwargs)
         assert str(pooled.value) == str(oracle.value)
 
     @pytest.mark.usefixtures("no_pool")
     def test_invalid_labels_rejected_before_any_worker(self):
         X, g = separable_toy(seed=34)
         with pytest.raises(ValidationError, match="rescaled"):
-            train_ensemble(X, g * 10.0, K=3, hyper_ranges=small_ranges())
+            train_ensemble(X, g * 10.0, check=never, K=3, hyper_ranges=small_ranges())
         with pytest.raises(ValidationError, match="row count"):
-            train_ensemble(X, g[:-1], K=3, hyper_ranges=small_ranges())
+            train_ensemble(X, g[:-1], check=never, K=3, hyper_ranges=small_ranges())
 
 
 class TestStoppingRule:
-    """Rounds of nets that stop when the split-half check agrees, against the
-    oracle's first nets."""
+    """Rounds of nets that stop when a round leaves the geometry as it was,
+    against the oracle's first nets."""
 
     KWARGS = dict(hyper_ranges=small_ranges(), master_seed=10, epochs=15, pretrain_epochs=3)
 
@@ -399,70 +404,100 @@ class TestStoppingRule:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
     @staticmethod
-    def representation_overlap(X):
-        """An agreement that depends on the nets alone: the 5-NN overlap of
-        the two halves' representations of X."""
-        return lambda a, b: neighbour_overlap(representation(a, X), representation(b, X), 5)
+    def representation_check(X, neighbours, threshold):
+        """A check that depends on the nets alone: the overlap of the nearest
+        neighbours by the two ensembles' representations of X, converged at
+        ``threshold``."""
+        def check(earlier, current):
+            overlap = neighbour_overlap(representation(earlier, X),
+                                        representation(current, X), neighbours)
+            return overlap, overlap >= threshold
+        return check
 
     def test_stopped_ensemble_is_the_oracle_prefix_whatever_the_processes(self, monkeypatch):
-        # at 0.98 this toy's check fails after 20 nets and passes after 30
-        monkeypatch.setattr(netens, "CONVERGED_OVERLAP", 0.98)
-        X, g = separable_toy(seed=36)
+        # on this toy the 2-NN overlap is 0.9875 after 30 nets and 1 after 40
+        X, g = separable_toy(seed=42)
         runs = []
         for cores in (1, 2):
             monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: set(range(cores)))
-            e, record = train_ensemble(X, g, K=50, agreement=self.representation_overlap(X),
+            e, record = train_ensemble(X, g, K=50, check=self.representation_check(X, 2, 0.99),
                                        **self.KWARGS)
             assert record.workers == cores
             runs.append((ensemble_bytes(e), record.checks))
         assert runs[0] == runs[1]
-        h, overlap = runs[0][1][-1]
-        assert overlap >= netens.CONVERGED_OVERLAP and h < 50
-        assert all(o < netens.CONVERGED_OVERLAP for _, o in runs[0][1][:-1])
-        assert runs[0][0] == ensemble_bytes(train_ensemble_oracle(X, g, K=h, **self.KWARGS))
+        assert runs[0][1] == ((30, 0.9875), (40, 1.0))
+        assert runs[0][0] == ensemble_bytes(train_ensemble_oracle(X, g, K=40, **self.KWARGS))
 
-    @pytest.mark.parametrize("K", [7, 20])
-    def test_one_round_never_checks(self, K):
-        def never(a, b):
-            raise AssertionError("the check ran")
+    @pytest.mark.parametrize("K", [7, 20, 30])
+    def test_two_rounds_never_check(self, K):
+        # the first check compares the nets after round 2 with those after
+        # round 1, and no check runs after the last round
         X, g = separable_toy(seed=37)
-        e, record = train_ensemble(X, g, K=K, agreement=never, **self.KWARGS)
+        e, record = train_ensemble(X, g, K=K, check=never, **self.KWARGS)
         assert record.checks == ()
         assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, K=K,
                                                                          **self.KWARGS))
 
-    @pytest.mark.parametrize("threshold, checked", [(0.0, [20]), (1.01, [20, 30])])
-    def test_threshold_sets_the_stop(self, monkeypatch, threshold, checked):
-        monkeypatch.setattr(netens, "CONVERGED_OVERLAP", threshold)
+    @pytest.mark.parametrize("converged, compared", [(True, [(20, 30)]),
+                                                     (False, [(20, 30), (30, 40)])])
+    def test_the_verdict_sets_the_stop(self, converged, compared):
         X, g = separable_toy(seed=38)
-        e, record = train_ensemble(X, g, K=40, agreement=self.representation_overlap(X),
-                                   **self.KWARGS)
-        assert [h for h, _ in record.checks] == checked
-        stopped = 20 if threshold == 0.0 else 40
+        overlap = self.representation_check(X, 5, 0.0)
+        seen = []
+
+        def check(earlier, current):
+            seen.append((earlier.k, current.k))
+            return overlap(earlier, current)[0], converged
+        e, record = train_ensemble(X, g, K=50, check=check, **self.KWARGS)
+        assert seen == compared
+        assert [h for h, _ in record.checks] == [current for _, current in compared]
+        assert all(0.0 < o <= 1.0 for _, o in record.checks)
+        stopped = 30 if converged else 50
         assert ensemble_bytes(e) == ensemble_bytes(train_ensemble_oracle(X, g, K=stopped,
                                                                          **self.KWARGS))
 
     def test_a_check_that_raises_trains_to_the_cap(self):
-        def failing(a, b):
+        def failing(earlier, current):
             raise ValidationError("kernel not symmetric")
         X, g = separable_toy(seed=39)
-        e, record = train_ensemble(X, g, K=35, agreement=failing, **self.KWARGS)
-        assert record.checks == ((20, None), (30, None)) and e.k == 35
+        e, record = train_ensemble(X, g, K=45, check=failing, **self.KWARGS)
+        assert record.checks == ((30, None), (40, None)) and e.k == 45
 
-    def test_divergence_rule_counts_the_nets_trained(self, monkeypatch):
-        # stopped at 20 nets, 7 diverged: the oracle's K=20 error, not 7 of 40
-        monkeypatch.setattr(netens, "CONVERGED_OVERLAP", 0.0)
+    def test_no_check_while_too_many_nets_diverged(self, monkeypatch):
+        # 4 of the first 30 nets diverge, more than 10%: training goes on
+        # without a check, and stops after 40 nets, of which 4 is 10%
+        diverging = {0, 5, 12, 25}
+        real = netens._train_net
+
+        def train_net(Xt, gt, pretrain_epochs, net, rng):
+            if net.hyper.seed in diverging:
+                return None
+            return real(Xt, gt, pretrain_epochs, net, rng)
+        monkeypatch.setattr(netens, "_train_net", train_net)
+        monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: {0})
+        X, g = separable_toy(seed=40)
+        e, record = train_ensemble(X, g, K=50, check=lambda a, b: (1.0, True), **self.KWARGS)
+        assert record.checks == ((40, 1.0),)
+        assert e.failed == (0, 5, 12, 25)
+        assert [net.hyper.seed for net in e.nets] == [i for i in range(40) if i not in diverging]
+
+    def test_too_many_diverged_fails_where_the_cap_would(self):
+        # 7 of the first 20 nets diverge: no round may stop, and the error is
+        # the oracle's at the cap
         X, g = separable_toy(seed=11)
         kwargs = dict(TestPoolMatchesSerialLoop.RETRY, K=40, learning_rate=10 ** 5.5)
+        with pytest.raises(ValidationError) as oracle:
+            train_ensemble_oracle(X, g, **kwargs)
         with pytest.raises(ValidationError) as err:
-            train_ensemble(X, g, agreement=lambda a, b: 1.0, **kwargs)
-        assert str(err.value).startswith("7 of 20 nets diverged")
+            train_ensemble(X, g, check=lambda a, b: (1.0, True), **kwargs)
+        assert str(err.value) == str(oracle.value)
+        assert " of 40 nets diverged" in str(err.value)
 
 
 class TestEnsemble:
     def test_k1_representation_is_single_h1(self):
         X, g = separable_toy(seed=20)
-        e, _ = train_ensemble(X, g, K=1, hyper_ranges=small_ranges(),
+        e, _ = train_ensemble(X, g, check=never, K=1, hyper_ranges=small_ranges(),
                               master_seed=5, epochs=30, pretrain_epochs=10)
         rep = representation(e, X)
         h1 = forward_batch(e.nets[0], X)[0]
@@ -472,21 +507,21 @@ class TestEnsemble:
         X, g = separable_toy(seed=21)
         kwargs = dict(K=3, hyper_ranges=small_ranges(), master_seed=9,
                       epochs=25, pretrain_epochs=8)
-        a, _ = train_ensemble(X, g, **kwargs)
-        b, _ = train_ensemble(X, g, **kwargs)
+        a, _ = train_ensemble(X, g, check=never, **kwargs)
+        b, _ = train_ensemble(X, g, check=never, **kwargs)
         assert json.dumps(ensemble_to_json(a), sort_keys=True) == \
             json.dumps(ensemble_to_json(b), sort_keys=True)
 
     def test_representation_dim_concatenates_widths(self):
         X, g = separable_toy(seed=22)
-        e, _ = train_ensemble(X, g, K=3, hyper_ranges=small_ranges(),
+        e, _ = train_ensemble(X, g, check=never, K=3, hyper_ranges=small_ranges(),
                               master_seed=2, epochs=10, pretrain_epochs=5)
         widths = [net.W1.shape[0] for net in e.nets]
         assert representation(e, X).shape == (len(X), sum(widths))
 
     def test_persistence_round_trip(self):
         X, g = separable_toy(seed=23)
-        e, _ = train_ensemble(X, g, K=2, hyper_ranges=small_ranges(),
+        e, _ = train_ensemble(X, g, check=never, K=2, hyper_ranges=small_ranges(),
                               master_seed=3, epochs=10, pretrain_epochs=5)
         again = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(e))))
         np.testing.assert_array_equal(representation(e, X), representation(again, X))
@@ -495,14 +530,14 @@ class TestEnsemble:
     def test_k_must_be_positive(self):
         X, g = separable_toy(seed=24)
         with pytest.raises(ValidationError):
-            train_ensemble(X, g, K=0)
+            train_ensemble(X, g, check=never, K=0)
 
     @pytest.mark.usefixtures("no_pool")
     def test_train_rows_respected(self):
         X, g = separable_toy(seed=25)
         rows = np.zeros(len(X), dtype=bool)
         with pytest.raises(ValidationError, match="empty training set"):
-            train_ensemble(X, g, K=1, hyper_ranges=small_ranges(),
+            train_ensemble(X, g, check=never, K=1, hyper_ranges=small_ranges(),
                            train_rows=rows, epochs=5, pretrain_epochs=2)
 
 

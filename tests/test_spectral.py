@@ -3,8 +3,8 @@ import pytest
 
 from expertmap.errors import ValidationError
 from expertmap.spectral import (Embedding, Kernel, diffusion_embed, gaussian_kernel,
-                                kernel_from_distances, markov_normalize, neighbour_overlap,
-                                nn_bandwidth, nystrom_extend)
+                                kernel_from_distances, log_domain_kernel, markov_normalize,
+                                neighbour_overlap, nn_bandwidth, nystrom_extend)
 
 
 def two_cluster_points(n_per=20, gap=3.0, seed=0):
@@ -151,12 +151,29 @@ class TestDiffusionEmbed:
         e2 = diffusion_embed(gaussian_kernel(pts[perm], r=5), d=2)
         np.testing.assert_allclose(e2.coordinates, e1.coordinates[perm], atol=1e-8)
 
+    @pytest.mark.parametrize("n, d", [(60, 4), (9, 8)])
+    def test_lanczos_agrees_with_the_full_solve(self, n, d):
+        # n = 9, d = 8: d + 1 = n eigenpairs are all of them, a full solve
+        k = gaussian_kernel(np.random.default_rng(14).normal(size=(n, 3)), r=3)
+        full, top = diffusion_embed(k, d=d), diffusion_embed(k, d=d, lanczos=True)
+        np.testing.assert_allclose(top.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(top.coordinates, full.coordinates, rtol=0, atol=1e-9)
+
     def test_dimension_bounds(self):
         k = gaussian_kernel(np.random.default_rng(9).normal(size=(10, 2)), r=3)
         with pytest.raises(ValidationError):
             diffusion_embed(k, d=10)
         with pytest.raises(ValidationError):
             diffusion_embed(k, d=2, t=0.0)
+
+
+def test_log_domain_kernel_keeps_a_far_row():
+    exponents = np.array([[1000.0, 1001.0, 1e6], [0.0, 2.0, 1.0]])
+    kernel, nearest = log_domain_kernel(exponents)
+    assert kernel is exponents
+    assert nearest.tolist() == [1000.0, 0.0]
+    np.testing.assert_allclose(kernel, [[1.0, np.exp(-1.0), 0.0],
+                                        [1.0, np.exp(-2.0), np.exp(-1.0)]], rtol=1e-15)
 
 
 class TestNystrom:
@@ -217,3 +234,17 @@ class TestNeighbourOverlap:
         coords = np.random.default_rng(5).normal(size=(4, 2))
         other = np.random.default_rng(6).normal(size=(4, 2))
         assert neighbour_overlap(coords, other, 10) == 1.0
+
+    def test_matches_a_stable_sort_with_ties(self):
+        # integer coordinates tie often; of equal distances the lower index
+        # counts as nearer, as a stable sort orders them
+        rng = np.random.default_rng(7)
+        a, b = rng.integers(0, 4, size=(40, 2)), rng.integers(0, 4, size=(40, 2))
+
+        def nearest(coords, k):
+            dists = np.linalg.norm(coords[:, None] - coords[None], axis=2)
+            np.fill_diagonal(dists, np.inf)
+            return [set(row[:k]) for row in np.argsort(dists, axis=1, kind="stable")]
+        for k in (1, 3, 7):
+            expected = sum(len(x & y) for x, y in zip(nearest(a, k), nearest(b, k)))
+            assert neighbour_overlap(a, b, k) == expected / (40 * k)

@@ -6,8 +6,8 @@ from scipy.spatial.distance import cdist
 
 from expertmap.spectral import Embedding, Kernel, diffusion_embed, nn_bandwidth
 from expertmap.whiten import (LocalMoments, extend_standardized, local_moments,
-                              one_sided_cross_kernel, one_sided_exponents,
-                              standardized_embedding, whitened_distance_matrix)
+                              one_sided_cross_kernel, standardized_embedding,
+                              whitened_distance_matrix)
 
 
 def coords_embedding(coords, t=1.0):
@@ -235,13 +235,15 @@ class TestExtendStandardized:
         coords = rng.normal(size=(10, 2))
         emb = coords_embedding(coords)
         lm = local_moments(emb, k=4)
-        e = one_sided_exponents(lm, coords, coords[:3], sigma=1.0)
+        b, nearest = one_sided_cross_kernel(lm, coords, coords[:3], sigma=1.0)
         # the mu_y centering appears on both sides and cancels exactly
         for i in range(3):
             for j in range(10):
                 delta = coords[i] - coords[j]
-                expected = 0.5 * delta @ lm.sigma_pinv[j] @ delta
-                assert e[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+                expected = 0.5 * delta @ lm.sigma_pinv[j] @ delta - nearest[i]
+                assert b[i, j] == pytest.approx(np.exp(-expected), rel=1e-12)
+        # each new point is a reference point, at exponent 0 from itself
+        assert nearest.tolist() == [0.0] * 3
 
     def test_one_sided_kernel_matches_the_per_reference_einsum(self):
         rng = np.random.default_rng(14)
@@ -255,11 +257,10 @@ class TestExtendStandardized:
         for j in range(40):
             u = (new - lm.mu[j]) - (coords[j] - lm.mu[j])
             oracle[:, j] = 0.5 * np.einsum("nd,de,ne->n", u, lm.sigma_pinv[j], u) / sigma
-        e = one_sided_exponents(lm, coords, new, sigma)
-        assert e.shape == (25, 40)
-        np.testing.assert_allclose(e, oracle, rtol=1e-12, atol=1e-12)
+        b, nearest = one_sided_cross_kernel(lm, coords, new, sigma)
+        assert b.shape == (25, 40)
+        np.testing.assert_allclose(nearest, oracle.min(axis=1), rtol=1e-12, atol=1e-12)
         # the kernel is exp(-e), each row scaled so that its largest entry is 1
-        b = one_sided_cross_kernel(e.copy(), e.min(axis=1))
         assert b.max(axis=1).tolist() == [1.0] * 25
         np.testing.assert_allclose(b / b.sum(axis=1, keepdims=True),
                                    np.exp(-oracle) / np.exp(-oracle).sum(axis=1, keepdims=True),
