@@ -145,26 +145,24 @@ def open_csv(path):
             raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-# Data rows parsed at a time, so that only one chunk of cells is ever held
-# as strings.
+# Data rows load_matrix parses at a time, so that only one chunk of cells is
+# ever held as strings.
 PARSE_ROWS = 1024
 
 
-def load_matrix(path, schema=None) -> DataMatrix:
-    """Load a CSV (header row, first column = point id, missing = '' or 'NA').
+def iter_matrix(path, rows: int):
+    """The data rows of a CSV in load_matrix's dialect, ``rows`` at a time.
 
-    ``schema`` may be a parsed {"groups": ..., "weights": ...} dict or a path
-    to a JSON file with that shape.
-
-    The rows are parsed PARSE_ROWS at a time: each chunk's cells become a
-    float array and a mask before the next chunk is read, so the strings of
-    one chunk at most are alive.  A malformed file raises the ParseError of
-    its first fault in file order, with the row's line number in the file.
+    Yields ``(feature_names, ids, values, mask)`` for each chunk: the
+    header's feature names, the chunk's point ids and its parsed cells.  A
+    chunk's strings are released before it is yielded, so a consumer that
+    keeps nothing holds one chunk of floats at a time.  A malformed row
+    raises the ParseError of its first fault, with its line number in the
+    file.  Once every chunk is out, a file with no data rows raises a
+    ParseError and a file whose ids repeat raises a ValidationError listing
+    them; so a consumer that must not act on a bad file acts only after the
+    generator is exhausted.
     """
-    groups, weights = _resolve_schema(schema)
-
-    ids: list[str] = []
-    value_chunks, mask_chunks = [], []
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -176,33 +174,60 @@ def load_matrix(path, schema=None) -> DataMatrix:
         if len(set(feature_names)) != len(feature_names):
             raise ValidationError(f"{path}: duplicate feature names in header")
 
-        while rows := list(itertools.islice(reader, PARSE_ROWS)):
-            # 1-based line numbers; the header is line 1
-            values, mask = _parse_rows(path, rows, feature_names, len(ids) + 2)
-            value_chunks.append(values)
-            mask_chunks.append(mask)
-            ids.extend(row[0] for row in rows)
+        seen: set[str] = set()
+        dups: set[str] = set()
+        line = 2                      # 1-based; the header is line 1
+        while chunk := list(itertools.islice(reader, rows)):
+            values, mask = _parse_rows(path, chunk, feature_names, line)
+            ids = [row[0] for row in chunk]
+            line += len(chunk)
+            del chunk
+            for pid in ids:
+                if pid in seen:
+                    dups.add(pid)
+                seen.add(pid)
+            yield feature_names, ids, values, mask
 
-    if not ids:
+    if line == 2:
         raise ParseError(f"{path}: no data rows")
-    values = np.concatenate(value_chunks)
-    mask = np.concatenate(mask_chunks)
+    if dups:
+        raise ValidationError(f"{path}: duplicate point ids: {sorted(dups)}")
 
-    if len(set(ids)) != len(ids):
-        seen, dups = set(), []
-        for pid in ids:
-            if pid in seen:
-                dups.append(pid)
-            seen.add(pid)
-        raise ValidationError(f"{path}: duplicate point ids: {sorted(set(dups))}")
+
+def load_matrix(path, schema=None) -> DataMatrix:
+    """Load a CSV (header row, first column = point id, missing = '' or 'NA').
+
+    ``schema`` may be a parsed {"groups": ..., "weights": ...} dict or a path
+    to a JSON file with that shape.
+
+    The rows are parsed PARSE_ROWS at a time by ``iter_matrix``, whose
+    errors this raises.
+    """
+    groups, weights = _resolve_schema(schema)
+
+    ids: list[str] = []
+    value_chunks, mask_chunks = [], []
+    for feature_names, chunk_ids, values, mask in iter_matrix(path, PARSE_ROWS):
+        ids += chunk_ids
+        value_chunks.append(values)
+        mask_chunks.append(mask)
 
     group_of = {f: groups.get(f, DEFAULT_GROUP) for f in feature_names}
     weight_of = dict(weights)
     for g in set(group_of.values()):
         weight_of.setdefault(g, 1.0)
 
-    return DataMatrix(values=values, mask=mask, feature_names=feature_names,
+    return DataMatrix(values=np.concatenate(value_chunks),
+                      mask=np.concatenate(mask_chunks), feature_names=feature_names,
                       point_ids=tuple(ids), group_of=group_of, weight_of=weight_of)
+
+
+def formatted_cells(values: np.ndarray, mask: np.ndarray):
+    """Each row's cells as save_matrix writes them: the repr of an observed
+    value, '' for an unobserved one.  Rows are converted to Python floats
+    one at a time, so no copy of the whole matrix is made."""
+    return ([repr(v) if seen else "" for v, seen in zip(row.tolist(), observed.tolist())]
+            for row, observed in zip(values, mask))
 
 
 def save_matrix(d: DataMatrix, path) -> None:
@@ -210,11 +235,8 @@ def save_matrix(d: DataMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([ID_COLUMN, *d.feature_names])
-        for i, pid in enumerate(d.point_ids):
-            row = [pid]
-            for k in range(d.n_features):
-                row.append(repr(float(d.values[i, k])) if d.mask[i, k] else "")
-            writer.writerow(row)
+        writer.writerows([pid, *cells] for pid, cells
+                         in zip(d.point_ids, formatted_cells(d.values, d.mask)))
 
 
 def _pairwise_complete_covariance(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

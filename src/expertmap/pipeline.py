@@ -9,17 +9,20 @@ Timestamps live only in sidecars so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
-from .dataset import (DataMatrix, ReferenceSet, StandardizationParams, load_matrix,
-                      preprocess, read_json_object, save_matrix, select_reference)
+from .dataset import (DataMatrix, ReferenceSet, StandardizationParams, formatted_cells,
+                      iter_matrix, load_matrix, preprocess, read_json_object,
+                      save_matrix, select_reference)
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
@@ -181,19 +184,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_rows(path, header: list[str], ids, values: np.ndarray) -> None:
-    """One line per id: the id, then its row of ``values``, each float
+def _rows(ids, values: np.ndarray):
+    """One csv row per id: the id, then its row of ``values``, each float
     written as its repr (the string ``_fmt`` gives)."""
-    _write_table(path, header, ([pid, *map(repr, row)]
-                                for pid, row in zip(ids, values.tolist())))
+    return ([pid, *map(repr, row)] for pid, row in zip(ids, values.tolist()))
+
+
+def _write_rows(path, header: list[str], ids, values: np.ndarray) -> None:
+    _write_table(path, header, _rows(ids, values))
 
 
 RANKING_HEADER = ["point_id", "f_rescaled", "f_score"]
 
 
+def _coords_header(dim: int) -> list[str]:
+    return ["point_id"] + [f"coord_{i + 1}" for i in range(dim)]
+
+
 def _write_coords(path, ids, coords: np.ndarray) -> None:
-    header = ["point_id"] + [f"coord_{i + 1}" for i in range(coords.shape[1])]
-    _write_rows(path, header, ids, coords)
+    _write_rows(path, _coords_header(coords.shape[1]), ids, coords)
 
 
 def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
@@ -537,20 +546,51 @@ def run_standardize(ws: Workspace) -> None:
     ws.record("std_embedding.json")
 
 
-# New points that run_extend takes through the extension at a time.
+# New points that run_extend reads and takes through the extension at a time.
 EXTEND_BLOCK = 1024
+
+
+@contextlib.contextmanager
+def _staged_tables(ws: Workspace, headers: dict[str, list[str]]):
+    """A csv writer for each artifact named in ``headers``, its header row
+    written, on a temporary file in the workspace.  When the block exits
+    cleanly each file replaces its artifact; when it raises, every file is
+    removed, so the artifacts keep their previous bytes."""
+    temps = {name: ws.path(f".{name}.tmp") for name in headers}
+    try:
+        with contextlib.ExitStack() as stack:
+            writers = {}
+            for name, header in headers.items():
+                fh = stack.enter_context(open(temps[name], "w", encoding="utf-8",
+                                              newline=""))
+                writers[name] = csv.writer(fh)
+                writers[name].writerow(header)
+            yield writers
+    except BaseException:
+        for path in temps.values():
+            path.unlink(missing_ok=True)
+        raise
+    for name, path in temps.items():
+        os.replace(path, ws.path(name))
 
 
 def run_extend(ws: Workspace, new_points_path) -> None:
     """Impute new rows, extend both embeddings, and rank them.
 
-    The new points go through in blocks of EXTEND_BLOCK rows.  Each block is
-    transformed, imputed and passed once through the ensemble; then its
-    cross kernel on the reference representation, its Nystrom coordinates
-    and its standardized extension are formed, and written into the output
-    arrays.  Only one block's representation and kernels are alive at a
-    time, so memory beyond the input rows and the outputs does not grow with
-    the number of new points.
+    The new points are read, and go through, in blocks of EXTEND_BLOCK
+    rows.  Each block is transformed, imputed and passed once through the
+    ensemble; then its cross kernel on the reference representation, its
+    Nystrom coordinates and its standardized extension are formed, and its
+    rows are appended to the three outputs.  Only one block's cells,
+    representation and kernels are alive at a time, so beyond the reference
+    state memory does not grow with the number of new points, except for
+    the set of ids the duplicate check keeps.
+
+    The outputs are written to temporary files that replace the artifacts
+    only once the whole file has gone through.  A fault stops the
+    extension but not the reading: the rest of the file is still checked,
+    so the error raised is the one a read of the whole file before any
+    extension would give, and the artifacts are left as they were.
 
     The block is a fixed 1024 rows, not a setting: the last bits of a BLAS
     product can depend on the row count of its operand, so a fixed block
@@ -563,8 +603,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     d, omega = _load_preprocessed(ws)
     _, obs_tree = _load_trees(ws)
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
-    ids_ref, emb = read_embedding(ws.require("embedding.csv", "embed"),
-                                  ws.require("embedding.json", "embed"))
+    _, emb = read_embedding(ws.require("embedding.csv", "embed"),
+                            ws.require("embedding.json", "embed"))
     _, std_emb = read_embedding(ws.require("std_embedding.csv", "standardize"),
                                 ws.require("std_embedding.json", "standardize"))
     lf = _load_label_function(ws)
@@ -572,62 +612,69 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     with open(ws.require("scaler.json", "preprocess"), "r", encoding="utf-8") as fh:
         params = StandardizationParams.from_json(json.load(fh))
 
-    new_raw = load_matrix(new_points_path, ws.cfg["paths"].get("schema"))
-    if new_raw.feature_names != d.feature_names:
-        raise ValidationError("new-point features do not match the training data")
-    ids = new_raw.point_ids
-    empty = np.flatnonzero(~new_raw.mask.any(axis=1))
-    if len(empty):
-        raise ValidationError(f"new points with no observed entry: "
-                              f"{[ids[i] for i in empty]}")
-
     filled, _ = _omega_matrix(d, omega, obs_tree)
     rep_ref = netens.representation(ensemble, filled)
     lm = _local_moments(ws, emb)
 
-    n_new = new_raw.n_points
-    coords_new = np.empty((n_new, emb.dim))
-    psi_new = np.empty((n_new, std_emb.dim))
-    f01 = np.empty(n_new)
-    # each new point's smallest exponent in each cross kernel: d^2 / sigma^2 in
-    # the Gaussian one, q / (2 sigma) in the one-sided one (see whiten)
-    nearest = {kind: np.empty(n_new) for kind in ("cross", "one_sided")}
-    for start in range(0, n_new, EXTEND_BLOCK):
-        rows = slice(start, start + EXTEND_BLOCK)
-        new_values = params.transform(new_raw.values[rows], new_raw.mask[rows])
-        new_filled = cogeometry.impute_matrix(new_values, obs_tree)
-        rep_new, f01[rows] = netens.ensemble_forward(ensemble, new_filled)
-        cross = cdist(rep_new, rep_ref)
-        del rep_new
-        # exp(-d^2 / sigma^2), in place
-        np.square(cross, out=cross)
-        cross /= emb.bandwidth["value"] ** 2
-        cross, nearest["cross"][rows] = spectral.log_domain_kernel(cross)
-        try:
-            coords_new[rows] = spectral.nystrom_extend(emb, cross)
-            del cross
-            psi_new[rows], nearest["one_sided"][rows] = whiten.extend_standardized(
-                lm, emb, std_emb, coords_new[rows])
-        except ValidationError as exc:
-            # a kernel row of zero sum is named by its index in the block
-            raise ValidationError(f"{exc}, counting rows from new point "
-                                  f"{ids[start]!r}") from exc
+    n_new = 0
+    mismatch = False
+    empty: list[str] = []
+    failure = None                # (error, first point of its block)
+    # over the new points, the largest of a point's smallest exponent in each
+    # cross kernel, d^2 / sigma^2 in the Gaussian one and q / (2 sigma) in the
+    # one-sided one (see whiten), and how many points have it above 1
+    nearest_max = {"cross": -np.inf, "one_sided": -np.inf}
+    beyond = {"cross": 0, "one_sided": 0}
+    headers = {"extended_embedding.csv": _coords_header(emb.dim),
+               "extended_std_embedding.csv": _coords_header(std_emb.dim),
+               "extended_ranking.csv": RANKING_HEADER}
+    with _staged_tables(ws, headers) as out:
+        for names, ids, values, mask in iter_matrix(new_points_path, EXTEND_BLOCK):
+            n_new += len(ids)
+            mismatch = names != d.feature_names
+            empty += [pid for pid, seen in zip(ids, mask.any(axis=1).tolist()) if not seen]
+            if mismatch or empty or failure:
+                continue
+            new_filled = cogeometry.impute_matrix(params.transform(values, mask), obs_tree)
+            rep_new, f01 = netens.ensemble_forward(ensemble, new_filled)
+            cross = cdist(rep_new, rep_ref)
+            del new_filled, rep_new
+            # exp(-d^2 / sigma^2), in place
+            np.square(cross, out=cross)
+            cross /= emb.bandwidth["value"] ** 2
+            cross, nearest_cross = spectral.log_domain_kernel(cross)
+            try:
+                coords = spectral.nystrom_extend(emb, cross)
+                del cross
+                psi, nearest_one_sided = whiten.extend_standardized(lm, emb, std_emb, coords)
+            except ValidationError as exc:
+                failure = exc, ids[0]
+                continue
+            out["extended_embedding.csv"].writerows(_rows(ids, coords))
+            out["extended_std_embedding.csv"].writerows(_rows(ids, psi))
+            out["extended_ranking.csv"].writerows(
+                _rows(ids, np.column_stack((f01, lf.to_label_scale(f01)))))
+            for kind, e in (("cross", nearest_cross), ("one_sided", nearest_one_sided)):
+                nearest_max[kind] = np.maximum(nearest_max[kind], e.max())
+                beyond[kind] += int(np.count_nonzero(e > 1.0))
 
-    _write_coords(ws.path("extended_embedding.csv"), ids, coords_new)
-    _write_coords(ws.path("extended_std_embedding.csv"), ids, psi_new)
-    _write_rows(ws.path("extended_ranking.csv"), RANKING_HEADER, ids,
-                np.column_stack((f01, lf.to_label_scale(f01))))
+        if mismatch:
+            raise ValidationError("new-point features do not match the training data")
+        if empty:
+            raise ValidationError(f"new points with no observed entry: {empty}")
+        if failure:
+            exc, first = failure
+            # a kernel row of zero sum is named by its index in the block
+            raise ValidationError(f"{exc}, counting rows from new point {first!r}") from exc
 
     # nystrom_extend leaves the coordinates of these eigenvalues at 0
     skipped = {name: np.flatnonzero(e.eigenvalues <= spectral.EIGENVALUE_FLOOR).tolist()
                for name, e in (("embedding", emb), ("std_embedding", std_emb))}
     # a smallest exponent above 1 puts a point beyond one bandwidth of every
     # reference point, where the extension says little
-    diagnostics = {"new_points": len(ids), "skipped_coordinates": skipped,
-                   "max_nearest_exponent": {kind: float(e.max())
-                                            for kind, e in nearest.items()},
-                   "beyond_one_bandwidth": {kind: int(np.count_nonzero(e > 1.0))
-                                            for kind, e in nearest.items()}}
+    diagnostics = {"new_points": n_new, "skipped_coordinates": skipped,
+                   "max_nearest_exponent": {kind: float(e) for kind, e in nearest_max.items()},
+                   "beyond_one_bandwidth": beyond}
     ws.record("extended_embedding.csv", diagnostics)
     ws.record("extended_std_embedding.csv")
     ws.record("extended_ranking.csv")
@@ -748,14 +795,10 @@ def run_report(ws: Workspace) -> None:
               + [f"coord_{i + 1}" for i in range(coords.shape[1])]
               + [f"std_coord_{i + 1}" for i in range(std_coords.shape[1])]
               + list(d.feature_names))
-    rows = []
-    values = d.values[omega.indices]
-    mask = d.mask[omega.indices]
-    for i, pid in enumerate(ids):
-        feats = [(_fmt(values[i, k]) if mask[i, k] else "")
-                 for k in range(d.n_features)]
-        rows.append([pid, _fmt(lf.values[i]), ranking["f_score"][i]]
-                    + [_fmt(v) for v in coords[i]]
-                    + [_fmt(v) for v in std_coords[i]] + feats)
+    features = formatted_cells(d.values[omega.indices], d.mask[omega.indices])
+    rows = ([pid, repr(g), f_score, *map(repr, coord), *map(repr, std_coord), *feats]
+            for pid, g, f_score, coord, std_coord, feats
+            in zip(ids, lf.values.tolist(), ranking["f_score"], coords.tolist(),
+                   std_coords.tolist(), features))
     _write_table(ws.path("report.csv"), header, rows)
     ws.record("report.csv")

@@ -5,9 +5,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import expertmap
 from expertmap import cli, expert, netens, pipeline, whiten
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
-from expertmap.errors import BoundViolation, ValidationError
+from expertmap.errors import BoundViolation, ParseError, ValidationError
 from expertmap.expert import extract_pseudopoints
 
 CONFIG = {"synth": {"n_points": 150},
@@ -244,6 +246,64 @@ def test_extend_streams_its_new_points(extended_in_blocks):
     assert max(rows_per_call) <= pipeline.EXTEND_BLOCK
 
 
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def extend_peak_bytes(work, config, new_points):
+    """The tracemalloc peak of run_extend on a fresh copy of ``work``."""
+    run = shutil.copytree(work, work.parent / f"run-{new_points.stem}")
+    tracemalloc.start()
+    try:
+        run_extend_on(run, config, new_points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extend_memory_does_not_grow_with_new_points(chain, tmp_path, monkeypatch):
+    # 150 new points and the same rows four times over, with distinct ids:
+    # in blocks of 32 the peaks must agree within 64 KiB, where holding the
+    # 450 further rows' cells as parsed strings alone would take ~2 MB
+    config, out, _, _ = chain
+    with open(out / "data.csv", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    write_rows(tmp_path / "many.csv",
+               [header] + [[f"{row[0]}-{r}", *row[1:]] for r in range(4) for row in body])
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    few = extend_peak_bytes(out, config, out / "data.csv")
+    many = extend_peak_bytes(out, config, tmp_path / "many.csv")
+    assert abs(many - few) <= 64 * 1024, (few, many)
+
+
+@pytest.mark.parametrize("fault", ["duplicate id", "malformed row"])
+def test_failed_extend_leaves_the_outputs_as_they_were(chain, tmp_path, monkeypatch, fault):
+    # the fault sits in the last of five blocks of 32, after four blocks
+    # have gone through the extension
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    with open(work / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if fault == "duplicate id":
+        rows[140][0] = rows[3][0]
+        error, message = ValidationError, f"duplicate point ids: {[rows[3][0]]}"
+    else:
+        rows[140][5] = "x"
+        error, message = ParseError, "row 141: non-numeric value 'x'"
+    write_rows(tmp_path / "new.csv", rows)
+    before = {p.name: p.read_bytes() for p in work.iterdir() if p.name.startswith("extended_")}
+    assert len(before) == 6
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    with pytest.raises(error, match=re.escape(message)):
+        run_extend_on(work, config, tmp_path / "new.csv")
+    assert {p.name: p.read_bytes() for p in work.iterdir()
+            if p.name.startswith("extended_")} == before
+    # no temporary file is left, by this run or by the chain's own extend
+    assert sorted(p.name for p in work.iterdir()) == sorted(p.name for p in out.iterdir())
+    assert not [p.name for p in work.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_extend_names_new_points_with_no_observed_entry(chain, tmp_path, monkeypatch):
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
@@ -253,8 +313,7 @@ def test_extend_names_new_points_with_no_observed_entry(chain, tmp_path, monkeyp
     for row in (rows[6], rows[41]):
         row[1:] = [""] * (len(row) - 1)
     new_points = tmp_path / "new.csv"
-    with open(new_points, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_rows(new_points, rows)
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
     with pytest.raises(ValidationError) as err:
         run_extend_on(work, config, new_points)
@@ -294,8 +353,7 @@ def test_extend_places_a_far_point(chain, tmp_path, monkeypatch):
     with open(work / "data.csv", newline="") as fh:
         rows = list(csv.reader(fh))[:2]
     rows[1][0] = "far"
-    with open(tmp_path / "far.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_rows(tmp_path / "far.csv", rows)
     real = netens.ensemble_forward
 
     def far_forward(e, X):

@@ -104,23 +104,24 @@ def parse_cells_oracle(path):
 
 
 def load_in_chunks(path, monkeypatch):
-    """load_matrix with PARSE_ROWS at 1, 2 and its default.  Every chunking
-    must give the same bytes, or raise the same message; that matrix is
+    """load_matrix with PARSE_ROWS at 1, 2, 7 and its default.  Every chunking
+    must give the same matrix, or raise the same error; that matrix is
     returned, or that error raised."""
     outcomes = []
-    for rows in (1, 2, dataset.PARSE_ROWS):
+    for rows in (1, 2, 7, dataset.PARSE_ROWS):
         with monkeypatch.context() as patch:
             patch.setattr(dataset, "PARSE_ROWS", rows)
             try:
                 outcomes.append(load_matrix(path))
-            except ParseError as exc:
+            except (ParseError, ValidationError) as exc:
                 outcomes.append(exc)
     first = outcomes[0]
-    if isinstance(first, ParseError):
-        assert [str(o) for o in outcomes] == [str(first)] * 3
+    if isinstance(first, Exception):
+        assert [(type(o), str(o)) for o in outcomes] == [(type(first), str(first))] * 4
         raise first
     for other in outcomes[1:]:
-        assert other.point_ids == first.point_ids
+        assert ((other.feature_names, other.point_ids, other.group_of, other.weight_of)
+                == (first.feature_names, first.point_ids, first.group_of, first.weight_of))
         assert np.array_equal(other.mask, first.mask)
         assert other.values.tobytes() == first.values.tobytes()
     return first
@@ -178,6 +179,48 @@ class TestParsePath:
         path = write(tmp_path, "id,a,b\np1,1,2\np2,3,4\np3,5,6\np4,7,zz\np5,9\n")
         with pytest.raises(ParseError, match="row 5: non-numeric value 'zz' in column 'b'"):
             load_in_chunks(path, monkeypatch)
+        path = write(tmp_path, "id,a,b\np1,1,2\np2,3,4\np3,5,6\np4,7\np5,9,zz\n")
+        with pytest.raises(ParseError, match="row 5: expected 3 fields, got 2"):
+            load_in_chunks(path, monkeypatch)
+
+
+class TestChunkBoundaries:
+    """load_matrix's reader at chunk sizes that split the file unevenly."""
+
+    def test_ragged_last_chunk_matches_one_chunk(self, tmp_path, monkeypatch):
+        # 16 rows: chunks of 7 leave a last chunk of 2
+        rng = np.random.default_rng(8)
+        lines = ["id,a,b,c"] + [f"p{i}," + ",".join("NA" if rng.random() < 0.2 else
+                                                    repr(float(x)) for x in rng.normal(size=3))
+                               for i in range(16)]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        d = load_in_chunks(path, monkeypatch)
+        assert d.point_ids == tuple(f"p{i}" for i in range(16))
+        values, mask = parse_cells_oracle(path)
+        assert np.array_equal(d.mask, mask)
+        assert d.values.tobytes() == values.tobytes()
+
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        rows = [f"p{i},{i},{i}" for i in range(20)]
+        for bad, message in (("p17,1,x", "row 19: non-numeric value 'x' in column 'b'"),
+                             ("p17,1", "row 19: expected 3 fields, got 2")):
+            path = write(tmp_path, "\n".join(["id,a,b", *rows[:17], bad, *rows[18:]]) + "\n")
+            with pytest.raises(ParseError) as err:
+                load_in_chunks(path, monkeypatch)
+            assert str(err.value) == f"{path}: {message}"
+
+    def test_header_only_has_no_data_rows(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "id,a,b\n")
+        with pytest.raises(ParseError) as err:
+            load_in_chunks(path, monkeypatch)
+        assert str(err.value) == f"{path}: no data rows"
+
+    def test_ids_repeated_across_chunks_are_listed(self, tmp_path, monkeypatch):
+        ids = ["p0", "p1", "p2", "p3", "p0", "p5", "p6", "p7", "p3", "p0"]
+        path = write(tmp_path, "id,a\n" + "".join(f"{pid},1\n" for pid in ids))
+        with pytest.raises(ValidationError) as err:
+            load_in_chunks(path, monkeypatch)
+        assert str(err.value) == f"{path}: duplicate point ids: ['p0', 'p3']"
 
 
 def zscore(values, mask):
