@@ -343,14 +343,17 @@ def _train_net(Xt: np.ndarray, gt: np.ndarray, pretrain_epochs: int, net: Net,
     return None
 
 
-def _blas_threads(cores: int) -> int:
-    """Threads the BLAS of each process starts, as set by the variables BLAS
-    libraries read when they load; one per core when none is set."""
+def worker_count() -> int:
+    """Processes that may compute at once: one for each share of the cores
+    that the BLAS of a process takes.  A process's BLAS threads are set by
+    the variables BLAS libraries read when they load; with none set, BLAS
+    takes every core and the count is 1."""
+    cores = len(os.sched_getaffinity(0))
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:
-            return min(int(value), cores)
-    return cores
+            return cores // min(int(value), cores)
+    return 1
 
 
 def _rounds(K: int):
@@ -437,8 +440,7 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     _check_labels(Xt, gt)
 
     train_net = partial(_train_net, Xt, gt, pretrain_epochs)
-    cores = len(os.sched_getaffinity(0))
-    workers = min(K, max(1, cores // _blas_threads(cores)))
+    workers = min(K, worker_count())
     pool = (ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context("spawn"))
             if workers > 1 else None)
     results: list = []

@@ -9,11 +9,14 @@ Timestamps live only in sidecars so reruns are byte-identical.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -552,26 +555,130 @@ EXTEND_BLOCK = 1024
 
 @contextlib.contextmanager
 def _staged_tables(ws: Workspace, headers: dict[str, list[str]]):
-    """A csv writer for each artifact named in ``headers``, its header row
+    """A text file for each artifact named in ``headers``, its header row
     written, on a temporary file in the workspace.  When the block exits
     cleanly each file replaces its artifact; when it raises, every file is
     removed, so the artifacts keep their previous bytes."""
     temps = {name: ws.path(f".{name}.tmp") for name in headers}
     try:
         with contextlib.ExitStack() as stack:
-            writers = {}
+            files = {}
             for name, header in headers.items():
-                fh = stack.enter_context(open(temps[name], "w", encoding="utf-8",
-                                              newline=""))
-                writers[name] = csv.writer(fh)
-                writers[name].writerow(header)
-            yield writers
+                files[name] = stack.enter_context(open(temps[name], "w", encoding="utf-8",
+                                                       newline=""))
+                csv.writer(files[name]).writerow(header)
+            yield files
     except BaseException:
         for path in temps.values():
             path.unlink(missing_ok=True)
         raise
     for name, path in temps.items():
         os.replace(path, ws.path(name))
+
+
+@dataclass(frozen=True)
+class _ExtendState:
+    """The reference state that each block of new points is extended on."""
+    params: StandardizationParams
+    obs_tree: cogeometry.PartitionTree
+    ensemble: netens.NetEnsemble
+    rep_ref: np.ndarray           # the reference rows' representation
+    emb: spectral.Embedding
+    std_emb: spectral.Embedding
+    lm: whiten.LocalMoments
+    lf: expert.LabelFunction
+
+
+def _extend_block(state: _ExtendState, ids, values, mask, files):
+    """Extend one block of new points and write its rows to ``files``, a
+    text stream for each extended_*.csv artifact.
+
+    Returns, for the cross kernel and the one-sided one, the largest of the
+    block's nearest exponents (see run_extend) and how many of its points
+    have one above 1; or, with nothing written, the ValidationError of a
+    kernel row of zero sum, which names the row by its index in the block.
+    """
+    new_filled = cogeometry.impute_matrix(state.params.transform(values, mask), state.obs_tree)
+    rep_new, f01 = netens.ensemble_forward(state.ensemble, new_filled)
+    cross = cdist(rep_new, state.rep_ref)
+    del new_filled, rep_new
+    # exp(-d^2 / sigma^2), in place
+    np.square(cross, out=cross)
+    cross /= state.emb.bandwidth["value"] ** 2
+    cross, nearest_cross = spectral.log_domain_kernel(cross)
+    try:
+        coords = spectral.nystrom_extend(state.emb, cross)
+        del cross
+        psi, nearest_one_sided = whiten.extend_standardized(state.lm, state.emb,
+                                                            state.std_emb, coords)
+    except ValidationError as exc:
+        return exc
+    csv.writer(files["extended_embedding.csv"]).writerows(_rows(ids, coords))
+    csv.writer(files["extended_std_embedding.csv"]).writerows(_rows(ids, psi))
+    csv.writer(files["extended_ranking.csv"]).writerows(
+        _rows(ids, np.column_stack((f01, state.lf.to_label_scale(f01)))))
+    return {kind: (e.max(), int(np.count_nonzero(e > 1.0)))
+            for kind, e in (("cross", nearest_cross), ("one_sided", nearest_one_sided))}
+
+
+# Set in each extend helper when it starts; None in any other process.
+_helper_state: _ExtendState | None = None
+
+
+def _start_helper(state: _ExtendState) -> None:
+    global _helper_state
+    _helper_state = state
+
+
+def _extend_in_helper(ids, values, mask):
+    """_extend_block in a helper: its outcome and the text of its rows for
+    each artifact it wrote to."""
+    files = collections.defaultdict(io.StringIO)
+    outcome = _extend_block(_helper_state, ids, values, mask, files)
+    return outcome, {name: fh.getvalue() for name, fh in files.items()}
+
+
+@contextlib.contextmanager
+def _helpers(state: _ExtendState, workers: int):
+    """A pool of ``workers`` helper processes forked from this one, each
+    holding ``state``.
+
+    Forked, a helper starts with the reference state already loaded, where a
+    spawned one would import the package and load it again, and it keeps
+    this process's BLAS threading.  On exit the blocks not yet started are
+    cancelled and the helpers are joined.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                               initializer=_start_helper, initargs=(state,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+class _Tally:
+    """The diagnostics of the blocks extended so far, taken in file order,
+    and the first that failed: (its error, its first point)."""
+
+    def __init__(self):
+        # over the new points, the largest of a point's smallest exponent in
+        # each cross kernel, d^2 / sigma^2 in the Gaussian one and
+        # q / (2 sigma) in the one-sided one (see whiten), and how many
+        # points have it above 1
+        self.nearest_max = {"cross": -np.inf, "one_sided": -np.inf}
+        self.beyond = {"cross": 0, "one_sided": 0}
+        self.failure = None
+
+    def add(self, first, outcome) -> None:
+        if isinstance(outcome, ValidationError):
+            self.failure = outcome, first
+            return
+        for kind, (nearest, beyond) in outcome.items():
+            self.nearest_max[kind] = np.maximum(self.nearest_max[kind], nearest)
+            self.beyond[kind] += beyond
 
 
 def run_extend(ws: Workspace, new_points_path) -> None:
@@ -581,10 +688,17 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     rows.  Each block is transformed, imputed and passed once through the
     ensemble; then its cross kernel on the reference representation, its
     Nystrom coordinates and its standardized extension are formed, and its
-    rows are appended to the three outputs.  Only one block's cells,
-    representation and kernels are alive at a time, so beyond the reference
-    state memory does not grow with the number of new points, except for
-    the set of ids the duplicate check keeps.
+    rows are appended to the three outputs (_extend_block).
+
+    This process reads and parses the blocks, and extends the first one
+    itself.  When netens.worker_count() allows more than one process, it
+    then forks a pool of that many helpers to extend the rest, and writes
+    their rows in file order; otherwise it extends every block itself.  So a
+    file of one block never forks, and every layer of the extension runs at
+    least once in this process.  At most one block more than there are
+    helpers is in flight, so beyond the reference state memory does not
+    grow with the number of new points, except for the set of ids the
+    duplicate check keeps.
 
     The outputs are written to temporary files that replace the artifacts
     only once the whole file has gone through.  A fault stops the
@@ -594,7 +708,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
 
     The block is a fixed 1024 rows, not a setting: the last bits of a BLAS
     product can depend on the row count of its operand, so a fixed block
-    keeps the output bytes independent of anything but the input.  A file of
+    keeps the output bytes independent of anything but the input and the
+    BLAS threading, which each helper shares with this process.  A file of
     at most 1024 new points is one block, and gives the bytes of extending
     all its points at once.
     """
@@ -613,57 +728,53 @@ def run_extend(ws: Workspace, new_points_path) -> None:
         params = StandardizationParams.from_json(json.load(fh))
 
     filled, _ = _omega_matrix(d, omega, obs_tree)
-    rep_ref = netens.representation(ensemble, filled)
-    lm = _local_moments(ws, emb)
+    state = _ExtendState(params=params, obs_tree=obs_tree, ensemble=ensemble,
+                         rep_ref=netens.representation(ensemble, filled), emb=emb,
+                         std_emb=std_emb, lm=_local_moments(ws, emb), lf=lf)
 
+    workers = netens.worker_count()
     n_new = 0
     mismatch = False
     empty: list[str] = []
-    failure = None                # (error, first point of its block)
-    # over the new points, the largest of a point's smallest exponent in each
-    # cross kernel, d^2 / sigma^2 in the Gaussian one and q / (2 sigma) in the
-    # one-sided one (see whiten), and how many points have it above 1
-    nearest_max = {"cross": -np.inf, "one_sided": -np.inf}
-    beyond = {"cross": 0, "one_sided": 0}
+    tally = _Tally()
     headers = {"extended_embedding.csv": _coords_header(emb.dim),
                "extended_std_embedding.csv": _coords_header(std_emb.dim),
                "extended_ranking.csv": RANKING_HEADER}
-    with _staged_tables(ws, headers) as out:
+    with _staged_tables(ws, headers) as files, contextlib.ExitStack() as stack:
+        pool = None
+        pending = collections.deque()     # (first point, future) of each block in flight
+
+        def settle():
+            first, future = pending.popleft()
+            outcome, texts = future.result()
+            tally.add(first, outcome)
+            for name, text in texts.items():
+                files[name].write(text)
+
         for names, ids, values, mask in iter_matrix(new_points_path, EXTEND_BLOCK):
+            first_block = n_new == 0
             n_new += len(ids)
             mismatch = names != d.feature_names
             empty += [pid for pid, seen in zip(ids, mask.any(axis=1).tolist()) if not seen]
-            if mismatch or empty or failure:
+            if mismatch or empty or tally.failure:
                 continue
-            new_filled = cogeometry.impute_matrix(params.transform(values, mask), obs_tree)
-            rep_new, f01 = netens.ensemble_forward(ensemble, new_filled)
-            cross = cdist(rep_new, rep_ref)
-            del new_filled, rep_new
-            # exp(-d^2 / sigma^2), in place
-            np.square(cross, out=cross)
-            cross /= emb.bandwidth["value"] ** 2
-            cross, nearest_cross = spectral.log_domain_kernel(cross)
-            try:
-                coords = spectral.nystrom_extend(emb, cross)
-                del cross
-                psi, nearest_one_sided = whiten.extend_standardized(lm, emb, std_emb, coords)
-            except ValidationError as exc:
-                failure = exc, ids[0]
+            if first_block or workers == 1:
+                tally.add(ids[0], _extend_block(state, ids, values, mask, files))
                 continue
-            out["extended_embedding.csv"].writerows(_rows(ids, coords))
-            out["extended_std_embedding.csv"].writerows(_rows(ids, psi))
-            out["extended_ranking.csv"].writerows(
-                _rows(ids, np.column_stack((f01, lf.to_label_scale(f01)))))
-            for kind, e in (("cross", nearest_cross), ("one_sided", nearest_one_sided)):
-                nearest_max[kind] = np.maximum(nearest_max[kind], e.max())
-                beyond[kind] += int(np.count_nonzero(e > 1.0))
+            if pool is None:
+                pool = stack.enter_context(_helpers(state, workers))
+            pending.append((ids[0], pool.submit(_extend_in_helper, ids, values, mask)))
+            while len(pending) > workers and not tally.failure:
+                settle()
+        while pending and not (mismatch or empty or tally.failure):
+            settle()
 
         if mismatch:
             raise ValidationError("new-point features do not match the training data")
         if empty:
             raise ValidationError(f"new points with no observed entry: {empty}")
-        if failure:
-            exc, first = failure
+        if tally.failure:
+            exc, first = tally.failure
             # a kernel row of zero sum is named by its index in the block
             raise ValidationError(f"{exc}, counting rows from new point {first!r}") from exc
 
@@ -672,9 +783,11 @@ def run_extend(ws: Workspace, new_points_path) -> None:
                for name, e in (("embedding", emb), ("std_embedding", std_emb))}
     # a smallest exponent above 1 puts a point beyond one bandwidth of every
     # reference point, where the extension says little
-    diagnostics = {"new_points": n_new, "skipped_coordinates": skipped,
-                   "max_nearest_exponent": {kind: float(e) for kind, e in nearest_max.items()},
-                   "beyond_one_bandwidth": beyond}
+    diagnostics = {"new_points": n_new, "workers": workers if pool else 1,
+                   "skipped_coordinates": skipped,
+                   "max_nearest_exponent": {kind: float(e)
+                                            for kind, e in tally.nearest_max.items()},
+                   "beyond_one_bandwidth": tally.beyond}
     ws.record("extended_embedding.csv", diagnostics)
     ws.record("extended_std_embedding.csv")
     ws.record("extended_ranking.csv")

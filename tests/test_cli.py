@@ -1,16 +1,18 @@
 """End to end: every CLI subcommand on a small synthetic config."""
 
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
-import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -207,12 +209,24 @@ def run_extend_on(work, config, new_points):
     pipeline.run_extend(ws, new_points)
 
 
+def use_workers(monkeypatch, n):
+    """Size extend's pool as for a BLAS pinned to one thread on n cores: n
+    helpers for a file of more than one block, none for n = 1."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def extend_diagnostics(work):
+    return json.loads((work / "extended_embedding.csv.meta.json").read_text())["diagnostics"]
+
+
 @pytest.fixture
 def extended_in_blocks(chain, tmp_path, monkeypatch):
-    """extend on the chain's 150 new points in blocks of 32 (four full blocks
-    and a ragged one); returns the workspace and the row count of each
-    cdist call."""
+    """extend in this process on the chain's 150 new points in blocks of 32
+    (four full blocks and a ragged one); returns the workspace and the row
+    count of each cdist call."""
     config, out, _, _ = chain
+    use_workers(monkeypatch, 1)
     work = shutil.copytree(out, tmp_path / "out")
     rows_per_call = []
     real = pipeline.cdist
@@ -251,9 +265,9 @@ def write_rows(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def extend_peak_bytes(work, config, new_points):
-    """The tracemalloc peak of run_extend on a fresh copy of ``work``."""
-    run = shutil.copytree(work, work.parent / f"run-{new_points.stem}")
+def extend_peak_bytes(work, config, new_points, run):
+    """The tracemalloc peak of run_extend on a fresh copy of ``work`` at ``run``."""
+    run = shutil.copytree(work, run)
     tracemalloc.start()
     try:
         run_extend_on(run, config, new_points)
@@ -262,19 +276,71 @@ def extend_peak_bytes(work, config, new_points):
         tracemalloc.stop()
 
 
-def test_extend_memory_does_not_grow_with_new_points(chain, tmp_path, monkeypatch):
-    # 150 new points and the same rows four times over, with distinct ids:
-    # in blocks of 32 the peaks must agree within 64 KiB, where holding the
-    # 450 further rows' cells as parsed strings alone would take ~2 MB
-    config, out, _, _ = chain
+def times_over(out, path, times):
+    """The chain's 150 new points ``times`` over, with distinct ids, at ``path``."""
     with open(out / "data.csv", newline="") as fh:
         header, *body = list(csv.reader(fh))
-    write_rows(tmp_path / "many.csv",
-               [header] + [[f"{row[0]}-{r}", *row[1:]] for r in range(4) for row in body])
+    write_rows(path, [header] + [[f"{row[0]}-{r}", *row[1:]]
+                                 for r in range(times) for row in body])
+    return path
+
+
+def test_extend_memory_does_not_grow_with_new_points(chain, tmp_path, monkeypatch):
+    # 150 new points and the same rows four times over: in blocks of 32 the
+    # peaks must agree within 64 KiB, where holding the 450 further rows'
+    # cells as parsed strings alone would take ~2 MB
+    config, out, _, _ = chain
+    many = times_over(out, tmp_path / "many.csv", 4)
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
-    few = extend_peak_bytes(out, config, out / "data.csv")
-    many = extend_peak_bytes(out, config, tmp_path / "many.csv")
+    few = extend_peak_bytes(out, config, out / "data.csv", tmp_path / "few")
+    many = extend_peak_bytes(out, config, many, tmp_path / "run-many")
     assert abs(many - few) <= 64 * 1024, (few, many)
+
+
+def test_extend_helpers_keep_a_bounded_window(chain, tmp_path, monkeypatch):
+    # with two helpers, this process holds at most three blocks in flight:
+    # its peak on 2400 new points is that on 150 within 64 KiB, where
+    # submitting every block at once added ~0.85 MB of cells and rows
+    config, out, _, _ = chain
+    many = times_over(out, tmp_path / "many.csv", 16)
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    few = extend_peak_bytes(out, config, out / "data.csv", tmp_path / "few")
+    many = extend_peak_bytes(out, config, many, tmp_path / "run-many")
+    assert abs(many - few) <= 64 * 1024, (few, many)
+
+
+def extended_outputs(work):
+    """The bytes of every extended_* artifact and sidecar in ``work``."""
+    return {p.name: p.read_bytes() for p in work.iterdir() if p.name.startswith("extended_")}
+
+
+def write_fault(out, new_points, fault, monkeypatch):
+    """Write the chain's new points to ``new_points`` with ``fault``, which
+    a run in blocks of 32 meets after earlier blocks went through; returns
+    the error class and message that extend must raise."""
+    with open(out / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    ids = [row[0] for row in rows[1:]]
+    if fault == "duplicate id":
+        rows[140][0] = rows[3][0]
+        error, message = ValidationError, f"{new_points}: duplicate point ids: {[ids[2]]}"
+    elif fault == "malformed row":
+        rows[140][5] = "x"
+        error, message = ParseError, (f"{new_points}: row 141: non-numeric value 'x' "
+                                      f"in column {rows[0][5]!r}")
+    elif fault == "no observed entry":
+        for row in (rows[41], rows[141]):
+            row[1:] = [""] * (len(row) - 1)
+        error, message = ValidationError, (f"new points with no observed entry: "
+                                           f"{[ids[40], ids[140]]}")
+    else:
+        # in the second and third blocks: the error names the second
+        underflow_in_blocks_from(monkeypatch, out, {ids[32], ids[64]})
+        error, message = ValidationError, (f"cross-kernel rows with zero sum: [5], counting "
+                                           f"rows from new point {ids[32]!r}")
+    write_rows(new_points, rows)
+    return error, message
 
 
 @pytest.mark.parametrize("fault", ["duplicate id", "malformed row"])
@@ -283,22 +349,14 @@ def test_failed_extend_leaves_the_outputs_as_they_were(chain, tmp_path, monkeypa
     # have gone through the extension
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
-    with open(work / "data.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if fault == "duplicate id":
-        rows[140][0] = rows[3][0]
-        error, message = ValidationError, f"duplicate point ids: {[rows[3][0]]}"
-    else:
-        rows[140][5] = "x"
-        error, message = ParseError, "row 141: non-numeric value 'x'"
-    write_rows(tmp_path / "new.csv", rows)
-    before = {p.name: p.read_bytes() for p in work.iterdir() if p.name.startswith("extended_")}
+    error, message = write_fault(out, tmp_path / "new.csv", fault, monkeypatch)
+    before = extended_outputs(work)
     assert len(before) == 6
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(error) as err:
         run_extend_on(work, config, tmp_path / "new.csv")
-    assert {p.name: p.read_bytes() for p in work.iterdir()
-            if p.name.startswith("extended_")} == before
+    assert str(err.value) == message
+    assert extended_outputs(work) == before
     # no temporary file is left, by this run or by the chain's own extend
     assert sorted(p.name for p in work.iterdir()) == sorted(p.name for p in out.iterdir())
     assert not [p.name for p in work.iterdir() if p.name.endswith(".tmp")]
@@ -323,9 +381,11 @@ def test_extend_names_new_points_with_no_observed_entry(chain, tmp_path, monkeyp
 
 def test_extend_locates_a_kernel_row_of_zero_sum(chain, tmp_path, monkeypatch):
     # the one-sided kernel row of new point 37 underflows to 0; the error
-    # names its index within its block and the block's first point
+    # names its index within its block and the block's first point.  The
+    # blocks are counted by calls, so they all run in this process.
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
+    use_workers(monkeypatch, 1)
     real = whiten.one_sided_cross_kernel
     calls = []
 
@@ -342,6 +402,111 @@ def test_extend_locates_a_kernel_row_of_zero_sum(chain, tmp_path, monkeypatch):
         run_extend_on(work, config, work / "data.csv")
     assert str(err.value) == (f"cross-kernel rows with zero sum: [5], counting rows "
                               f"from new point {ids[32]!r}")
+
+
+def underflow_in_blocks_from(monkeypatch, out, firsts, row=5):
+    """Make row ``row`` of the one-sided kernel of each block whose first new
+    point is in ``firsts`` underflow to 0, in whichever process extends it.
+    A block is known by its first point's Nystrom coordinates: the nearest
+    of those the chain's extend wrote are that point's."""
+    with open(out / "extended_embedding.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ids = [r[0] for r in rows]
+    coords = np.array([[float(v) for v in r[1:]] for r in rows])
+    real = whiten.one_sided_cross_kernel
+
+    def underflow(lm, ref_coords, new_coords, bandwidth):
+        b, nearest = real(lm, ref_coords, new_coords, bandwidth)
+        if ids[np.argmin(np.linalg.norm(coords - new_coords[0], axis=1))] in firsts:
+            b[row] = 0.0
+        return b, nearest
+    monkeypatch.setattr(whiten, "one_sided_cross_kernel", underflow)
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a helper pool was started")
+
+
+@pytest.mark.parametrize("blas, cores, block, workers", [
+    (None, 4, 32, 1),     # BLAS takes every core: this process extends every block
+    ("2", 4, 32, 2),
+    ("1", 3, 32, 3),      # more helpers than this machine may have cores
+    ("1", 1, 32, 1),
+    ("1", 2, 1024, 1),    # a file of one block
+])
+def test_extend_helpers_times_blas_threads_fit_the_cores(chain, tmp_path, monkeypatch,
+                                                         blas, cores, block, workers):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", blas)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    if workers == 1:
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse_pool)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", block)
+    run_extend_on(work, config, work / "data.csv")
+    assert extend_diagnostics(work)["workers"] == workers
+    assert multiprocessing.active_children() == []
+
+
+def test_extend_bytes_do_not_depend_on_the_workers(chain, tmp_path, monkeypatch):
+    # five blocks of 32, extended in this process and by two helpers
+    config, out, _, _ = chain
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    got = {}
+    for workers in (1, 2):
+        work = shutil.copytree(out, tmp_path / f"workers{workers}")
+        use_workers(monkeypatch, workers)
+        run_extend_on(work, config, work / "data.csv")
+        assert multiprocessing.active_children() == []
+        diagnostics = extend_diagnostics(work)
+        assert diagnostics.pop("workers") == workers
+        got[workers] = diagnostics, {path.name: path.read_bytes()
+                                     for path in work.glob("extended_*.csv")}
+    assert got[1] == got[2]
+
+
+@pytest.mark.parametrize("fault", ["duplicate id", "malformed row", "no observed entry",
+                                   "zero-sum row"])
+def test_failed_extend_in_helpers_leaves_the_outputs_as_they_were(chain, tmp_path,
+                                                                  monkeypatch, fault):
+    # two helpers, five blocks of 32: each fault is met while other blocks
+    # are in flight
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    error, message = write_fault(out, tmp_path / "new.csv", fault, monkeypatch)
+    before = extended_outputs(work)
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    with pytest.raises(error) as err:
+        run_extend_on(work, config, tmp_path / "new.csv")
+    assert str(err.value) == message
+    assert multiprocessing.active_children() == []
+    assert extended_outputs(work) == before
+    assert sorted(p.name for p in work.iterdir()) == sorted(p.name for p in out.iterdir())
+
+
+def test_extend_fails_when_a_helper_dies(chain, tmp_path, monkeypatch):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    before = extended_outputs(work)
+    caller = os.getpid()
+    real = whiten.one_sided_cross_kernel
+
+    def die_in_a_helper(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return real(*args)
+    monkeypatch.setattr(whiten, "one_sided_cross_kernel", die_in_a_helper)
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    with pytest.raises(BrokenProcessPool):
+        run_extend_on(work, config, work / "data.csv")
+    assert multiprocessing.active_children() == []
+    assert extended_outputs(work) == before
+    assert sorted(p.name for p in work.iterdir()) == sorted(p.name for p in out.iterdir())
 
 
 def test_extend_places_a_far_point(chain, tmp_path, monkeypatch):
