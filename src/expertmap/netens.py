@@ -30,9 +30,11 @@ the decision, and with it the ensemble, is too.
 Each net is trained in float32: its started weights, the training rows and
 the labels are rounded to float32 once, every product and update of the
 training loop stays in float32, and the trained net is cast back to float64.
-Nets are stored, saved and evaluated in float64.  Weights and dropout masks
-are still drawn in float64 from the net's generator, so a net starts where
-a float64 net with the same seed would, to float32 precision.
+Nets are stored and evaluated in float64, and saved with each weight in 9
+significant digits, which give back its float32 value to the bit (see
+``_weights_to_json``).  Weights and dropout masks are still drawn in
+float64 from the net's generator, so a net starts where a float64 net with
+the same seed would, to float32 precision.
 """
 
 from __future__ import annotations
@@ -41,13 +43,16 @@ import copy
 import json
 import math
 import os
+import re
 import resource
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingDiverged, ValidationError
+from .dataset import read_json_object
+from .errors import InternalError, TrainingDiverged, ValidationError
 
 
 @dataclass(frozen=True)
@@ -511,40 +516,102 @@ def layer_norm_product(net: Net) -> float:
     return float(np.linalg.norm(net.W2, 2) * np.linalg.norm(net.V, 2))
 
 
-def _net_to_json(net: Net) -> dict:
-    return {"W1": net.W1.tolist(), "b1": net.b1.tolist(),
-            "W2": net.W2.tolist(), "b2": net.b2.tolist(),
-            "V": net.V.tolist(), "b3": net.b3.tolist(),
-            "hyper": {"h1": net.hyper.h1, "h2": net.hyper.h2,
-                      "seed": net.hyper.seed,
-                      "dropout_rate": net.hyper.dropout_rate,
-                      "weight_decay": net.hyper.weight_decay,
-                      "learning_rate": net.hyper.learning_rate,
-                      "epochs": net.hyper.epochs}}
+# The ensemble file's schema.  Version 2 writes each weight in at most 9
+# significant digits; version 1 wrote 17-digit float64 reprs.
+ENSEMBLE_SCHEMA = 2
+
+
+# A "-0" that is a whole number in the text, which json reads as the int 0.
+_NEGATIVE_ZERO = re.compile(r"(?<=[\[,])-0(?=[,\]])")
+
+
+def _template(shape: tuple[int, ...]) -> str:
+    """A %-format of nested JSON lists of ``shape``, one "%.9g" a value."""
+    inner = "%.9g" if len(shape) == 1 else _template(shape[1:])
+    return "[" + ",".join([inner] * shape[0]) + "]"
+
+
+def _weights_to_json(net: Net, name: str) -> str:
+    """JSON text of one of ``net``'s weight arrays, each value in at most 9
+    significant digits.
+
+    Every weight is a float32 value, and 9 digits tell every float32 value
+    apart: the decimal lies within 5e-9 of the value (relative), a float32
+    rounding boundary at least 2^-25 (about 3e-8) away, and a float64 parse
+    moves it by at most 2^-53.  Among subnormals the boundary is 2^-150
+    away and the decimal within 5e-9 * 2^-126 (under 2^-153).  So reading
+    the text through float32 gives back each weight to the bit.
+    """
+    a = getattr(net, name)
+    with np.errstate(over="ignore"):
+        exact = np.isfinite(a) & (a.astype(np.float32) == a)
+    if not exact.all():
+        raise InternalError(f"net {net.hyper.seed}'s {name} holds "
+                            f"{float(a[~exact].flat[0])!r}, not a finite float32 value")
+    text = _template(a.shape) % tuple(a.ravel().tolist())
+    if np.signbit(a[a == 0]).any():
+        text = _NEGATIVE_ZERO.sub("-0.0", text)
+    return text
+
+
+def _net_to_json(net: Net) -> str:
+    weights = "".join(f'"{name}":{_weights_to_json(net, name)},' for name in PARAMS)
+    hyper = json.dumps(asdict(net.hyper), separators=(",", ":"))
+    return "{" + weights + '"hyper":' + hyper + "}"
 
 
 def _net_from_json(obj: dict) -> Net:
-    hyper = NetHyper(**obj["hyper"])
-    return Net(W1=np.asarray(obj["W1"]), b1=np.asarray(obj["b1"]),
-               W2=np.asarray(obj["W2"]), b2=np.asarray(obj["b2"]),
-               V=np.asarray(obj["V"]), b3=np.asarray(obj["b3"]), hyper=hyper)
+    with np.errstate(over="ignore"):
+        weights = {name: np.asarray(obj[name], np.float32).astype(np.float64)
+                   for name in PARAMS}
+    for name, w in weights.items():
+        if not np.isfinite(w).all():
+            raise ValueError(f"{name} holds a value that is not a finite float32 value")
+    return Net(**weights, hyper=NetHyper(**obj["hyper"]))
 
 
-def ensemble_to_json(e: NetEnsemble) -> dict:
-    return {"schema_version": 1, "master_seed": e.master_seed,
-            "failed": list(e.failed), "nets": [_net_to_json(n) for n in e.nets]}
+def ensemble_to_json(e: NetEnsemble) -> str:
+    """The ensemble file's text: compact JSON, schema version 2."""
+    head = json.dumps({"schema_version": ENSEMBLE_SCHEMA, "master_seed": e.master_seed,
+                       "failed": list(e.failed)}, separators=(",", ":"))
+    # the nets go in before the closing brace of ``head``
+    return head[:-1] + ',"nets":[' + ",".join(map(_net_to_json, e.nets)) + "]}"
 
 
 def ensemble_from_json(obj: dict) -> NetEnsemble:
+    """The ensemble that the parsed text of ``ensemble_to_json`` holds."""
     return NetEnsemble(nets=tuple(_net_from_json(n) for n in obj["nets"]),
                        master_seed=obj["master_seed"], failed=tuple(obj["failed"]))
 
 
 def save_ensemble(e: NetEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(ensemble_to_json(e), sort_keys=True))
+    """Write the ensemble to ``path`` through a temporary file beside it."""
+    text = ensemble_to_json(e)
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    os.replace(temp, path)
 
 
 def load_ensemble(path) -> NetEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ensemble_from_json(json.load(fh))
+    """The ensemble in the file ``path``; a file that does not hold a
+    version-2 ensemble is a ValidationError that names it."""
+    rerun = "rerun 'train' to rewrite it"
+    try:
+        obj = read_json_object(path, "ensemble file")
+    except ValidationError as exc:
+        raise ValidationError(f"{exc}; {rerun}") from None
+    version = obj.get("schema_version")
+    if version != ENSEMBLE_SCHEMA:
+        raise ValidationError(f"ensemble file {path} has schema_version {version!r}, "
+                              f"not {ENSEMBLE_SCHEMA}; {rerun}")
+    try:
+        return ensemble_from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"ensemble file {path} is malformed "
+                              f"({type(exc).__name__}: {exc}); {rerun}") from None

@@ -280,10 +280,8 @@ def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
     return d, omega
 
 
-def _load_trees(ws: Workspace):
-    points_tree = cogeometry.PartitionTree.load(ws.require("points_tree.json", "organize"))
-    obs_tree = cogeometry.PartitionTree.load(ws.require("obs_tree.json", "organize"))
-    return points_tree, obs_tree
+def _load_tree(ws: Workspace, name: str) -> cogeometry.PartitionTree:
+    return cogeometry.PartitionTree.load(ws.require(name, "organize"))
 
 
 def _tree_config(cfg: dict) -> cogeometry.TreeConfig:
@@ -416,7 +414,8 @@ def run_organize(ws: Workspace) -> None:
 
 def _pseudopoints(ws: Workspace):
     d, omega = _load_preprocessed(ws)
-    points_tree, obs_tree = _load_trees(ws)
+    points_tree = _load_tree(ws, "points_tree.json")
+    obs_tree = _load_tree(ws, "obs_tree.json")
     level = min(int(ws.cfg["pseudopoints"]["level"]), points_tree.depth)
     ps = expert.extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
     return d, omega, points_tree, obs_tree, level, ps
@@ -490,7 +489,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
 
 def run_train(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
-    _, obs_tree = _load_trees(ws)
+    obs_tree = _load_tree(ws, "obs_tree.json")
     lf = _load_label_function(ws)
     filled, complete = _omega_matrix(d, omega, obs_tree)
 
@@ -525,7 +524,7 @@ def run_train(ws: Workspace) -> None:
 
 def run_embed(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
-    _, obs_tree = _load_trees(ws)
+    obs_tree = _load_tree(ws, "obs_tree.json")
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
     filled, _ = _omega_matrix(d, omega, obs_tree)
     kernel = _ensemble_kernel(ws, netens.representation(ensemble, filled))
@@ -716,7 +715,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     if not Path(new_points_path).is_file():
         raise ValidationError(f"new points file not found: {new_points_path}")
     d, omega = _load_preprocessed(ws)
-    _, obs_tree = _load_trees(ws)
+    obs_tree = _load_tree(ws, "obs_tree.json")
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
     _, emb = read_embedding(ws.require("embedding.csv", "embed"),
                             ws.require("embedding.json", "embed"))
@@ -795,7 +794,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
 
 def run_validate(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
-    points_tree, obs_tree = _load_trees(ws)
+    obs_tree = _load_tree(ws, "obs_tree.json")
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
     lf = _load_label_function(ws)
     ids, emb = read_embedding(ws.require("embedding.csv", "embed"),

@@ -145,6 +145,33 @@ def test_stage_refuses_a_missing_or_changed_input(chain, tmp_path, capsys, damag
     assert "'ensemble.json' is stale" in err and "'label_function.csv'" in err
 
 
+@pytest.mark.parametrize("damage", ["schema_version 1", "truncated"])
+@pytest.mark.parametrize("stage", [["embed"], ["extend", "--new-points", "{out}/data.csv"],
+                                   ["validate"]], ids=lambda stage: stage[0])
+def test_stage_refuses_an_ensemble_file_it_cannot_read(chain, tmp_path, capsys, damage, stage):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / "ensemble.json"
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[:len(text) // 2])
+    else:
+        path.write_text(json.dumps(dict(json.loads(text), schema_version=1)))
+    capsys.readouterr()
+    args = [a.format(out=work) for a in stage]
+    assert cli.main(["--config", str(config), "--out", str(work)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ensemble file {path} ")
+    assert err.rstrip().endswith("rerun 'train' to rewrite it")
+
+
+def test_stages_past_pseudopoints_read_the_observation_tree_alone(chain):
+    _, out, _, _ = chain
+    for name in ("ensemble.json", "ranking.csv", "embedding.csv", "extended_embedding.csv"):
+        inputs = json.loads((out / f"{name}.meta.json").read_text())["inputs"]
+        assert "obs_tree.json" in inputs and "points_tree.json" not in inputs, name
+
+
 def test_each_stage_hashes_each_file_once(chain, tmp_path, monkeypatch):
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")

@@ -1,23 +1,25 @@
 import concurrent.futures
 import copy
-import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit as sigmoid
 
 from expertmap import netens, synth
-from expertmap.errors import TrainingDiverged, ValidationError
+from expertmap.errors import InternalError, TrainingDiverged, ValidationError
 from expertmap.spectral import neighbour_overlap
 from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
-                              ensemble_forward, ensemble_from_json, ensemble_rank,
-                              ensemble_to_json,
-                              forward_batch, init_net, loss_and_gradients,
+                              ensemble_forward, ensemble_rank, ensemble_to_json,
+                              forward_batch, init_net, load_ensemble, loss_and_gradients,
                               pretrain_autoencoder, representation, sample_hyper,
-                              train_backprop, train_ensemble)
+                              save_ensemble, train_backprop, train_ensemble)
 
 
 def lipschitz_bound(net: Net) -> tuple[float, float]:
@@ -289,7 +291,8 @@ def small_ranges():
 
 
 def ensemble_bytes(e: NetEnsemble) -> str:
-    return json.dumps(ensemble_to_json(e), sort_keys=True)
+    """The ensemble file's text, which tells every float32 weight apart."""
+    return ensemble_to_json(e)
 
 
 def never(earlier, current):
@@ -509,8 +512,7 @@ class TestEnsemble:
                       epochs=25, pretrain_epochs=8)
         a, _ = train_ensemble(X, g, check=never, **kwargs)
         b, _ = train_ensemble(X, g, check=never, **kwargs)
-        assert json.dumps(ensemble_to_json(a), sort_keys=True) == \
-            json.dumps(ensemble_to_json(b), sort_keys=True)
+        assert ensemble_to_json(a) == ensemble_to_json(b)
 
     def test_representation_dim_concatenates_widths(self):
         X, g = separable_toy(seed=22)
@@ -519,11 +521,16 @@ class TestEnsemble:
         widths = [net.W1.shape[0] for net in e.nets]
         assert representation(e, X).shape == (len(X), sum(widths))
 
-    def test_persistence_round_trip(self):
+    def test_persistence_round_trip(self, tmp_path):
         X, g = separable_toy(seed=23)
         e, _ = train_ensemble(X, g, check=never, K=2, hyper_ranges=small_ranges(),
                               master_seed=3, epochs=10, pretrain_epochs=5)
-        again = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(e))))
+        save_ensemble(e, tmp_path / "ensemble.json")
+        again = load_ensemble(tmp_path / "ensemble.json")
+        assert (again.master_seed, again.failed) == (e.master_seed, e.failed)
+        for net, net_again in zip(e.nets, again.nets, strict=True):
+            assert net_again.hyper == net.hyper
+            assert_bit_equal(net_again, net)
         np.testing.assert_array_equal(representation(e, X), representation(again, X))
 
     @pytest.mark.usefixtures("no_pool")
@@ -539,6 +546,74 @@ class TestEnsemble:
         with pytest.raises(ValidationError, match="empty training set"):
             train_ensemble(X, g, check=never, K=1, hyper_ranges=small_ranges(),
                            train_rows=rows, epochs=5, pretrain_epochs=2)
+
+
+def assert_bit_equal(net: Net, expected: Net) -> None:
+    for name in netens.PARAMS:
+        got, want = getattr(net, name), getattr(expected, name)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+FINITE_FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+F32 = np.finfo(np.float32)
+EDGE_FLOAT32 = np.array([0.0, -0.0, F32.smallest_subnormal, -F32.smallest_subnormal,
+                         F32.smallest_normal - F32.smallest_subnormal, F32.smallest_normal,
+                         F32.max, -F32.max, 1 / 3, 16777217.0], dtype=np.float32)
+
+
+def net_of(values: np.ndarray) -> Net:
+    """A net whose weight arrays, 2-d and 1-d, are built from ``values``."""
+    w = values.astype(np.float64)
+    return Net(W1=w[None, :], b1=w, W2=-w[:, None], b2=w[::-1].copy(),
+               V=w[None, :1], b3=-w[:1], hyper=NetHyper(h1=1, h2=len(w), seed=4))
+
+
+class TestEnsembleFile:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(values=hnp.arrays(np.float32, st.integers(1, 40), elements=FINITE_FLOAT32))
+    @example(values=EDGE_FLOAT32)
+    def test_every_finite_float32_weight_round_trips_bit_exactly(self, tmp_path, values):
+        net = net_of(values)
+        save_ensemble(NetEnsemble((net,), master_seed=8, failed=(1,)), tmp_path / "e.json")
+        again = load_ensemble(tmp_path / "e.json")
+        assert (again.master_seed, again.failed, again.nets[0].hyper) == (8, (1,), net.hyper)
+        assert_bit_equal(again.nets[0], net)
+
+    @pytest.mark.parametrize("bad", [0.1, 1e39, np.inf, np.nan])
+    def test_save_refuses_a_weight_that_is_not_a_finite_float32(self, tmp_path, bad):
+        path = tmp_path / "e.json"
+        net = net_of(EDGE_FLOAT32)
+        save_ensemble(NetEnsemble((net,), 0), path)
+        before = path.read_bytes()
+        b1 = net.b1.copy()
+        b1[3] = bad
+        with pytest.raises(InternalError, match=re.escape(f"net 4's b1 holds {bad!r}, not a")):
+            save_ensemble(NetEnsemble((replace(net, b1=b1),), 0), path)
+        # the refused save leaves the file as it was, and no temporary file
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("damage, why", [
+        (lambda text: text.replace('"schema_version":2', '"schema_version":1'),
+         "has schema_version 1, not 2"),
+        (lambda text: text.replace('"schema_version":2,', ""), "has schema_version None"),
+        (lambda text: text[:len(text) // 2], "is not valid JSON"),
+        (lambda text: text.replace('"b3":', '"b4":'), "is malformed (KeyError: 'b3')"),
+        (lambda text: text.replace('"W1":[[', '"W1":[["x",'), "is malformed (ValueError"),
+        (lambda text: text.replace('"b2":[', '"b2":[NaN,'), "is malformed (ValueError: b2"),
+        (lambda text: text.replace('"V":[[', '"V":[[1e39,'), "is malformed (ValueError: V"),
+    ], ids=["version 1", "no version", "truncated", "missing key", "not a number",
+            "not finite", "beyond float32"])
+    def test_load_refuses_what_is_not_a_version_2_ensemble(self, tmp_path, damage, why):
+        path = tmp_path / "e.json"
+        save_ensemble(NetEnsemble((net_of(EDGE_FLOAT32),), 0), path)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValidationError) as info:
+            load_ensemble(path)
+        message = str(info.value)
+        assert f"ensemble file {path} {why}" in message
+        assert message.endswith("; rerun 'train' to rewrite it")
 
 
 class TestOneForwardPass:
