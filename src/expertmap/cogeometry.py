@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import DataMatrix, ReferenceSet
+from .dataset import DataMatrix, ReferenceSet, read_json_object
 from .errors import InternalError, ValidationError
 from . import spectral
 
@@ -95,8 +95,7 @@ class PartitionTree:
 
     @classmethod
     def load(cls, path) -> "PartitionTree":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json_object(path, "partition tree file"))
 
 
 @dataclass(frozen=True)
@@ -326,10 +325,7 @@ def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) ->
     dist = emd_distance_matrix(tree, vectors, beta)
     nonzero = dist[dist > 0]
     eps = float(np.median(nonzero)) if nonzero.size else 1.0
-    entries = np.exp(-dist / eps)
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
-    return spectral.Kernel(entries=entries)
+    return spectral.exp_kernel(dist / eps, {})
 
 
 def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:

@@ -157,8 +157,7 @@ class Workspace:
             raise ValidationError(f"missing artifact {name!r}; run '{producer}' first")
         meta_path = self.sidecar(name)
         if meta_path.exists():
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
+            meta = read_json_object(meta_path, "sidecar")
             for inp, recorded in meta.get("inputs", {}).items():
                 if not self.path(inp).exists():
                     why = "has been removed"
@@ -218,8 +217,7 @@ def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
 
 
 def read_embedding(path_csv, path_json) -> tuple[list[str], spectral.Embedding]:
-    with open(path_json, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json_object(path_json, "embedding file")
     ids, coords = [], []
     with open(path_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -274,8 +272,7 @@ def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
     path = ws.require("preprocessed.csv", "preprocess")
     schema = ws.cfg["paths"].get("schema")
     d = load_matrix(path, schema)
-    with open(ws.require("reference.json", "preprocess"), "r", encoding="utf-8") as fh:
-        ref = json.load(fh)
+    ref = read_json_object(ws.require("reference.json", "preprocess"), "reference file")
     omega = ReferenceSet(indices=np.asarray(ref["indices"], dtype=np.int64))
     return d, omega
 
@@ -424,8 +421,8 @@ def _pseudopoints(ws: Workspace):
 def run_pseudopoints_export(ws: Workspace) -> None:
     """Centroid CSV for the expert, shown in the input data's original signs."""
     *_, ps = _pseudopoints(ws)
-    with open(ws.require("reference.json", "preprocess"), "r", encoding="utf-8") as fh:
-        flips = np.asarray(json.load(fh)["polarity_flips"], dtype=bool)
+    ref = read_json_object(ws.require("reference.json", "preprocess"), "reference file")
+    flips = np.asarray(ref["polarity_flips"], dtype=bool)
     expert.export_centroids(ps, ws.path("pseudopoints.csv"), flip=flips)
     # centroid cells no member observes, filled from the observation tree
     ws.record("pseudopoints.csv", {"imputed_cells": len(ps.imputed_cells)})
@@ -464,9 +461,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
     loaded = _pseudopoints(ws)
     d, omega, points_tree, _, level, ps = loaded
-    truth_path = ws.require("truth.json", "synth")
-    with open(truth_path, "r", encoding="utf-8") as fh:
-        truth = json.load(fh)
+    truth = read_json_object(ws.require("truth.json", "synth"), "truth file")
     by_id = dict(zip(truth["point_ids"], truth["ground_truth"]))
     gt = np.asarray([by_id[d.point_ids[i]] for i in omega.indices])
 
@@ -594,24 +589,19 @@ def _extend_block(state: _ExtendState, ids, values, mask, files):
 
     Returns, for the cross kernel and the one-sided one, the largest of the
     block's nearest exponents (see run_extend) and how many of its points
-    have one above 1; or, with nothing written, the ValidationError of a
-    kernel row of zero sum, which names the row by its index in the block.
+    have one above 1.
     """
     new_filled = cogeometry.impute_matrix(state.params.transform(values, mask), state.obs_tree)
     rep_new, f01 = netens.ensemble_forward(state.ensemble, new_filled)
     cross = cdist(rep_new, state.rep_ref)
     del new_filled, rep_new
-    # exp(-d^2 / sigma^2), in place
+    # the exponents d^2 / sigma^2, in place
     np.square(cross, out=cross)
     cross /= state.emb.bandwidth["value"] ** 2
-    cross, nearest_cross = spectral.log_domain_kernel(cross)
-    try:
-        coords = spectral.nystrom_extend(state.emb, cross)
-        del cross
-        psi, nearest_one_sided = whiten.extend_standardized(state.lm, state.emb,
-                                                            state.std_emb, coords)
-    except ValidationError as exc:
-        return exc
+    coords, nearest_cross = spectral.nystrom_extend(state.emb, cross)
+    del cross
+    psi, nearest_one_sided = whiten.extend_standardized(state.lm, state.emb, state.std_emb,
+                                                        coords)
     csv.writer(files["extended_embedding.csv"]).writerows(_rows(ids, coords))
     csv.writer(files["extended_std_embedding.csv"]).writerows(_rows(ids, psi))
     csv.writer(files["extended_ranking.csv"]).writerows(
@@ -630,7 +620,7 @@ def _start_helper(state: _ExtendState) -> None:
 
 
 def _extend_in_helper(ids, values, mask):
-    """_extend_block in a helper: its outcome and the text of its rows for
+    """_extend_block in a helper: its diagnostics and the text of its rows for
     each artifact it wrote to."""
     files = collections.defaultdict(io.StringIO)
     outcome = _extend_block(_helper_state, ids, values, mask, files)
@@ -658,28 +648,6 @@ def _helpers(state: _ExtendState, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-class _Tally:
-    """The diagnostics of the blocks extended so far, taken in file order,
-    and the first that failed: (its error, its first point)."""
-
-    def __init__(self):
-        # over the new points, the largest of a point's smallest exponent in
-        # each cross kernel, d^2 / sigma^2 in the Gaussian one and
-        # q / (2 sigma) in the one-sided one (see whiten), and how many
-        # points have it above 1
-        self.nearest_max = {"cross": -np.inf, "one_sided": -np.inf}
-        self.beyond = {"cross": 0, "one_sided": 0}
-        self.failure = None
-
-    def add(self, first, outcome) -> None:
-        if isinstance(outcome, ValidationError):
-            self.failure = outcome, first
-            return
-        for kind, (nearest, beyond) in outcome.items():
-            self.nearest_max[kind] = np.maximum(self.nearest_max[kind], nearest)
-            self.beyond[kind] += beyond
-
-
 def run_extend(ws: Workspace, new_points_path) -> None:
     """Impute new rows, extend both embeddings, and rank them.
 
@@ -700,10 +668,12 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     duplicate check keeps.
 
     The outputs are written to temporary files that replace the artifacts
-    only once the whole file has gone through.  A fault stops the
+    only once the whole file has gone through, so a failed extend leaves
+    the artifacts as they were.  A fault in the new points stops the
     extension but not the reading: the rest of the file is still checked,
     so the error raised is the one a read of the whole file before any
-    extension would give, and the artifacts are left as they were.
+    extension would give.  An error raised while a block is extended, here
+    or in a helper, fails extend at once.
 
     The block is a fixed 1024 rows, not a setting: the last bits of a BLAS
     product can depend on the row count of its operand, so a fixed block
@@ -723,8 +693,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
                                 ws.require("std_embedding.json", "standardize"))
     lf = _load_label_function(ws)
 
-    with open(ws.require("scaler.json", "preprocess"), "r", encoding="utf-8") as fh:
-        params = StandardizationParams.from_json(json.load(fh))
+    params = StandardizationParams.from_json(
+        read_json_object(ws.require("scaler.json", "preprocess"), "scaler file"))
 
     filled, _ = _omega_matrix(d, omega, obs_tree)
     state = _ExtendState(params=params, obs_tree=obs_tree, ensemble=ensemble,
@@ -735,18 +705,27 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     n_new = 0
     mismatch = False
     empty: list[str] = []
-    tally = _Tally()
+    # over the new points, the largest of a point's smallest exponent in each
+    # cross kernel, d^2 / sigma^2 in the Gaussian one and q / (2 sigma) in
+    # the one-sided one (see whiten), and how many points have it above 1
+    nearest_max = {"cross": -np.inf, "one_sided": -np.inf}
+    beyond = {"cross": 0, "one_sided": 0}
+
+    def add(outcome) -> None:
+        for kind, (nearest, count) in outcome.items():
+            nearest_max[kind] = np.maximum(nearest_max[kind], nearest)
+            beyond[kind] += count
+
     headers = {"extended_embedding.csv": _coords_header(emb.dim),
                "extended_std_embedding.csv": _coords_header(std_emb.dim),
                "extended_ranking.csv": RANKING_HEADER}
     with _staged_tables(ws, headers) as files, contextlib.ExitStack() as stack:
         pool = None
-        pending = collections.deque()     # (first point, future) of each block in flight
+        pending = collections.deque()     # the future of each block in flight
 
         def settle():
-            first, future = pending.popleft()
-            outcome, texts = future.result()
-            tally.add(first, outcome)
+            outcome, texts = pending.popleft().result()
+            add(outcome)
             for name, text in texts.items():
                 files[name].write(text)
 
@@ -755,27 +734,23 @@ def run_extend(ws: Workspace, new_points_path) -> None:
             n_new += len(ids)
             mismatch = names != d.feature_names
             empty += [pid for pid, seen in zip(ids, mask.any(axis=1).tolist()) if not seen]
-            if mismatch or empty or tally.failure:
+            if mismatch or empty:
                 continue
             if first_block or workers == 1:
-                tally.add(ids[0], _extend_block(state, ids, values, mask, files))
+                add(_extend_block(state, ids, values, mask, files))
                 continue
             if pool is None:
                 pool = stack.enter_context(_helpers(state, workers))
-            pending.append((ids[0], pool.submit(_extend_in_helper, ids, values, mask)))
-            while len(pending) > workers and not tally.failure:
+            pending.append(pool.submit(_extend_in_helper, ids, values, mask))
+            while len(pending) > workers:
                 settle()
-        while pending and not (mismatch or empty or tally.failure):
+        while pending and not (mismatch or empty):
             settle()
 
         if mismatch:
             raise ValidationError("new-point features do not match the training data")
         if empty:
             raise ValidationError(f"new points with no observed entry: {empty}")
-        if tally.failure:
-            exc, first = tally.failure
-            # a kernel row of zero sum is named by its index in the block
-            raise ValidationError(f"{exc}, counting rows from new point {first!r}") from exc
 
     # nystrom_extend leaves the coordinates of these eigenvalues at 0
     skipped = {name: np.flatnonzero(e.eigenvalues <= spectral.EIGENVALUE_FLOOR).tolist()
@@ -785,8 +760,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     diagnostics = {"new_points": n_new, "workers": workers if pool else 1,
                    "skipped_coordinates": skipped,
                    "max_nearest_exponent": {kind: float(e)
-                                            for kind, e in tally.nearest_max.items()},
-                   "beyond_one_bandwidth": tally.beyond}
+                                            for kind, e in nearest_max.items()},
+                   "beyond_one_bandwidth": beyond}
     ws.record("extended_embedding.csv", diagnostics)
     ws.record("extended_std_embedding.csv")
     ws.record("extended_ranking.csv")

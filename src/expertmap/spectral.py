@@ -24,7 +24,12 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric affinity kernel with entries in [0, 1] and unit diagonal."""
+    """Symmetric affinity kernel with entries in [0, 1] and unit diagonal.
+
+    Entries are at least -1e-12 and the diagonal is within 1e-12 of 1, so
+    every row sums to more than 0 for fewer than 10^12 points: P = D^-1 K
+    and D^-1/2 K D^-1/2 are always defined.
+    """
 
     entries: np.ndarray
     bandwidth: dict = field(default_factory=dict)
@@ -75,19 +80,21 @@ def kernel_from_distances(dists: np.ndarray, r: int) -> Kernel:
     sigma = nn_bandwidth(dists, r)
     if sigma <= 0.0:
         raise ValidationError("all points identical: bandwidth is 0")
-    entries = np.exp(-(dists ** 2) / sigma ** 2)
+    return exp_kernel(dists ** 2 / sigma ** 2, {"rule": f"mean-{r}nn", "value": sigma})
+
+
+def exp_kernel(exponents: np.ndarray, bandwidth: dict) -> Kernel:
+    """The Kernel exp(-e) of the square exponents e, symmetrized as
+    (K + K^T) / 2, with its diagonal set to 1."""
+    entries = np.exp(-exponents)
     entries = 0.5 * (entries + entries.T)
     np.fill_diagonal(entries, 1.0)
-    return Kernel(entries=entries, bandwidth={"rule": f"mean-{r}nn", "value": sigma})
+    return Kernel(entries=entries, bandwidth=bandwidth)
 
 
 def markov_normalize(k: Kernel) -> np.ndarray:
     """The row-stochastic transition matrix P = D^-1 K."""
-    sums = k.entries.sum(axis=1)
-    bad = np.flatnonzero(sums <= 0)
-    if len(bad):
-        raise ValidationError(f"isolated points with zero kernel row sum: {bad.tolist()}")
-    return k.entries / sums[:, None]
+    return k.entries / k.entries.sum(axis=1)[:, None]
 
 
 def _symmetric_eigensystem(k: Kernel, count: int | None = None):
@@ -99,8 +106,6 @@ def _symmetric_eigensystem(k: Kernel, count: int | None = None):
     O(n^3) solve.  It agrees with the full solve to rounding, not bit for bit.
     """
     sums = k.entries.sum(axis=1)
-    if np.any(sums <= 0):
-        raise ValidationError("zero kernel row sum")
     half = 1.0 / np.sqrt(sums)
     sym = half[:, None] * k.entries * half[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -208,36 +213,26 @@ def _nearest(coords: np.ndarray, k: int) -> np.ndarray:
     return near
 
 
-def log_domain_kernel(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(-e(x,y) + min_y e(x,y)), min_y e(x,y)) of exponents e with one
-    row per new point x, the kernel in the buffer of ``exponents``.
+def nystrom_extend(emb: Embedding, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out-of-sample eigenvector extension phi_i -> lambda_i^(-1/2) A phi_i
+    through the cross kernel exp(-e) of ``exponents`` e, which have one row
+    per new point and one column per reference point: (the coordinates,
+    each new point's smallest exponent).
 
-    Every row's largest entry is exactly 1, so no row underflows to zero sum
-    however far its point lies.  Rows are normalized before use (see
-    ``nystrom_extend``), so the shift changes nothing else in exact
-    arithmetic.
+    The kernel is formed in the log domain, in the buffer of ``exponents``:
+    row x is exp(-e(x,y) + min_y e(x,y)), whose largest entry is exactly 1,
+    so no row underflows to zero sum however far its point lies.  Rows are
+    then normalized to be stochastic, so the shift changes nothing else in
+    exact arithmetic.  Coordinates whose eigenvalue is below 1e-12 are
+    skipped (filled with 0) with a warning.
     """
+    if exponents.ndim != 2 or exponents.shape[1] != emb.n:
+        raise ValidationError(f"exponents must be (N, {emb.n}), got {exponents.shape}")
     nearest = exponents.min(axis=1)
     exponents -= nearest[:, None]
     np.negative(exponents, out=exponents)
-    return np.exp(exponents, out=exponents), nearest
-
-
-def nystrom_extend(emb: Embedding, cross_kernel: np.ndarray) -> np.ndarray:
-    """Out-of-sample eigenvector extension phi_i -> lambda_i^(-1/2) A phi_i.
-
-    ``cross_kernel`` has one row per new point and one column per reference
-    point; rows are normalized to be stochastic.  Coordinates whose
-    eigenvalue is below 1e-12 are skipped (filled with 0) with a warning.
-    """
-    cross = np.asarray(cross_kernel, dtype=float)
-    if cross.ndim != 2 or cross.shape[1] != emb.n:
-        raise ValidationError(f"cross kernel must be (N, {emb.n}), got {cross.shape}")
-    sums = cross.sum(axis=1)
-    bad = np.flatnonzero(sums <= 0)
-    if len(bad):
-        raise ValidationError(f"cross-kernel rows with zero sum: {bad.tolist()}")
-    a_tilde = cross / sums[:, None]
+    cross = np.exp(exponents, out=exponents)
+    a_tilde = cross / cross.sum(axis=1)[:, None]
 
     out = np.zeros((cross.shape[0], emb.dim))
     for i in range(emb.dim):
@@ -247,4 +242,4 @@ def nystrom_extend(emb: Embedding, cross_kernel: np.ndarray) -> np.ndarray:
                           f"below {EIGENVALUE_FLOOR:.0e}", stacklevel=2)
             continue
         out[:, i] = (a_tilde @ emb.eigenvectors[:, i]) / np.sqrt(lam)
-    return out
+    return out, nearest

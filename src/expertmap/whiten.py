@@ -14,8 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .spectral import (Embedding, Kernel, diffusion_embed, log_domain_kernel,
-                       nn_bandwidth, nystrom_extend)
+from .spectral import Embedding, diffusion_embed, exp_kernel, nn_bandwidth, nystrom_extend
 
 
 @dataclass(frozen=True)
@@ -93,24 +92,20 @@ def standardized_embedding(emb: Embedding, lm: LocalMoments, d: int,
     sigma = nn_bandwidth(dmat, r)
     if sigma <= 0.0:
         raise ValidationError("whitened distances are all zero; cannot set a bandwidth")
-    entries = np.exp(-dmat / sigma)
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
-    kernel = Kernel(entries=entries, bandwidth={"rule": f"mean-{r}nn-whitened",
-                                                "value": sigma})
+    kernel = exp_kernel(dmat / sigma, {"rule": f"mean-{r}nn-whitened", "value": sigma})
     out = diffusion_embed(kernel, d=d, t=t)
     return Embedding(eigenvalues=out.eigenvalues, eigenvectors=out.eigenvectors,
                      t=out.t, bandwidth=out.bandwidth, standardized=True)
 
 
 def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray, new_coords: np.ndarray,
-                           sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """b(x,y) = exp(-e(x,y)), e(x,y) = 1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma,
-    formed by ``log_domain_kernel``: (kernel, each new point's smallest e).
+                           sigma: float) -> np.ndarray:
+    """The exponents e(x,y) = 1/2 [(x - mu_y) - (y - mu_y)]^T S_y+ [...] / sigma
+    of the one-sided kernel b(x,y) = exp(-e(x,y)).
 
     Only the reference point's moments appear.  Both terms are centered at
     mu_y, so mu_y cancels: the form is (x - y)^T S_y+ (x - y), computed for
-    all new points x against one reference point y at a time.  The kernel
+    all new points x against one reference point y at a time.  The result
     has one row per new point and one column per reference point.
     """
     q = np.empty((ref_coords.shape[0], new_coords.shape[0]))
@@ -118,7 +113,7 @@ def one_sided_cross_kernel(lm: LocalMoments, ref_coords: np.ndarray, new_coords:
         u = new_coords - y
         q[j] = np.einsum("nd,nd->n", u @ lm.sigma_pinv[j], u)
     q /= 2.0 * sigma
-    return log_domain_kernel(q.T)
+    return q.T
 
 
 def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
@@ -136,6 +131,5 @@ def extend_standardized(lm: LocalMoments, emb_full: Embedding, psi: Embedding,
     new_coords = np.atleast_2d(np.asarray(new_coords, dtype=float))
     if new_coords.shape[1] != emb_full.dim:
         raise ValidationError(f"new coordinates must have dimension {emb_full.dim}")
-    b, nearest = one_sided_cross_kernel(lm, emb_full.coordinates, new_coords,
-                                        float(psi.bandwidth["value"]))
-    return nystrom_extend(psi, b), nearest
+    return nystrom_extend(psi, one_sided_cross_kernel(lm, emb_full.coordinates, new_coords,
+                                                      float(psi.bandwidth["value"])))

@@ -165,6 +165,21 @@ def test_stage_refuses_an_ensemble_file_it_cannot_read(chain, tmp_path, capsys, 
     assert err.rstrip().endswith("rerun 'train' to rewrite it")
 
 
+@pytest.mark.parametrize("stage, name", [("standardize", "embedding.csv.meta.json"),
+                                         ("standardize", "embedding.json"),
+                                         ("embed", "obs_tree.json")])
+def test_stage_names_a_truncated_json_file(chain, tmp_path, capsys, stage, name):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / name
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {path} is not valid JSON: " in err
+
+
 def test_stages_past_pseudopoints_read_the_observation_tree_alone(chain):
     _, out, _, _ = chain
     for name in ("ensemble.json", "ranking.csv", "embedding.csv", "extended_embedding.csv"):
@@ -342,7 +357,7 @@ def extended_outputs(work):
     return {p.name: p.read_bytes() for p in work.iterdir() if p.name.startswith("extended_")}
 
 
-def write_fault(out, new_points, fault, monkeypatch):
+def write_fault(out, new_points, fault):
     """Write the chain's new points to ``new_points`` with ``fault``, which
     a run in blocks of 32 meets after earlier blocks went through; returns
     the error class and message that extend must raise."""
@@ -356,16 +371,11 @@ def write_fault(out, new_points, fault, monkeypatch):
         rows[140][5] = "x"
         error, message = ParseError, (f"{new_points}: row 141: non-numeric value 'x' "
                                       f"in column {rows[0][5]!r}")
-    elif fault == "no observed entry":
+    else:
         for row in (rows[41], rows[141]):
             row[1:] = [""] * (len(row) - 1)
         error, message = ValidationError, (f"new points with no observed entry: "
                                            f"{[ids[40], ids[140]]}")
-    else:
-        # in the second and third blocks: the error names the second
-        underflow_in_blocks_from(monkeypatch, out, {ids[32], ids[64]})
-        error, message = ValidationError, (f"cross-kernel rows with zero sum: [5], counting "
-                                           f"rows from new point {ids[32]!r}")
     write_rows(new_points, rows)
     return error, message
 
@@ -376,7 +386,7 @@ def test_failed_extend_leaves_the_outputs_as_they_were(chain, tmp_path, monkeypa
     # have gone through the extension
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
-    error, message = write_fault(out, tmp_path / "new.csv", fault, monkeypatch)
+    error, message = write_fault(out, tmp_path / "new.csv", fault)
     before = extended_outputs(work)
     assert len(before) == 6
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
@@ -404,50 +414,6 @@ def test_extend_names_new_points_with_no_observed_entry(chain, tmp_path, monkeyp
         run_extend_on(work, config, new_points)
     assert str(err.value) == (f"new points with no observed entry: "
                               f"{[rows[6][0], rows[41][0]]}")
-
-
-def test_extend_locates_a_kernel_row_of_zero_sum(chain, tmp_path, monkeypatch):
-    # the one-sided kernel row of new point 37 underflows to 0; the error
-    # names its index within its block and the block's first point.  The
-    # blocks are counted by calls, so they all run in this process.
-    config, out, _, _ = chain
-    work = shutil.copytree(out, tmp_path / "out")
-    use_workers(monkeypatch, 1)
-    real = whiten.one_sided_cross_kernel
-    calls = []
-
-    def underflow(*args):
-        b, nearest = real(*args)
-        calls.append(len(b))
-        if len(calls) == 2:  # the second block: new points 32 to 63
-            b[5] = 0.0
-        return b, nearest
-    monkeypatch.setattr(whiten, "one_sided_cross_kernel", underflow)
-    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
-    ids = load_matrix(work / "data.csv").point_ids
-    with pytest.raises(ValidationError) as err:
-        run_extend_on(work, config, work / "data.csv")
-    assert str(err.value) == (f"cross-kernel rows with zero sum: [5], counting rows "
-                              f"from new point {ids[32]!r}")
-
-
-def underflow_in_blocks_from(monkeypatch, out, firsts, row=5):
-    """Make row ``row`` of the one-sided kernel of each block whose first new
-    point is in ``firsts`` underflow to 0, in whichever process extends it.
-    A block is known by its first point's Nystrom coordinates: the nearest
-    of those the chain's extend wrote are that point's."""
-    with open(out / "extended_embedding.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    ids = [r[0] for r in rows]
-    coords = np.array([[float(v) for v in r[1:]] for r in rows])
-    real = whiten.one_sided_cross_kernel
-
-    def underflow(lm, ref_coords, new_coords, bandwidth):
-        b, nearest = real(lm, ref_coords, new_coords, bandwidth)
-        if ids[np.argmin(np.linalg.norm(coords - new_coords[0], axis=1))] in firsts:
-            b[row] = 0.0
-        return b, nearest
-    monkeypatch.setattr(whiten, "one_sided_cross_kernel", underflow)
 
 
 def refuse_pool(*args, **kwargs):
@@ -495,21 +461,51 @@ def test_extend_bytes_do_not_depend_on_the_workers(chain, tmp_path, monkeypatch)
     assert got[1] == got[2]
 
 
-@pytest.mark.parametrize("fault", ["duplicate id", "malformed row", "no observed entry",
-                                   "zero-sum row"])
+@pytest.mark.parametrize("fault", ["duplicate id", "malformed row", "no observed entry"])
 def test_failed_extend_in_helpers_leaves_the_outputs_as_they_were(chain, tmp_path,
                                                                   monkeypatch, fault):
     # two helpers, five blocks of 32: each fault is met while other blocks
     # are in flight
     config, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
-    error, message = write_fault(out, tmp_path / "new.csv", fault, monkeypatch)
+    error, message = write_fault(out, tmp_path / "new.csv", fault)
     before = extended_outputs(work)
     use_workers(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
     with pytest.raises(error) as err:
         run_extend_on(work, config, tmp_path / "new.csv")
     assert str(err.value) == message
+    assert multiprocessing.active_children() == []
+    assert extended_outputs(work) == before
+    assert sorted(p.name for p in work.iterdir()) == sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_error_in_a_block_fails_extend_at_once(chain, tmp_path, monkeypatch, workers):
+    # five blocks of 32: the first goes through in this process, and the
+    # next one raises, in this process or, with two workers, in a helper
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    before = extended_outputs(work)
+    caller = os.getpid()
+    real = whiten.one_sided_cross_kernel
+    calls = []
+
+    def fail_after_the_first_block(*args):
+        calls.append(None)
+        if len(calls) > 1:
+            where = "this process" if os.getpid() == caller else "a helper"
+            raise ValidationError(f"block failed in {where}")
+        return real(*args)
+    monkeypatch.setattr(whiten, "one_sided_cross_kernel", fail_after_the_first_block)
+    use_workers(monkeypatch, workers)
+    monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    with pytest.raises(ValidationError) as err:
+        run_extend_on(work, config, work / "data.csv")
+    assert str(err.value) == ("block failed in a helper" if workers == 2
+                              else "block failed in this process")
+    # no block after the failed one was extended in this process
+    assert len(calls) == (1 if workers == 2 else 2)
     assert multiprocessing.active_children() == []
     assert extended_outputs(work) == before
     assert sorted(p.name for p in work.iterdir()) == sorted(p.name for p in out.iterdir())

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from expertmap.errors import ValidationError
 from expertmap.spectral import (Embedding, Kernel, diffusion_embed, gaussian_kernel,
-                                kernel_from_distances, log_domain_kernel, markov_normalize,
-                                neighbour_overlap, nn_bandwidth, nystrom_extend)
+                                kernel_from_distances, markov_normalize, neighbour_overlap,
+                                nn_bandwidth, nystrom_extend)
 
 
 def two_cluster_points(n_per=20, gap=3.0, seed=0):
@@ -79,18 +81,6 @@ class TestMarkovNormalize:
         emb = diffusion_embed(Kernel(entries=entries), d=2)
         assert emb.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert emb.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
-
-def test_zero_row_sum_names_point():
-    entries = np.array([[1.0, 0.5, 0.0],
-                        [0.5, 1.0, 0.0],
-                        [0.0, 0.0, 1.0]])
-    k = Kernel(entries=entries)
-    # strip the self-affinity so the isolated point really has row sum 0
-    bad = k.entries.copy()
-    bad[2, 2] = 0.0
-    object.__setattr__(k, "entries", bad)
-    with pytest.raises(ValidationError, match=r"\[2\]"):
-        markov_normalize(k)
 
 
 class TestDiffusionEmbed:
@@ -167,13 +157,39 @@ class TestDiffusionEmbed:
             diffusion_embed(k, d=2, t=0.0)
 
 
-def test_log_domain_kernel_keeps_a_far_row():
-    exponents = np.array([[1000.0, 1001.0, 1e6], [0.0, 2.0, 1.0]])
-    kernel, nearest = log_domain_kernel(exponents)
-    assert kernel is exponents
-    assert nearest.tolist() == [1000.0, 0.0]
-    np.testing.assert_allclose(kernel, [[1.0, np.exp(-1.0), 0.0],
-                                        [1.0, np.exp(-2.0), np.exp(-1.0)]], rtol=1e-15)
+# twelve reference points for the property tests of nystrom_extend
+SMALL_EMB = diffusion_embed(gaussian_kernel(two_cluster_points(n_per=6, seed=15), r=3), d=3)
+
+
+def exponent_rows(high):
+    """1 to 5 rows of finite exponents in [0, high], one per point of SMALL_EMB."""
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.just(SMALL_EMB.n)),
+                      elements=st.floats(0.0, high))
+
+
+class TestNystromLogDomain:
+    @settings(deadline=None)
+    @given(exponents=exponent_rows(1e300))
+    # exp(-e) of the first row underflows to 0 everywhere; the second row is
+    # equally far from every point
+    @example(exponents=np.array([[1000.0, 1001.0] + [1e6] * 10, [1e300] * 12]))
+    def test_any_finite_exponents_give_finite_coordinates(self, exponents):
+        coords, nearest = nystrom_extend(SMALL_EMB, exponents.copy())
+        assert np.all(np.isfinite(coords))
+        np.testing.assert_array_equal(nearest, exponents.min(axis=1))
+
+    @settings(deadline=None)
+    @given(exponents=exponent_rows(50.0))
+    def test_matches_the_plain_formula(self, exponents):
+        emb = SMALL_EMB
+        coords, _ = nystrom_extend(emb, exponents.copy())
+        kernel = np.exp(-exponents)
+        plain = (kernel / kernel.sum(axis=1, keepdims=True)) @ emb.eigenvectors
+        plain /= np.sqrt(emb.eigenvalues)
+        # a coordinate is a weighted mean of phi_i over the reference points
+        # times lambda_i^-1/2, so this bounds its magnitude
+        scale = np.abs(emb.eigenvectors).max(axis=0) / np.sqrt(emb.eigenvalues)
+        assert np.all(np.abs(coords - plain) <= 1e-12 * scale)
 
 
 class TestNystrom:
@@ -181,7 +197,7 @@ class TestNystrom:
         pts = two_cluster_points(seed=10)
         k = gaussian_kernel(pts, r=5)
         emb = diffusion_embed(k, d=3)
-        extended = nystrom_extend(emb, k.entries)
+        extended, _ = nystrom_extend(emb, -np.log(k.entries))
         expected = emb.eigenvectors * np.sqrt(emb.eigenvalues)[None, :]
         err = np.abs(extended - expected).max() / np.abs(expected).max()
         assert err < 1e-8
@@ -191,16 +207,16 @@ class TestNystrom:
         k = gaussian_kernel(pts, r=5)
         emb = diffusion_embed(k, d=3)
         z = 7
-        cross = k.entries[[z], :]
-        row = nystrom_extend(emb, cross)
-        whole = nystrom_extend(emb, k.entries)
+        exponents = -np.log(k.entries)
+        row, _ = nystrom_extend(emb, exponents[[z], :])
+        whole, _ = nystrom_extend(emb, exponents)
         np.testing.assert_allclose(row[0], whole[z], atol=1e-8)
 
     def test_uniform_row_gives_scaled_mean(self):
         pts = two_cluster_points(seed=12)
         k = gaussian_kernel(pts, r=5)
         emb = diffusion_embed(k, d=1)
-        out = nystrom_extend(emb, np.ones((1, len(pts))))
+        out, _ = nystrom_extend(emb, np.zeros((1, len(pts))))
         expected = emb.eigenvectors[:, 0].mean() / np.sqrt(emb.eigenvalues[0])
         assert out[0, 0] == pytest.approx(expected, rel=1e-10)
 
@@ -209,7 +225,7 @@ class TestNystrom:
                         eigenvectors=np.random.default_rng(13).normal(size=(6, 2)),
                         t=1.0)
         with pytest.warns(UserWarning, match="skipping"):
-            out = nystrom_extend(emb, np.ones((2, 6)))
+            out, _ = nystrom_extend(emb, np.zeros((2, 6)))
         np.testing.assert_array_equal(out[:, 1], 0.0)
 
 
