@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import DataMatrix, ReferenceSet, read_json_object
+from .dataset import DataMatrix, ReferenceSet
 from .errors import InternalError, ValidationError
 from . import spectral
 
@@ -92,10 +92,6 @@ class PartitionTree:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "PartitionTree":
-        return cls.from_json(read_json_object(path, "partition tree file"))
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,19 @@ def read_json_object(path, what: str) -> dict:
     return obj
 
 
+class JsonArtifact(dict):
+    """The JSON object of an artifact file: a key it lacks is a ValidationError
+    that names the file, the key and the stage that writes the file."""
+
+    def __init__(self, obj: dict, where: str, producer: str):
+        super().__init__(obj)
+        self.where, self.producer = where, producer
+
+    def __missing__(self, key):
+        raise ValidationError(f"{self.where} has no key {key!r}; "
+                              f"rerun '{self.producer}' to rewrite it")
+
+
 def _resolve_schema(schema) -> tuple[dict[str, str], dict[str, float]]:
     if schema is None:
         return {}, {}

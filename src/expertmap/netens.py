@@ -7,21 +7,26 @@ concatenated first-layer activations define the learned metric.
 
 ``train_ensemble`` trains nets side by side in as many processes as the cores
 available to this process can hold without more threads than cores: the
-calling process trains nets itself, alongside a pool of spawned helper
-processes.  Each process's BLAS starts its own threads (one per core unless
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS says otherwise), so
-with one BLAS thread every core trains a net, and with one per core the
-calling process trains them all.  The helpers inherit this process's
-environment, so every net is computed with the same BLAS threading, which
-the last bits of a matrix product depend on.  The calling process draws each
-net's hyperparameters and initial weights from the net's own generator,
-seeded with [master_seed, i], and the rest of that generator goes with the
-net to whichever process trains it; the nets are collected in index order.
-So the ensemble is the same to the byte whatever the number of processes.
+calling process trains nets itself, alongside a pool of helper processes
+forked from it (``forked_pool``).  Each process's BLAS starts its own threads
+(one per core unless OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS
+says otherwise), so with one BLAS thread every core trains a net, and with
+one per core the calling process trains them all.  A forked helper keeps this
+process's BLAS threading, so every net is computed with the same threading,
+which the last bits of a matrix product depend on, and it starts with the
+training rows, the labels and the pretraining epochs already in memory.  The
+calling process draws each net's hyperparameters and initial weights from
+the net's own generator, seeded with [master_seed, i], and the rest of that
+generator goes with the net to whichever process trains it; the nets are
+collected in index order.  So the ensemble is the same to the byte whatever
+the number of processes.
 
 The nets are trained in rounds: nets 0 to 19 first, then ten at a time, up
 to K.  The helper pool stays up across rounds, and each round's nets are
-drawn at its start.  After each round the calling process alone decides
+drawn at its start.  Within a round the helpers take the nets from the
+first up and the calling process takes them from the last down, and a
+helper is handed its next net only when it hands one back (see
+``_train_round``).  After each round the calling process alone decides
 whether to stop, from the nets trained so far and those trained before the
 round (see ``train_ensemble``).
 Those nets are the same to the byte whatever the number of processes, so
@@ -39,12 +44,15 @@ the same seed would, to float32 precision.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import copy
 import json
 import math
 import os
 import re
 import resource
+import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -104,6 +112,7 @@ class TrainingRecord:
     workers: int                       # processes that trained nets, the caller included
     children_max_rss_mb: float         # largest peak RSS of any child this process
                                        # has waited for so far, helpers included
+    waited_s: float                    # seconds this process waited for helpers
 
 
 @dataclass(frozen=True)
@@ -370,22 +379,91 @@ def _rounds(K: int):
         lo, h = h, min(h + ROUND, K)
 
 
-def _train_round(pool, train_net, starts: list) -> list:
-    """_train_net's result for each started net, in order.
+@contextlib.contextmanager
+def forked_pool(workers: int, start, state):
+    """A pool of ``workers`` helper processes forked from this one, each of
+    which calls ``start(state)`` before its first task.
 
-    The helpers in ``pool`` take the nets from the first up; this process
-    takes them from the last down, each one that no helper has started.
+    A forked helper starts with this process's memory, ``state`` included,
+    where a spawned one would import the package and be sent the state
+    again, and it keeps this process's BLAS threading.  The helpers are
+    forked at the first submit.  On exit the tasks not yet started are
+    cancelled and the helpers are joined.
     """
-    futures = [pool.submit(train_net, *start) for start in starts] if pool else []
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                               initializer=start, initargs=(state,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# (training rows, labels, pretraining epochs), set in each train helper when
+# it starts; None in any other process.
+_training: tuple | None = None
+
+
+def _start_trainer(training: tuple) -> None:
+    global _training
+    _training = training
+
+
+def _train_in_helper(net: Net, rng: np.random.Generator):
+    return _train_net(*_training, net, rng)
+
+
+def _train_round(pool, helpers: int, train_net, starts: list) -> tuple[list, float]:
+    """_train_net's result for each started net, in order, and the seconds
+    this process then waited for the helpers.
+
+    Each of the ``helpers`` processes in ``pool`` is handed a net, from the
+    first up, and its next one only when it hands one back; this process
+    trains the nets from the last down, each one not yet handed out.  So each
+    net is trained once, by whichever process comes to it first, and none
+    waits behind a helper's current net while this process could train it.
+    A helper is handed its next net in a done-callback, which runs on the
+    pool's own thread and submits under the lock that ends the handout: once
+    a helper's net has raised or this process has stopped, no net is handed
+    out, and the error is raised from that net's result.
+    """
+    import threading
+
+    lock = threading.Lock()
+    todo = collections.deque(range(len(starts)))    # the nets not yet handed out
+    futures = {}
+    stopped = False
+
+    def hand_out(done) -> None:
+        nonlocal stopped
+        with lock:
+            if done is not None and (done.cancelled() or done.exception() is not None):
+                stopped = True
+            if stopped or not todo:
+                return
+            i = todo.popleft()
+            futures[i] = future = pool.submit(_train_in_helper, *starts[i])
+        future.add_done_callback(hand_out)
+
     results: list = [None] * len(starts)
-    for i in reversed(range(len(starts))):
-        if futures and not futures[i].cancel():
-            break
-        results[i] = train_net(*starts[i])
-    for i, future in enumerate(futures):
-        if not future.cancelled():
-            results[i] = future.result()
-    return results
+    try:
+        for _ in range(helpers):
+            hand_out(None)
+        while True:
+            with lock:
+                if stopped or not todo:
+                    break
+                i = todo.pop()
+            results[i] = train_net(*starts[i])
+    finally:
+        with lock:
+            stopped = True
+    began = time.perf_counter()
+    for i, future in sorted(futures.items()):
+        results[i] = future.result()
+    return results, time.perf_counter() - began
 
 
 def _run_check(check, earlier: NetEnsemble, current: NetEnsemble) -> tuple[float | None, bool]:
@@ -428,11 +506,10 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     converged), and training stops when converged is true.  A call that
     raises ValidationError counts as not converged.  So training stops only
     where the nets trained pass the divergence rule, and the ensemble fails
-    only where training all K nets would.
+    only where training all K nets would.  An error raised while any process
+    trains a net fails the call before another round starts, and no helper
+    outlives it.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     ranges = hyper_ranges or HyperRanges()
@@ -444,18 +521,21 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
         raise ValidationError("empty training set after excluding imputed rows")
     _check_labels(Xt, gt)
 
-    train_net = partial(_train_net, Xt, gt, pretrain_epochs)
+    training = (Xt, gt, pretrain_epochs)
+    train_net = partial(_train_net, *training)
     workers = min(K, worker_count())
-    pool = (ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context("spawn"))
-            if workers > 1 else None)
     results: list = []
     checks: list[tuple[int, float | None]] = []
+    waited = 0.0
     earlier = None
-    try:
+    with (forked_pool(workers - 1, _start_trainer, training) if workers > 1
+          else contextlib.nullcontext()) as pool:
         for lo, h in _rounds(K):
-            results += _train_round(pool, train_net, [
+            trained, wait = _train_round(pool, workers - 1, train_net, [
                 _start_net(X.shape[1], ranges, master_seed, epochs, learning_rate, i)
                 for i in range(lo, h)])
+            results += trained
+            waited += wait
             current = NetEnsemble(nets=tuple(result[0] for result in results if result),
                                   master_seed=master_seed)
             if earlier is not None and h < K and not _too_many_failed(results):
@@ -464,9 +544,6 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
                 if converged:
                     break
             earlier = current
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     children_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
     failed = _failed(results)
@@ -478,7 +555,8 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     record = TrainingRecord(
         reports=tuple(report for _, report, _ in kept),
         retried=tuple(i for i, result in enumerate(results) if result and result[2]),
-        checks=tuple(checks), workers=workers, children_max_rss_mb=children_rss)
+        checks=tuple(checks), workers=workers, children_max_rss_mb=children_rss,
+        waited_s=waited)
     return ensemble, record
 
 

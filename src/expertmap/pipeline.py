@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
-from .dataset import (DataMatrix, ReferenceSet, StandardizationParams, formatted_cells,
-                      iter_matrix, load_matrix, preprocess, read_json_object,
+from .dataset import (DataMatrix, JsonArtifact, ReferenceSet, StandardizationParams,
+                      formatted_cells, iter_matrix, load_matrix, preprocess, read_json_object,
                       save_matrix, select_reference)
 from .errors import ValidationError
 
@@ -171,6 +171,12 @@ class Workspace:
         self.inputs[name] = self._hash(name)
         return path
 
+    def read_json(self, name: str, producer: str, what: str) -> JsonArtifact:
+        """The JSON object of the artifact ``name``, fetched as ``require``
+        does; ``what`` names the file in errors."""
+        path = self.require(name, producer)
+        return JsonArtifact(read_json_object(path, what), f"{what} {path}", producer)
+
 
 # ---------------------------------------------------------------------------
 # small readers/writers
@@ -216,8 +222,11 @@ def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
                    "standardized": emb.standardized}, fh, sort_keys=True)
 
 
-def read_embedding(path_csv, path_json) -> tuple[list[str], spectral.Embedding]:
-    meta = read_json_object(path_json, "embedding file")
+def read_embedding(ws: Workspace, name: str,
+                   producer: str) -> tuple[list[str], spectral.Embedding]:
+    """The embedding that ``producer`` wrote to ``name``.csv and ``name``.json."""
+    path_csv = ws.require(f"{name}.csv", producer)
+    meta = ws.read_json(f"{name}.json", producer, "embedding file")
     ids, coords = [], []
     with open(path_csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -272,13 +281,14 @@ def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
     path = ws.require("preprocessed.csv", "preprocess")
     schema = ws.cfg["paths"].get("schema")
     d = load_matrix(path, schema)
-    ref = read_json_object(ws.require("reference.json", "preprocess"), "reference file")
+    ref = ws.read_json("reference.json", "preprocess", "reference file")
     omega = ReferenceSet(indices=np.asarray(ref["indices"], dtype=np.int64))
     return d, omega
 
 
 def _load_tree(ws: Workspace, name: str) -> cogeometry.PartitionTree:
-    return cogeometry.PartitionTree.load(ws.require(name, "organize"))
+    return cogeometry.PartitionTree.from_json(
+        ws.read_json(name, "organize", "partition tree file"))
 
 
 def _tree_config(cfg: dict) -> cogeometry.TreeConfig:
@@ -421,7 +431,7 @@ def _pseudopoints(ws: Workspace):
 def run_pseudopoints_export(ws: Workspace) -> None:
     """Centroid CSV for the expert, shown in the input data's original signs."""
     *_, ps = _pseudopoints(ws)
-    ref = read_json_object(ws.require("reference.json", "preprocess"), "reference file")
+    ref = ws.read_json("reference.json", "preprocess", "reference file")
     flips = np.asarray(ref["polarity_flips"], dtype=bool)
     expert.export_centroids(ps, ws.path("pseudopoints.csv"), flip=flips)
     # centroid cells no member observes, filled from the observation tree
@@ -461,7 +471,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
     loaded = _pseudopoints(ws)
     d, omega, points_tree, _, level, ps = loaded
-    truth = read_json_object(ws.require("truth.json", "synth"), "truth file")
+    truth = ws.read_json("truth.json", "synth", "truth file")
     by_id = dict(zip(truth["point_ids"], truth["ground_truth"]))
     gt = np.asarray([by_id[d.point_ids[i]] for i in omega.indices])
 
@@ -512,7 +522,8 @@ def run_train(ws: Workspace) -> None:
                    "checks": [{"nets": nets, "overlap": overlap}
                               for nets, overlap in record.checks],
                    "workers": record.workers,
-                   "children_max_rss_mb": record.children_max_rss_mb}
+                   "children_max_rss_mb": record.children_max_rss_mb,
+                   "waited_s": record.waited_s}
     ws.record("ensemble.json", diagnostics)
     ws.record("ranking.csv")
 
@@ -532,8 +543,7 @@ def run_embed(ws: Workspace) -> None:
 
 
 def run_standardize(ws: Workspace) -> None:
-    ids, emb = read_embedding(ws.require("embedding.csv", "embed"),
-                              ws.require("embedding.json", "embed"))
+    ids, emb = read_embedding(ws, "embedding", "embed")
     lm = _local_moments(ws, emb)
     std = whiten.standardized_embedding(emb, lm, d=int(ws.cfg["embedding"]["d"]),
                                         t=float(ws.cfg["embedding"]["t"]),
@@ -627,27 +637,6 @@ def _extend_in_helper(ids, values, mask):
     return outcome, {name: fh.getvalue() for name, fh in files.items()}
 
 
-@contextlib.contextmanager
-def _helpers(state: _ExtendState, workers: int):
-    """A pool of ``workers`` helper processes forked from this one, each
-    holding ``state``.
-
-    Forked, a helper starts with the reference state already loaded, where a
-    spawned one would import the package and load it again, and it keeps
-    this process's BLAS threading.  On exit the blocks not yet started are
-    cancelled and the helpers are joined.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                               initializer=_start_helper, initargs=(state,))
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_extend(ws: Workspace, new_points_path) -> None:
     """Impute new rows, extend both embeddings, and rank them.
 
@@ -687,14 +676,12 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     d, omega = _load_preprocessed(ws)
     obs_tree = _load_tree(ws, "obs_tree.json")
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
-    _, emb = read_embedding(ws.require("embedding.csv", "embed"),
-                            ws.require("embedding.json", "embed"))
-    _, std_emb = read_embedding(ws.require("std_embedding.csv", "standardize"),
-                                ws.require("std_embedding.json", "standardize"))
+    _, emb = read_embedding(ws, "embedding", "embed")
+    _, std_emb = read_embedding(ws, "std_embedding", "standardize")
     lf = _load_label_function(ws)
 
     params = StandardizationParams.from_json(
-        read_json_object(ws.require("scaler.json", "preprocess"), "scaler file"))
+        ws.read_json("scaler.json", "preprocess", "scaler file"))
 
     filled, _ = _omega_matrix(d, omega, obs_tree)
     state = _ExtendState(params=params, obs_tree=obs_tree, ensemble=ensemble,
@@ -740,7 +727,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
                 add(_extend_block(state, ids, values, mask, files))
                 continue
             if pool is None:
-                pool = stack.enter_context(_helpers(state, workers))
+                pool = stack.enter_context(netens.forked_pool(workers, _start_helper, state))
             pending.append(pool.submit(_extend_in_helper, ids, values, mask))
             while len(pending) > workers:
                 settle()
@@ -772,8 +759,7 @@ def run_validate(ws: Workspace) -> None:
     obs_tree = _load_tree(ws, "obs_tree.json")
     ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
     lf = _load_label_function(ws)
-    ids, emb = read_embedding(ws.require("embedding.csv", "embed"),
-                              ws.require("embedding.json", "embed"))
+    ids, emb = read_embedding(ws, "embedding", "embed")
     filled, _ = _omega_matrix(d, omega, obs_tree)
 
     report = validate.ValidationReport(config_hash=ws.cfg_hash)
@@ -869,10 +855,8 @@ def run_validate(ws: Workspace) -> None:
 def run_report(ws: Workspace) -> None:
     """Plot-ready per-point join of embeddings, rankings, labels, features."""
     d, omega = _load_preprocessed(ws)
-    ids, emb = read_embedding(ws.require("embedding.csv", "embed"),
-                              ws.require("embedding.json", "embed"))
-    _, std_emb = read_embedding(ws.require("std_embedding.csv", "standardize"),
-                                ws.require("std_embedding.json", "standardize"))
+    ids, emb = read_embedding(ws, "embedding", "embed")
+    _, std_emb = read_embedding(ws, "std_embedding", "standardize")
     lf = _load_label_function(ws)
     ranking = _read_column_csv(ws.require("ranking.csv", "train"))
 

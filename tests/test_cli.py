@@ -80,8 +80,8 @@ def test_exported_centroids_carry_original_polarity(chain):
 
     d = load_matrix(out / "preprocessed.csv")
     omega = ReferenceSet(indices=np.asarray(ref["indices"]))
-    points_tree = PartitionTree.load(out / "points_tree.json")
-    obs_tree = PartitionTree.load(out / "obs_tree.json")
+    points_tree, obs_tree = (PartitionTree.from_json(json.loads((out / name).read_text()))
+                             for name in ("points_tree.json", "obs_tree.json"))
     level = min(CONFIG["pseudopoints"]["level"], points_tree.depth)
     ps = extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
 
@@ -178,6 +178,25 @@ def test_stage_names_a_truncated_json_file(chain, tmp_path, capsys, stage, name)
     assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {path} is not valid JSON: " in err
+
+
+@pytest.mark.parametrize("stage, name, key, producer", [
+    ("embed", "reference.json", "indices", "preprocess"),
+    ("standardize", "embedding.json", "eigenvalues", "embed"),
+    ("train", "obs_tree.json", "levels", "organize")])
+def test_stage_names_a_json_file_that_lacks_a_key(chain, tmp_path, capsys, stage, name, key,
+                                                  producer):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / name
+    obj = json.loads(path.read_text())
+    del obj[key]
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {path} has no key '{key}'; " in err
+    assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
 
 
 def test_stages_past_pseudopoints_read_the_observation_tree_alone(chain):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestBuildPartitionTree:
         tree = build_partition_tree(pair_block_affinity(), TreeConfig(depth=2))
         path = tmp_path / "tree.json"
         tree.save(path)
-        again = PartitionTree.load(path)
+        again = PartitionTree.from_json(json.loads(path.read_text()))
         assert again == tree
 
 

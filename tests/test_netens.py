@@ -1,8 +1,11 @@
 import concurrent.futures
 import copy
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,7 +70,8 @@ class TestSigmoid:
 
 
 def test_import_leaves_scipy_unloaded():
-    # every helper process that trains nets imports netens and nothing else
+    # netens needs NumPy alone, so a program that only trains, loads or
+    # evaluates nets pays for no SciPy import
     src = str(Path(netens.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import expertmap.netens; "
             "print('scipy' in sys.modules)")
@@ -329,6 +333,7 @@ class TestPoolMatchesSerialLoop:
         assert record.retried == () and 1 <= record.workers <= K
         assert [r.epochs_run for r in record.reports] == [30] * K
         assert record.workers == 1 or record.children_max_rss_mb > 0
+        assert record.waited_s >= 0.0
 
     @pytest.mark.parametrize("blas, cores, workers", [
         (None, 4, 1),     # BLAS takes every core: this process trains all nets
@@ -394,6 +399,116 @@ class TestPoolMatchesSerialLoop:
             train_ensemble(X, g * 10.0, check=never, K=3, hyper_ranges=small_ranges())
         with pytest.raises(ValidationError, match="row count"):
             train_ensemble(X, g[:-1], check=never, K=3, hyper_ranges=small_ranges())
+
+
+def sleeper(seconds):
+    """A _train_net that sleeps and returns (net, pid); a helper passes it the
+    training tuple first, this process only the start."""
+    def train_net(*args):
+        time.sleep(seconds)
+        return args[-2], os.getpid()
+    return train_net
+
+
+class TestHandout:
+    """Which process trains which net of a round."""
+
+    @pytest.fixture(autouse=True)
+    def two_processes(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("helper_s, here_s, by_helper, min_wait", [
+        (1.0, 0.01, [0], 0.5),          # the helper holds net 0 while this process trains the rest
+        (0.02, 1.0, list(range(7)), 0.0),   # the helper is handed net after net
+    ])
+    def test_each_net_once_in_order(self, monkeypatch, helper_s, here_s, by_helper, min_wait):
+        monkeypatch.setattr(netens, "_train_net", sleeper(helper_s))
+        here = []
+
+        def train_here(net, rng):
+            here.append(net)
+            return sleeper(here_s)(net, rng)
+        starts = [(i, None) for i in range(8)]
+        with netens.forked_pool(1, netens._start_trainer, (None, None, None)) as pool:
+            results, waited = netens._train_round(pool, 1, train_here, starts)
+        assert [net for net, _ in results] == list(range(8))
+        helper = [net for net, pid in results if pid != os.getpid()]
+        assert helper == by_helper
+        assert here == [i for i in reversed(range(8)) if i not in by_helper]
+        assert waited >= min_wait
+        assert multiprocessing.active_children() == []
+
+    def test_more_helpers_than_cores_train_each_net_once(self, monkeypatch):
+        # three helpers on two cores, nets of a few ms, and a short switch
+        # interval: a lost update to the handout would train a net twice or
+        # leave one out
+        monkeypatch.setattr(netens, "_train_net", sleeper(0.003))
+        here = []
+
+        def train_here(net, rng):
+            here.append(net)
+            return sleeper(0.001)(net, rng)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with netens.forked_pool(3, netens._start_trainer, (None, None, None)) as pool:
+                for _ in range(3):
+                    results, _ = netens._train_round(pool, 3, train_here,
+                                                     [(i, None) for i in range(40)])
+                    helper = [net for net, pid in results if pid != os.getpid()]
+                    assert [net for net, _ in results] == list(range(40))
+                    assert sorted(helper + here) == list(range(40))
+                    here.clear()
+        finally:
+            sys.setswitchinterval(interval)
+        assert multiprocessing.active_children() == []
+
+    def test_no_net_is_handed_out_after_a_helper_error(self, monkeypatch, tmp_path, caplog):
+        log = tmp_path / "helper.log"
+
+        def train_net(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{args[-2]}\n")
+            if args[-2] == 0:
+                raise RuntimeError("net 0 broke")
+            return sleeper(0.2)(*args)
+        monkeypatch.setattr(netens, "_train_net", train_net)
+        here = []
+
+        def train_here(net, rng):
+            here.append(net)
+            return sleeper(0.5)(net, rng)
+        with pytest.raises(RuntimeError, match="net 0 broke"):
+            with netens.forked_pool(1, netens._start_trainer, (None, None, None)) as pool:
+                netens._train_round(pool, 1, train_here, [(i, None) for i in range(8)])
+        assert log.read_text() == "0\n" and here == [7]
+        assert multiprocessing.active_children() == []
+        assert not [r for r in caplog.records if "callback" in r.getMessage()]
+
+    def test_an_error_in_a_helper_fails_train_and_leaves_no_child(self, monkeypatch, caplog):
+        # the helper is handed net 0 first
+        real = netens._train_net
+
+        def train_net(Xt, gt, pretrain_epochs, net, rng):
+            if net.hyper.seed == 0:
+                raise RuntimeError("net 0 broke")
+            return real(Xt, gt, pretrain_epochs, net, rng)
+        started = []
+        real_start = netens._start_net
+
+        def start_net(*args):
+            started.append(args[-1])
+            return real_start(*args)
+        monkeypatch.setattr(netens, "_train_net", train_net)
+        monkeypatch.setattr(netens, "_start_net", start_net)
+        X, g = separable_toy(seed=41)
+        with pytest.raises(RuntimeError, match="net 0 broke"):
+            train_ensemble(X, g, K=45, check=never, hyper_ranges=small_ranges(), epochs=15,
+                           pretrain_epochs=3)
+        assert max(started) == 19
+        assert multiprocessing.active_children() == []
+        assert not [r for r in caplog.records if "callback" in r.getMessage()]
 
 
 class TestStoppingRule:
@@ -468,7 +583,8 @@ class TestStoppingRule:
 
     def test_no_check_while_too_many_nets_diverged(self, monkeypatch):
         # 4 of the first 30 nets diverge, more than 10%: training goes on
-        # without a check, and stops after 40 nets, of which 4 is 10%
+        # without a check, and stops after 40 nets, of which 4 is 10%; a
+        # forked helper trains its nets with this test's _train_net
         diverging = {0, 5, 12, 25}
         real = netens._train_net
 
@@ -477,12 +593,16 @@ class TestStoppingRule:
                 return None
             return real(Xt, gt, pretrain_epochs, net, rng)
         monkeypatch.setattr(netens, "_train_net", train_net)
-        monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: {0})
         X, g = separable_toy(seed=40)
-        e, record = train_ensemble(X, g, K=50, check=lambda a, b: (1.0, True), **self.KWARGS)
-        assert record.checks == ((40, 1.0),)
-        assert e.failed == (0, 5, 12, 25)
-        assert [net.hyper.seed for net in e.nets] == [i for i in range(40) if i not in diverging]
+        for cores in (1, 2):
+            monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            e, record = train_ensemble(X, g, K=50, check=lambda a, b: (1.0, True),
+                                       **self.KWARGS)
+            assert record.workers == cores
+            assert record.checks == ((40, 1.0),)
+            assert e.failed == (0, 5, 12, 25)
+            assert [net.hyper.seed for net in e.nets] == [i for i in range(40)
+                                                          if i not in diverging]
 
     def test_too_many_diverged_fails_where_the_cap_would(self):
         # 7 of the first 20 nets diverge: no round may stop, and the error is
