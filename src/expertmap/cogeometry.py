@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import DataMatrix, ReferenceSet
 from .errors import InternalError, ValidationError
@@ -169,7 +168,7 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
     if not np.all(np.isfinite(coords)):
         raise InternalError("agglomeration needs finite coordinates")
     n = coords.shape[0]
-    dist = cdist(coords, coords)
+    dist = spectral.exact_distances(coords, "euclidean")
     np.fill_diagonal(dist, np.inf)
 
     folders: list[tuple[int, ...] | None] = [(i,) for i in range(n)]
@@ -184,11 +183,11 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
         cap = max(2.0, math.ceil(balance_factor * n / target))
         linkage, low, low_at = _eligible_linkage(dist, sizes, active, cap)
         while count > target:
-            pair = _select_pair(linkage, low, folders)
+            pair = _select_pair(linkage, low, low_at, folders)
             while pair is None:
                 cap *= 2.0
                 linkage, low, low_at = _eligible_linkage(dist, sizes, active, cap)
-                pair = _select_pair(linkage, low, folders)
+                pair = _select_pair(linkage, low, low_at, folders)
             i, j = pair                                  # i < j
             merged = tuple(sorted(folders[i] + folders[j]))
             # Lance-Williams update for average linkage
@@ -210,7 +209,9 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
             linkage[i, i + 1:] = np.where(fits[i + 1:], dist[i, i + 1:], np.inf)
             linkage[j, :] = np.inf
             linkage[:, j] = np.inf
-            stale = np.union1d(np.flatnonzero((low_at == i) | (low_at == j)), (i, j))
+            stale = (low_at == i) | (low_at == j)
+            stale[[i, j]] = True
+            stale = np.flatnonzero(stale)
             low_at[stale] = linkage[stale].argmin(axis=1)
             low[stale] = linkage[stale, low_at[stale]]
             # the weighted mean of two linkages can round below both
@@ -233,13 +234,19 @@ def _eligible_linkage(dist, sizes, active, cap):
     return linkage, linkage[np.arange(len(low_at)), low_at], low_at
 
 
-def _select_pair(linkage, low, folders):
-    """The pair the chained-tie scan of _balanced_agglomerate picks; None if none fits."""
+def _select_pair(linkage, low, low_at, folders):
+    """The pair the chained-tie scan of _balanced_agglomerate picks; None if none fits.
+
+    When one row's minimum lies in the first band and no other entry of
+    that row does, that minimum is the only pair in the band and wins.
+    """
     window = low.min() + 1e-12
     if not np.isfinite(window):
         return None
+    rows = np.flatnonzero(low <= window)
+    if len(rows) == 1 and np.count_nonzero(linkage[rows[0]] <= window) == 1:
+        return rows[0], low_at[rows[0]]
     while True:
-        rows = np.flatnonzero(low <= window)
         block = linkage[rows]
         r, c = np.nonzero(block <= window)                 # row-major, as the full scan
         vals = block[r, c]
@@ -257,6 +264,7 @@ def _select_pair(linkage, low, folders):
         if best_d + 1e-12 <= window:       # the next pair lies past the band
             return best
         window = best_d + 1e-12
+        rows = np.flatnonzero(low <= window)
 
 
 def build_partition_tree(kernel: spectral.Kernel, cfg: TreeConfig | None = None,
@@ -313,7 +321,7 @@ def emd_distance_matrix(tree: PartitionTree, vectors: np.ndarray,
     if not np.all(np.isfinite(vectors)):
         raise ValidationError("emd_distance_matrix requires complete vectors; impute first")
     means, weights = _folder_stats(tree, vectors, beta)
-    return cdist(means * weights, means * weights, metric="cityblock")
+    return spectral.exact_distances(means * weights, "cityblock")
 
 
 def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) -> spectral.Kernel:

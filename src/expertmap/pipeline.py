@@ -27,6 +27,7 @@ from .dataset import (DataMatrix, JsonArtifact, ReferenceSet, StandardizationPar
                       formatted_cells, iter_matrix, load_matrix, preprocess, read_json_object,
                       save_matrix, select_reference)
 from .errors import ValidationError
+from .spectral import cdist
 
 SCHEMA_VERSION = 1
 
@@ -253,27 +254,6 @@ def _read_column_csv(path) -> dict[str, list[str]]:
     return out
 
 
-def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``a`` and the rows of ``b``.
-
-    Expands |x - y|^2 = |x|^2 + |y|^2 - 2 x.y, so that the work is one BLAS
-    product.  Rounding can leave a tiny squared distance below 0; it is
-    clamped to 0 before the root.  The squared distances agree with the
-    direct sum of squared differences to ~1e-13 relative; at one BLAS thread
-    the result is the same to the byte from run to run, but a second thread,
-    or another row count of ``a``, can change the last bits.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sq = a @ b.T
-    sq *= -2.0
-    sq += np.einsum("ij,ij->i", a, a)[:, None]
-    sq += np.einsum("ij,ij->i", b, b)
-    np.maximum(sq, 0.0, out=sq)
-    np.sqrt(sq, out=sq)
-    return sq
-
-
 # ---------------------------------------------------------------------------
 # shared loading logic
 
@@ -334,12 +314,9 @@ def _round_check(ws: Workspace, filled: np.ndarray):
     reaches CONVERGED_OVERLAP: whether the round changed fewer than 5% of
     the points' nearest neighbours.
 
-    Each embedding is formed as embed forms embedding.csv, except that the
-    distances come from the BLAS product of ``cdist`` (they agree with
-    SciPy's to ~1e-14 relative and cost a tenth as much at this width), and
-    that only the top eigenpairs are solved for.  So a check costs O(n^2)
-    in the n reference rows, not the O(n^3) of a full eigensolve.  The nets
-    before a round are those after the one before it, so each check
+    Each embedding is formed as embed forms embedding.csv, through ``cdist``
+    and ``diffusion_embed``, which solves only for the top eigenpairs.  The
+    nets before a round are those after the one before it, so each check
     embeds one ensemble and keeps its embedding for the next.
     """
     r = int(ws.cfg["kernel"]["r"])
@@ -350,7 +327,7 @@ def _round_check(ws: Workspace, filled: np.ndarray):
         if e.k not in last:
             rep = netens.representation(e, filled)
             kernel = spectral.kernel_from_distances(cdist(rep, rep), r)
-            coords = spectral.diffusion_embed(kernel, d=d, t=t, lanczos=True).coordinates
+            coords = spectral.diffusion_embed(kernel, d=d, t=t).coordinates
             last.clear()
             last[e.k] = coords
         return last[e.k]

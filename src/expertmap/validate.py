@@ -11,12 +11,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
 
 from .dataset import DataMatrix
 from .errors import BoundViolation, ValidationError
-from .spectral import Kernel, _symmetric_eigensystem, signed_power
+from .spectral import Kernel, _symmetric_eigensystem, exact_distances, signed_power
 
 # powered nontrivial eigenvalues above this count toward the spectral dimension
 DIMENSION_CUTOFF = 0.01
@@ -53,7 +51,7 @@ def feature_lipschitz(coords: np.ndarray, features: dict[str, np.ndarray],
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
-    dists = cdist(coords, coords)
+    dists = exact_distances(coords, "euclidean")
     order = np.argsort(dists + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
     kk = min(n_neighbors, n - 1)
     pair_i = np.repeat(np.arange(n), kk)
@@ -121,12 +119,28 @@ def spectral_dimension(k: Kernel):
     vals, _ = _symmetric_eigensystem(k)
     s1 = vals[1]
     if s1 >= 1.0 - 1e-12:
-        n_comp, _ = connected_components((k.entries > 1e-12).astype(int), directed=False)
-        raise ValidationError(f"kernel graph is disconnected ({n_comp} components); "
+        raise ValidationError(f"kernel graph is disconnected ({component_count(k)} components); "
                               "spectral dimension undefined")
     t = 1.0 / (1.0 - s1)
     eigencurve = signed_power(vals[1:], t)
     return dimension_from_curve(eigencurve), t, eigencurve
+
+
+def component_count(k: Kernel) -> int:
+    """How many components the graph of the kernel's entries above 1e-12
+    has, by breadth-first search: O(n^2)."""
+    edges = k.entries > 1e-12
+    edges |= edges.T
+    unseen = np.ones(k.size, dtype=bool)
+    count = 0
+    while unseen.any():
+        count += 1
+        frontier = np.zeros(k.size, dtype=bool)
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            unseen &= ~frontier
+            frontier = edges[frontier].any(axis=0) & unseen
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .spectral import Embedding, diffusion_embed, exp_kernel, nn_bandwidth, nystrom_extend
+from .spectral import (Embedding, diffusion_embed, exact_distances, exp_kernel, nn_bandwidth,
+                       nystrom_extend)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def local_moments(emb: Embedding, k: int | None = None,
     n, d = coords.shape
     k = min(max(2 * d + 2, 20) if k is None else int(k), n)
 
-    dists = cdist(coords, coords)
+    dists = exact_distances(coords, "euclidean")
     order = np.argsort(dists, axis=1, kind="stable")
     hoods = order[:, :k]
 

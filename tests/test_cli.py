@@ -613,15 +613,46 @@ def test_train_sidecar_records_the_round_checks(chain, tmp_path, monkeypatch,
     assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == stopped
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs every process ~0.13 s and ~9 MB; only validate's
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy costs every stage process ~0.55 s and ~33 MB; only validate's
     # NNLS needs it, and it imports it when called
     src = str(Path(expertmap.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import expertmap.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+# Runs STAGES through cli.main with every import of SciPy failing; prints
+# each stage's exit code and train's checks as JSON.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {src!r})
+from expertmap import cli
+codes = [cli.main(["--config", {config!r}, "--out", {out!r}] + args) for args in {stages!r}]
+meta = json.load(open({out!r} + "/ensemble.json.meta.json"))
+print(json.dumps({{"codes": codes, "checks": meta["diagnostics"]["checks"]}}))
+"""
+
+
+def test_every_stage_but_validate_runs_without_scipy(tmp_path):
+    # net.k = 31: one check runs, after the round that reaches 30 nets
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "net": {"k": 31, "epochs": 10,
+                                                     "pretrain_epochs": 2}}))
+    out = tmp_path / "out"
+    stages = [[a.format(out=out) for a in stage] for stage in STAGES]
+    code = WITHOUT_SCIPY.format(src=str(Path(expertmap.__file__).parents[1]),
+                                config=str(config), out=str(out), stages=stages)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * len(STAGES), proc.stderr
+    assert [check["nets"] for check in result["checks"]] == [30]
+    assert result["checks"][0]["overlap"] is not None
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist as scipy_cdist
 
 from expertmap.errors import ValidationError
-from expertmap.spectral import (Embedding, Kernel, diffusion_embed, gaussian_kernel,
-                                kernel_from_distances, markov_normalize, neighbour_overlap,
-                                nn_bandwidth, nystrom_extend)
+from expertmap.spectral import (Embedding, Kernel, _top_eigenpairs, diffusion_embed,
+                                exact_distances, gaussian_kernel, kernel_from_distances,
+                                markov_normalize, neighbour_overlap, nn_bandwidth,
+                                nystrom_extend)
 
 
 def two_cluster_points(n_per=20, gap=3.0, seed=0):
@@ -44,8 +46,7 @@ class TestGaussianKernel:
         rng = np.random.default_rng(2)
         vectors = rng.normal(size=(30, 4))
         k = gaussian_kernel(vectors, r=5)
-        from scipy.spatial.distance import cdist
-        dists = cdist(vectors, vectors)
+        dists = scipy_cdist(vectors, vectors)
         np.fill_diagonal(dists, np.inf)
         expected = np.sort(dists, axis=1)[:, 4].mean()
         assert k.bandwidth["value"] == pytest.approx(expected)
@@ -142,12 +143,17 @@ class TestDiffusionEmbed:
         np.testing.assert_allclose(e2.coordinates, e1.coordinates[perm], atol=1e-8)
 
     @pytest.mark.parametrize("n, d", [(60, 4), (9, 8)])
-    def test_lanczos_agrees_with_the_full_solve(self, n, d):
+    def test_agrees_with_eigh(self, n, d):
         # n = 9, d = 8: d + 1 = n eigenpairs are all of them, a full solve
         k = gaussian_kernel(np.random.default_rng(14).normal(size=(n, 3)), r=3)
-        full, top = diffusion_embed(k, d=d), diffusion_embed(k, d=d, lanczos=True)
-        np.testing.assert_allclose(top.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(top.coordinates, full.coordinates, rtol=0, atol=1e-9)
+        emb = diffusion_embed(k, d=d)
+        sums = k.entries.sum(axis=1)
+        vals, vecs = np.linalg.eigh(conjugate(k))
+        vals, vecs = vals[::-1][1:d + 1], vecs[:, ::-1][:, 1:d + 1]
+        phi = np.sqrt(sums.sum() / sums)[:, None] * vecs
+        phi *= np.sign(phi[np.abs(phi).argmax(axis=0), np.arange(d)])
+        np.testing.assert_allclose(emb.eigenvalues, vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(emb.coordinates, phi * vals, rtol=0, atol=1e-9)
 
     def test_dimension_bounds(self):
         k = gaussian_kernel(np.random.default_rng(9).normal(size=(10, 2)), r=3)
@@ -155,6 +161,143 @@ class TestDiffusionEmbed:
             diffusion_embed(k, d=10)
         with pytest.raises(ValidationError):
             diffusion_embed(k, d=2, t=0.0)
+
+
+def conjugate(k):
+    """The symmetric conjugate D^-1/2 K D^-1/2 of a kernel's Markov matrix."""
+    half = 1.0 / np.sqrt(k.entries.sum(axis=1))
+    sym = half[:, None] * k.entries * half[None, :]
+    return 0.5 * (sym + sym.T)
+
+
+def block_kernel(*parts):
+    """The block-diagonal Kernel of the Gaussian kernels of ``parts``: one
+    graph component per part, so eigenvalue 1 repeats once per part."""
+    sizes = [len(p) for p in parts]
+    entries = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for part, size in zip(parts, sizes):
+        entries[at:at + size, at:at + size] = gaussian_kernel(part, r=3).entries
+        at += size
+    return Kernel(entries=entries)
+
+
+class TestTopEigenpairs:
+    """_top_eigenpairs against np.linalg.eigh: eigenvalues within 1e-12 and
+    unit eigenvectors within 1e-10, up to sign, or, for a repeated
+    eigenvalue, the same projector onto its eigenspace."""
+
+    def solve(self, k, count, monkeypatch, start=None):
+        """(top eigenpairs, eigh's top eigenpairs, whether eigh ran on all of
+        the conjugate), both descending; the Krylov basis starts at sqrt(D)
+        unless ``start`` is given."""
+        sym = conjugate(k)
+        want_vals, want_vecs = np.linalg.eigh(sym)
+        calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real_eigh(a))
+        if start is None:
+            start = np.sqrt(k.entries.sum(axis=1))
+        vals, vecs = _top_eigenpairs(sym, count, start)
+        monkeypatch.undo()
+        assert vals.shape == (count,) and vecs.shape == (k.size, count)
+        return ((vals[::-1], vecs[:, ::-1]),
+                (want_vals[::-1][:count], want_vecs[:, ::-1][:, :count]),
+                sym.shape in calls)
+
+    def assert_same(self, got, want, repeated=0):
+        (vals, vecs), (want_vals, want_vecs) = got, want
+        np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(len(vals)), rtol=0, atol=1e-12)
+        # the first ``repeated`` pairs share one eigenvalue: compare projectors
+        np.testing.assert_allclose(vecs[:, :repeated] @ vecs[:, :repeated].T,
+                                   want_vecs[:, :repeated] @ want_vecs[:, :repeated].T,
+                                   rtol=0, atol=1e-10)
+        rest, want_rest = vecs[:, repeated:], want_vecs[:, repeated:]
+        rest = rest * np.sign(np.sum(rest * want_rest, axis=0))
+        np.testing.assert_allclose(rest, want_rest, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", [1, 9, 20])
+    def test_gaussian_kernel(self, count, monkeypatch):
+        k = gaussian_kernel(np.random.default_rng(20).normal(size=(150, 3)), r=5)
+        got, want, full = self.solve(k, count, monkeypatch)
+        assert not full
+        self.assert_same(got, want)
+
+    def test_disconnected_kernel_repeats_one(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        k = block_kernel(*(rng.normal(size=(n, 2)) for n in (30, 25, 20)))
+        got, want, _ = self.solve(k, 6, monkeypatch)
+        np.testing.assert_allclose(got[0][:3], 1.0, rtol=0, atol=1e-12)
+        self.assert_same(got, want, repeated=3)
+
+    def test_a_missed_eigenvalue_takes_the_full_solve(self, monkeypatch):
+        # a start with no entry on the second component keeps every Krylov
+        # vector off it exactly, so the Ritz pairs converge without that
+        # component's eigenvalue 1; only the Cholesky check can tell
+        rng = np.random.default_rng(27)
+        k = block_kernel(rng.normal(size=(150, 2)), rng.normal(size=(40, 2)))
+        start = np.concatenate([rng.standard_normal(150), np.zeros(40)])
+        got, want, full = self.solve(k, 3, monkeypatch, start)
+        assert full
+        self.assert_same(got, want, repeated=2)
+
+    def test_two_components_stay_on_the_krylov_basis(self, monkeypatch):
+        # past sqrt(D), eigenvalue 1 has one direction left, which the
+        # sequence finds
+        rng = np.random.default_rng(22)
+        k = block_kernel(rng.normal(size=(60, 2)), rng.normal(size=(50, 2)))
+        got, want, full = self.solve(k, 3, monkeypatch)
+        assert not full
+        self.assert_same(got, want, repeated=2)
+
+    @pytest.mark.parametrize("count", [8, 9])
+    def test_count_of_n_minus_one_or_more(self, count, monkeypatch):
+        k = gaussian_kernel(np.random.default_rng(23).normal(size=(9, 2)), r=3)
+        got, want, full = self.solve(k, count, monkeypatch)
+        assert full
+        self.assert_same(got, want)
+
+    def test_early_invariant_subspace(self, monkeypatch):
+        # four distinct points, ten copies each: the conjugate has rank 4, so
+        # the Krylov space closes after a few vectors and restarts
+        rng = np.random.default_rng(24)
+        k = gaussian_kernel(np.repeat(rng.normal(size=(4, 2)), 10, axis=0), r=12)
+        got, want, full = self.solve(k, 3, monkeypatch)
+        assert not full
+        self.assert_same(got, want)
+
+
+@st.composite
+def rows_with_ties(draw):
+    """Up to 40 rows of up to 12 features, some of them copies of another
+    row or all zero."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    x = draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-1e6, 1e6))).copy()
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)),
+                              max_size=n)):
+        x[a] = 0.0 if b < 0 else x[b]
+    return x
+
+
+# 90 x 17 x 90 terms: blocks of 42, 42 and 6 rows at EXACT_BLOCK = 2^16,
+# with duplicate and zero rows among them
+MANY_ROWS = np.random.default_rng(25).normal(size=(90, 17)) * 1e3
+MANY_ROWS[40:50] = MANY_ROWS[3]
+MANY_ROWS[60:63] = 0.0
+
+
+class TestExactDistances:
+    @settings(deadline=None, max_examples=200)
+    @given(x=rows_with_ties())
+    @example(x=np.array([[1.5, -2.0, 3.25]]))
+    @example(x=np.array([[0.1], [0.3], [0.1], [-7.0]]))
+    @example(x=np.zeros((3, 4)))
+    @example(x=MANY_ROWS)
+    def test_bits_equal_scipy(self, x):
+        for metric in ("euclidean", "cityblock"):
+            np.testing.assert_array_equal(exact_distances(x, metric),
+                                          scipy_cdist(x, x, metric))
 
 
 # twelve reference points for the property tests of nystrom_extend

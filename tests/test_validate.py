@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from expertmap import validate
 from expertmap.dataset import DataMatrix
@@ -135,6 +137,26 @@ class TestSpectralDimension:
                             [np.zeros((3, 3)), block]])
         with pytest.raises(ValidationError, match="2 components"):
             spectral_dimension(Kernel(entries=entries))
+
+    def test_disconnected_gaussian_kernel_names_its_count(self):
+        rng = np.random.default_rng(5)
+        entries = np.zeros((36, 36))
+        for at in (0, 12, 24):
+            entries[at:at + 12, at:at + 12] = gaussian_kernel(rng.normal(size=(12, 2)),
+                                                              r=3).entries
+        with pytest.raises(ValidationError, match=r"\(3 components\)"):
+            spectral_dimension(Kernel(entries=entries))
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 30), density=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+def test_component_count_matches_scipy(n, density, seed):
+    # 0.5 is an edge of the kernel's graph; 1e-12 and 0 are not
+    draw = np.random.default_rng(seed).random((n, n))
+    entries = np.triu(np.where(draw < density, 0.5, np.where(draw < 2 * density, 1e-12, 0.0)), 1)
+    k = Kernel(entries=entries + entries.T + np.eye(n))
+    want, _ = connected_components(k.entries > 1e-12, directed=False)
+    assert validate.component_count(k) == want
 
 
 class TestAffinityHistograms:
