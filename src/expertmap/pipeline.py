@@ -521,17 +521,39 @@ def run_embed(ws: Workspace) -> None:
 
 def run_standardize(ws: Workspace) -> None:
     ids, emb = read_embedding(ws, "embedding", "embed")
-    lm = _local_moments(ws, emb)
-    std = whiten.standardized_embedding(emb, lm, d=int(ws.cfg["embedding"]["d"]),
-                                        t=float(ws.cfg["embedding"]["t"]),
+    kernel = whiten.standardized_kernel(emb, _local_moments(ws, emb),
                                         r=int(ws.cfg["kernel"]["r"]))
+    std = whiten.standardized_embedding(kernel, d=int(ws.cfg["embedding"]["d"]),
+                                        t=float(ws.cfg["embedding"]["t"]))
     write_embedding(ws.path("std_embedding.csv"), ws.path("std_embedding.json"), ids, std)
     ws.record("std_embedding.csv")
-    ws.record("std_embedding.json")
+    # reported, never asserted: where the kernel's entries above 1e-12 fall
+    # into several components, lambda_1 is 1 to rounding and the first
+    # coordinates only contrast the components
+    ws.record("std_embedding.json", {"kernel_components": validate.component_count(kernel),
+                                     "spectral_gap": 1.0 - float(std.eigenvalues[0])})
 
 
 # New points that run_extend reads and takes through the extension at a time.
 EXTEND_BLOCK = 1024
+# Rows of a block that go through the ensemble and the cross distances at a
+# time, so that a block never holds its whole representation.
+EXTEND_SLICE = 256
+
+
+def _slices(rows: int) -> list[slice]:
+    """A block of ``rows`` in slices of EXTEND_SLICE rows, the last one
+    taking a rest of fewer than EXTEND_SLICE / 2 rows.
+
+    OpenBLAS (0.3.31, Haswell kernels) multiplies a product of fewer than
+    ~80 rows by another path, which gave a short last slice other bits of
+    the nets' mean output than a pass over the whole block; with full slices
+    first and a last one of 128 rows or more, the bits were the same.
+    """
+    starts = list(range(0, rows, EXTEND_SLICE))
+    if len(starts) > 1 and rows - starts[-1] < EXTEND_SLICE // 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
 
 
 @contextlib.contextmanager
@@ -579,11 +601,16 @@ def _extend_block(state: _ExtendState, ids, values, mask, files):
     have one above 1.
     """
     new_filled = cogeometry.impute_matrix(state.params.transform(values, mask), state.obs_tree)
-    rep_new, f01 = netens.ensemble_forward(state.ensemble, new_filled)
-    cross = cdist(rep_new, state.rep_ref)
-    del new_filled, rep_new
-    # the exponents d^2 / sigma^2, in place
-    np.square(cross, out=cross)
+    # the exponents d^2 / sigma^2, formed a slice at a time: only a slice's
+    # representation is held
+    cross = np.empty((len(new_filled), len(state.rep_ref)))
+    f01 = np.empty(len(new_filled))
+    for rows in _slices(len(new_filled)):
+        rep_new, f01[rows] = netens.ensemble_forward(state.ensemble, new_filled[rows])
+        distances = cdist(rep_new, state.rep_ref)
+        np.square(distances, out=cross[rows])
+        del rep_new, distances
+    del new_filled
     cross /= state.emb.bandwidth["value"] ** 2
     coords, nearest_cross = spectral.nystrom_extend(state.emb, cross)
     del cross
@@ -641,12 +668,18 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     extension would give.  An error raised while a block is extended, here
     or in a helper, fails extend at once.
 
-    The block is a fixed 1024 rows, not a setting: the last bits of a BLAS
-    product can depend on the row count of its operand, so a fixed block
-    keeps the output bytes independent of anything but the input and the
-    BLAS threading, which each helper shares with this process.  A file of
-    at most 1024 new points is one block, and gives the bytes of extending
-    all its points at once.
+    Within a block, the ensemble's forward pass and the cross distances
+    run a slice of rows at a time (_slices), each slice filling its rows of
+    the block's exponents and mean outputs.  So a block holds the
+    representation of one slice, under 1.5 EXTEND_SLICE rows x
+    representation width, beside its block x reference exponents.
+
+    The block is a fixed 1024 rows and the slice a fixed 256, not settings:
+    the last bits of a BLAS product can depend on the row count of its
+    operand, so fixed sizes keep the output bytes independent of anything
+    but the input and the BLAS threading, which each helper shares with
+    this process.  A file of at most 1024 new points is one block, and
+    gives the bytes of extending all its points at once.
     """
     if not Path(new_points_path).is_file():
         raise ValidationError(f"new points file not found: {new_points_path}")
@@ -722,7 +755,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     # a smallest exponent above 1 puts a point beyond one bandwidth of every
     # reference point, where the extension says little
     diagnostics = {"new_points": n_new, "workers": workers if pool else 1,
-                   "skipped_coordinates": skipped,
+                   "representation_dim": ensemble.representation_dim,
+                   "slice_rows": EXTEND_SLICE, "skipped_coordinates": skipped,
                    "max_nearest_exponent": {kind: float(e)
                                             for kind, e in nearest_max.items()},
                    "beyond_one_bandwidth": beyond}

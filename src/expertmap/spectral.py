@@ -346,8 +346,9 @@ def nystrom_extend(emb: Embedding, exponents: np.ndarray) -> tuple[np.ndarray, n
     row x is exp(-e(x,y) + min_y e(x,y)), whose largest entry is exactly 1,
     so no row underflows to zero sum however far its point lies.  Rows are
     then normalized to be stochastic, so the shift changes nothing else in
-    exact arithmetic.  Coordinates whose eigenvalue is below 1e-12 are
-    skipped (filled with 0) with a warning.
+    exact arithmetic; they are normalized in the same buffer.  Coordinates
+    whose eigenvalue is below 1e-12 are skipped (filled with 0) with a
+    warning.
     """
     if exponents.ndim != 2 or exponents.shape[1] != emb.n:
         raise ValidationError(f"exponents must be (N, {emb.n}), got {exponents.shape}")
@@ -355,7 +356,7 @@ def nystrom_extend(emb: Embedding, exponents: np.ndarray) -> tuple[np.ndarray, n
     exponents -= nearest[:, None]
     np.negative(exponents, out=exponents)
     cross = np.exp(exponents, out=exponents)
-    a_tilde = cross / cross.sum(axis=1)[:, None]
+    cross /= cross.sum(axis=1)[:, None]
 
     out = np.zeros((cross.shape[0], emb.dim))
     for i in range(emb.dim):
@@ -364,5 +365,5 @@ def nystrom_extend(emb: Embedding, exponents: np.ndarray) -> tuple[np.ndarray, n
             warnings.warn(f"skipping extension of coordinate {i}: eigenvalue {lam:.3e} "
                           f"below {EIGENVALUE_FLOOR:.0e}", stacklevel=2)
             continue
-        out[:, i] = (a_tilde @ emb.eigenvectors[:, i]) / np.sqrt(lam)
+        out[:, i] = (cross @ emb.eigenvectors[:, i]) / np.sqrt(lam)
     return out, nearest

@@ -272,22 +272,65 @@ def row_sum_rank(d: DataMatrix) -> np.ndarray:
         return np.where(support > 0, sums * d.n_features / np.maximum(support, 1), 0.0)
 
 
+def _least_squares_on(a: np.ndarray, b: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The least-squares weights of the ``support`` columns of ``a``, 0
+    elsewhere; the least-norm ones where those columns are dependent."""
+    z = np.zeros(a.shape[1])
+    z[support] = np.linalg.lstsq(a[:, support], b, rcond=None)[0]
+    return z
+
+
 def nnls(a: np.ndarray, b: np.ndarray):
-    """Nonnegative least squares (SciPy's Lawson-Hanson active-set solver).
+    """Nonnegative least squares, min |a x - b| over x >= 0, by Lawson and
+    Hanson's active-set method (Solving Least Squares Problems, 1974, ch. 23).
+
+    The support starts empty.  Each step adds the feature off the support
+    whose dual (a^T (b - a x)) is largest, if that is above a rounding
+    tolerance and the least-squares weights on the grown support give it a
+    positive weight.  While those weights z have an entry at or below 0, x
+    moves toward z until its first support entry reaches 0, that entry (and
+    any other at 0) leaves the support, and z is solved again; then x = z.
+    Each step solves a least-squares problem on at most all the features
+    (about 60 here), so NumPy alone does the work.
 
     Returns (x, kkt_residual).  The residual is the largest violation of the
     KKT conditions: negativity of x, positive gradient on the support, or
     negative dual on the zero set.
     """
-    # imported here: scipy.optimize at module level would add ~0.13 s and
-    # ~9 MB to every process that imports this module
-    from scipy.optimize import nnls as lawson_hanson
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if len(b) != a.shape[0]:
         raise ValidationError(f"shape mismatch: design {a.shape}, target {len(b)}")
-    x, _ = lawson_hanson(a, b)
+    m, n = a.shape
+    # a dual below this is rounding: |a_j| |b| bounds the dual of feature j
+    scale = float(np.max(np.linalg.norm(a, axis=0), initial=0.0)) * float(np.linalg.norm(b))
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * scale
+    x = np.zeros(n)
+    support = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 1):
+        dual = a.T @ (b - a @ x)
+        candidates = ~support & (dual > tol)
+        while candidates.any():
+            j = int(np.argmax(np.where(candidates, dual, -np.inf)))
+            support[j] = True
+            z = _least_squares_on(a, b, support)
+            if z[j] > 0.0:
+                break
+            # rounding left j a weight at or below 0: it does not enter
+            support[j] = False
+            candidates[j] = False
+        else:
+            break
+        while np.any(z[support] <= 0.0):
+            out = support & (z <= 0.0)
+            ratios = x[out] / (x[out] - z[out])
+            x += np.min(ratios) * (z - x)
+            x[np.flatnonzero(out)[np.argmin(ratios)]] = 0.0
+            support &= x > 0.0
+            z = _least_squares_on(a, b, support)
+        x = z
+    else:
+        raise ValidationError(f"nnls did not settle in {3 * n + 1} steps on a {m} x {n} design")
     grad = -(a.T @ (b - a @ x))
     kkt = max(float(np.max(-x, initial=0.0)),
               float(np.max(np.abs(grad[x > 0]), initial=0.0)),

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import (Embedding, diffusion_embed, exact_distances, exp_kernel, nn_bandwidth,
-                       nystrom_extend)
+from .spectral import (Embedding, Kernel, diffusion_embed, exact_distances, exp_kernel,
+                       nn_bandwidth, nystrom_extend)
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,8 @@ def whitened_distance_matrix(lm: LocalMoments, emb: Embedding) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def standardized_embedding(emb: Embedding, lm: LocalMoments, d: int,
-                           t: float = 1.0, r: int = 10) -> Embedding:
-    """Diffusion embedding of W = exp(-d_t / sigma) on whitened distances.
+def standardized_kernel(emb: Embedding, lm: LocalMoments, r: int = 10) -> Kernel:
+    """W = exp(-d_t / sigma) on whitened distances.
 
     The bandwidth uses the same mean r-th-nearest-neighbor rule as the
     Gaussian kernel, applied to the whitened distance values directly (they
@@ -92,7 +91,11 @@ def standardized_embedding(emb: Embedding, lm: LocalMoments, d: int,
     sigma = nn_bandwidth(dmat, r)
     if sigma <= 0.0:
         raise ValidationError("whitened distances are all zero; cannot set a bandwidth")
-    kernel = exp_kernel(dmat / sigma, {"rule": f"mean-{r}nn-whitened", "value": sigma})
+    return exp_kernel(dmat / sigma, {"rule": f"mean-{r}nn-whitened", "value": sigma})
+
+
+def standardized_embedding(kernel: Kernel, d: int, t: float = 1.0) -> Embedding:
+    """Diffusion embedding of a ``standardized_kernel``."""
     out = diffusion_embed(kernel, d=d, t=t)
     return Embedding(eigenvalues=out.eigenvalues, eigenvectors=out.eigenvectors,
                      t=out.t, bandwidth=out.bandwidth, standardized=True)

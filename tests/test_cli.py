@@ -231,6 +231,9 @@ def test_extend_sidecar_carries_its_diagnostics(chain):
     diagnostics = meta["diagnostics"]
     n_ref = len(json.loads((out / "reference.json").read_text())["indices"])
     assert diagnostics["new_points"] == CONFIG["synth"]["n_points"]
+    nets = json.loads((out / "ensemble.json").read_text())["nets"]
+    assert diagnostics["representation_dim"] == sum(net["hyper"]["h1"] for net in nets)
+    assert diagnostics["slice_rows"] == pipeline.EXTEND_SLICE
     assert diagnostics["skipped_coordinates"] == {"embedding": [], "std_embedding": []}
     # the new points include the reference points, each at exponent 0 from
     # itself, and the others lie among them
@@ -284,8 +287,9 @@ def extend_diagnostics(work):
 @pytest.fixture
 def extended_in_blocks(chain, tmp_path, monkeypatch):
     """extend in this process on the chain's 150 new points in blocks of 32
-    (four full blocks and a ragged one); returns the workspace and the row
-    count of each cdist call."""
+    (four full blocks and a ragged one) and slices of 10, whose rest of 2
+    rows in a full block joins the last slice; returns the workspace and the
+    row count of each cdist call."""
     config, out, _, _ = chain
     use_workers(monkeypatch, 1)
     work = shutil.copytree(out, tmp_path / "out")
@@ -294,6 +298,7 @@ def extended_in_blocks(chain, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "cdist",
                         lambda a, b: rows_per_call.append(len(a)) or real(a, b))
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
+    monkeypatch.setattr(pipeline, "EXTEND_SLICE", 10)
     run_extend_on(work, config, work / "data.csv")
     return work, rows_per_call
 
@@ -317,8 +322,7 @@ def test_extend_in_blocks_matches_one_block(chain, extended_in_blocks):
 
 def test_extend_streams_its_new_points(extended_in_blocks):
     _, rows_per_call = extended_in_blocks
-    assert sum(rows_per_call) == CONFIG["synth"]["n_points"]
-    assert max(rows_per_call) <= pipeline.EXTEND_BLOCK
+    assert rows_per_call == [10, 10, 12] * 4 + [10, 12]
 
 
 def write_rows(path, rows):
@@ -356,6 +360,27 @@ def test_extend_memory_does_not_grow_with_new_points(chain, tmp_path, monkeypatc
     few = extend_peak_bytes(out, config, out / "data.csv", tmp_path / "few")
     many = extend_peak_bytes(out, config, many, tmp_path / "run-many")
     assert abs(many - few) <= 64 * 1024, (few, many)
+
+
+def test_extend_memory_does_not_grow_with_block_rows_times_width(chain, tmp_path):
+    # nets 400 wide, so that the representation outweighs the block's other
+    # buffers.  750 new points and 150 each go through as one block: the 600
+    # further rows' representation, were it held whole, would add 600 x
+    # representation_dim float64 values to the peak (1.3 times that was
+    # measured); in slices of 256 (256, 256, 238) it adds one slice's growth
+    # and the block's rows of the narrower buffers (0.2 times that)
+    config, out, _, _ = chain
+    wide = shutil.copytree(out, tmp_path / "wide")
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], "h1": [400, 400]}}))
+    for stage in ("train", "embed", "standardize"):
+        assert cli.main(["--config", str(config), "--out", str(wide), stage]) == 0
+    many = times_over(out, tmp_path / "many.csv", 5)
+    few = extend_peak_bytes(wide, config, out / "data.csv", tmp_path / "few")
+    many = extend_peak_bytes(wide, config, many, tmp_path / "run-many")
+    width = extend_diagnostics(tmp_path / "run-many")["representation_dim"]
+    assert width == 5 * 400
+    assert many - few <= 0.5 * 600 * width * 8, (few, many, width)
 
 
 def test_extend_helpers_keep_a_bounded_window(chain, tmp_path, monkeypatch):
@@ -613,9 +638,36 @@ def test_train_sidecar_records_the_round_checks(chain, tmp_path, monkeypatch,
     assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == stopped
 
 
+def test_standardize_sidecar_reports_its_kernel(chain):
+    _, out, _, _ = chain
+    diagnostics = json.loads((out / "std_embedding.json.meta.json").read_text())["diagnostics"]
+    eigenvalues = json.loads((out / "std_embedding.json").read_text())["eigenvalues"]
+    assert diagnostics["kernel_components"] >= 1
+    assert diagnostics["spectral_gap"] == 1.0 - eigenvalues[0]
+
+
+def test_standardize_reports_a_disconnected_kernel_and_goes_on(chain, tmp_path, monkeypatch):
+    # the standardized kernel cut in two halves with no entry between them:
+    # lambda_1 is 1, which standardize reports and does not raise on
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    real = whiten.standardized_kernel
+
+    def cut(emb, lm, r):
+        kernel = real(emb, lm, r)
+        half = kernel.size // 2
+        kernel.entries[:half, half:] = 0.0
+        kernel.entries[half:, :half] = 0.0
+        return kernel
+    monkeypatch.setattr(whiten, "standardized_kernel", cut)
+    assert cli.main(["--config", str(config), "--out", str(work), "standardize"]) == 0
+    diagnostics = json.loads((work / "std_embedding.json.meta.json").read_text())["diagnostics"]
+    assert diagnostics["kernel_components"] == 2
+    assert abs(diagnostics["spectral_gap"]) <= 1e-12
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    # SciPy costs every stage process ~0.55 s and ~33 MB; only validate's
-    # NNLS needs it, and it imports it when called
+    # SciPy costs a process ~0.55 s and ~33 MB, and no stage needs it
     src = str(Path(expertmap.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import expertmap.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

@@ -334,6 +334,22 @@ class TestNystromLogDomain:
         scale = np.abs(emb.eigenvectors).max(axis=0) / np.sqrt(emb.eigenvalues)
         assert np.all(np.abs(coords - plain) <= 1e-12 * scale)
 
+    @settings(deadline=None)
+    @given(exponents=exponent_rows(50.0), transposed=st.booleans())
+    def test_normalizing_in_place_keeps_the_bits(self, exponents, transposed):
+        # the oracle normalizes a copy of the kernel, as the extension once
+        # did; a transposed buffer is what extend_standardized passes
+        if transposed:
+            exponents = np.ascontiguousarray(exponents.T).T
+        emb = SMALL_EMB
+        shifted = exponents - exponents.min(axis=1)[:, None]
+        cross = np.exp(np.negative(shifted))
+        a_tilde = cross / cross.sum(axis=1)[:, None]
+        oracle = np.column_stack([(a_tilde @ emb.eigenvectors[:, i]) / np.sqrt(lam)
+                                  for i, lam in enumerate(emb.eigenvalues)])
+        coords, _ = nystrom_extend(emb, exponents.copy(order="K"))
+        np.testing.assert_array_equal(coords, oracle)
+
 
 class TestNystrom:
     def test_self_extension_gives_sqrt_lambda_phi(self):

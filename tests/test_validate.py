@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse.csgraph import connected_components
 
 from expertmap import validate
@@ -323,6 +327,51 @@ class TestNnls:
             assert kkt <= 1e-8
             oracle = projected_gradient_nnls(a, b)
             np.testing.assert_allclose(a @ x, a @ oracle, atol=1e-6)
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.integers(1, 40), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           duplicate=st.booleans(), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_matches_scipy(self, m, n, seed, duplicate, scale):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.normal(size=(m, n))
+        if duplicate and n > 1:
+            a[:, -1] = a[:, 0]
+        b = rng.normal(size=m)
+        x, kkt = nnls(a, b)
+        want, _ = scipy_nnls(a, b)
+        assert np.all(x >= 0)
+        # the fit is unique even where the weights are not
+        fit = np.linalg.norm(a @ want) + np.linalg.norm(b)
+        np.testing.assert_allclose(a @ x, a @ want, atol=1e-9 * fit)
+        assert kkt <= 1e-9 * scale * fit
+        if m >= n and not duplicate:
+            np.testing.assert_allclose(x, want, rtol=1e-7, atol=1e-9 / scale)
+
+    def test_nnls_rank_runs_without_scipy(self):
+        # every import of SciPy fails in the child
+        src = str(Path(validate.__file__).parents[1])
+        code = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {src!r})
+import numpy as np
+from expertmap import validate
+from expertmap.dataset import DataMatrix
+rng = np.random.default_rng(5)
+values = rng.normal(size=(40, 6))
+d = DataMatrix(values=values, mask=np.ones_like(values, dtype=bool),
+               feature_names=tuple("abcdef"), point_ids=tuple(map(str, range(40))),
+               group_of={{}}, weight_of={{}})
+weights, _, kkt = validate.nnls_rank(d, values @ {truth!r})
+print(json.dumps([weights.tolist(), kkt]))
+"""
+        truth = [1.0, 0.0, 2.0, 0.0, 0.5, 0.0]
+        proc = subprocess.run([sys.executable, "-c", code.format(src=src, truth=truth)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        weights, kkt = json.loads(proc.stdout)
+        np.testing.assert_allclose(weights, truth, atol=1e-9)
+        assert kkt <= 1e-9
 
     def test_nnls_rank_requires_complete_rows(self):
         d = matrix_from([[1.0, np.nan], [2.0, 3.0]])

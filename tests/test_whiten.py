@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist
 from expertmap.spectral import Embedding, Kernel, diffusion_embed, nn_bandwidth
 from expertmap.whiten import (LocalMoments, extend_standardized, local_moments,
                               one_sided_cross_kernel, standardized_embedding,
-                              whitened_distance_matrix)
+                              standardized_kernel, whitened_distance_matrix)
 
 
 def coords_embedding(coords, t=1.0):
@@ -139,7 +139,7 @@ class TestStandardizedEmbedding:
         coords = rng.normal(size=(30, 2))
         emb = coords_embedding(coords)
         lm = identity_moments(30, 2, coords)
-        std = standardized_embedding(emb, lm, d=2, t=1.0, r=5)
+        std = standardized_embedding(standardized_kernel(emb, lm, r=5), d=2, t=1.0)
 
         sq = cdist(coords, coords) ** 2
         sigma = nn_bandwidth(sq, 5)
@@ -157,7 +157,7 @@ class TestStandardizedEmbedding:
 
         lm = local_moments(emb, k=20)
         # d large enough to carry the internal modes of both clusters
-        std = standardized_embedding(emb, lm, d=6, t=1.0, r=10)
+        std = standardized_embedding(standardized_kernel(emb, lm, r=10), d=6, t=1.0)
         after = within_cluster_ratio(std.coordinates, 40)
         assert 0.5 <= after <= 2.0
         assert abs(after - 1.0) < abs(before - 1.0)   # strictly toward 1
@@ -172,12 +172,9 @@ class TestStandardizedEmbedding:
         rng = np.random.default_rng(9)
         coords = rng.normal(size=(20, 2))
         perm = rng.permutation(20)
-        std1 = standardized_embedding(coords_embedding(coords),
-                                      local_moments(coords_embedding(coords), k=6),
-                                      d=2, r=5)
-        std2 = standardized_embedding(coords_embedding(coords[perm]),
-                                      local_moments(coords_embedding(coords[perm]), k=6),
-                                      d=2, r=5)
+        std1, std2 = (standardized_embedding(
+            standardized_kernel(emb, local_moments(emb, k=6), r=5), d=2)
+            for emb in (coords_embedding(coords), coords_embedding(coords[perm])))
         np.testing.assert_allclose(std2.coordinates, std1.coordinates[perm], atol=1e-8)
 
 
@@ -188,7 +185,7 @@ class TestExtendStandardized:
         emb = coords_embedding(coords)
         # spatially constant moments: every point shares the global ones
         lm_global = local_moments(emb, k=25)
-        std = standardized_embedding(emb, lm_global, d=3, t=1.0, r=5)
+        std = standardized_embedding(standardized_kernel(emb, lm_global, r=5), d=3, t=1.0)
         return coords, emb, lm_global, std
 
     def test_self_extension_proportional_to_sqrt_s_psi(self):
@@ -214,7 +211,7 @@ class TestExtendStandardized:
         coords = rng.normal(size=(15, 2))
         emb = coords_embedding(coords)
         lm_real = local_moments(emb, k=6)
-        std = standardized_embedding(emb, lm_real, d=2, t=1.0, r=5)
+        std = standardized_embedding(standardized_kernel(emb, lm_real, r=5), d=2, t=1.0)
         # zero pseudoinverses make every one-sided affinity 1 (uniform row)
         lm_flat = LocalMoments(mu=lm_real.mu, sigma_pinv=np.zeros_like(lm_real.sigma_pinv))
         out, nearest = extend_standardized(lm_flat, emb, std, coords[[0]])
