@@ -9,13 +9,12 @@ sibling).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, ReferenceSet
+from .dataset import DataMatrix, ReferenceSet, write_json
 from .errors import InternalError, ValidationError
 from . import spectral
 
@@ -80,7 +79,7 @@ class PartitionTree:
 
     def to_json(self) -> dict:
         return {"levels": [[list(f) for f in level] for level in self.levels],
-                "axis": self.axis, "schema_version": 1}
+                "axis": self.axis}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PartitionTree":
@@ -89,8 +88,7 @@ class PartitionTree:
         return cls(axis=obj["axis"], levels=levels)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+        write_json(path, self.to_json())
 
 
 @dataclass(frozen=True)

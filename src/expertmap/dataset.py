@@ -1,8 +1,13 @@
-"""Data-matrix ingestion and preprocessing.
+"""Data-matrix ingestion and preprocessing, and the artifact file format.
 
 The matrix is N points by m observations with an explicit observed-entry
 mask.  Unobserved cells are stored as NaN so that accidental reads are loud;
 every statistic here is computed over observed entries only.
+
+This is the one module that writes artifact files: ``write_table`` and
+``write_json`` write a whole file, ``staged`` the text of one a stage
+streams, each on a temporary file that replaces the artifact only once it
+is complete.
 
 Preprocessing (standardize, depolarize, weight) is fit once, by
 ``preprocess``, into a ``StandardizationParams``; its ``transform`` then maps
@@ -15,6 +20,7 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,6 +33,8 @@ DEFAULT_GROUP = "default"
 ID_COLUMN = "point_id"            # header of the id column save_matrix writes
 # joint observations a feature pair needs for its covariance to count
 MIN_SUPPORT = 3
+# the version write_json stamps on every JSON artifact
+SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -243,13 +251,48 @@ def formatted_cells(values: np.ndarray, mask: np.ndarray):
             for row, observed in zip(values, mask))
 
 
+@contextlib.contextmanager
+def staged(*paths):
+    """A text file for each of ``paths``, on ``.NAME.tmp`` beside it.
+
+    Yields the files as a tuple.  When the block exits cleanly each file
+    replaces its path; when it raises, every temporary file is removed, so
+    each path keeps its previous bytes.
+    """
+    temps = [Path(p).with_name(f".{Path(p).name}.tmp") for p in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield tuple(stack.enter_context(open(t, "w", encoding="utf-8", newline=""))
+                        for t in temps)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """Write the CSV artifact ``path``: the header row, then ``rows``."""
+    with staged(path) as (fh,):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj: dict, indent=None) -> None:
+    """Write the JSON artifact ``path``: ``obj`` stamped with SCHEMA_VERSION,
+    its keys sorted."""
+    with staged(path) as (fh,):
+        json.dump({**obj, "schema_version": SCHEMA_VERSION}, fh, sort_keys=True,
+                  indent=indent)
+
+
 def save_matrix(d: DataMatrix, path) -> None:
     """Emit the same CSV dialect load_matrix reads; round-trips exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([ID_COLUMN, *d.feature_names])
-        writer.writerows([pid, *cells] for pid, cells
-                         in zip(d.point_ids, formatted_cells(d.values, d.mask)))
+    write_table(path, [ID_COLUMN, *d.feature_names],
+                ([pid, *cells] for pid, cells
+                 in zip(d.point_ids, formatted_cells(d.values, d.mask))))
 
 
 def _pairwise_complete_covariance(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -331,7 +374,6 @@ class StandardizationParams:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
             "means": self.means.tolist(),
             "sds": self.sds.tolist(),
             "flip": self.flip.astype(int).tolist(),

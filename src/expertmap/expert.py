@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cogeometry import PartitionTree, impute_matrix
-from .dataset import DataMatrix, ReferenceSet, open_csv
+from .dataset import DataMatrix, ReferenceSet, open_csv, write_table
 from .errors import InternalError, ValidationError
 
 
@@ -92,12 +92,9 @@ def export_centroids(ps: PseudopointSet, path, flip: np.ndarray) -> None:
         raise ValidationError("cannot export an empty pseudopoint set")
     display = ps.centroids.copy()
     display[:, flip] *= -1.0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["folder_id", "member_count", *ps.feature_names, "score"])
-        for j, fid in enumerate(ps.folder_ids):
-            writer.writerow([fid, ps.member_counts[j],
-                             *[repr(float(v)) for v in display[j]], ""])
+    write_table(path, ["folder_id", "member_count", *ps.feature_names, "score"],
+                ([fid, ps.member_counts[j], *[repr(float(v)) for v in display[j]], ""]
+                 for j, fid in enumerate(ps.folder_ids)))
 
 
 def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,

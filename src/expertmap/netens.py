@@ -55,11 +55,10 @@ import resource
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_json_object
+from .dataset import read_json_object, staged
 from .errors import InternalError, TrainingDiverged, ValidationError
 
 
@@ -663,17 +662,9 @@ def ensemble_from_json(obj: dict) -> NetEnsemble:
 
 
 def save_ensemble(e: NetEnsemble, path) -> None:
-    """Write the ensemble to ``path`` through a temporary file beside it."""
-    text = ensemble_to_json(e)
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-    os.replace(temp, path)
+    """Write the ensemble to ``path`` through ``dataset.staged``."""
+    with staged(path) as (fh,):
+        fh.write(ensemble_to_json(e))
 
 
 def load_ensemble(path) -> NetEnsemble:

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import io
 import json
-import os
+import shutil
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,11 +25,9 @@ import numpy as np
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
 from .dataset import (DataMatrix, JsonArtifact, ReferenceSet, StandardizationParams,
                       formatted_cells, iter_matrix, load_matrix, preprocess, read_json_object,
-                      save_matrix, select_reference)
-from .errors import ValidationError
+                      save_matrix, select_reference, staged, write_json, write_table)
+from .errors import ParseError, ValidationError
 from .spectral import cdist
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +139,12 @@ class Workspace:
 
     def record(self, name: str, diagnostics: dict | None = None) -> None:
         """Write ``name``'s sidecar; call it after the artifact is written."""
-        meta = {"schema_version": SCHEMA_VERSION,
-                "config_hash": self.cfg_hash,
+        meta = {"config_hash": self.cfg_hash,
                 "created": datetime.now(timezone.utc).isoformat(),
                 "inputs": self.inputs}
         if diagnostics is not None:
             meta["diagnostics"] = diagnostics
-        with open(self.sidecar(name), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
+        write_json(self.sidecar(name), meta, indent=1)
         self.inputs[name] = self._hashes[name] = file_hash(self.path(name))
 
     def require(self, name: str, producer: str) -> Path:
@@ -182,13 +178,6 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # small readers/writers
 
-def _write_table(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -199,10 +188,6 @@ def _rows(ids, values: np.ndarray):
     return ([pid, *map(repr, row)] for pid, row in zip(ids, values.tolist()))
 
 
-def _write_rows(path, header: list[str], ids, values: np.ndarray) -> None:
-    _write_table(path, header, _rows(ids, values))
-
-
 RANKING_HEADER = ["point_id", "f_rescaled", "f_score"]
 
 
@@ -210,48 +195,42 @@ def _coords_header(dim: int) -> list[str]:
     return ["point_id"] + [f"coord_{i + 1}" for i in range(dim)]
 
 
-def _write_coords(path, ids, coords: np.ndarray) -> None:
-    _write_rows(path, _coords_header(coords.shape[1]), ids, coords)
-
-
 def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
-    _write_coords(path_csv, ids, emb.coordinates)
-    with open(path_json, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION,
-                   "eigenvalues": emb.eigenvalues.tolist(),
-                   "t": emb.t, "bandwidth": emb.bandwidth,
-                   "standardized": emb.standardized}, fh, sort_keys=True)
+    write_table(path_csv, _coords_header(emb.dim), _rows(ids, emb.coordinates))
+    write_json(path_json, {"eigenvalues": emb.eigenvalues.tolist(),
+                           "t": emb.t, "bandwidth": emb.bandwidth,
+                           "standardized": emb.standardized})
+
+
+def _read_table(ws: Workspace, name: str, producer: str) -> DataMatrix:
+    """The CSV artifact ``name`` that ``producer`` wrote, fetched as
+    ``require`` does and read by ``load_matrix``.  A cell that is not a
+    number, an empty one included, is an error that names the file and
+    says to rerun ``producer``."""
+    path = ws.require(name, producer)
+    rerun = f"rerun '{producer}' to rewrite it"
+    try:
+        table = load_matrix(path)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{exc}; {rerun}") from None
+    if not table.mask.all():
+        row, col = np.argwhere(~table.mask)[0]
+        raise ValidationError(f"{path}: row {row + 2}: no value in column "
+                              f"{table.feature_names[col]!r}; {rerun}")
+    return table
 
 
 def read_embedding(ws: Workspace, name: str,
                    producer: str) -> tuple[list[str], spectral.Embedding]:
     """The embedding that ``producer`` wrote to ``name``.csv and ``name``.json."""
-    path_csv = ws.require(f"{name}.csv", producer)
+    table = _read_table(ws, f"{name}.csv", producer)
     meta = ws.read_json(f"{name}.json", producer, "embedding file")
-    ids, coords = [], []
-    with open(path_csv, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ids.append(row[0])
-            coords.append([float(v) for v in row[1:]])
-    coords = np.asarray(coords)
     vals = np.asarray(meta["eigenvalues"])
-    vectors = coords / spectral.signed_power(vals, meta["t"])[None, :]
+    vectors = table.values / spectral.signed_power(vals, meta["t"])[None, :]
     emb = spectral.Embedding(eigenvalues=vals, eigenvectors=vectors, t=meta["t"],
                              bandwidth=meta.get("bandwidth", {}),
                              standardized=meta.get("standardized", False))
-    return ids, emb
-
-
-def _read_column_csv(path) -> dict[str, list[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        out: dict[str, list[str]] = {name: [] for name in reader.fieldnames or []}
-        for row in reader:
-            for key, value in row.items():
-                out[key].append(value)
-    return out
+    return list(table.point_ids), emb
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +265,12 @@ def _omega_matrix(d: DataMatrix, omega: ReferenceSet, obs_tree) -> tuple[np.ndar
 
 
 def _load_label_function(ws: Workspace) -> expert.LabelFunction:
-    path = ws.require("label_function.csv", "pseudopoints import")
-    cols = _read_column_csv(path)
-    values = np.asarray([float(v) for v in cols["g_score"]])
-    rescaled = np.asarray([float(v) for v in cols["g_rescaled"]])
+    table = _read_table(ws, "label_function.csv", "pseudopoints import")
+    cols = dict(zip(table.feature_names, np.array(table.values.T)))
+    values, rescaled = cols["g_score"], cols["g_rescaled"]
     lo = float(values.min())
     hi = float(values.max())
-    return expert.LabelFunction(point_ids=tuple(cols["point_id"]), values=values,
+    return expert.LabelFunction(point_ids=table.point_ids, values=values,
                                 rescaled=rescaled, degenerate=hi == lo,
                                 scale=(lo, hi))
 
@@ -373,13 +351,9 @@ def run_preprocess(ws: Workspace) -> None:
     omega = select_reference(processed, eta)
 
     save_matrix(processed, ws.path("preprocessed.csv"))
-    with open(ws.path("scaler.json"), "w", encoding="utf-8") as fh:
-        json.dump(params.to_json(), fh, sort_keys=True)
-    with open(ws.path("reference.json"), "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "eta": eta,
-                   "indices": omega.indices.tolist(),
-                   "polarity_flips": params.flip.astype(int).tolist()},
-                  fh, sort_keys=True)
+    write_json(ws.path("scaler.json"), params.to_json())
+    write_json(ws.path("reference.json"), {"eta": eta, "indices": omega.indices.tolist(),
+                                           "polarity_flips": params.flip.astype(int).tolist()})
     for name in ("preprocessed.csv", "scaler.json", "reference.json"):
         ws.record(name)
 
@@ -435,11 +409,10 @@ def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
                                   score_min=ws.cfg["pseudopoints"]["score_min"],
                                   score_max=ws.cfg["pseudopoints"]["score_max"])
     lf = expert.propagate_labels(scores, points_tree, level, omega, d)
-    _write_rows(ws.path("label_function.csv"), ["point_id", "g_score", "g_rescaled"],
-                lf.point_ids, np.column_stack((lf.values, lf.rescaled)))
+    write_table(ws.path("label_function.csv"), ["point_id", "g_score", "g_rescaled"],
+                _rows(lf.point_ids, np.column_stack((lf.values, lf.rescaled))))
     if labels_file != ws.path("labels.csv"):
-        with open(labels_file, "rb") as src, open(ws.path("labels.csv"), "wb") as dst:
-            dst.write(src.read())
+        shutil.copyfile(labels_file, ws.path("labels.csv"))
     ws.record("labels.csv")
     ws.record("label_function.csv")
 
@@ -461,11 +434,8 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
     else:
         scores = np.full_like(folder_means, 0.5 * (lo + hi))
 
-    with open(ws.path("labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["folder_id", "score"])
-        for fid, score in zip(ps.folder_ids, scores):
-            writer.writerow([fid, _fmt(score)])
+    write_table(ws.path("labels.csv"), ["folder_id", "score"],
+                ([fid, _fmt(score)] for fid, score in zip(ps.folder_ids, scores)))
     _import_labels(ws, loaded, ws.path("labels.csv"))
 
 
@@ -488,8 +458,8 @@ def run_train(ws: Workspace) -> None:
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
     f01 = netens.ensemble_rank(ensemble, filled)
-    _write_rows(ws.path("ranking.csv"), RANKING_HEADER, lf.point_ids,
-                np.column_stack((f01, lf.to_label_scale(f01))))
+    write_table(ws.path("ranking.csv"), RANKING_HEADER,
+                _rows(lf.point_ids, np.column_stack((f01, lf.to_label_scale(f01)))))
     diagnostics = {"nets": [{"index": net.hyper.seed, "final_cost": report.final_cost,
                              "epochs": report.epochs_run}
                             for net, report in zip(ensemble.nets, record.reports)],
@@ -559,24 +529,13 @@ def _slices(rows: int) -> list[slice]:
 @contextlib.contextmanager
 def _staged_tables(ws: Workspace, headers: dict[str, list[str]]):
     """A text file for each artifact named in ``headers``, its header row
-    written, on a temporary file in the workspace.  When the block exits
-    cleanly each file replaces its artifact; when it raises, every file is
-    removed, so the artifacts keep their previous bytes."""
-    temps = {name: ws.path(f".{name}.tmp") for name in headers}
-    try:
-        with contextlib.ExitStack() as stack:
-            files = {}
-            for name, header in headers.items():
-                files[name] = stack.enter_context(open(temps[name], "w", encoding="utf-8",
-                                                       newline=""))
-                csv.writer(files[name]).writerow(header)
-            yield files
-    except BaseException:
-        for path in temps.values():
-            path.unlink(missing_ok=True)
-        raise
-    for name, path in temps.items():
-        os.replace(path, ws.path(name))
+    written, staged by ``dataset.staged``: the artifacts are replaced only
+    when the block exits cleanly."""
+    with staged(*map(ws.path, headers)) as files:
+        files = dict(zip(headers, files))
+        for name, header in headers.items():
+            csv.writer(files[name]).writerow(header)
+        yield files
 
 
 @dataclass(frozen=True)
@@ -869,7 +828,8 @@ def run_report(ws: Workspace) -> None:
     ids, emb = read_embedding(ws, "embedding", "embed")
     _, std_emb = read_embedding(ws, "std_embedding", "standardize")
     lf = _load_label_function(ws)
-    ranking = _read_column_csv(ws.require("ranking.csv", "train"))
+    ranking = _read_table(ws, "ranking.csv", "train")
+    f_scores = ranking.values[:, ranking.feature_names.index("f_score")].tolist()
 
     coords = emb.coordinates
     std_coords = std_emb.coordinates
@@ -878,9 +838,9 @@ def run_report(ws: Workspace) -> None:
               + [f"std_coord_{i + 1}" for i in range(std_coords.shape[1])]
               + list(d.feature_names))
     features = formatted_cells(d.values[omega.indices], d.mask[omega.indices])
-    rows = ([pid, repr(g), f_score, *map(repr, coord), *map(repr, std_coord), *feats]
-            for pid, g, f_score, coord, std_coord, feats
-            in zip(ids, lf.values.tolist(), ranking["f_score"], coords.tolist(),
+    rows = ([pid, repr(g), repr(f), *map(repr, coord), *map(repr, std_coord), *feats]
+            for pid, g, f, coord, std_coord, feats
+            in zip(ids, lf.values.tolist(), f_scores, coords.tolist(),
                    std_coords.tolist(), features))
-    _write_table(ws.path("report.csv"), header, rows)
+    write_table(ws.path("report.csv"), header, rows)
     ws.record("report.csv")

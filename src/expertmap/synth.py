@@ -11,12 +11,11 @@ coordinates and never touches the noise features.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import DataMatrix, save_matrix
+from .dataset import DataMatrix, save_matrix, write_json
 from .errors import ValidationError
 
 PERIOD = 2.0 * np.pi
@@ -149,10 +148,8 @@ def emit(cfg: SynthConfig, csv_path, truth_path) -> tuple[DataMatrix, np.ndarray
     """Write the dataset CSV plus a truth sidecar JSON; returns the triple."""
     data, truth, clusters = generate(cfg)
     save_matrix(data, csv_path)
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": 1,
-                   "config": asdict(cfg),
-                   "point_ids": list(data.point_ids),
-                   "ground_truth": truth.tolist(),
-                   "cluster_ids": clusters.tolist()}, fh, sort_keys=True)
+    write_json(truth_path, {"config": asdict(cfg),
+                            "point_ids": list(data.point_ids),
+                            "ground_truth": truth.tolist(),
+                            "cluster_ids": clusters.tolist()})
     return data, truth, clusters

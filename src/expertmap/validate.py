@@ -6,13 +6,12 @@ serialize for external tools.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, write_json, write_table
 from .errors import BoundViolation, ValidationError
 from .spectral import Kernel, _symmetric_eigensystem, exact_distances, signed_power
 
@@ -417,22 +416,13 @@ class ValidationReport:
     def add_table(self, name: str, header: list[str], rows: list[list]) -> None:
         self.tables[name] = (header, rows)
 
-    def write(self, outdir) -> list[str]:
-        from pathlib import Path
+    def write(self, outdir) -> None:
+        """validation.json and one CSV per table in ``outdir``; each table
+        row ends with the config hash."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        report_path = outdir / "validation.json"
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump({"schema_version": 1, "config_hash": self.config_hash,
-                       "sections": self.sections}, fh, sort_keys=True, indent=1)
-        written.append(str(report_path))
+        write_json(outdir / "validation.json",
+                   {"config_hash": self.config_hash, "sections": self.sections}, indent=1)
         for name, (header, rows) in self.tables.items():
-            path = outdir / f"{name}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header + ["config_hash"])
-                for row in rows:
-                    writer.writerow(list(row) + [self.config_hash])
-            written.append(str(path))
-        return written
+            write_table(outdir / f"{name}.csv", header + ["config_hash"],
+                        (list(row) + [self.config_hash] for row in rows))

@@ -199,6 +199,40 @@ def test_stage_names_a_json_file_that_lacks_a_key(chain, tmp_path, capsys, stage
     assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
 
 
+@pytest.mark.parametrize("cell", ["", "abc"], ids=["empty", "abc"])
+@pytest.mark.parametrize("stage, name, producer", [
+    ("standardize", "embedding.csv", "embed"),
+    ("train", "label_function.csv", "pseudopoints import"),
+    ("report", "ranking.csv", "train")])
+def test_stage_names_a_table_with_a_damaged_cell(chain, tmp_path, capsys, stage, name,
+                                                 producer, cell):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / name
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][-1] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: row 4: ")
+    assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
+
+
+def test_import_copies_a_labels_file_from_outside_the_workspace(chain, tmp_path):
+    config, out, _, first = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    labels = shutil.copyfile(work / "labels.csv", tmp_path / "scores.csv")
+    for name in ("labels.csv", "label_function.csv"):
+        (work / name).unlink()
+    assert cli.main(["--config", str(config), "--out", str(work),
+                     "pseudopoints", "import", "--labels", str(labels)]) == 0
+    for name in ("labels.csv", "label_function.csv"):
+        assert hashlib.sha256((work / name).read_bytes()).hexdigest() == first[name], name
+
+
 def test_stages_past_pseudopoints_read_the_observation_tree_alone(chain):
     _, out, _, _ = chain
     for name in ("ensemble.json", "ranking.csv", "embedding.csv", "extended_embedding.csv"):
@@ -836,6 +870,6 @@ def test_validate_runs_the_ensemble_once(chain, tmp_path, monkeypatch):
     monkeypatch.setattr(netens, "ensemble_forward",
                         lambda e, X: calls.append(len(X)) or real(e, X))
     ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
-    with contextlib.suppress(BoundViolation):     # ROADMAP open item 2
+    with contextlib.suppress(BoundViolation):     # ROADMAP open item 1
         pipeline.run_validate(ws)
     assert len(calls) == 1

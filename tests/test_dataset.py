@@ -413,3 +413,33 @@ def test_preprocess_transform_matches_pipeline():
     # row by row, as run_extend applies it to new points
     np.testing.assert_array_equal(params.transform(d.values[:5], d.mask[:5]),
                                   processed.values[:5])
+
+
+class TestStaged:
+    def test_a_block_that_raises_keeps_every_old_file(self, tmp_path):
+        paths = [write(tmp_path, "old a", "a.csv"), write(tmp_path, "old b", "b.json")]
+        with pytest.raises(RuntimeError, match="midway"):
+            with dataset.staged(*paths) as files:
+                for fh in files:
+                    fh.write("new")
+                raise RuntimeError("midway")
+        assert [p.read_text() for p in paths] == ["old a", "old b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+
+    def test_a_clean_exit_replaces_every_file(self, tmp_path):
+        paths = [write(tmp_path, "old a", "a.csv"), tmp_path / "new.csv"]
+        with dataset.staged(*paths) as files:
+            for fh, path in zip(files, paths):
+                fh.write(f"{path.name}\r\n")
+            # nothing is replaced before the block exits
+            assert paths[0].read_text() == "old a" and not paths[1].exists()
+        assert [p.read_bytes() for p in paths] == [b"a.csv\r\n", b"new.csv\r\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "new.csv"]
+
+
+def test_write_json_stamps_the_schema_version_and_sorts_keys(tmp_path):
+    path = tmp_path / "x.json"
+    dataset.write_json(path, {"b": [1, 2], "a": None})
+    assert path.read_text() == '{"a": null, "b": [1, 2], "schema_version": 1}'
+    dataset.write_json(path, {"b": 1}, indent=1)
+    assert path.read_text() == '{\n "b": 1,\n "schema_version": 1\n}'

@@ -412,11 +412,11 @@ def test_validation_report_round_trip(tmp_path):
     report = ValidationReport(config_hash="abc123")
     report.add_section("stats", {"mean": 1.5})
     report.add_table("numbers", ["idx", "value"], [[1, 2.0], [2, 4.0]])
-    written = report.write(tmp_path)
+    report.write(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["numbers.csv", "validation.json"]
     with open(tmp_path / "validation.json") as fh:
         payload = json.load(fh)
-    assert payload["config_hash"] == "abc123"
+    assert payload["schema_version"] == 1 and payload["config_hash"] == "abc123"
     assert payload["sections"]["stats"]["mean"] == 1.5
-    body = (tmp_path / "numbers.csv").read_text()
-    assert "config_hash" in body and "abc123" in body
-    assert str(tmp_path / "validation.json") in written
+    body = (tmp_path / "numbers.csv").read_bytes()
+    assert body == b"idx,value,config_hash\r\n1,2.0,abc123\r\n2,4.0,abc123\r\n"
