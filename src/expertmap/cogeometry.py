@@ -118,27 +118,32 @@ def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> tuple[spectral.Kernel
     msk = mask.astype(float)
 
     support = msk @ msk.T
-    n = len(omega.indices)
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(support[off_diag] < 1):
-        j, k = np.argwhere((support < 1) & off_diag)[0]
+    np.fill_diagonal(support, 1.0)
+    if np.any(support < 1):
+        j, k = np.argwhere(support < 1)[0]
         raise ValidationError(f"points {j} and {k} in the reference set share no "
                               "observed entries")
+    del support
 
-    num = filled @ filled.T
     sq = (filled ** 2) @ msk.T            # |x_j|^2 restricted to supp(x_j) & supp(x_k)
-    denom = np.sqrt(sq * sq.T)
+    denom = sq * sq.T
+    del sq
+    np.sqrt(denom, out=denom)
+    zero_norm = denom <= 0
+    np.fill_diagonal(zero_norm, False)
+    flagged = [tuple(p) for p in np.argwhere(np.triu(zero_norm, 1))] if zero_norm.any() else []
 
-    flagged = []
-    with np.errstate(invalid="ignore", divide="ignore"):
-        entries = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
-    zero_norm = (denom <= 0) & off_diag
-    if np.any(zero_norm):
-        flagged = [tuple(p) for p in np.argwhere(np.triu(zero_norm, 1))]
-    entries = np.clip(0.5 * (entries + entries.T), -1.0, 1.0)
-    kernel = 0.5 * (entries + 1.0)
-    np.fill_diagonal(kernel, 1.0)
-    return spectral.Kernel(entries=kernel), tuple(flagged)
+    # the cosine, (c + 1) / 2 and the unit diagonal, all in one buffer
+    entries = filled @ filled.T
+    np.divide(entries, denom, out=entries, where=denom > 0)
+    entries[denom <= 0] = 0.0
+    del denom
+    spectral._symmetrize(entries)
+    np.clip(entries, -1.0, 1.0, out=entries)
+    entries += 1.0
+    entries *= 0.5
+    np.fill_diagonal(entries, 1.0)
+    return spectral.Kernel(entries=entries), tuple(flagged)
 
 
 def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float):
@@ -325,9 +330,19 @@ def emd_distance_matrix(tree: PartitionTree, vectors: np.ndarray,
 def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) -> spectral.Kernel:
     """exp(-d_EMD / eps) with eps = median nonzero pairwise distance."""
     dist = emd_distance_matrix(tree, vectors, beta)
-    nonzero = dist[dist > 0]
-    eps = float(np.median(nonzero)) if nonzero.size else 1.0
-    return spectral.exp_kernel(dist / eps, {})
+    # the nonzero distances, gathered a row tile at a time into one vector
+    # that the median may reorder
+    tiles = spectral.row_tiles(dist.shape[0])
+    nonzero = np.empty(sum(int(np.count_nonzero(dist[rows] > 0)) for rows in tiles))
+    at = 0
+    for rows in tiles:
+        picked = dist[rows][dist[rows] > 0]
+        nonzero[at:at + len(picked)] = picked
+        at += len(picked)
+    eps = float(np.median(nonzero, overwrite_input=True)) if nonzero.size else 1.0
+    del nonzero
+    dist /= eps
+    return spectral.exp_kernel(dist, {})
 
 
 def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
@@ -351,15 +366,15 @@ def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
     for level in range(tree.depth, 0, -1):
         if not remaining.any():
             break
+        # means per row and folder, spread over each folder's columns; beside
+        # ``filled`` and ``out``, one array as wide as ``rows`` is alive at a time
         ind = tree.indicator(level)
-        sums = filled @ ind
         counts = obs.astype(float) @ ind
+        means = filled @ ind
+        means /= np.maximum(counts, 1.0)
         folder_of = tree.folder_of(level)
-        cell_counts = counts[:, folder_of]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cell_means = sums[:, folder_of] / np.maximum(cell_counts, 1.0)
-        fill_here = remaining & (cell_counts > 0)
-        out[fill_here] = cell_means[fill_here]
+        fill_here = remaining & (counts > 0)[:, folder_of]
+        np.copyto(out, means[:, folder_of], where=fill_here)
         remaining &= ~fill_here
     if remaining.any():
         raise InternalError("imputation left unfilled entries despite observed data")

@@ -166,9 +166,12 @@ def open_csv(path):
             raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-# Data rows load_matrix parses at a time, so that only one chunk of cells is
-# ever held as strings.
+# Data rows load_matrix reads as one chunk of iter_matrix.
 PARSE_ROWS = 1024
+# Data rows iter_matrix parses from their strings at a time; a chunk is
+# parsed in pieces this long, so that only a piece's cells are ever held as
+# strings.
+PARSE_PIECE = 128
 
 
 def iter_matrix(path, rows: int):
@@ -176,8 +179,9 @@ def iter_matrix(path, rows: int):
 
     Yields ``(feature_names, ids, values, mask)`` for each chunk: the
     header's feature names, the chunk's point ids and its parsed cells.  A
-    chunk's strings are released before it is yielded, so a consumer that
-    keeps nothing holds one chunk of floats at a time.  A malformed row
+    chunk is parsed PARSE_PIECE rows at a time and each piece's strings are
+    released before the next is read, so a consumer that keeps nothing holds
+    one chunk of floats and one piece of strings at a time.  A malformed row
     raises the ParseError of its first fault, with its line number in the
     file.  Once every chunk is out, a file with no data rows raises a
     ParseError and a file whose ids repeat raises a ValidationError listing
@@ -198,11 +202,21 @@ def iter_matrix(path, rows: int):
         seen: set[str] = set()
         dups: set[str] = set()
         line = 2                      # 1-based; the header is line 1
-        while chunk := list(itertools.islice(reader, rows)):
-            values, mask = _parse_rows(path, chunk, feature_names, line)
-            ids = [row[0] for row in chunk]
-            line += len(chunk)
-            del chunk
+        while True:
+            ids, values, mask = [], [], []
+            while len(ids) < rows:
+                piece = list(itertools.islice(reader, min(PARSE_PIECE, rows - len(ids))))
+                if not piece:
+                    break
+                piece_values, piece_mask = _parse_rows(path, piece, feature_names, line)
+                values.append(piece_values)
+                mask.append(piece_mask)
+                ids += [row[0] for row in piece]
+                line += len(piece)
+                del piece
+            if not ids:
+                break
+            values, mask = np.concatenate(values), np.concatenate(mask)
             for pid in ids:
                 if pid in seen:
                     dups.add(pid)

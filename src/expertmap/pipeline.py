@@ -740,8 +740,8 @@ def run_validate(ws: Workspace) -> None:
     euclid_kernel = spectral.gaussian_kernel(filled, r=ws.cfg["kernel"]["r"])
 
     # neighborhood concentration under both metrics
-    mass_dnn = validate.neighborhood_mass(spectral.markov_normalize(dnn_kernel))
-    mass_euc = validate.neighborhood_mass(spectral.markov_normalize(euclid_kernel))
+    mass_dnn = validate.neighborhood_mass(dnn_kernel)
+    mass_euc = validate.neighborhood_mass(euclid_kernel)
     report.add_section("neighborhood_mass", {
         "dnn": {"mean": mass_dnn.mean, "sd": mass_dnn.sd},
         "euclidean": {"mean": mass_euc.mean, "sd": mass_euc.sd}})
@@ -749,9 +749,10 @@ def run_validate(ws: Workspace) -> None:
                      [[pid, int(mass_dnn.counts[i]), int(mass_euc.counts[i])]
                       for i, pid in enumerate(ids)])
 
-    # spectral dimensions
+    # spectral dimensions; the euclidean kernel serves no other section
     dim_dnn, t_dnn, curve_dnn = validate.spectral_dimension(dnn_kernel)
     dim_euc, t_euc, curve_euc = validate.spectral_dimension(euclid_kernel)
+    del euclid_kernel
     report.add_section("spectral_dimension", {
         "dnn": {"dim": dim_dnn, "t": t_dnn},
         "euclidean": {"dim": dim_euc, "t": t_euc}})
@@ -822,17 +823,33 @@ def run_validate(ws: Workspace) -> None:
         ws.record(name)
 
 
+def _join(ws: Workspace, name: str, producer: str, table_ids, ids) -> np.ndarray:
+    """The row of the table ``name`` for each of ``ids``, the embedding's
+    point ids.  A table whose ids are not those ids is an error that names
+    it and says to rerun ``producer``."""
+    row_of = {pid: i for i, pid in enumerate(table_ids)}
+    if len(row_of) != len(ids) or any(pid not in row_of for pid in ids):
+        raise ValidationError(f"{ws.path(name)}: its point ids are not those of "
+                              f"embedding.csv; rerun '{producer}' to rewrite it")
+    return np.array([row_of[pid] for pid in ids], dtype=np.int64)
+
+
 def run_report(ws: Workspace) -> None:
-    """Plot-ready per-point join of embeddings, rankings, labels, features."""
+    """Plot-ready per-point join, by point id, of embeddings, rankings,
+    labels and features."""
     d, omega = _load_preprocessed(ws)
     ids, emb = read_embedding(ws, "embedding", "embed")
-    _, std_emb = read_embedding(ws, "std_embedding", "standardize")
+    std_ids, std_emb = read_embedding(ws, "std_embedding", "standardize")
     lf = _load_label_function(ws)
     ranking = _read_table(ws, "ranking.csv", "train")
-    f_scores = ranking.values[:, ranking.feature_names.index("f_score")].tolist()
+    std_coords = std_emb.coordinates[_join(ws, "std_embedding.csv", "standardize",
+                                           std_ids, ids)]
+    g_scores = lf.values[_join(ws, "label_function.csv", "pseudopoints import",
+                               lf.point_ids, ids)].tolist()
+    f_scores = ranking.values[_join(ws, "ranking.csv", "train", ranking.point_ids, ids),
+                              ranking.feature_names.index("f_score")].tolist()
 
     coords = emb.coordinates
-    std_coords = std_emb.coordinates
     header = (["point_id", "g_score", "f_score"]
               + [f"coord_{i + 1}" for i in range(coords.shape[1])]
               + [f"std_coord_{i + 1}" for i in range(std_coords.shape[1])]
@@ -840,7 +857,7 @@ def run_report(ws: Workspace) -> None:
     features = formatted_cells(d.values[omega.indices], d.mask[omega.indices])
     rows = ([pid, repr(g), repr(f), *map(repr, coord), *map(repr, std_coord), *feats]
             for pid, g, f, coord, std_coord, feats
-            in zip(ids, lf.values.tolist(), f_scores, coords.tolist(),
+            in zip(ids, g_scores, f_scores, coords.tolist(),
                    std_coords.tolist(), features))
     write_table(ws.path("report.csv"), header, rows)
     ws.record("report.csv")

@@ -25,6 +25,33 @@ RITZ_TOL = 1e-13
 # elements of the (features, rows, n) block of terms that exact_distances
 # reduces at a time
 EXACT_BLOCK = 2 ** 16
+# rows (and columns) of an n x n matrix that the in-place builders, the kernel
+# checks and the neighbour searches handle at a time, so that what they
+# allocate is a tile, not another n x n matrix
+TILE = 64
+
+
+def row_tiles(n: int) -> list[slice]:
+    """The slices of TILE consecutive indices, the last one shorter, that
+    cover range(n)."""
+    return [slice(a, min(a + TILE, n)) for a in range(0, n, TILE)]
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Set the square ``a`` to (a + a^T) / 2 in place and return it.
+
+    Both tiles of each pair (I, J), I <= J, get 0.5 * (a[I, J] + a[J, I]^T);
+    IEEE addition commutes, so the bits are those of 0.5 * (a + a.T), and
+    only a tile is allocated at a time.
+    """
+    tiles = row_tiles(a.shape[0])
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            mean = a[rows, cols] + a[cols, rows].T
+            mean *= 0.5
+            a[rows, cols] = mean
+            a[cols, rows] = mean.T
+    return a
 
 
 def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,33 +77,71 @@ def cdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def exact_distances(x: np.ndarray, metric: str) -> np.ndarray:
-    """The square matrix of ``metric`` ("euclidean" or "cityblock")
-    distances between the rows of ``x``, with the bits of SciPy's
-    ``cdist(x, x, metric)``.
+def exact_distances(x: np.ndarray, metric: str, rows: slice = slice(None)) -> np.ndarray:
+    """The ``metric`` ("euclidean" or "cityblock") distances from the rows
+    ``rows`` of ``x`` (all of them by default) to every row of ``x``, with
+    the bits of SciPy's ``cdist(x[rows], x, metric)``.
 
     Each distance sums its per-feature terms in feature order, as SciPy's
     loop does: the terms of a block of rows form a (features, rows, n) array,
     whose axis 0 NumPy reduces one slice after the other.  So no near-tie
-    between neighbours flips against the direct sum.  It costs O(n^2 m)
+    between neighbours flips against the direct sum, and a row's distances
+    do not depend on which other rows are asked for.  It costs O(n^2 m)
     element operations, 3-4x SciPy's loop; for wide rows use ``cdist``.
     """
     if metric not in ("euclidean", "cityblock"):
         raise ValidationError(f"unknown metric {metric!r}")
     cols = np.asarray(x, dtype=float).T.copy()
     m, n = cols.shape
-    out = np.empty((n, n))
+    first, last, _ = rows.indices(n)
+    out = np.empty((max(0, last - first), n))
     step = max(1, EXACT_BLOCK // max(1, m * n))
-    for start in range(0, n, step):
-        terms = cols[:, start:start + step, None] - cols[:, None, :]
+    for start in range(first, last, step):
+        stop = min(start + step, last)
+        terms = cols[:, start:stop, None] - cols[:, None, :]
         if metric == "euclidean":
             np.square(terms, out=terms)
         else:
             np.abs(terms, out=terms)
-        np.add.reduce(terms, axis=0, out=out[start:start + step])
+        np.add.reduce(terms, axis=0, out=out[start - first:stop - first])
+        del terms                     # before the next block's is allocated
     if metric == "euclidean":
         np.sqrt(out, out=out)
     return out
+
+
+def nearest_neighbours(x: np.ndarray, k: int,
+                       exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, distances), each (n, k): each row's k nearest rows of ``x``
+    by euclidean ``exact_distances``, nearest first and, of equally near
+    ones, the lower index first.  These are the first k columns of a stable
+    argsort of the row's distances, where with ``exclude_self`` its own
+    distance counts as inf.
+
+    It works TILE rows at a time and sorts no whole row: a partition finds
+    the k-th distance, the nearer ones and the lowest-index ties fill the k,
+    and only those are sorted.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k))
+    if k == 0:
+        return indices, distances
+    for rows in row_tiles(n):
+        d = exact_distances(x, "euclidean", rows)
+        if exclude_self:
+            d[np.arange(d.shape[0]), np.arange(rows.start, rows.stop)] = np.inf
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+        take = d < kth
+        ties = d == kth
+        take |= ties & (np.cumsum(ties, axis=1) <= k - take.sum(axis=1, keepdims=True))
+        cols = np.nonzero(take)[1].reshape(-1, k)           # ascending in each row
+        near = np.take_along_axis(d, cols, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        indices[rows] = np.take_along_axis(cols, order, axis=1)
+        distances[rows] = np.take_along_axis(near, order, axis=1)
+    return indices, distances
 
 
 @dataclass(frozen=True)
@@ -92,14 +157,17 @@ class Kernel:
     bandwidth: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # each check reads TILE rows at a time, and runs over the whole
+        # matrix before the next one starts
         k = self.entries
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValidationError(f"kernel must be square, got shape {k.shape}")
-        if not np.all(np.isfinite(k)):
+        tiles = row_tiles(k.shape[0])
+        if not all(np.isfinite(k[rows]).all() for rows in tiles):
             raise ValidationError("kernel has non-finite entries")
-        if np.max(np.abs(k - k.T)) > 1e-12:
+        if any(np.max(np.abs(k[rows] - k[:, rows].T)) > 1e-12 for rows in tiles):
             raise ValidationError("kernel not symmetric within 1e-12")
-        if k.min() < -1e-12 or k.max() > 1.0 + 1e-12:
+        if any(k[rows].min() < -1e-12 or k[rows].max() > 1.0 + 1e-12 for rows in tiles):
             raise ValidationError("kernel entries outside [0, 1]")
         if np.max(np.abs(np.diag(k) - 1.0)) > 1e-12:
             raise ValidationError("kernel diagonal is not 1")
@@ -119,8 +187,12 @@ def nn_bandwidth(distances: np.ndarray, r: int) -> float:
     if n < 2:
         raise ValidationError("need at least 2 points for a bandwidth")
     r_eff = min(r, n - 1)
-    off = np.partition(distances + np.diag(np.full(n, np.inf)), r_eff - 1, axis=1)
-    return float(off[:, r_eff - 1].mean())
+    kth = np.empty(n)
+    for rows in row_tiles(n):
+        off = distances[rows].copy()
+        off[np.arange(off.shape[0]), np.arange(rows.start, rows.stop)] = np.inf
+        kth[rows] = np.partition(off, r_eff - 1, axis=1)[:, r_eff - 1]
+    return float(kth.mean())
 
 
 def gaussian_kernel(vectors: np.ndarray, r: int = 10) -> Kernel:
@@ -134,43 +206,65 @@ def gaussian_kernel(vectors: np.ndarray, r: int = 10) -> Kernel:
 
 def kernel_from_distances(dists: np.ndarray, r: int) -> Kernel:
     """``gaussian_kernel`` of the points whose square distance matrix is
-    ``dists``; its diagonal is not read."""
+    ``dists``; its diagonal is not read.  The kernel is built in the buffer
+    of ``dists``, which is consumed."""
     sigma = nn_bandwidth(dists, r)
     if sigma <= 0.0:
         raise ValidationError("all points identical: bandwidth is 0")
-    return exp_kernel(dists ** 2 / sigma ** 2, {"rule": f"mean-{r}nn", "value": sigma})
+    np.square(dists, out=dists)
+    dists /= sigma ** 2
+    return exp_kernel(dists, {"rule": f"mean-{r}nn", "value": sigma})
 
 
 def exp_kernel(exponents: np.ndarray, bandwidth: dict) -> Kernel:
     """The Kernel exp(-e) of the square exponents e, symmetrized as
-    (K + K^T) / 2, with its diagonal set to 1."""
-    entries = np.exp(-exponents)
-    entries = 0.5 * (entries + entries.T)
+    (K + K^T) / 2, with its diagonal set to 1.
+
+    The kernel is built in the buffer of ``exponents``, which is consumed:
+    hand over a matrix that is not read again.
+    """
+    entries = np.negative(exponents, out=exponents)
+    np.exp(entries, out=entries)
+    _symmetrize(entries)
     np.fill_diagonal(entries, 1.0)
     return Kernel(entries=entries, bandwidth=bandwidth)
 
 
-def markov_normalize(k: Kernel) -> np.ndarray:
-    """The row-stochastic transition matrix P = D^-1 K."""
-    return k.entries / k.entries.sum(axis=1)[:, None]
+def markov_normalize(k: Kernel, rows: slice = slice(None)) -> np.ndarray:
+    """The rows ``rows`` (all of them by default) of the row-stochastic
+    transition matrix P = D^-1 K."""
+    block = k.entries[rows]
+    return block / block.sum(axis=1)[:, None]
 
 
-def _symmetric_eigensystem(k: Kernel, count: int | None = None):
-    """The top ``count`` eigenpairs of P (all when None) via the conjugate
-    symmetric matrix, descending.
+def _conjugate(k: Kernel, out: np.ndarray | None = None) -> np.ndarray:
+    """The symmetric conjugate D^-1/2 K D^-1/2 of P, built in one n x n
+    buffer: ``out`` when given, else a new one."""
+    half = 1.0 / np.sqrt(k.entries.sum(axis=1))
+    sym = np.multiply(half[:, None], k.entries, out=out)
+    sym *= half[None, :]
+    return _symmetrize(sym)
 
-    A count below n is found by ``_top_eigenpairs``: O(n^2) per Krylov
-    vector and one O(n^3 / 3) Cholesky factor in place of the full eigh.
-    It agrees with the full solve to rounding, not bit for bit.
+
+def _symmetric_eigensystem(k: Kernel, count: int):
+    """The top ``count`` eigenpairs of P via the conjugate symmetric matrix,
+    descending.
+
+    They are found by ``_top_eigenpairs``: O(n^2) per Krylov vector and one
+    O(n^3 / 3) Cholesky factor in place of the full eigh, which runs only
+    when those pairs cannot be certified.  They agree with the full solve to
+    rounding, not bit for bit.
     """
     sums = k.entries.sum(axis=1)
+    sym = _conjugate(k)
+    pairs = _top_eigenpairs(sym, count, np.sqrt(sums))
+    if pairs is None:
+        # the certificate may have overwritten sym: build it again
+        eigvals, eigvecs = np.linalg.eigh(_conjugate(k, out=sym))
+        pairs = eigvals[-count:], eigvecs[:, -count:]
+    del sym
+    eigvals, eigvecs = pairs
     half = 1.0 / np.sqrt(sums)
-    sym = half[:, None] * k.entries * half[None, :]
-    sym = 0.5 * (sym + sym.T)
-    if count is None:
-        eigvals, eigvecs = np.linalg.eigh(sym)
-    else:
-        eigvals, eigvecs = _top_eigenpairs(sym, count, np.sqrt(sums))
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], -1.0, 1.0)
     # right eigenvectors of P, unit norm under the stationary measure
@@ -197,8 +291,10 @@ def _top_eigenpairs(sym: np.ndarray, count: int, start: np.ndarray):
     apart.  So the pairs are returned only when theta I - sym + 3 X X^T, for
     the Ritz vectors X and the least Ritz value theta, has a Cholesky
     factor: for eigenvectors X that matrix is positive definite just when no
-    eigenvalue of sym outside span(X) reaches theta.  Otherwise, or once m
-    would reach n, the full solve runs, so there is no failure to converge.
+    eigenvalue of sym outside span(X) reaches theta.  That matrix is formed
+    in the buffer of ``sym``, with 3 X X^T added TILE rows at a time.
+    Otherwise, or once m would reach n, it returns None, and the caller runs
+    the full solve on a ``sym`` that it builds again.
     """
     n = sym.shape[0]
     rng = np.random.default_rng(0)
@@ -218,17 +314,16 @@ def _top_eigenpairs(sym: np.ndarray, count: int, start: np.ndarray):
         theta, mix = theta[-count:], mix[:, -count:]
         vectors = basis @ mix
         if np.linalg.norm(image @ mix - vectors * theta, axis=0).max() <= RITZ_TOL:
-            bound = (3.0 * vectors) @ vectors.T
-            bound -= sym
-            bound.flat[::n + 1] += theta[0]
+            for rows in row_tiles(n):
+                np.subtract((3.0 * vectors[rows]) @ vectors.T, sym[rows], out=sym[rows])
+            sym.flat[::n + 1] += theta[0]
             try:
-                np.linalg.cholesky(bound)
+                np.linalg.cholesky(sym)
             except np.linalg.LinAlgError:
-                break
+                return None
             return theta, vectors
         size *= 2
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return eigvals[-count:], eigvecs[:, -count:]
+    return None
 
 
 def _orthonormal_to(basis: np.ndarray, v: np.ndarray, rng) -> np.ndarray:
@@ -302,10 +397,11 @@ def diffusion_embed(k: Kernel, d: int, t: float = 1.0) -> Embedding:
 
 
 def _check_residuals(k: Kernel, emb: Embedding) -> None:
-    p = markov_normalize(k)
+    # P phi = (K phi) / D, without forming P
+    image = (k.entries @ emb.eigenvectors) / k.entries.sum(axis=1)[:, None]
     for i in range(emb.dim):
         phi = emb.eigenvectors[:, i]
-        res = np.linalg.norm(p @ phi - emb.eigenvalues[i] * phi)
+        res = np.linalg.norm(image[:, i] - emb.eigenvalues[i] * phi)
         if res > RESIDUAL_TOL * np.linalg.norm(phi):
             raise ValidationError(f"eigensolver residual {res:.3e} for eigenpair {i} "
                                   f"exceeds {RESIDUAL_TOL:.0e}")
@@ -320,20 +416,10 @@ def neighbour_overlap(a: np.ndarray, b: np.ndarray, k: int) -> float:
     """
     n = a.shape[0]
     k = min(k, n - 1)
-    return float(np.count_nonzero(_nearest(a, k) & _nearest(b, k))) / (n * k)
-
-
-def _nearest(coords: np.ndarray, k: int) -> np.ndarray:
-    """(n, n) flags of each point's k nearest other points, as
-    ``neighbour_overlap`` orders them; O(n^2), no sort."""
-    dists = exact_distances(coords, "euclidean")
-    np.fill_diagonal(dists, np.inf)
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    near = dists < kth
-    ties = dists == kth
-    # the lowest-index points at the k-th distance fill each row up to k
-    near |= ties & (np.cumsum(ties, axis=1) <= k - near.sum(axis=1, keepdims=True))
-    return near
+    near_a, _ = nearest_neighbours(a, k, exclude_self=True)
+    near_b, _ = nearest_neighbours(b, k, exclude_self=True)
+    shared = np.count_nonzero(near_a[:, :, None] == near_b[:, None, :])
+    return float(shared) / (n * k)
 
 
 def nystrom_extend(emb: Embedding, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .dataset import DataMatrix, write_json, write_table
 from .errors import BoundViolation, ValidationError
-from .spectral import Kernel, _symmetric_eigensystem, exact_distances, signed_power
+from .spectral import (Kernel, _conjugate, markov_normalize, nearest_neighbours, row_tiles,
+                       signed_power)
 
 # powered nontrivial eigenvalues above this count toward the spectral dimension
 DIMENSION_CUTOFF = 0.01
@@ -50,12 +51,11 @@ def feature_lipschitz(coords: np.ndarray, features: dict[str, np.ndarray],
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
-    dists = exact_distances(coords, "euclidean")
-    order = np.argsort(dists + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
     kk = min(n_neighbors, n - 1)
+    near, gaps = nearest_neighbours(coords, kk, exclude_self=True)
     pair_i = np.repeat(np.arange(n), kk)
-    pair_j = order[:, :kk].ravel()
-    gap = dists[pair_i, pair_j]
+    pair_j = near.ravel()
+    gap = gaps.ravel()
     usable = gap > 0
 
     rows = []
@@ -84,19 +84,18 @@ class MassStats:
     sd: float
 
 
-def neighborhood_mass(trans: np.ndarray) -> MassStats:
-    """Minimal number of other points holding half of each point's transition mass."""
-    n = trans.shape[0]
-    if np.max(np.abs(trans.sum(axis=1) - 1.0)) > 1e-9:
-        raise ValidationError("rows of the transition matrix must sum to 1")
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = trans[i].copy()
-        row[i] = 0.0
-        row = np.sort(row)[::-1]
-        cum = np.cumsum(row)
-        hit = np.flatnonzero(cum >= 0.5)
-        counts[i] = int(hit[0]) + 1 if len(hit) else n
+def neighborhood_mass(k: Kernel) -> MassStats:
+    """Minimal number of other points holding half of each point's transition
+    mass, under P = D^-1 K, which ``markov_normalize`` forms TILE rows at a
+    time."""
+    counts = np.empty(k.size, dtype=np.int64)
+    for rows in row_tiles(k.size):
+        for i, row in enumerate(markov_normalize(k, rows), start=rows.start):
+            row[i] = 0.0
+            row = np.sort(row)[::-1]
+            cum = np.cumsum(row)
+            hit = np.flatnonzero(cum >= 0.5)
+            counts[i] = int(hit[0]) + 1 if len(hit) else k.size
     return MassStats(counts=counts, mean=float(counts.mean()), sd=float(counts.std()))
 
 
@@ -113,9 +112,9 @@ def spectral_dimension(k: Kernel):
     """Count of powered nontrivial eigenvalues above DIMENSION_CUTOFF.
 
     The diffusion time normalizes across kernels: t = 1 / (1 - S_1), the mean
-    time to diffuse across the system.
+    time to diffuse across the system.  Only the eigenvalues are solved for.
     """
-    vals, _ = _symmetric_eigensystem(k)
+    vals = np.clip(np.linalg.eigvalsh(_conjugate(k))[::-1], -1.0, 1.0)
     s1 = vals[1]
     if s1 >= 1.0 - 1e-12:
         raise ValidationError(f"kernel graph is disconnected ({component_count(k)} components); "
@@ -180,20 +179,28 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray,
     """
     a = np.asarray(entries, dtype=float)
     g = np.asarray(g, dtype=float)
-    iu = np.triu_indices(a.shape[0], k=1)
-    vals = a[iu]
-    unequal = g[iu[0]] != g[iu[1]]
-    if not unequal.any():
+    n = a.shape[0]
+    edges = np.linspace(AFFINITY_FLOOR, 1.0, bins + 1)
+    thresholds = edges[:-1]
+    hist_unequal = np.zeros(bins, dtype=np.int64)
+    survivors_unequal = np.zeros(bins, dtype=int)
+    survivors_equal = np.zeros(bins, dtype=int)
+    n_neq = n_eq = 0
+    # every count is a sum over the pairs, so the upper triangle is read a
+    # row tile at a time
+    for rows in row_tiles(n):
+        upper = np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        vals = a[rows][upper]
+        unequal = (g[rows, None] != g[None, :])[upper]
+        hist_unequal += np.histogram(vals[unequal & (vals >= AFFINITY_FLOOR)], bins=edges)[0]
+        n_neq += int(unequal.sum())
+        n_eq += int((~unequal).sum())
+        survivors_unequal += [(vals[unequal] > t).sum() for t in thresholds]
+        survivors_equal += [(vals[~unequal] > t).sum() for t in thresholds]
+    if n_neq == 0:
         raise ValidationError("no unequal-label pairs; labels are constant")
 
-    edges = np.linspace(AFFINITY_FLOOR, 1.0, bins + 1)
-    hist_unequal, _ = np.histogram(vals[unequal & (vals >= AFFINITY_FLOOR)], bins=edges)
-
-    thresholds = edges[:-1]
-    n_neq = max(int(unequal.sum()), 1)
-    n_eq = max(int((~unequal).sum()), 1)
-    survivors_unequal = np.array([(vals[unequal] > t).sum() for t in thresholds], dtype=int)
-    survivors_equal = np.array([(vals[~unequal] > t).sum() for t in thresholds], dtype=int)
+    n_eq = max(n_eq, 1)
     p_neq = survivors_unequal / n_neq
     p_eq = survivors_equal / n_eq
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -233,15 +240,13 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
     if f.shape != g.shape:
         raise ValidationError("f and g must cover the same points")
     n = len(g)
-    unequal = g[:, None] != g[None, :]
-    s_pairs = int(unequal.sum())
+    s_pairs = sum(int(np.count_nonzero(g[rows, None] != g[None, :])) for rows in row_tiles(n))
     if s_pairs == 0:
         raise ValidationError("labels are constant; no unequal-label pairs")
 
-    f_gap = (f[:, None] - f[None, :]) ** 2
-    g_gap = (g[:, None] - g[None, :]) ** 2
-    lhs = float(f_gap[unequal].mean())
-    e_g = float(g_gap[unequal].mean())
+    gaps = np.empty(s_pairs)
+    lhs = float(_unequal_label_gaps(f, g, gaps).mean())
+    e_g = float(_unequal_label_gaps(g, g, gaps).mean())
     cost = float(np.mean((g - f) ** 2))
     classes = np.unique(g)
     s_i = {float(c): int((g != c).sum()) for c in classes}
@@ -257,6 +262,18 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
         raise BoundViolation(f"separation bound violated: LHS {lhs:.6g} < "
                              f"RHS {rhs:.6g} - {SEPARATION_SLACK}", record=record)
     return record
+
+
+def _unequal_label_gaps(values: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with (values[x] - values[y])^2 over the ordered pairs
+    with g[x] != g[y], in row-major order, a row tile at a time."""
+    at = 0
+    for rows in row_tiles(len(g)):
+        gap = (values[rows, None] - values[None, :]) ** 2
+        picked = gap[g[rows, None] != g[None, :]]
+        out[at:at + len(picked)] = picked
+        at += len(picked)
+    return out
 
 
 # ---------------------------------------------------------------------------

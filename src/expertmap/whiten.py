@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import (Embedding, Kernel, diffusion_embed, exact_distances, exp_kernel,
-                       nn_bandwidth, nystrom_extend)
+from .spectral import (Embedding, Kernel, _symmetrize, diffusion_embed, exp_kernel,
+                       nearest_neighbours, nn_bandwidth, nystrom_extend)
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,16 @@ def local_moments(emb: Embedding, k: int | None = None,
     """k-NN moments around every point of the embedding (population 1/k).
 
     ``k`` None means max(2d + 2, 20), enough to make a d-dimensional
-    covariance estimable; k is clamped to the point count.  Rank-deficient
-    covariances are expected when k is small relative to the dimension; the
-    pseudoinverse handles them.
+    covariance estimable; k is clamped to the point count.  A point's
+    neighbourhood counts the point itself, and of equally near points the
+    lower index first.  Rank-deficient covariances are expected when k is
+    small relative to the dimension; the pseudoinverse handles them.
     """
     coords = emb.coordinates
     n, d = coords.shape
     k = min(max(2 * d + 2, 20) if k is None else int(k), n)
 
-    dists = exact_distances(coords, "euclidean")
-    order = np.argsort(dists, axis=1, kind="stable")
-    hoods = order[:, :k]
+    hoods, _ = nearest_neighbours(coords, k)
 
     mu = np.empty((n, d))
     pinv = np.empty((n, d, d))
@@ -75,9 +74,9 @@ def whitened_distance_matrix(lm: LocalMoments, emb: Embedding) -> np.ndarray:
     for i in range(n):
         diff = centered[i] - centered          # (n, d)
         q[i] = np.einsum("nd,de,ne->n", diff, lm.sigma_pinv[i], diff)
-    out = 0.5 * (q + q.T)
-    np.fill_diagonal(out, 0.0)
-    return np.maximum(out, 0.0)
+    _symmetrize(q)
+    np.fill_diagonal(q, 0.0)
+    return np.maximum(q, 0.0, out=q)
 
 
 def standardized_kernel(emb: Embedding, lm: LocalMoments, r: int = 10) -> Kernel:
@@ -91,7 +90,8 @@ def standardized_kernel(emb: Embedding, lm: LocalMoments, r: int = 10) -> Kernel
     sigma = nn_bandwidth(dmat, r)
     if sigma <= 0.0:
         raise ValidationError("whitened distances are all zero; cannot set a bandwidth")
-    return exp_kernel(dmat / sigma, {"rule": f"mean-{r}nn-whitened", "value": sigma})
+    dmat /= sigma
+    return exp_kernel(dmat, {"rule": f"mean-{r}nn-whitened", "value": sigma})
 
 
 def standardized_embedding(kernel: Kernel, d: int, t: float = 1.0) -> Embedding:

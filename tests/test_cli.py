@@ -802,6 +802,29 @@ def test_report_joins_the_per_point_artifacts(chain):
                 assert cell == "" or float(row[name]) == float(cell), (pid, name)
 
 
+def test_report_refuses_a_ranking_that_lost_a_row(chain, tmp_path, capsys):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    ranking = work / "ranking.csv"
+    lines = ranking.read_text().splitlines(keepends=True)
+    ranking.write_text("".join(lines[:-1]))
+    (work / "report.csv").unlink()
+    assert cli.main(["--config", str(config), "--out", str(work), "report"]) == 1
+    err = capsys.readouterr().err
+    assert str(ranking) in err and "rerun 'train'" in err
+    assert not (work / "report.csv").exists()
+
+
+def test_report_joins_a_reordered_ranking_by_point_id(chain, tmp_path):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    ranking = work / "ranking.csv"
+    header, *rows = ranking.read_text().splitlines(keepends=True)
+    ranking.write_text(header + "".join(reversed(rows)))
+    assert cli.main(["--config", str(config), "--out", str(work), "report"]) == 0
+    assert (work / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
 @pytest.mark.parametrize("text, message", [("{not json", "is not valid JSON"),
                                            ("[1, 2]", "must hold a JSON object, not a list")])
 def test_malformed_config_file_exits_1(tmp_path, capsys, text, message):

@@ -5,10 +5,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist as scipy_cdist
 
 from expertmap.errors import ValidationError
-from expertmap.spectral import (Embedding, Kernel, _top_eigenpairs, diffusion_embed,
-                                exact_distances, gaussian_kernel, kernel_from_distances,
-                                markov_normalize, neighbour_overlap, nn_bandwidth,
-                                nystrom_extend)
+from expertmap import spectral
+from expertmap.spectral import (TILE, Embedding, Kernel, _symmetrize, _top_eigenpairs,
+                                diffusion_embed, exact_distances, gaussian_kernel,
+                                kernel_from_distances, markov_normalize, nearest_neighbours,
+                                neighbour_overlap, nn_bandwidth, nystrom_extend)
 
 
 def two_cluster_points(n_per=20, gap=3.0, seed=0):
@@ -187,23 +188,22 @@ class TestTopEigenpairs:
     unit eigenvectors within 1e-10, up to sign, or, for a repeated
     eigenvalue, the same projector onto its eigenspace."""
 
-    def solve(self, k, count, monkeypatch, start=None):
-        """(top eigenpairs, eigh's top eigenpairs, whether eigh ran on all of
-        the conjugate), both descending; the Krylov basis starts at sqrt(D)
-        unless ``start`` is given."""
-        sym = conjugate(k)
-        want_vals, want_vecs = np.linalg.eigh(sym)
-        calls = []
-        real_eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real_eigh(a))
+    def solve(self, k, count, start=None):
+        """(top eigenpairs, eigh's top eigenpairs, whether the full solve
+        ran), both descending; the Krylov basis starts at sqrt(D) unless
+        ``start`` is given.  When _top_eigenpairs returns None, the top
+        pairs are eigh's, the full solve that _symmetric_eigensystem runs
+        then."""
+        want_vals, want_vecs = np.linalg.eigh(conjugate(k))
+        want = want_vals[::-1][:count], want_vecs[:, ::-1][:, :count]
         if start is None:
             start = np.sqrt(k.entries.sum(axis=1))
-        vals, vecs = _top_eigenpairs(sym, count, start)
-        monkeypatch.undo()
+        pairs = _top_eigenpairs(conjugate(k), count, start)
+        if pairs is None:
+            return want, want, True
+        vals, vecs = pairs
         assert vals.shape == (count,) and vecs.shape == (k.size, count)
-        return ((vals[::-1], vecs[:, ::-1]),
-                (want_vals[::-1][:count], want_vecs[:, ::-1][:, :count]),
-                sym.shape in calls)
+        return (vals[::-1], vecs[:, ::-1]), want, False
 
     def assert_same(self, got, want, repeated=0):
         (vals, vecs), (want_vals, want_vecs) = got, want
@@ -218,52 +218,78 @@ class TestTopEigenpairs:
         np.testing.assert_allclose(rest, want_rest, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("count", [1, 9, 20])
-    def test_gaussian_kernel(self, count, monkeypatch):
+    def test_gaussian_kernel(self, count):
         k = gaussian_kernel(np.random.default_rng(20).normal(size=(150, 3)), r=5)
-        got, want, full = self.solve(k, count, monkeypatch)
+        got, want, full = self.solve(k, count)
         assert not full
         self.assert_same(got, want)
 
-    def test_disconnected_kernel_repeats_one(self, monkeypatch):
+    def test_disconnected_kernel_repeats_one(self):
         rng = np.random.default_rng(21)
         k = block_kernel(*(rng.normal(size=(n, 2)) for n in (30, 25, 20)))
-        got, want, _ = self.solve(k, 6, monkeypatch)
+        got, want, _ = self.solve(k, 6)
         np.testing.assert_allclose(got[0][:3], 1.0, rtol=0, atol=1e-12)
         self.assert_same(got, want, repeated=3)
 
-    def test_a_missed_eigenvalue_takes_the_full_solve(self, monkeypatch):
+    def test_a_missed_eigenvalue_takes_the_full_solve(self):
         # a start with no entry on the second component keeps every Krylov
         # vector off it exactly, so the Ritz pairs converge without that
         # component's eigenvalue 1; only the Cholesky check can tell
         rng = np.random.default_rng(27)
         k = block_kernel(rng.normal(size=(150, 2)), rng.normal(size=(40, 2)))
         start = np.concatenate([rng.standard_normal(150), np.zeros(40)])
-        got, want, full = self.solve(k, 3, monkeypatch, start)
+        got, want, full = self.solve(k, 3, start)
         assert full
         self.assert_same(got, want, repeated=2)
 
-    def test_two_components_stay_on_the_krylov_basis(self, monkeypatch):
+    def test_two_components_stay_on_the_krylov_basis(self):
         # past sqrt(D), eigenvalue 1 has one direction left, which the
         # sequence finds
         rng = np.random.default_rng(22)
         k = block_kernel(rng.normal(size=(60, 2)), rng.normal(size=(50, 2)))
-        got, want, full = self.solve(k, 3, monkeypatch)
+        got, want, full = self.solve(k, 3)
         assert not full
         self.assert_same(got, want, repeated=2)
 
     @pytest.mark.parametrize("count", [8, 9])
-    def test_count_of_n_minus_one_or_more(self, count, monkeypatch):
+    def test_count_of_n_minus_one_or_more(self, count):
         k = gaussian_kernel(np.random.default_rng(23).normal(size=(9, 2)), r=3)
-        got, want, full = self.solve(k, count, monkeypatch)
+        got, want, full = self.solve(k, count)
         assert full
         self.assert_same(got, want)
 
-    def test_early_invariant_subspace(self, monkeypatch):
+    def test_the_full_solve_runs_on_the_conjugate_built_again(self, monkeypatch):
+        # the start of test_a_missed_eigenvalue_takes_the_full_solve, given to
+        # diffusion_embed's solve: the certificate, formed in the buffer of
+        # the conjugate, fails, and the full solve must not see what it left
+        rng = np.random.default_rng(27)
+        k = block_kernel(rng.normal(size=(150, 2)), rng.normal(size=(40, 2)))
+        start = np.concatenate([rng.standard_normal(150), np.zeros(40)])
+        factored, results = [], []
+        real_top, real_cholesky = spectral._top_eigenpairs, np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(a.shape) or real_cholesky(a))
+        monkeypatch.setattr(spectral, "_top_eigenpairs", lambda sym, count, _: (
+            results.append(real_top(sym, count, start)) or results[-1]))
+        emb = diffusion_embed(k, d=3)
+        assert factored == [(190, 190)] and results == [None]
+        vals, vecs = np.linalg.eigh(conjugate(k))
+        np.testing.assert_array_equal(emb.eigenvalues, np.clip(vals[::-1][1:4], -1.0, 1.0))
+        # unit vectors of the conjugate: eigenvalue 1 repeats, so the first
+        # lies in the span of eigh's top two; the others match eigh's
+        weight = np.sqrt(k.entries.sum(axis=1) / k.entries.sum())[:, None]
+        got, want = emb.eigenvectors * weight, vecs[:, ::-1][:, :4]
+        np.testing.assert_allclose(want[:, :2] @ (want[:, :2].T @ got[:, 0]), got[:, 0],
+                                   rtol=0, atol=1e-9)
+        rest = want[:, 2:] * np.sign(np.sum(want[:, 2:] * got[:, 1:], axis=0))
+        np.testing.assert_allclose(got[:, 1:], rest, rtol=0, atol=1e-9)
+
+    def test_early_invariant_subspace(self):
         # four distinct points, ten copies each: the conjugate has rank 4, so
         # the Krylov space closes after a few vectors and restarts
         rng = np.random.default_rng(24)
         k = gaussian_kernel(np.repeat(rng.normal(size=(4, 2)), 10, axis=0), r=12)
-        got, want, full = self.solve(k, 3, monkeypatch)
+        got, want, full = self.solve(k, 3)
         assert not full
         self.assert_same(got, want)
 
@@ -285,6 +311,51 @@ def rows_with_ties(draw):
 MANY_ROWS = np.random.default_rng(25).normal(size=(90, 17)) * 1e3
 MANY_ROWS[40:50] = MANY_ROWS[3]
 MANY_ROWS[60:63] = 0.0
+
+
+EDGES = [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE, 2 * TILE + 1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.sampled_from(EDGES) | st.integers(1, 3 * TILE), seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetrize_has_the_bits_of_the_mean_with_the_transpose(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n)) * 10.0 ** np.arange(-3, 4)[seed % 7]
+    want = 0.5 * (a + a.T)
+    got = _symmetrize(a)
+    assert got is a
+    np.testing.assert_array_equal(got, want)
+
+
+class TestNearestNeighbours:
+    """Against the first k columns of a stable argsort of each distance row."""
+
+    @staticmethod
+    def oracle(x, k, exclude_self):
+        d = exact_distances(x, "euclidean")
+        if exclude_self:
+            np.fill_diagonal(d, np.inf)
+        order = np.argsort(d, axis=1, kind="stable")[:, :k]
+        return order, np.take_along_axis(d, order, axis=1)
+
+    @settings(deadline=None, max_examples=100)
+    @given(x=rows_with_ties(), data=st.data())
+    def test_small_sets_with_ties(self, x, data):
+        exclude_self = data.draw(st.booleans())
+        n = x.shape[0]
+        k = data.draw(st.integers(0, n - 1 if exclude_self else n))
+        got = nearest_neighbours(x, k, exclude_self)
+        want = self.oracle(x, k, exclude_self)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_ties_across_row_tiles(self, k, exclude_self):
+        x = np.repeat(np.random.default_rng(29).integers(0, 4, size=(60, 2)), 3, axis=0)
+        got = nearest_neighbours(x, k, exclude_self)
+        want = self.oracle(x, k, exclude_self)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestExactDistances:

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from expertmap import validate
 from expertmap.dataset import DataMatrix
 from expertmap.errors import BoundViolation, ValidationError
-from expertmap.spectral import Kernel, gaussian_kernel, markov_normalize
+from expertmap.spectral import TILE, Kernel, gaussian_kernel
 from expertmap.validate import (ValidationReport, affinity_histograms, confusion,
                                 feature_lipschitz, neighbor_smoothness,
                                 neighborhood_mass, nnls, nnls_rank, row_sum_rank,
@@ -67,39 +67,38 @@ class TestFeatureLipschitz:
 
 class TestNeighborhoodMass:
     def test_uniform_over_ten_others(self):
-        n = 11
-        p = np.full((n, n), 0.1)
-        np.fill_diagonal(p, 0.0)
-        stats = neighborhood_mass(p)
-        np.testing.assert_array_equal(stats.counts, 5)
+        # P = 1/11 everywhere: five others hold 5/11, six hold 6/11
+        stats = neighborhood_mass(Kernel(entries=np.ones((11, 11))))
+        np.testing.assert_array_equal(stats.counts, 6)
 
     def test_dominant_neighbor(self):
-        p = np.array([[0.0, 0.6, 0.25, 0.15],
-                      [0.6, 0.0, 0.2, 0.2],
-                      [0.25, 0.2, 0.0, 0.55],
-                      [0.2, 0.2, 0.6, 0.0]])
-        stats = neighborhood_mass(p)
-        assert stats.counts[0] == 1
+        # each point's one neighbour holds half of its row
+        pair = np.ones((2, 2))
+        entries = np.block([[pair, np.zeros((2, 2))], [np.zeros((2, 2)), pair]])
+        stats = neighborhood_mass(Kernel(entries=entries))
+        np.testing.assert_array_equal(stats.counts, 1)
 
     def test_two_neighbor_case(self):
-        p = np.zeros((5, 5))
-        p[0] = [0.0, 0.3, 0.25, 0.25, 0.2]
-        p[1:] = 0.25
-        for i in range(1, 5):
-            p[i, i] = 0.0
-            p[i] /= p[i].sum()
-        stats = neighborhood_mass(p)
-        assert stats.counts[0] == 2    # 0.3 + 0.25 = 0.55 >= 1/2
+        entries = np.full((5, 5), 0.5)
+        entries[0, 1:] = entries[1:, 0] = [0.9, 0.8, 0.1, 0.1]
+        np.fill_diagonal(entries, 1.0)
+        stats = neighborhood_mass(Kernel(entries=entries))
+        assert stats.counts[0] == 2    # (0.9 + 0.8) / 2.9 >= 1/2 > 0.9 / 2.9
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(3)
         k = gaussian_kernel(rng.normal(size=(20, 3)), r=5)
-        p = markov_normalize(k)
         perm = rng.permutation(20)
-        stats = neighborhood_mass(p)
-        permuted = neighborhood_mass(p[np.ix_(perm, perm)])
+        stats = neighborhood_mass(k)
+        permuted = neighborhood_mass(Kernel(entries=k.entries[np.ix_(perm, perm)]))
         np.testing.assert_array_equal(np.sort(stats.counts),
                                       np.sort(permuted.counts))
+
+    def test_rows_past_the_first_tile(self):
+        # a chain of pairs, 2 TILE + 6 points: each point's partner holds half
+        entries = np.kron(np.eye(TILE + 3), np.ones((2, 2)))
+        stats = neighborhood_mass(Kernel(entries=entries))
+        np.testing.assert_array_equal(stats.counts, 1)
 
 
 def engineered_kernel():

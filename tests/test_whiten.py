@@ -49,6 +49,17 @@ class TestLocalMoments:
         # covariance diag(2/3, 0), whose pseudoinverse is diag(3/2, 0)
         np.testing.assert_allclose(lm.sigma_pinv[2], np.diag([1.5, 0.0]), atol=1e-12)
 
+    def test_ties_go_to_the_lower_index(self):
+        # point 0's second neighbour is 1 or 2, both at distance 1; then a
+        # grid of 150 points, ties everywhere and over several row tiles
+        lm = local_moments(coords_embedding([[0.0], [-1.0], [1.0]]), k=2)
+        assert lm.mu[0, 0] == -0.5
+        grid = np.stack(np.meshgrid(np.arange(15.0), np.arange(10.0)), -1).reshape(-1, 2)
+        k = 7
+        hoods = np.argsort(cdist(grid, grid), axis=1, kind="stable")[:, :k]
+        lm = local_moments(coords_embedding(grid), k=k)
+        np.testing.assert_array_equal(lm.mu, grid[hoods].mean(axis=1))
+
     def test_k_equals_n_shares_moments(self):
         rng = np.random.default_rng(0)
         emb = coords_embedding(rng.normal(size=(12, 3)))
