@@ -262,7 +262,6 @@ def _symmetric_eigensystem(k: Kernel, count: int):
         # the certificate may have overwritten sym: build it again
         eigvals, eigvecs = np.linalg.eigh(_conjugate(k, out=sym))
         pairs = eigvals[-count:], eigvecs[:, -count:]
-    del sym
     eigvals, eigvecs = pairs
     half = 1.0 / np.sqrt(sums)
     order = np.argsort(eigvals)[::-1]
