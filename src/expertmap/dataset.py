@@ -75,11 +75,16 @@ class ReferenceSet:
     indices: np.ndarray
 
 
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in the file ``path``; ``what`` names the file in errors."""
+def read_json_object(path, what: str, object_hook=None) -> dict:
+    """The JSON object in the file ``path``; ``what`` names the file in errors.
+
+    ``object_hook`` is passed to ``json.load``: each object the parser
+    closes goes through it, and it must not raise ValueError, which would
+    read as invalid JSON.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_hook=object_hook)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:

@@ -164,12 +164,16 @@ def _affine_sigmoid(A: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sigmoid(Z, out=Z)
 
 
-def forward_batch(net: Net, X: np.ndarray):
-    """Activations for a batch: (H1, H2, f) with f in (0, 1)."""
-    X = np.atleast_2d(X)
+def _first_layer(net: Net, X: np.ndarray) -> np.ndarray:
+    """The first-layer activations H1 of a 2-d batch."""
     if X.shape[1] != net.n_inputs:
         raise ValidationError(f"input width {X.shape[1]} != net input {net.n_inputs}")
-    H1 = _affine_sigmoid(X, net.W1, net.b1)
+    return _affine_sigmoid(X, net.W1, net.b1)
+
+
+def forward_batch(net: Net, X: np.ndarray):
+    """Activations for a batch: (H1, H2, f) with f in (0, 1)."""
+    H1 = _first_layer(net, np.atleast_2d(X))
     H2 = _affine_sigmoid(H1, net.W2, net.b2)
     f = _affine_sigmoid(H2, net.V, net.b3).ravel()
     return H1, H2, f
@@ -560,12 +564,8 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
 
 
 def ensemble_forward(e: NetEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One forward pass of every net: (representation, mean output).
-
-    The representation is the nets' first-layer activations side by side in
-    net order, written net by net into one preallocated array, so that no
-    net's activations outlive its turn.  The mean output is on the [0, 1]
-    training scale.
+    """One forward pass of every net: (representation, mean output), for a
+    caller that needs both; each has the bits of its own function's result.
     """
     X = np.atleast_2d(X)
     rep = np.empty((X.shape[0], e.representation_dim))
@@ -579,13 +579,32 @@ def ensemble_forward(e: NetEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def representation(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
-    """Concatenated first-layer activations, fixed net order."""
-    return ensemble_forward(e, X)[0]
+    """Concatenated first-layer activations, fixed net order.
+
+    Each net's activations are written into one preallocated array and
+    dropped; no second or third layer is computed.
+    """
+    X = np.atleast_2d(X)
+    rep = np.empty((X.shape[0], e.representation_dim))
+    col = 0
+    for net in e.nets:
+        H1 = _first_layer(net, X)
+        rep[:, col:col + H1.shape[1]] = H1
+        col += H1.shape[1]
+    return rep
 
 
 def ensemble_rank(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
-    """Mean of the per-net outputs, still on the [0, 1] training scale."""
-    return ensemble_forward(e, X)[1]
+    """Mean of the per-net outputs, still on the [0, 1] training scale.
+
+    Only one net's activations and the nets' outputs are held; no
+    representation is built.
+    """
+    X = np.atleast_2d(X)
+    outputs = np.empty((e.k, X.shape[0]))
+    for i, net in enumerate(e.nets):
+        outputs[i] = forward_batch(net, X)[2]
+    return np.mean(outputs, axis=0)
 
 
 def layer_norm_product(net: Net) -> float:
@@ -647,32 +666,54 @@ def _net_from_json(obj: dict) -> Net:
     return Net(**weights, hyper=NetHyper(**obj["hyper"]))
 
 
-def ensemble_to_json(e: NetEnsemble) -> str:
-    """The ensemble file's text: compact JSON, schema version 2."""
-    head = json.dumps({"schema_version": ENSEMBLE_SCHEMA, "master_seed": e.master_seed,
-                       "failed": list(e.failed)}, separators=(",", ":"))
-    # the nets go in before the closing brace of ``head``
-    return head[:-1] + ',"nets":[' + ",".join(map(_net_to_json, e.nets)) + "]}"
-
-
 def ensemble_from_json(obj: dict) -> NetEnsemble:
-    """The ensemble that the parsed text of ``ensemble_to_json`` holds."""
+    """The ensemble that the parsed text of an ensemble file holds."""
     return NetEnsemble(nets=tuple(_net_from_json(n) for n in obj["nets"]),
                        master_seed=obj["master_seed"], failed=tuple(obj["failed"]))
 
 
+def _pack_weights(obj: dict) -> dict:
+    """``json``'s object_hook for the ensemble file: each weight list of a
+    parsed object as a float32 array, so that only the net being parsed
+    holds its weights as Python floats.
+
+    A value that float32 cannot take is left as it is, for
+    ``_net_from_json`` to fail on after the schema check, with the error it
+    raises on the list; a value it takes gives ``_net_from_json`` the same
+    float32 array as the list would.
+    """
+    with np.errstate(over="ignore"):
+        for name in PARAMS:
+            if isinstance(obj.get(name), list):
+                with contextlib.suppress(TypeError, ValueError, OverflowError):
+                    obj[name] = np.asarray(obj[name], np.float32)
+    return obj
+
+
 def save_ensemble(e: NetEnsemble, path) -> None:
-    """Write the ensemble to ``path`` through ``dataset.staged``."""
+    """Write the ensemble to ``path`` through ``dataset.staged``: compact
+    JSON, schema version 2, the head and then one net's text at a time."""
+    head = json.dumps({"schema_version": ENSEMBLE_SCHEMA, "master_seed": e.master_seed,
+                       "failed": list(e.failed)}, separators=(",", ":"))
     with staged(path) as (fh,):
-        fh.write(ensemble_to_json(e))
+        # the nets go in before the closing brace of ``head``
+        fh.write(head[:-1] + ',"nets":[')
+        for i, net in enumerate(e.nets):
+            fh.write(("," if i else "") + _net_to_json(net))
+        fh.write("]}")
 
 
 def load_ensemble(path) -> NetEnsemble:
     """The ensemble in the file ``path``; a file that does not hold a
-    version-2 ensemble is a ValidationError that names it."""
+    version-2 ensemble is a ValidationError that names it.
+
+    The weights of each net are packed into arrays as the parser closes it
+    (``_pack_weights``), so the parse never holds the whole ensemble as
+    Python floats.
+    """
     rerun = "rerun 'train' to rewrite it"
     try:
-        obj = read_json_object(path, "ensemble file")
+        obj = read_json_object(path, "ensemble file", object_hook=_pack_weights)
     except ValidationError as exc:
         raise ValidationError(f"{exc}; {rerun}") from None
     version = obj.get("schema_version")
@@ -681,6 +722,6 @@ def load_ensemble(path) -> NetEnsemble:
                               f"not {ENSEMBLE_SCHEMA}; {rerun}")
     try:
         return ensemble_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"ensemble file {path} is malformed "
                               f"({type(exc).__name__}: {exc}); {rerun}") from None

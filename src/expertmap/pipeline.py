@@ -222,11 +222,22 @@ def _read_table(ws: Workspace, name: str, producer: str) -> DataMatrix:
 
 def read_embedding(ws: Workspace, name: str,
                    producer: str) -> tuple[list[str], spectral.Embedding]:
-    """The embedding that ``producer`` wrote to ``name``.csv and ``name``.json."""
+    """The embedding that ``producer`` wrote to ``name``.csv and ``name``.json.
+
+    The eigenvectors are the stored coordinates over lambda^t; a coordinate
+    whose lambda^t is 0 gives none back, and is an error that names it.
+    """
     table = _read_table(ws, f"{name}.csv", producer)
     meta = ws.read_json(f"{name}.json", producer, "embedding file")
     vals = np.asarray(meta["eigenvalues"])
-    vectors = table.values / spectral.signed_power(vals, meta["t"])[None, :]
+    scale = spectral.signed_power(vals, meta["t"])
+    if not scale.all():
+        i = int(np.flatnonzero(scale == 0)[0])
+        raise ValidationError(f"{meta.where}: coordinate {table.feature_names[i]!r} has "
+                              f"eigenvalue {float(vals[i])!r}, whose power t = {meta['t']!r} is 0, "
+                              f"so its eigenvector cannot be recovered; "
+                              f"rerun '{producer}' to rewrite it")
+    vectors = table.values / scale[None, :]
     emb = spectral.Embedding(eigenvalues=vals, eigenvectors=vectors, t=meta["t"],
                              bandwidth=meta.get("bandwidth", {}),
                              standardized=meta.get("standardized", False))

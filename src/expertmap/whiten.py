@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .spectral import (Embedding, Kernel, _symmetrize, diffusion_embed, exp_kernel,
-                       nearest_neighbours, nn_bandwidth, nystrom_extend)
+                       nearest_neighbours, nn_bandwidth, nystrom_extend, row_tiles)
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,18 @@ class LocalMoments:
     sigma_pinv: np.ndarray      # (n, d, d)
 
 
-def _eigh_pinv(mat: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
-    """PSD pseudoinverse via eigendecomposition, relative cutoff on lambda_max."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    top = vals.max(initial=0.0)
-    if top <= 0.0:
-        return np.zeros_like(mat)
+def _eigh_pinv(mats: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
+    """PSD pseudoinverses of a stack of matrices via eigendecomposition, each
+    with a relative cutoff on its own lambda_max."""
+    vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    top = vals.max(axis=-1, initial=0.0, keepdims=True)
     keep = vals > rel_tol * top
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    return (vecs * inv) @ vecs.T
+    pinv = (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    # no positive eigenvalue: the pseudoinverse is +0, where the product
+    # may have left -0.0
+    pinv[top[..., 0] <= 0.0] = 0.0
+    return pinv
 
 
 def local_moments(emb: Embedding, k: int | None = None,
@@ -45,6 +48,11 @@ def local_moments(emb: Embedding, k: int | None = None,
     neighbourhood counts the point itself, and of equally near points the
     lower index first.  Rank-deficient covariances are expected when k is
     small relative to the dimension; the pseudoinverse handles them.
+
+    The moments are formed a TILE of points at a time, each tile's
+    covariances and pseudoinverses by one stacked product and one stacked
+    ``eigh``; each point's result has the bits of the same steps taken on
+    that point alone.
     """
     coords = emb.coordinates
     n, d = coords.shape
@@ -54,11 +62,13 @@ def local_moments(emb: Embedding, k: int | None = None,
 
     mu = np.empty((n, d))
     pinv = np.empty((n, d, d))
-    for i in range(n):
-        block = coords[hoods[i]]
-        mu[i] = block.mean(axis=0)
-        centered = block - mu[i]
-        pinv[i] = _eigh_pinv(centered.T @ centered / k, pinv_tol)
+    for rows in row_tiles(n):
+        blocks = coords[hoods[rows]]                 # (tile, k, d)
+        mu[rows] = blocks.mean(axis=1)
+        blocks -= mu[rows, None, :]
+        cov = np.swapaxes(blocks, 1, 2) @ blocks
+        cov /= k
+        pinv[rows] = _eigh_pinv(cov, pinv_tol)
     return LocalMoments(mu=mu, sigma_pinv=pinv)
 
 

@@ -180,6 +180,25 @@ def test_stage_names_a_truncated_json_file(chain, tmp_path, capsys, stage, name)
     assert err.startswith("error: ") and f" {path} is not valid JSON: " in err
 
 
+@pytest.mark.parametrize("eigenvalue, t", [(0.0, 1.0), (1e-200, 2.0)],
+                         ids=["zero", "underflows"])
+def test_standardize_names_a_coordinate_whose_eigenvalue_power_is_zero(chain, tmp_path, capsys,
+                                                                      eigenvalue, t):
+    # the coordinates over lambda^t would be inf or nan
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / "embedding.json"
+    obj = json.loads(path.read_text())
+    obj["eigenvalues"][1], obj["t"] = eigenvalue, t
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), "standardize"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: embedding file {path}: coordinate 'coord_2' has eigenvalue "
+                          f"{eigenvalue!r}, whose power t = {t!r} is 0")
+    assert err.rstrip().endswith("rerun 'embed' to rewrite it")
+
+
 @pytest.mark.parametrize("stage, name, key, producer", [
     ("embed", "reference.json", "indices", "preprocess"),
     ("standardize", "embedding.json", "eigenvalues", "embed"),
@@ -419,15 +438,21 @@ def test_extend_memory_does_not_grow_with_block_rows_times_width(chain, tmp_path
 
 def test_extend_helpers_keep_a_bounded_window(chain, tmp_path, monkeypatch):
     # with two helpers, this process holds at most three blocks in flight:
-    # its peak on 2400 new points is that on 150 within 64 KiB, where
-    # submitting every block at once added ~0.85 MB of cells and rows
+    # from 150 new points to 2400 its peak grows by what extending every
+    # block itself adds, the 2250 further ids that the duplicate check
+    # keeps, and the blocks in flight, which came to ~90 KB.  Submitting
+    # every block at once added ~1.15 MB of cells and rows.
     config, out, _, _ = chain
     many = times_over(out, tmp_path / "many.csv", 16)
-    use_workers(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "EXTEND_BLOCK", 32)
-    few = extend_peak_bytes(out, config, out / "data.csv", tmp_path / "few")
-    many = extend_peak_bytes(out, config, many, tmp_path / "run-many")
-    assert abs(many - few) <= 64 * 1024, (few, many)
+    growth = {}
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        few, more = (extend_peak_bytes(out, config, points, tmp_path / f"{workers}-{name}")
+                     for name, points in (("few", out / "data.csv"), ("many", many)))
+        assert extend_diagnostics(tmp_path / f"{workers}-many")["workers"] == workers
+        growth[workers] = more - few
+    assert abs(growth[2] - growth[1]) <= 160 * 1024, growth
 
 
 def extended_outputs(work):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import json
 import multiprocessing
 import os
 import re
@@ -19,7 +20,7 @@ from expertmap import netens, synth
 from expertmap.errors import InternalError, TrainingDiverged, ValidationError
 from expertmap.spectral import neighbour_overlap
 from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
-                              ensemble_forward, ensemble_rank, ensemble_to_json,
+                              ensemble_forward, ensemble_rank,
                               forward_batch, init_net, load_ensemble, loss_and_gradients,
                               pretrain_autoencoder, representation, sample_hyper,
                               save_ensemble, train_backprop, train_ensemble)
@@ -292,6 +293,14 @@ def test_float32_training_within_tolerance_of_float64():
 def small_ranges():
     return HyperRanges(h1=(3, 6), h2=(2, 4), dropout=(0.0, 0.2),
                        weight_decay=(1e-5, 1e-3))
+
+
+def ensemble_to_json(e: NetEnsemble) -> str:
+    """Oracle: the ensemble file's text built whole, the head and then every
+    net's text."""
+    head = json.dumps({"schema_version": netens.ENSEMBLE_SCHEMA, "master_seed": e.master_seed,
+                       "failed": list(e.failed)}, separators=(",", ":"))
+    return head[:-1] + ',"nets":[' + ",".join(map(netens._net_to_json, e.nets)) + "]}"
 
 
 def ensemble_bytes(e: NetEnsemble) -> str:
@@ -689,6 +698,12 @@ def net_of(values: np.ndarray) -> Net:
                V=w[None, :1], b3=-w[:1], hyper=NetHyper(h1=1, h2=len(w), seed=4))
 
 
+def _float32_net(net: Net) -> Net:
+    """``net`` with each weight rounded to float32, as training leaves it."""
+    return replace(net, **{name: getattr(net, name).astype(np.float32).astype(np.float64)
+                           for name in netens.PARAMS})
+
+
 class TestEnsembleFile:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
     @given(values=hnp.arrays(np.float32, st.integers(1, 40), elements=FINITE_FLOAT32))
@@ -714,6 +729,36 @@ class TestEnsembleFile:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_save_writes_exactly_the_json_text(self, tmp_path):
+        e = NetEnsemble(tuple(_float32_net(random_net(6, 3 + i, 2 + i, seed=i))
+                              for i in range(3)), master_seed=5, failed=(1, 4))
+        save_ensemble(e, tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_text(encoding="utf-8") == ensemble_to_json(e)
+        save_ensemble(NetEnsemble((), master_seed=0), tmp_path / "none.json")
+        assert (tmp_path / "none.json").read_text() == (
+            '{"schema_version":2,"master_seed":0,"failed":[],"nets":[]}')
+
+    def test_load_equals_decoding_the_whole_parse(self, tmp_path):
+        # the oracle: the ensemble decoded from the JSON tree of the whole file
+        e = NetEnsemble(tuple(_float32_net(random_net(6, 3 + i, 2 + i, seed=i))
+                              for i in range(4)), master_seed=2, failed=(3,))
+        path = tmp_path / "e.json"
+        save_ensemble(e, path)
+        oracle = netens.ensemble_from_json(json.loads(path.read_text()))
+        again = load_ensemble(path)
+        assert (again.master_seed, again.failed) == (oracle.master_seed, oracle.failed)
+        for net, expected in zip(again.nets, oracle.nets, strict=True):
+            assert net.hyper == expected.hyper
+            assert_bit_equal(net, expected)
+
+    def test_the_schema_version_is_checked_before_any_net(self, tmp_path):
+        path = tmp_path / "e.json"
+        save_ensemble(NetEnsemble((net_of(EDGE_FLOAT32),), 0), path)
+        text = path.read_text().replace('"schema_version":2', '"schema_version":1')
+        path.write_text(text.replace('"W1":[[', '"W1":[["x",'))
+        with pytest.raises(ValidationError, match="has schema_version 1, not 2"):
+            load_ensemble(path)
+
     @pytest.mark.parametrize("damage, why", [
         (lambda text: text.replace('"schema_version":2', '"schema_version":1'),
          "has schema_version 1, not 2"),
@@ -723,8 +768,12 @@ class TestEnsembleFile:
         (lambda text: text.replace('"W1":[[', '"W1":[["x",'), "is malformed (ValueError"),
         (lambda text: text.replace('"b2":[', '"b2":[NaN,'), "is malformed (ValueError: b2"),
         (lambda text: text.replace('"V":[[', '"V":[[1e39,'), "is malformed (ValueError: V"),
+        (lambda text: text.replace('"b1":[', '"b1":[1' + "0" * 400 + ","),
+         "is malformed (OverflowError: int too large to convert to float)"),
+        (lambda text: text.replace('"W2":[[', '"W2":[[[1],'), "is malformed (ValueError"),
+        (lambda text: text.replace('"nets":[', '"nets":[7,'), "is malformed (TypeError"),
     ], ids=["version 1", "no version", "truncated", "missing key", "not a number",
-            "not finite", "beyond float32"])
+            "not finite", "beyond float32", "beyond float", "ragged", "not an object"])
     def test_load_refuses_what_is_not_a_version_2_ensemble(self, tmp_path, damage, why):
         path = tmp_path / "e.json"
         save_ensemble(NetEnsemble((net_of(EDGE_FLOAT32),), 0), path)
@@ -755,6 +804,31 @@ class TestOneForwardPass:
         assert mean.tobytes() == averaged.tobytes()
         assert representation(e, X).tobytes() == concat.tobytes()
         assert ensemble_rank(e, X).tobytes() == averaged.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 57])
+    def test_representation_and_rank_have_the_bits_of_one_pass(self, rows):
+        e = self.ensemble()
+        X = np.random.default_rng(32).normal(size=(rows, 6))
+        rep, mean = ensemble_forward(e, X)
+        got = representation(e, X)
+        assert got.shape == rep.shape and got.tobytes() == rep.tobytes()
+        got = ensemble_rank(e, X)
+        assert got.shape == mean.shape and got.tobytes() == mean.tobytes()
+
+    def test_representation_computes_no_second_layer(self, monkeypatch):
+        calls = []
+        real = netens._affine_sigmoid
+        monkeypatch.setattr(netens, "_affine_sigmoid",
+                            lambda A, W, b: calls.append(W.shape) or real(A, W, b))
+        e = self.ensemble()
+        representation(e, np.zeros((3, 6)))
+        assert calls == [net.W1.shape for net in e.nets]
+
+    def test_width_is_checked_by_each(self):
+        e = self.ensemble()
+        for fn in (representation, ensemble_rank, ensemble_forward):
+            with pytest.raises(ValidationError, match="input width 5 != net input 6"):
+                fn(e, np.zeros((2, 5)))
 
     def test_single_row(self):
         e = self.ensemble()

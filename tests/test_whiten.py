@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from expertmap.spectral import Embedding, Kernel, diffusion_embed, nn_bandwidth
+from expertmap.spectral import (Embedding, Kernel, diffusion_embed, nearest_neighbours,
+                                nn_bandwidth)
 from expertmap.whiten import (LocalMoments, extend_standardized, local_moments,
                               one_sided_cross_kernel, standardized_embedding,
                               standardized_kernel, whitened_distance_matrix)
@@ -36,7 +37,50 @@ def covariances(coords, k):
     return np.einsum("nkd,nke->nde", centered, centered) / k
 
 
+def local_moments_per_point(emb, k, pinv_tol=1e-6):
+    """Oracle: local_moments as one point at a time, one eigh each, from the
+    same neighbourhoods."""
+    coords = emb.coordinates
+    n, d = coords.shape
+    hoods, _ = nearest_neighbours(coords, k)
+    mu, pinv = np.empty((n, d)), np.empty((n, d, d))
+    for i in range(n):
+        block = coords[hoods[i]]
+        mu[i] = block.mean(axis=0)
+        centered = block - mu[i]
+        mat = centered.T @ centered / k
+        vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+        top = vals.max(initial=0.0)
+        if top <= 0.0:
+            pinv[i] = 0.0
+            continue
+        keep = vals > pinv_tol * top
+        inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+        pinv[i] = (vecs * inv) @ vecs.T
+    return mu, pinv
+
+
 class TestLocalMoments:
+    @pytest.mark.parametrize("n, d, k", [(150, 6, 20), (200, 10, 22), (130, 1, 2),
+                                         (70, 4, 70), (90, 12, 8)])
+    def test_bit_equal_to_one_point_at_a_time(self, n, d, k):
+        # several row tiles, a ragged last one, k below and at n, and
+        # rank-deficient covariances where k <= d
+        emb = coords_embedding(np.random.default_rng(n).normal(size=(n, d)))
+        lm = local_moments(emb, k=k)
+        mu, pinv = local_moments_per_point(emb, k)
+        assert lm.mu.tobytes() == mu.tobytes()
+        assert lm.sigma_pinv.tobytes() == pinv.tobytes()
+
+    def test_a_zero_covariance_gives_a_zero_pseudoinverse(self):
+        # a point with k copies of itself: the eigenvalues are all 0 and the
+        # pseudoinverse is 0, with no negative zeros
+        # (integers, whose mean over the copies is exact)
+        coords = np.repeat(np.random.default_rng(1).integers(-50, 50, size=(40, 3)), 3,
+                           axis=0)
+        lm = local_moments(coords_embedding(coords), k=3)
+        assert lm.sigma_pinv.tobytes() == np.zeros_like(lm.sigma_pinv).tobytes()
+
     def test_identical_neighbors_zero_covariance(self):
         emb = coords_embedding(np.zeros((5, 2)))
         lm = local_moments(emb, k=5)
