@@ -61,31 +61,20 @@ def _overrides(args) -> dict:
     return over
 
 
-# (command, action) -> step.  The lambdas look pipeline functions up at call
-# time, so a wrapper later bound onto the pipeline module is honoured.
-COMMANDS = {
-    ("synth", None): lambda ws, args: pipeline.run_synth(ws),
-    ("preprocess", None): lambda ws, args: pipeline.run_preprocess(ws),
-    ("organize", None): lambda ws, args: pipeline.run_organize(ws),
-    ("pseudopoints", "export"): lambda ws, args: pipeline.run_pseudopoints_export(ws),
-    ("pseudopoints", "import"):
-        lambda ws, args: pipeline.run_pseudopoints_import(ws, labels_path=args.labels),
-    ("pseudopoints", "auto"): lambda ws, args: pipeline.run_pseudopoints_auto(ws),
-    ("train", None): lambda ws, args: pipeline.run_train(ws),
-    ("embed", None): lambda ws, args: pipeline.run_embed(ws),
-    ("standardize", None): lambda ws, args: pipeline.run_standardize(ws),
-    ("extend", None): lambda ws, args: pipeline.run_extend(ws, args.new_points),
-    ("validate", None): lambda ws, args: pipeline.run_validate(ws),
-    ("report", None): lambda ws, args: pipeline.run_report(ws),
-}
+# stage -> the arguments of its own options, passed to its step in this order
+OPTIONS = {"pseudopoints import": ("labels",), "extend": ("new_points",)}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stage = " ".join(filter(None, (args.command, getattr(args, "action", None))))
     try:
         cfg = pipeline.load_config(args.config, overrides=_overrides(args))
         ws = pipeline.Workspace(cfg["paths"]["out"], cfg)
-        COMMANDS[args.command, getattr(args, "action", None)](ws, args)
+        # looked up at call time, so a wrapper later bound onto the pipeline
+        # module is honoured
+        step = getattr(pipeline, "run_" + stage.replace(" ", "_"))
+        step(ws, *(getattr(args, name) for name in OPTIONS.get(stage, ())))
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

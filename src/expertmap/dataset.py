@@ -97,15 +97,14 @@ def read_json_object(path, what: str, object_hook=None) -> dict:
 
 class JsonArtifact(dict):
     """The JSON object of an artifact file: a key it lacks is a ValidationError
-    that names the file, the key and the stage that writes the file."""
+    that names the file and the key."""
 
-    def __init__(self, obj: dict, where: str, producer: str):
+    def __init__(self, obj: dict, where: str):
         super().__init__(obj)
-        self.where, self.producer = where, producer
+        self.where = where
 
     def __missing__(self, key):
-        raise ValidationError(f"{self.where} has no key {key!r}; "
-                              f"rerun '{self.producer}' to rewrite it")
+        raise ValidationError(f"{self.where} has no key {key!r}")
 
 
 def _resolve_schema(schema) -> tuple[dict[str, str], dict[str, float]]:

@@ -382,10 +382,20 @@ def _rounds(K: int):
         lo, h = h, min(h + ROUND, K)
 
 
+# What the helpers of a forked_pool are given, set in each helper when it
+# starts; None in any other process.
+helper_state = None
+
+
+def _hold(state) -> None:
+    global helper_state
+    helper_state = state
+
+
 @contextlib.contextmanager
-def forked_pool(workers: int, start, state):
+def forked_pool(workers: int, state):
     """A pool of ``workers`` helper processes forked from this one, each of
-    which calls ``start(state)`` before its first task.
+    which holds ``state`` as ``helper_state`` before its first task.
 
     A forked helper starts with this process's memory, ``state`` included,
     where a spawned one would import the package and be sent the state
@@ -397,25 +407,17 @@ def forked_pool(workers: int, start, state):
     from multiprocessing import get_context
 
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
-                               initializer=start, initargs=(state,))
+                               initializer=_hold, initargs=(state,))
     try:
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-# (training rows, labels, pretraining epochs), set in each train helper when
-# it starts; None in any other process.
-_training: tuple | None = None
-
-
-def _start_trainer(training: tuple) -> None:
-    global _training
-    _training = training
-
-
 def _train_in_helper(net: Net, rng: np.random.Generator):
-    return _train_net(*_training, net, rng)
+    """_train_net in a helper, whose state is (training rows, labels,
+    pretraining epochs)."""
+    return _train_net(*helper_state, net, rng)
 
 
 def _train_round(pool, helpers: int, train_net, starts: list) -> tuple[list, float]:
@@ -531,7 +533,7 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     checks: list[tuple[int, float | None]] = []
     waited = 0.0
     earlier = None
-    with (forked_pool(workers - 1, _start_trainer, training) if workers > 1
+    with (forked_pool(workers - 1, training) if workers > 1
           else contextlib.nullcontext()) as pool:
         for lo, h in _rounds(K):
             trained, wait = _train_round(pool, workers - 1, train_net, [
@@ -711,17 +713,13 @@ def load_ensemble(path) -> NetEnsemble:
     (``_pack_weights``), so the parse never holds the whole ensemble as
     Python floats.
     """
-    rerun = "rerun 'train' to rewrite it"
-    try:
-        obj = read_json_object(path, "ensemble file", object_hook=_pack_weights)
-    except ValidationError as exc:
-        raise ValidationError(f"{exc}; {rerun}") from None
+    obj = read_json_object(path, "ensemble file", object_hook=_pack_weights)
     version = obj.get("schema_version")
     if version != ENSEMBLE_SCHEMA:
         raise ValidationError(f"ensemble file {path} has schema_version {version!r}, "
-                              f"not {ENSEMBLE_SCHEMA}; {rerun}")
+                              f"not {ENSEMBLE_SCHEMA}")
     try:
         return ensemble_from_json(obj)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"ensemble file {path} is malformed "
-                              f"({type(exc).__name__}: {exc}); {rerun}") from None
+                              f"({type(exc).__name__}: {exc})") from None

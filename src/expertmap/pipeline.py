@@ -100,6 +100,27 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # artifact store
 
+# Each stage (cli runs it as run_<stage>, spaces as underscores) and the
+# artifacts it writes, in the order it records them.
+STAGES = {
+    "synth": ("data.csv", "truth.json"),
+    "preprocess": ("preprocessed.csv", "scaler.json", "reference.json"),
+    "organize": ("points_tree.json", "obs_tree.json", "affinity.npy"),
+    "pseudopoints export": ("pseudopoints.csv",),
+    "pseudopoints import": ("labels.csv", "label_function.csv"),
+    "pseudopoints auto": ("labels.csv", "label_function.csv"),
+    "train": ("ensemble.json", "ranking.csv"),
+    "embed": ("embedding.csv", "embedding.json"),
+    "standardize": ("std_embedding.csv", "std_embedding.json"),
+    "extend": ("extended_embedding.csv", "extended_std_embedding.csv", "extended_ranking.csv"),
+    "validate": ("validation.json", "lipschitz.csv", "neighborhood_mass.csv",
+                 "eigencurve.csv", "confusion.csv", "histograms.csv"),
+    "report": ("report.csv",),
+}
+# artifact -> its producer, the first stage that lists it (the last one put in)
+PRODUCER = {name: stage for stage, names in reversed(STAGES.items()) for name in names}
+
+
 def file_hash(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -137,21 +158,24 @@ class Workspace:
             self._hashes[name] = file_hash(self.path(name))
         return self._hashes[name]
 
-    def record(self, name: str, diagnostics: dict | None = None) -> None:
-        """Write ``name``'s sidecar; call it after the artifact is written."""
-        meta = {"config_hash": self.cfg_hash,
-                "created": datetime.now(timezone.utc).isoformat(),
-                "inputs": self.inputs}
-        if diagnostics is not None:
-            meta["diagnostics"] = diagnostics
-        write_json(self.sidecar(name), meta, indent=1)
-        self.inputs[name] = self._hashes[name] = file_hash(self.path(name))
+    def record(self, stage: str, diagnostics: dict[str, dict] | None = None) -> None:
+        """Write the sidecar of each artifact ``stage`` writes, in STAGES
+        order; call it after they are written.  ``diagnostics`` maps an
+        artifact to the diagnostics its sidecar carries."""
+        for name in STAGES[stage]:
+            meta = {"config_hash": self.cfg_hash,
+                    "created": datetime.now(timezone.utc).isoformat(),
+                    "inputs": self.inputs}
+            if diagnostics and name in diagnostics:
+                meta["diagnostics"] = diagnostics[name]
+            write_json(self.sidecar(name), meta, indent=1)
+            self.inputs[name] = self._hashes[name] = file_hash(self.path(name))
 
-    def require(self, name: str, producer: str) -> Path:
+    def require(self, name: str) -> Path:
         """Fetch an artifact, refusing when it is missing or stale."""
         path = self.path(name)
         if not path.exists():
-            raise ValidationError(f"missing artifact {name!r}; run '{producer}' first")
+            raise ValidationError(f"missing artifact {name!r}; run '{PRODUCER[name]}' first")
         meta_path = self.sidecar(name)
         if meta_path.exists():
             meta = read_json_object(meta_path, "sidecar")
@@ -164,15 +188,25 @@ class Workspace:
                     continue
                 raise ValidationError(
                     f"artifact {name!r} is stale: its input {inp!r} {why} since "
-                    f"it was produced; rerun '{producer}'")
+                    f"it was produced; rerun '{PRODUCER[name]}'")
         self.inputs[name] = self._hash(name)
         return path
 
-    def read_json(self, name: str, producer: str, what: str) -> JsonArtifact:
-        """The JSON object of the artifact ``name``, fetched as ``require``
-        does; ``what`` names the file in errors."""
-        path = self.require(name, producer)
-        return JsonArtifact(read_json_object(path, what), f"{what} {path}", producer)
+    def read(self, name: str, parse):
+        """``parse(path)`` of the artifact ``name``, fetched as ``require``
+        does; a ParseError or ValidationError that ``parse`` raises says which
+        stage to rerun to rewrite the file."""
+        path = self.require(name)
+        try:
+            return parse(path)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{exc}; rerun '{PRODUCER[name]}' to rewrite it") from None
+
+    def read_json(self, name: str, what: str, parse):
+        """``read`` with ``parse`` of the artifact's JSON object, a
+        JsonArtifact; ``what`` names the file in errors."""
+        return self.read(name, lambda path: parse(
+            JsonArtifact(read_json_object(path, what), f"{what} {path}")))
 
 
 # ---------------------------------------------------------------------------
@@ -202,63 +236,54 @@ def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
                            "standardized": emb.standardized})
 
 
-def _read_table(ws: Workspace, name: str, producer: str) -> DataMatrix:
-    """The CSV artifact ``name`` that ``producer`` wrote, fetched as
-    ``require`` does and read by ``load_matrix``.  A cell that is not a
-    number, an empty one included, is an error that names the file and
-    says to rerun ``producer``."""
-    path = ws.require(name, producer)
-    rerun = f"rerun '{producer}' to rewrite it"
-    try:
+def _read_table(ws: Workspace, name: str) -> DataMatrix:
+    """The CSV artifact ``name``, read by ``load_matrix`` through ``ws.read``.
+    A cell that is not a number, an empty one included, is an error that
+    names the file."""
+    def parse(path) -> DataMatrix:
         table = load_matrix(path)
-    except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{exc}; {rerun}") from None
-    if not table.mask.all():
-        row, col = np.argwhere(~table.mask)[0]
-        raise ValidationError(f"{path}: row {row + 2}: no value in column "
-                              f"{table.feature_names[col]!r}; {rerun}")
-    return table
+        if not table.mask.all():
+            row, col = np.argwhere(~table.mask)[0]
+            raise ValidationError(f"{path}: row {row + 2}: no value in column "
+                                  f"{table.feature_names[col]!r}")
+        return table
+    return ws.read(name, parse)
 
 
-def read_embedding(ws: Workspace, name: str,
-                   producer: str) -> tuple[list[str], spectral.Embedding]:
-    """The embedding that ``producer`` wrote to ``name``.csv and ``name``.json.
+def read_embedding(ws: Workspace, name: str) -> tuple[list[str], spectral.Embedding]:
+    """The embedding in the artifacts ``name``.csv and ``name``.json.
 
     The eigenvectors are the stored coordinates over lambda^t; a coordinate
     whose lambda^t is 0 gives none back, and is an error that names it.
     """
-    table = _read_table(ws, f"{name}.csv", producer)
-    meta = ws.read_json(f"{name}.json", producer, "embedding file")
-    vals = np.asarray(meta["eigenvalues"])
-    scale = spectral.signed_power(vals, meta["t"])
-    if not scale.all():
-        i = int(np.flatnonzero(scale == 0)[0])
-        raise ValidationError(f"{meta.where}: coordinate {table.feature_names[i]!r} has "
-                              f"eigenvalue {float(vals[i])!r}, whose power t = {meta['t']!r} is 0, "
-                              f"so its eigenvector cannot be recovered; "
-                              f"rerun '{producer}' to rewrite it")
-    vectors = table.values / scale[None, :]
-    emb = spectral.Embedding(eigenvalues=vals, eigenvectors=vectors, t=meta["t"],
-                             bandwidth=meta.get("bandwidth", {}),
-                             standardized=meta.get("standardized", False))
-    return list(table.point_ids), emb
+    table = _read_table(ws, f"{name}.csv")
+
+    def parse(meta: JsonArtifact) -> spectral.Embedding:
+        vals = np.asarray(meta["eigenvalues"])
+        scale = spectral.signed_power(vals, meta["t"])
+        if not scale.all():
+            i = int(np.flatnonzero(scale == 0)[0])
+            raise ValidationError(f"{meta.where}: coordinate {table.feature_names[i]!r} has "
+                                  f"eigenvalue {float(vals[i])!r}, whose power t = "
+                                  f"{meta['t']!r} is 0, so its eigenvector cannot be recovered")
+        return spectral.Embedding(eigenvalues=vals, eigenvectors=table.values / scale[None, :],
+                                  t=meta["t"], bandwidth=meta.get("bandwidth", {}),
+                                  standardized=meta.get("standardized", False))
+    return list(table.point_ids), ws.read_json(f"{name}.json", "embedding file", parse)
 
 
 # ---------------------------------------------------------------------------
 # shared loading logic
 
 def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
-    path = ws.require("preprocessed.csv", "preprocess")
-    schema = ws.cfg["paths"].get("schema")
-    d = load_matrix(path, schema)
-    ref = ws.read_json("reference.json", "preprocess", "reference file")
-    omega = ReferenceSet(indices=np.asarray(ref["indices"], dtype=np.int64))
+    d = ws.read("preprocessed.csv", lambda path: load_matrix(path, ws.cfg["paths"].get("schema")))
+    omega = ws.read_json("reference.json", "reference file", lambda ref: ReferenceSet(
+        indices=np.asarray(ref["indices"], dtype=np.int64)))
     return d, omega
 
 
 def _load_tree(ws: Workspace, name: str) -> cogeometry.PartitionTree:
-    return cogeometry.PartitionTree.from_json(
-        ws.read_json(name, "organize", "partition tree file"))
+    return ws.read_json(name, "partition tree file", cogeometry.PartitionTree.from_json)
 
 
 def _tree_config(cfg: dict) -> cogeometry.TreeConfig:
@@ -276,7 +301,7 @@ def _omega_matrix(d: DataMatrix, omega: ReferenceSet, obs_tree) -> tuple[np.ndar
 
 
 def _load_label_function(ws: Workspace) -> expert.LabelFunction:
-    table = _read_table(ws, "label_function.csv", "pseudopoints import")
+    table = _read_table(ws, "label_function.csv")
     cols = dict(zip(table.feature_names, np.array(table.values.T)))
     values, rescaled = cols["g_score"], cols["g_rescaled"]
     lo = float(values.min())
@@ -341,8 +366,7 @@ def run_synth(ws: Workspace) -> None:
     cfg["cluster_spread_ratios"] = tuple(cfg["cluster_spread_ratios"])
     scfg = synthmod.SynthConfig(**cfg)
     synthmod.emit(scfg, ws.path("data.csv"), ws.path("truth.json"))
-    ws.record("data.csv")
-    ws.record("truth.json")
+    ws.record("synth")
 
 
 def run_preprocess(ws: Workspace) -> None:
@@ -365,8 +389,7 @@ def run_preprocess(ws: Workspace) -> None:
     write_json(ws.path("scaler.json"), params.to_json())
     write_json(ws.path("reference.json"), {"eta": eta, "indices": omega.indices.tolist(),
                                            "polarity_flips": params.flip.astype(int).tolist()})
-    for name in ("preprocessed.csv", "scaler.json", "reference.json"):
-        ws.record(name)
+    ws.record("preprocess")
 
 
 def run_organize(ws: Workspace) -> None:
@@ -377,8 +400,7 @@ def run_organize(ws: Workspace) -> None:
     points_tree.save(ws.path("points_tree.json"))
     obs_tree.save(ws.path("obs_tree.json"))
     np.save(ws.path("affinity.npy"), affinity.entries)
-    for name in ("points_tree.json", "obs_tree.json", "affinity.npy"):
-        ws.record(name)
+    ws.record("organize")
 
 
 def _pseudopoints(ws: Workspace):
@@ -393,21 +415,23 @@ def _pseudopoints(ws: Workspace):
 def run_pseudopoints_export(ws: Workspace) -> None:
     """Centroid CSV for the expert, shown in the input data's original signs."""
     *_, ps = _pseudopoints(ws)
-    ref = ws.read_json("reference.json", "preprocess", "reference file")
-    flips = np.asarray(ref["polarity_flips"], dtype=bool)
+    flips = ws.read_json("reference.json", "reference file",
+                         lambda ref: np.asarray(ref["polarity_flips"], dtype=bool))
     expert.export_centroids(ps, ws.path("pseudopoints.csv"), flip=flips)
     # centroid cells no member observes, filled from the observation tree
-    ws.record("pseudopoints.csv", {"imputed_cells": len(ps.imputed_cells)})
+    ws.record("pseudopoints export",
+              {"pseudopoints.csv": {"imputed_cells": len(ps.imputed_cells)}})
 
 
-def run_pseudopoints_import(ws: Workspace, labels_path=None) -> None:
+def run_pseudopoints_import(ws: Workspace, labels_path) -> None:
     _import_labels(ws, _pseudopoints(ws), labels_path)
+    ws.record("pseudopoints import")
 
 
-def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
+def _import_labels(ws: Workspace, loaded, labels_path) -> None:
     """Import step on what ``_pseudopoints`` already loaded."""
     d, omega, points_tree, _, level, ps = loaded
-    ws.require("pseudopoints.csv", "pseudopoints export")
+    ws.require("pseudopoints.csv")
     labels_path = labels_path or ws.cfg["paths"]["labels"]
     labels_file = Path(labels_path)
     if not labels_file.is_absolute() and not labels_file.exists():
@@ -424,16 +448,14 @@ def _import_labels(ws: Workspace, loaded, labels_path=None) -> None:
                 _rows(lf.point_ids, np.column_stack((lf.values, lf.rescaled))))
     if labels_file != ws.path("labels.csv"):
         shutil.copyfile(labels_file, ws.path("labels.csv"))
-    ws.record("labels.csv")
-    ws.record("label_function.csv")
 
 
 def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
     loaded = _pseudopoints(ws)
     d, omega, points_tree, _, level, ps = loaded
-    truth = ws.read_json("truth.json", "synth", "truth file")
-    by_id = dict(zip(truth["point_ids"], truth["ground_truth"]))
+    by_id = ws.read_json("truth.json", "truth file",
+                         lambda truth: dict(zip(truth["point_ids"], truth["ground_truth"])))
     gt = np.asarray([by_id[d.point_ids[i]] for i in omega.indices])
 
     lo, hi = ws.cfg["pseudopoints"]["score_min"], ws.cfg["pseudopoints"]["score_max"]
@@ -448,6 +470,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
     write_table(ws.path("labels.csv"), ["folder_id", "score"],
                 ([fid, _fmt(score)] for fid, score in zip(ps.folder_ids, scores)))
     _import_labels(ws, loaded, ws.path("labels.csv"))
+    ws.record("pseudopoints auto")
 
 
 def run_train(ws: Workspace) -> None:
@@ -482,37 +505,35 @@ def run_train(ws: Workspace) -> None:
                    "workers": record.workers,
                    "children_max_rss_mb": record.children_max_rss_mb,
                    "waited_s": record.waited_s}
-    ws.record("ensemble.json", diagnostics)
-    ws.record("ranking.csv")
+    ws.record("train", {"ensemble.json": diagnostics})
 
 
 def run_embed(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
     obs_tree = _load_tree(ws, "obs_tree.json")
-    ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
+    ensemble = ws.read("ensemble.json", netens.load_ensemble)
     filled, _ = _omega_matrix(d, omega, obs_tree)
     kernel = _ensemble_kernel(ws, netens.representation(ensemble, filled))
     emb = spectral.diffusion_embed(kernel, d=int(ws.cfg["embedding"]["d"]),
                                    t=float(ws.cfg["embedding"]["t"]))
     ids = [d.point_ids[i] for i in omega.indices]
     write_embedding(ws.path("embedding.csv"), ws.path("embedding.json"), ids, emb)
-    ws.record("embedding.csv")
-    ws.record("embedding.json")
+    ws.record("embed")
 
 
 def run_standardize(ws: Workspace) -> None:
-    ids, emb = read_embedding(ws, "embedding", "embed")
+    ids, emb = read_embedding(ws, "embedding")
     kernel = whiten.standardized_kernel(emb, _local_moments(ws, emb),
                                         r=int(ws.cfg["kernel"]["r"]))
     std = whiten.standardized_embedding(kernel, d=int(ws.cfg["embedding"]["d"]),
                                         t=float(ws.cfg["embedding"]["t"]))
     write_embedding(ws.path("std_embedding.csv"), ws.path("std_embedding.json"), ids, std)
-    ws.record("std_embedding.csv")
     # reported, never asserted: where the kernel's entries above 1e-12 fall
     # into several components, lambda_1 is 1 to rounding and the first
     # coordinates only contrast the components
-    ws.record("std_embedding.json", {"kernel_components": validate.component_count(kernel),
-                                     "spectral_gap": 1.0 - float(std.eigenvalues[0])})
+    ws.record("standardize", {"std_embedding.json": {
+        "kernel_components": validate.component_count(kernel),
+        "spectral_gap": 1.0 - float(std.eigenvalues[0])}})
 
 
 # New points that run_extend reads and takes through the extension at a time.
@@ -594,20 +615,11 @@ def _extend_block(state: _ExtendState, ids, values, mask, files):
             for kind, e in (("cross", nearest_cross), ("one_sided", nearest_one_sided))}
 
 
-# Set in each extend helper when it starts; None in any other process.
-_helper_state: _ExtendState | None = None
-
-
-def _start_helper(state: _ExtendState) -> None:
-    global _helper_state
-    _helper_state = state
-
-
 def _extend_in_helper(ids, values, mask):
-    """_extend_block in a helper: its diagnostics and the text of its rows for
-    each artifact it wrote to."""
+    """_extend_block in a helper, whose state is the _ExtendState: its
+    diagnostics and the text of its rows for each artifact it wrote to."""
     files = collections.defaultdict(io.StringIO)
-    outcome = _extend_block(_helper_state, ids, values, mask, files)
+    outcome = _extend_block(netens.helper_state, ids, values, mask, files)
     return outcome, {name: fh.getvalue() for name, fh in files.items()}
 
 
@@ -655,13 +667,11 @@ def run_extend(ws: Workspace, new_points_path) -> None:
         raise ValidationError(f"new points file not found: {new_points_path}")
     d, omega = _load_preprocessed(ws)
     obs_tree = _load_tree(ws, "obs_tree.json")
-    ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
-    _, emb = read_embedding(ws, "embedding", "embed")
-    _, std_emb = read_embedding(ws, "std_embedding", "standardize")
+    ensemble = ws.read("ensemble.json", netens.load_ensemble)
+    _, emb = read_embedding(ws, "embedding")
+    _, std_emb = read_embedding(ws, "std_embedding")
     lf = _load_label_function(ws)
-
-    params = StandardizationParams.from_json(
-        ws.read_json("scaler.json", "preprocess", "scaler file"))
+    params = ws.read_json("scaler.json", "scaler file", StandardizationParams.from_json)
 
     filled, _ = _omega_matrix(d, omega, obs_tree)
     state = _ExtendState(params=params, obs_tree=obs_tree, ensemble=ensemble,
@@ -707,7 +717,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
                 add(_extend_block(state, ids, values, mask, files))
                 continue
             if pool is None:
-                pool = stack.enter_context(netens.forked_pool(workers, _start_helper, state))
+                pool = stack.enter_context(netens.forked_pool(workers, state))
             pending.append(pool.submit(_extend_in_helper, ids, values, mask))
             while len(pending) > workers:
                 settle()
@@ -730,20 +740,18 @@ def run_extend(ws: Workspace, new_points_path) -> None:
                    "max_nearest_exponent": {kind: float(e)
                                             for kind, e in nearest_max.items()},
                    "beyond_one_bandwidth": beyond}
-    ws.record("extended_embedding.csv", diagnostics)
-    ws.record("extended_std_embedding.csv")
-    ws.record("extended_ranking.csv")
+    ws.record("extend", {"extended_embedding.csv": diagnostics})
 
 
 def run_validate(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
     obs_tree = _load_tree(ws, "obs_tree.json")
-    ensemble = netens.load_ensemble(ws.require("ensemble.json", "train"))
+    ensemble = ws.read("ensemble.json", netens.load_ensemble)
     lf = _load_label_function(ws)
-    ids, emb = read_embedding(ws, "embedding", "embed")
+    ids, emb = read_embedding(ws, "embedding")
     filled, _ = _omega_matrix(d, omega, obs_tree)
 
-    report = validate.ValidationReport(config_hash=ws.cfg_hash)
+    report = validate.ValidationReport()
 
     rep, f01 = netens.ensemble_forward(ensemble, filled)
     dnn_kernel = _ensemble_kernel(ws, rep)
@@ -800,7 +808,8 @@ def run_validate(ws: Workspace) -> None:
     report.add_section("separation_bound", {
         "lhs": record.lhs, "e_neq_g_gap": record.e_neq_g_gap,
         "s_pairs": record.s_pairs, "max_factor": record.max_factor,
-        "cost": record.cost, "rhs": record.rhs, "rhs_scaled": record.rhs_scaled,
+        "cost": record.cost, "root_rhs": record.root_rhs, "rhs": record.rhs,
+        "rhs_scaled": record.rhs_scaled,
         "holds": record.holds})
 
     # baseline rankings and agreement
@@ -829,19 +838,17 @@ def run_validate(ws: Workspace) -> None:
         "degenerate": smooth.degenerate})
 
     report.write(ws.outdir)
-    for name in ("validation.json", "lipschitz.csv", "neighborhood_mass.csv",
-                 "eigencurve.csv", "confusion.csv", "histograms.csv"):
-        ws.record(name)
+    ws.record("validate")
 
 
-def _join(ws: Workspace, name: str, producer: str, table_ids, ids) -> np.ndarray:
+def _join(ws: Workspace, name: str, table_ids, ids) -> np.ndarray:
     """The row of the table ``name`` for each of ``ids``, the embedding's
     point ids.  A table whose ids are not those ids is an error that names
-    it and says to rerun ``producer``."""
+    it and the stage to rerun."""
     row_of = {pid: i for i, pid in enumerate(table_ids)}
     if len(row_of) != len(ids) or any(pid not in row_of for pid in ids):
         raise ValidationError(f"{ws.path(name)}: its point ids are not those of "
-                              f"embedding.csv; rerun '{producer}' to rewrite it")
+                              f"embedding.csv; rerun '{PRODUCER[name]}' to rewrite it")
     return np.array([row_of[pid] for pid in ids], dtype=np.int64)
 
 
@@ -849,15 +856,13 @@ def run_report(ws: Workspace) -> None:
     """Plot-ready per-point join, by point id, of embeddings, rankings,
     labels and features."""
     d, omega = _load_preprocessed(ws)
-    ids, emb = read_embedding(ws, "embedding", "embed")
-    std_ids, std_emb = read_embedding(ws, "std_embedding", "standardize")
+    ids, emb = read_embedding(ws, "embedding")
+    std_ids, std_emb = read_embedding(ws, "std_embedding")
     lf = _load_label_function(ws)
-    ranking = _read_table(ws, "ranking.csv", "train")
-    std_coords = std_emb.coordinates[_join(ws, "std_embedding.csv", "standardize",
-                                           std_ids, ids)]
-    g_scores = lf.values[_join(ws, "label_function.csv", "pseudopoints import",
-                               lf.point_ids, ids)].tolist()
-    f_scores = ranking.values[_join(ws, "ranking.csv", "train", ranking.point_ids, ids),
+    ranking = _read_table(ws, "ranking.csv")
+    std_coords = std_emb.coordinates[_join(ws, "std_embedding.csv", std_ids, ids)]
+    g_scores = lf.values[_join(ws, "label_function.csv", lf.point_ids, ids)].tolist()
+    f_scores = ranking.values[_join(ws, "ranking.csv", ranking.point_ids, ids),
                               ranking.feature_names.index("f_score")].tolist()
 
     coords = emb.coordinates
@@ -871,4 +876,4 @@ def run_report(ws: Workspace) -> None:
             in zip(ids, g_scores, f_scores, coords.tolist(),
                    std_coords.tolist(), features))
     write_table(ws.path("report.csv"), header, rows)
-    ws.record("report.csv")
+    ws.record("report")

@@ -6,6 +6,7 @@ serialize for external tools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -221,19 +222,31 @@ class SeparationRecord:
     s_pairs: int                 # ordered unequal-label pairs
     max_factor: float            # max_i S_i * n / S
     cost: float                  # mean squared training error
-    rhs: float
+    root_rhs: float              # sqrt(e_neq_g_gap) - 2 sqrt(max_factor * cost)
+    rhs: float                   # e_neq_g_gap - 2 max_factor cost; reported only
     holds: bool
     rhs_scaled: float | None = None
 
 
 def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
                            layer_norm_product: float | None = None) -> SeparationRecord:
-    """Check E_neq f-gap^2 >= E_neq g-gap^2 - 2 (max_i S_i n / S) C.
+    """Check sqrt(E_neq f-gap^2) >= sqrt(E_neq g-gap^2) - 2 sqrt(max_factor C).
+
+    E_neq averages over the S ordered pairs (x, y) with g(x) != g(y), S_i
+    counts the points whose label is not i, max_factor = max_i S_i n / S
+    and C = mean (g - f)^2.  Proof: write e = g - f.  Over the unequal-label
+    pairs, (e_x - e_y)^2 <= 2 (e_x^2 + e_y^2), and each x is in S_g(x) pairs
+    as either member, so E_neq (e_x - e_y)^2 <= (4 / S) sum_x S_g(x) e_x^2
+    <= 4 max_factor C.  Since f-gap = g-gap - e-gap, Minkowski's inequality
+    on the pairs gives sqrt(E_neq f-gap^2) >= sqrt(E_neq g-gap^2) -
+    sqrt(E_neq e-gap^2), and the bound follows.
 
     Computed exactly over all ordered unequal-label pairs.  Raises
-    BoundViolation when the inequality fails beyond SEPARATION_SLACK; the scaled
-    right-hand side (divided by the later-layer norm product) is reported
-    but never asserted.
+    BoundViolation when the inequality fails beyond SEPARATION_SLACK, which
+    only rounding can make it do.  The squared form, E_neq f-gap^2 >=
+    E_neq g-gap^2 - 2 max_factor C (``rhs``), does not hold in general; it
+    is reported, as is ``rhs_scaled``, ``rhs`` over the later-layer norm
+    product, and neither is asserted.
     """
     f = np.asarray(f_values, dtype=float)
     g = np.asarray(g_values, dtype=float)
@@ -251,16 +264,17 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
     classes = np.unique(g)
     s_i = {float(c): int((g != c).sum()) for c in classes}
     max_factor = max(s_i.values()) * n / s_pairs
+    root_rhs = math.sqrt(e_g) - 2.0 * math.sqrt(max_factor * cost)
     rhs = e_g - 2.0 * max_factor * cost
     rhs_scaled = rhs / layer_norm_product if layer_norm_product else None
 
-    holds = lhs >= rhs - SEPARATION_SLACK
+    holds = bool(math.sqrt(lhs) >= root_rhs - SEPARATION_SLACK)
     record = SeparationRecord(lhs=lhs, e_neq_g_gap=e_g, s_pairs=s_pairs,
-                              max_factor=float(max_factor), cost=cost, rhs=rhs,
-                              holds=holds, rhs_scaled=rhs_scaled)
+                              max_factor=float(max_factor), cost=cost, root_rhs=root_rhs,
+                              rhs=rhs, holds=holds, rhs_scaled=rhs_scaled)
     if not holds:
-        raise BoundViolation(f"separation bound violated: LHS {lhs:.6g} < "
-                             f"RHS {rhs:.6g} - {SEPARATION_SLACK}", record=record)
+        raise BoundViolation(f"separation bound violated: sqrt(LHS) {math.sqrt(lhs):.6g} < "
+                             f"{root_rhs:.6g} - {SEPARATION_SLACK}", record=record)
     return record
 
 
@@ -423,23 +437,19 @@ def neighbor_smoothness(k: Kernel, f: np.ndarray) -> SmoothnessResult:
 
 @dataclass
 class ValidationReport:
-    config_hash: str
     sections: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)   # name -> (header, rows)
 
     def add_section(self, name: str, payload: dict) -> None:
-        self.sections[name] = {"config_hash": self.config_hash, **payload}
+        self.sections[name] = payload
 
     def add_table(self, name: str, header: list[str], rows: list[list]) -> None:
         self.tables[name] = (header, rows)
 
     def write(self, outdir) -> None:
-        """validation.json and one CSV per table in ``outdir``; each table
-        row ends with the config hash."""
+        """validation.json and one CSV per table in ``outdir``."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        write_json(outdir / "validation.json",
-                   {"config_hash": self.config_hash, "sections": self.sections}, indent=1)
+        write_json(outdir / "validation.json", {"sections": self.sections}, indent=1)
         for name, (header, rows) in self.tables.items():
-            write_table(outdir / f"{name}.csv", header + ["config_hash"],
-                        (list(row) + [self.config_hash] for row in rows))
+            write_table(outdir / f"{name}.csv", header, rows)

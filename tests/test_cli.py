@@ -1,7 +1,6 @@
 """End to end: every CLI subcommand on a small synthetic config."""
 
 import concurrent.futures
-import contextlib
 import csv
 import hashlib
 import json
@@ -22,7 +21,7 @@ import expertmap
 from expertmap import cli, expert, netens, pipeline, whiten
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
-from expertmap.errors import BoundViolation, ParseError, ValidationError
+from expertmap.errors import ParseError, ValidationError
 from expertmap.expert import extract_pseudopoints
 
 CONFIG = {"synth": {"n_points": 150},
@@ -31,11 +30,11 @@ CONFIG = {"synth": {"n_points": 150},
 
 STAGES = (["synth"], ["preprocess"], ["organize"], ["pseudopoints", "export"],
           ["pseudopoints", "auto"], ["train"], ["embed"], ["standardize"],
-          ["extend", "--new-points", "{out}/data.csv"], ["report"])
+          ["extend", "--new-points", "{out}/data.csv"], ["validate"], ["report"])
 
 
 def run_chain(root):
-    """Run every stage but validate into ``root/out``; returns (config, out, exit codes)."""
+    """Run every stage into ``root/out``; returns (config, out, exit codes)."""
     root.mkdir(parents=True, exist_ok=True)
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
@@ -178,6 +177,9 @@ def test_stage_names_a_truncated_json_file(chain, tmp_path, capsys, stage, name)
     assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {path} is not valid JSON: " in err
+    # an artifact names the stage that rewrites it; a sidecar names none
+    producer = {"embedding.json": "embed", "obs_tree.json": "organize"}.get(name)
+    assert err.rstrip().endswith(f"; rerun '{producer}' to rewrite it") == bool(producer)
 
 
 @pytest.mark.parametrize("eigenvalue, t", [(0.0, 1.0), (1e-200, 2.0)],
@@ -748,7 +750,7 @@ print(json.dumps({{"codes": codes, "checks": meta["diagnostics"]["checks"]}}))
 """
 
 
-def test_every_stage_but_validate_runs_without_scipy(tmp_path):
+def test_every_stage_runs_without_scipy(tmp_path):
     # net.k = 31: one check runs, after the round that reaches 30 nets
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**CONFIG, "net": {"k": 31, "epochs": 10,
@@ -780,6 +782,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         pipeline.merge_config({"net": 3})
 
 
+def test_seed_level_and_k_nets_override_the_config_file(chain, tmp_path, monkeypatch):
+    config, _, _, _ = chain         # net.k 5, pseudopoints.level 4, the default seeds
+    seen = []
+    # the step is looked up when the stage runs, so this stand-in is called
+    monkeypatch.setattr(pipeline, "run_train", seen.append)
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "--seed", "11",
+                     "--level", "3", "--k-nets", "6", "train"]) == 0
+    (ws,) = seen
+    assert ws.cfg["net"]["master_seed"] == ws.cfg["synth"]["seed"] == 11
+    assert (ws.cfg["pseudopoints"]["level"], ws.cfg["net"]["k"]) == (3, 6)
+    assert ws.cfg["net"]["epochs"] == CONFIG["net"]["epochs"]
+
+
+def test_seed_draws_the_data_that_synth_seed_draws(tmp_path):
+    def synth(name, config, *flags):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"synth": {"n_points": 40, **config}}))
+        out = tmp_path / name
+        assert cli.main(["--config", str(path), "--out", str(out), *flags, "synth"]) == 0
+        return artifact_hashes(out)
+    by_flag = synth("flag", {}, "--seed", "11")
+    assert by_flag == synth("config", {"seed": 11})
+    assert by_flag["data.csv"] != synth("default", {})["data.csv"]
+
+
 def test_config_keys_written_by_the_benchmark_load(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"paths": {"out": "o", "data": "d.csv"},
@@ -789,9 +816,6 @@ def test_config_keys_written_by_the_benchmark_load(tmp_path):
         dict(pipeline.DEFAULT_CONFIG["paths"], out="p", data="d.csv"), 2, 5)
 
 
-@pytest.mark.xfail(strict=True, raises=BoundViolation,
-                   reason="ROADMAP open item 1: separation_bound_check asserts a form "
-                          "that is not an inequality (LHS 0.121 < RHS 0.304 here)")
 def test_validate_stage(chain):
     config, out, _, _ = chain
     ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
@@ -918,6 +942,5 @@ def test_validate_runs_the_ensemble_once(chain, tmp_path, monkeypatch):
     monkeypatch.setattr(netens, "ensemble_forward",
                         lambda e, X: calls.append(len(X)) or real(e, X))
     ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
-    with contextlib.suppress(BoundViolation):     # ROADMAP open item 1
-        pipeline.run_validate(ws)
+    pipeline.run_validate(ws)
     assert len(calls) == 1

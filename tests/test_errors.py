@@ -6,7 +6,7 @@ from expertmap import errors
 from expertmap.validate import SeparationRecord
 
 RECORD = SeparationRecord(lhs=0.1, e_neq_g_gap=0.3, s_pairs=12, max_factor=1.5,
-                          cost=0.02, rhs=0.24, holds=False, rhs_scaled=None)
+                          cost=0.02, root_rhs=0.2, rhs=0.24, holds=False, rhs_scaled=None)
 
 # constructor arguments beyond the message, per error class
 EXTRA = {errors.ExpertMapError: {}, errors.ParseError: {}, errors.ValidationError: {},

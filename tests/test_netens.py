@@ -439,7 +439,7 @@ class TestHandout:
             here.append(net)
             return sleeper(here_s)(net, rng)
         starts = [(i, None) for i in range(8)]
-        with netens.forked_pool(1, netens._start_trainer, (None, None, None)) as pool:
+        with netens.forked_pool(1, (None, None, None)) as pool:
             results, waited = netens._train_round(pool, 1, train_here, starts)
         assert [net for net, _ in results] == list(range(8))
         helper = [net for net, pid in results if pid != os.getpid()]
@@ -461,7 +461,7 @@ class TestHandout:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with netens.forked_pool(3, netens._start_trainer, (None, None, None)) as pool:
+            with netens.forked_pool(3, (None, None, None)) as pool:
                 for _ in range(3):
                     results, _ = netens._train_round(pool, 3, train_here,
                                                      [(i, None) for i in range(40)])
@@ -489,7 +489,7 @@ class TestHandout:
             here.append(net)
             return sleeper(0.5)(net, rng)
         with pytest.raises(RuntimeError, match="net 0 broke"):
-            with netens.forked_pool(1, netens._start_trainer, (None, None, None)) as pool:
+            with netens.forked_pool(1, (None, None, None)) as pool:
                 netens._train_round(pool, 1, train_here, [(i, None) for i in range(8)])
         assert log.read_text() == "0\n" and here == [7]
         assert multiprocessing.active_children() == []
@@ -780,9 +780,7 @@ class TestEnsembleFile:
         path.write_text(damage(path.read_text()))
         with pytest.raises(ValidationError) as info:
             load_ensemble(path)
-        message = str(info.value)
-        assert f"ensemble file {path} {why}" in message
-        assert message.endswith("; rerun 'train' to rewrite it")
+        assert f"ensemble file {path} {why}" in str(info.value)
 
 
 class TestOneForwardPass:

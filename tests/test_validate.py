@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse.csgraph import connected_components
 
@@ -230,6 +230,7 @@ class TestSeparationBound:
         record = separation_bound_check(g, g)
         assert record.cost == 0.0
         assert record.lhs == pytest.approx(record.rhs)
+        assert record.root_rhs == np.sqrt(record.lhs)
         assert record.holds
 
     def test_six_point_toy_hand_values(self):
@@ -243,15 +244,38 @@ class TestSeparationBound:
         assert record.max_factor == pytest.approx(3.0)
         assert record.cost == pytest.approx(0.25)
         assert record.rhs == pytest.approx(-0.5)
+        assert record.root_rhs == pytest.approx(1.0 - np.sqrt(3.0))
         assert record.rhs <= 0.0 and record.holds
 
-    def test_violation_raises_with_record(self):
-        # balanced constant-f case: rhs = 0.5 > lhs = 0
+    def test_violation_raises_with_record(self, monkeypatch):
+        # balanced constant-f case: the squared form's rhs = 0.5 > lhs = 0, and
+        # the asserted form is tight, sqrt(0) >= 1 - 2 sqrt(1 * 0.25); a proven
+        # bound cannot fail, so a negative slack forces the raise
+        monkeypatch.setattr(validate, "SEPARATION_SLACK", -0.1)
         g = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         f = np.full(6, 0.5)
         with pytest.raises(BoundViolation) as err:
             separation_bound_check(f, g)
         assert err.value.record.rhs == pytest.approx(0.5)
+        assert err.value.record.root_rhs == 0.0 and err.value.record.holds is False
+        monkeypatch.setattr(validate, "SEPARATION_SLACK", 0.0)
+        assert separation_bound_check(f, g).holds is True
+
+    @settings(deadline=None, max_examples=300)
+    @given(labels=st.lists(st.sampled_from([-2.0, 0.0, 0.25, 1.0, 3.5]), min_size=2,
+                           max_size=40),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40),
+           scale=st.sampled_from([0.0, 1e-12, 1e-3, 0.3, 1.0, 100.0]),
+           shift=st.floats(-50.0, 50.0))
+    def test_the_asserted_form_never_fails(self, labels, noise, scale, shift):
+        # f = g + shift + scale * noise: from f = g, where the bound is an
+        # equality, to f that ignores g
+        g = np.array(labels)
+        assume(len(np.unique(g)) > 1)
+        f = g + shift + scale * np.array(noise[:len(g)])
+        record = separation_bound_check(f, g)
+        assert record.holds is True
+        assert np.sqrt(record.lhs) >= record.root_rhs - validate.SEPARATION_SLACK
 
     def test_scaled_rhs_reported_not_asserted(self):
         g = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
@@ -408,14 +432,14 @@ class TestNeighborSmoothness:
 
 
 def test_validation_report_round_trip(tmp_path):
-    report = ValidationReport(config_hash="abc123")
+    report = ValidationReport()
     report.add_section("stats", {"mean": 1.5})
     report.add_table("numbers", ["idx", "value"], [[1, 2.0], [2, 4.0]])
     report.write(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["numbers.csv", "validation.json"]
     with open(tmp_path / "validation.json") as fh:
         payload = json.load(fh)
-    assert payload["schema_version"] == 1 and payload["config_hash"] == "abc123"
-    assert payload["sections"]["stats"]["mean"] == 1.5
+    # the config hash is the sidecars' to record: it covers paths.out
+    assert payload == {"schema_version": 1, "sections": {"stats": {"mean": 1.5}}}
     body = (tmp_path / "numbers.csv").read_bytes()
-    assert body == b"idx,value,config_hash\r\n1,2.0,abc123\r\n2,4.0,abc123\r\n"
+    assert body == b"idx,value\r\n1,2.0\r\n2,4.0\r\n"
