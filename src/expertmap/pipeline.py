@@ -236,12 +236,16 @@ def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
                            "standardized": emb.standardized})
 
 
-def _read_table(ws: Workspace, name: str) -> DataMatrix:
+def _read_table(ws: Workspace, name: str, columns: tuple[str, ...]) -> DataMatrix:
     """The CSV artifact ``name``, read by ``load_matrix`` through ``ws.read``.
-    A cell that is not a number, an empty one included, is an error that
-    names the file."""
+    A missing column of ``columns``, those the caller reads by name, and a
+    cell that is not a number, an empty one included, are errors that name
+    the file."""
     def parse(path) -> DataMatrix:
         table = load_matrix(path)
+        for column in columns:
+            if column not in table.feature_names:
+                raise ValidationError(f"{path} has no column {column!r}")
         if not table.mask.all():
             row, col = np.argwhere(~table.mask)[0]
             raise ValidationError(f"{path}: row {row + 2}: no value in column "
@@ -256,7 +260,7 @@ def read_embedding(ws: Workspace, name: str) -> tuple[list[str], spectral.Embedd
     The eigenvectors are the stored coordinates over lambda^t; a coordinate
     whose lambda^t is 0 gives none back, and is an error that names it.
     """
-    table = _read_table(ws, f"{name}.csv")
+    table = _read_table(ws, f"{name}.csv", ())
 
     def parse(meta: JsonArtifact) -> spectral.Embedding:
         vals = np.asarray(meta["eigenvalues"])
@@ -292,16 +296,18 @@ def _tree_config(cfg: dict) -> cogeometry.TreeConfig:
                                  embed_dim=t["embed_dim"], beta=t["beta"])
 
 
-def _omega_matrix(d: DataMatrix, omega: ReferenceSet, obs_tree) -> tuple[np.ndarray, np.ndarray]:
-    """(imputed reference rows, fully-observed row flags)."""
-    rows = d.values[omega.indices]
-    complete = d.mask[omega.indices].all(axis=1)
-    filled = cogeometry.impute_matrix(rows, obs_tree)
-    return filled, complete
+def _reference_rows(ws: Workspace) -> tuple[DataMatrix, ReferenceSet,
+                                              cogeometry.PartitionTree, np.ndarray]:
+    """The preprocessed data, its reference set, the observation tree and
+    the reference rows imputed from that tree, read from preprocessed.csv,
+    reference.json and obs_tree.json in that order."""
+    d, omega = _load_preprocessed(ws)
+    obs_tree = _load_tree(ws, "obs_tree.json")
+    return d, omega, obs_tree, cogeometry.impute_matrix(d.values[omega.indices], obs_tree)
 
 
 def _load_label_function(ws: Workspace) -> expert.LabelFunction:
-    table = _read_table(ws, "label_function.csv")
+    table = _read_table(ws, "label_function.csv", ("g_score", "g_rescaled"))
     cols = dict(zip(table.feature_names, np.array(table.values.T)))
     values, rescaled = cols["g_score"], cols["g_rescaled"]
     lo = float(values.min())
@@ -311,8 +317,15 @@ def _load_label_function(ws: Workspace) -> expert.LabelFunction:
                                 scale=(lo, hi))
 
 
-def _ensemble_kernel(ws: Workspace, rep: np.ndarray) -> spectral.Kernel:
-    return spectral.gaussian_kernel(rep, r=ws.cfg["kernel"]["r"])
+def _kernel(ws: Workspace, rows: np.ndarray) -> spectral.Kernel:
+    """The Gaussian kernel on ``rows`` at the bandwidth rule ``kernel.r``."""
+    return spectral.gaussian_kernel(rows, r=ws.cfg["kernel"]["r"])
+
+
+def _diffusion(ws: Workspace, kernel: spectral.Kernel) -> spectral.Embedding:
+    """The raw diffusion map of ``kernel`` at ``embedding.d`` and ``embedding.t``."""
+    return spectral.diffusion_embed(kernel, d=int(ws.cfg["embedding"]["d"]),
+                                    t=float(ws.cfg["embedding"]["t"]))
 
 
 # train's stopping check: the nearest neighbours it compares, and the mean
@@ -328,20 +341,17 @@ def _round_check(ws: Workspace, filled: np.ndarray):
     reaches CONVERGED_OVERLAP: whether the round changed fewer than 5% of
     the points' nearest neighbours.
 
-    Each embedding is formed as embed forms embedding.csv, through ``cdist``
-    and ``diffusion_embed``, which solves only for the top eigenpairs.  The
-    nets before a round are those after the one before it, so each check
-    embeds one ensemble and keeps its embedding for the next.
+    Each embedding is formed as embed forms embedding.csv, by ``_kernel``
+    and ``_diffusion``.  The nets before a round are those after the one
+    before it, so each check embeds one ensemble and keeps its embedding for
+    the next.
     """
-    r = int(ws.cfg["kernel"]["r"])
-    d, t = int(ws.cfg["embedding"]["d"]), float(ws.cfg["embedding"]["t"])
     last: dict[int, np.ndarray] = {}    # net count -> embedding, of the last ensemble
 
     def embedding(e: netens.NetEnsemble) -> np.ndarray:
         if e.k not in last:
             rep = netens.representation(e, filled)
-            kernel = spectral.kernel_from_distances(cdist(rep, rep), r)
-            coords = spectral.diffusion_embed(kernel, d=d, t=t).coordinates
+            coords = _diffusion(ws, _kernel(ws, rep)).coordinates
             last.clear()
             last[e.k] = coords
         return last[e.k]
@@ -474,10 +484,8 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
 
 
 def run_train(ws: Workspace) -> None:
-    d, omega = _load_preprocessed(ws)
-    obs_tree = _load_tree(ws, "obs_tree.json")
+    d, omega, _, filled = _reference_rows(ws)
     lf = _load_label_function(ws)
-    filled, complete = _omega_matrix(d, omega, obs_tree)
 
     net_cfg = ws.cfg["net"]
     ranges = netens.HyperRanges(h1=tuple(net_cfg["h1"]), h2=tuple(net_cfg["h2"]),
@@ -488,7 +496,7 @@ def run_train(ws: Workspace) -> None:
         master_seed=int(net_cfg["master_seed"]), epochs=int(net_cfg["epochs"]),
         learning_rate=float(net_cfg["learning_rate"]),
         pretrain_epochs=int(net_cfg["pretrain_epochs"]),
-        train_rows=complete, check=_round_check(ws, filled))
+        train_rows=d.mask[omega.indices].all(axis=1), check=_round_check(ws, filled))
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
     f01 = netens.ensemble_rank(ensemble, filled)
@@ -509,13 +517,9 @@ def run_train(ws: Workspace) -> None:
 
 
 def run_embed(ws: Workspace) -> None:
-    d, omega = _load_preprocessed(ws)
-    obs_tree = _load_tree(ws, "obs_tree.json")
+    d, omega, _, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
-    filled, _ = _omega_matrix(d, omega, obs_tree)
-    kernel = _ensemble_kernel(ws, netens.representation(ensemble, filled))
-    emb = spectral.diffusion_embed(kernel, d=int(ws.cfg["embedding"]["d"]),
-                                   t=float(ws.cfg["embedding"]["t"]))
+    emb = _diffusion(ws, _kernel(ws, netens.representation(ensemble, filled)))
     ids = [d.point_ids[i] for i in omega.indices]
     write_embedding(ws.path("embedding.csv"), ws.path("embedding.json"), ids, emb)
     ws.record("embed")
@@ -665,15 +669,13 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     """
     if not Path(new_points_path).is_file():
         raise ValidationError(f"new points file not found: {new_points_path}")
-    d, omega = _load_preprocessed(ws)
-    obs_tree = _load_tree(ws, "obs_tree.json")
+    d, _, obs_tree, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
     _, emb = read_embedding(ws, "embedding")
     _, std_emb = read_embedding(ws, "std_embedding")
     lf = _load_label_function(ws)
     params = ws.read_json("scaler.json", "scaler file", StandardizationParams.from_json)
 
-    filled, _ = _omega_matrix(d, omega, obs_tree)
     state = _ExtendState(params=params, obs_tree=obs_tree, ensemble=ensemble,
                          rep_ref=netens.representation(ensemble, filled), emb=emb,
                          std_emb=std_emb, lm=_local_moments(ws, emb), lf=lf)
@@ -744,19 +746,17 @@ def run_extend(ws: Workspace, new_points_path) -> None:
 
 
 def run_validate(ws: Workspace) -> None:
-    d, omega = _load_preprocessed(ws)
-    obs_tree = _load_tree(ws, "obs_tree.json")
+    d, omega, _, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
     lf = _load_label_function(ws)
     ids, emb = read_embedding(ws, "embedding")
-    filled, _ = _omega_matrix(d, omega, obs_tree)
 
     report = validate.ValidationReport()
 
     rep, f01 = netens.ensemble_forward(ensemble, filled)
-    dnn_kernel = _ensemble_kernel(ws, rep)
+    dnn_kernel = _kernel(ws, rep)
     del rep
-    euclid_kernel = spectral.gaussian_kernel(filled, r=ws.cfg["kernel"]["r"])
+    euclid_kernel = _kernel(ws, filled)
 
     # neighborhood concentration under both metrics
     mass_dnn = validate.neighborhood_mass(dnn_kernel)
@@ -859,7 +859,7 @@ def run_report(ws: Workspace) -> None:
     ids, emb = read_embedding(ws, "embedding")
     std_ids, std_emb = read_embedding(ws, "std_embedding")
     lf = _load_label_function(ws)
-    ranking = _read_table(ws, "ranking.csv")
+    ranking = _read_table(ws, "ranking.csv", ("f_score",))
     std_coords = std_emb.coordinates[_join(ws, "std_embedding.csv", std_ids, ids)]
     g_scores = lf.values[_join(ws, "label_function.csv", lf.point_ids, ids)].tolist()
     f_scores = ranking.values[_join(ws, "ranking.csv", ranking.point_ids, ids),

@@ -197,17 +197,12 @@ def nn_bandwidth(distances: np.ndarray, r: int) -> float:
 
 def gaussian_kernel(vectors: np.ndarray, r: int = 10) -> Kernel:
     """K(x,y) = exp(-|x-y|^2 / sigma^2), sigma = mean r-th-NN distance, with
-    the distances of the BLAS ``cdist``."""
+    the distances of the BLAS ``cdist``.  Their diagonal, which rounding can
+    leave above 0, is not read; the kernel is built in their buffer."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] < 2:
         raise ValidationError("gaussian_kernel needs >= 2 vectors")
-    return kernel_from_distances(cdist(vectors, vectors), r)
-
-
-def kernel_from_distances(dists: np.ndarray, r: int) -> Kernel:
-    """``gaussian_kernel`` of the points whose square distance matrix is
-    ``dists``; its diagonal is not read.  The kernel is built in the buffer
-    of ``dists``, which is consumed."""
+    dists = cdist(vectors, vectors)
     sigma = nn_bandwidth(dists, r)
     if sigma <= 0.0:
         raise ValidationError("all points identical: bandwidth is 0")

@@ -416,14 +416,17 @@ class SmoothnessResult:
 
 def neighbor_smoothness(k: Kernel, f: np.ndarray) -> SmoothnessResult:
     """Affinity-weighted neighbor average of f, self excluded, and its
-    correlation with f."""
+    correlation with f.  The weights are formed TILE rows at a time."""
     f = np.asarray(f, dtype=float)
-    weights = k.entries.copy()
-    np.fill_diagonal(weights, 0.0)
-    sums = weights.sum(axis=1)
-    if np.any(sums <= 0):
-        raise ValidationError("a point has zero affinity to all others")
-    averages = (weights / sums[:, None]) @ f
+    averages = np.empty(k.size)
+    for rows in row_tiles(k.size):
+        weights = k.entries[rows].copy()
+        weights[np.arange(weights.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
+        sums = weights.sum(axis=1)
+        if np.any(sums <= 0):
+            raise ValidationError("a point has zero affinity to all others")
+        weights /= sums[:, None]
+        averages[rows] = weights @ f
 
     if np.ptp(f) == 0.0 or np.ptp(averages) == 0.0:
         return SmoothnessResult(averages=averages, correlation=float("nan"),

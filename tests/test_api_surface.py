@@ -1,4 +1,12 @@
-"""Every default parameter in the library is passed by some program call.
+"""Every function in the library is used, and every default parameter in
+it is passed, by the program: the code in ``src/`` and ``perfbench/``
+outside the tests.
+
+A function that only tests call is a test oracle or dead code; it belongs
+in the tests or nowhere.  That check is syntactic: a function is used when
+the program names it, as a variable, an attribute or a string (perfbench
+names the functions it traces in strings).  ``run_<stage>`` functions are
+exempt, because the CLI looks them up by a name it builds.
 
 A parameter with a default that no call in ``src/`` or ``perfbench/``
 passes is a mode only tests reach; it belongs in the tests as an oracle, or
@@ -92,3 +100,51 @@ def test_the_check_sees_an_unpassed_default(tmp_path):
                       "class Box:\n    def __init__(self, x, y=0):\n        self.x = x\n\n"
                       "probe(1, c=3)\nBox(1, 2)\n")
     assert unpassed_parameters([module], [module]) == ["probe.probe(b)"]
+
+
+def defined_functions(path: Path):
+    """(qualified name, name) of every module-level function and method
+    defined in ``path``, but dunder methods, which Python calls by itself."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in members:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                yield f"{path.stem}.{owner}{fn.name}", fn.name
+
+
+def referenced_names(program) -> set[str]:
+    """Every name the program reads, as a variable, an attribute or a string."""
+    names = set()
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def unused_functions(library, program) -> list[str]:
+    # the CLI looks a stage's run_<stage> up by name
+    referenced = referenced_names(program)
+    return [qualified for path in library for qualified, name in defined_functions(path)
+            if name not in referenced and not name.startswith("run_")]
+
+
+def test_every_function_in_the_library_is_used_by_the_program():
+    unused = unused_functions(sorted(LIBRARY.glob("*.py")), PROGRAM)
+    assert not unused, f"functions that no code in src/ or perfbench/ refers to: {unused}"
+
+
+def test_the_check_sees_an_unused_function(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("def used():\n    return 1\n\ndef unused():\n    return used()\n\n"
+                      "def run_stage():\n    return 0\n\n"
+                      "class Box:\n    def __init__(self):\n        self.x = 'named'\n\n"
+                      "    def named(self):\n        return 2\n\n"
+                      "    def idle(self):\n        return 3\n")
+    assert unused_functions([module], [module]) == ["probe.unused", "probe.Box.idle"]

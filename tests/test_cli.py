@@ -242,6 +242,22 @@ def test_stage_names_a_table_with_a_damaged_cell(chain, tmp_path, capsys, stage,
     assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
 
 
+@pytest.mark.parametrize("stage, name, column, producer", [
+    ("train", "label_function.csv", "g_score", "pseudopoints import"),
+    ("report", "ranking.csv", "f_score", "train")])
+def test_stage_names_a_table_that_lacks_a_column(chain, tmp_path, capsys, stage, name, column,
+                                                 producer):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / name
+    path.write_text(path.read_text().replace(column, "x_score", 1))
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} has no column '{column}'; ")
+    assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
+
+
 def test_import_copies_a_labels_file_from_outside_the_workspace(chain, tmp_path):
     config, out, _, first = chain
     work = shutil.copytree(out, tmp_path / "out")
@@ -697,6 +713,26 @@ def test_train_sidecar_records_the_round_checks(chain, tmp_path, monkeypatch,
     assert [check["nets"] for check in diagnostics["checks"]] == checked
     assert all(0.0 < check["overlap"] <= 1.0 for check in diagnostics["checks"])
     assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == stopped
+
+
+def test_train_checks_the_geometry_that_embed_writes(chain, tmp_path, monkeypatch):
+    # at threshold 0 train stops at the first check, which embeds the 20
+    # nets before the round and then the 30 it keeps
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], "k": 50}}))
+    monkeypatch.setattr(pipeline, "CONVERGED_OVERLAP", 0.0)
+    embedded = []
+    real = pipeline._diffusion
+    monkeypatch.setattr(pipeline, "_diffusion",
+                        lambda ws, kernel: embedded.append(real(ws, kernel)) or embedded[-1])
+    assert cli.main(["--config", str(config), "--out", str(work), "train"]) == 0
+    assert len(embedded) == 2
+    assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == 30
+    assert cli.main(["--config", str(config), "--out", str(work), "embed"]) == 0
+    np.testing.assert_array_equal(embedded[1].coordinates,
+                                  read_coordinates(work / "embedding.csv"))
 
 
 def test_standardize_sidecar_reports_its_kernel(chain):

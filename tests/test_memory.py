@@ -47,14 +47,13 @@ def inputs():
 
 BUILDERS = {
     "gaussian_kernel": (1.5, lambda a: (spectral.gaussian_kernel, a["x"], 10)),
-    # the distances are allocated before the call; the kernel takes their buffer
-    "kernel_from_distances": (0.5, lambda a: (spectral.kernel_from_distances,
-                                              spectral.cdist(a["x"], a["x"]), 10)),
     "emd_affinity": (3.0, lambda a: (cogeometry.emd_affinity, a["tree"], a["vectors"])),
     "standardized_kernel": (1.5, lambda a: (whiten.standardized_kernel, a["emb"], a["lm"])),
     "diffusion_embed": (2.5, lambda a: (spectral.diffusion_embed, a["kernel"], 6)),
     "local_moments": (1.0, lambda a: (whiten.local_moments, a["emb"])),
     "spectral_dimension": (1.5, lambda a: (validate.spectral_dimension, a["kernel"])),
+    "neighbor_smoothness": (0.5, lambda a: (validate.neighbor_smoothness, a["kernel"],
+                                            a["x"][:, 0])),
 }
 
 

@@ -7,8 +7,8 @@ from scipy.spatial.distance import cdist as scipy_cdist
 from expertmap.errors import ValidationError
 from expertmap import spectral
 from expertmap.spectral import (TILE, Embedding, Kernel, _symmetrize, _top_eigenpairs,
-                                diffusion_embed, exact_distances, gaussian_kernel,
-                                kernel_from_distances, markov_normalize, nearest_neighbours,
+                                cdist, diffusion_embed, exact_distances, gaussian_kernel,
+                                markov_normalize, nearest_neighbours,
                                 neighbour_overlap, nn_bandwidth, nystrom_extend)
 
 
@@ -52,14 +52,17 @@ class TestGaussianKernel:
         expected = np.sort(dists, axis=1)[:, 4].mean()
         assert k.bandwidth["value"] == pytest.approx(expected)
 
-    def test_from_distances_ignores_the_diagonal(self):
+    def test_ignores_the_blas_diagonal(self):
+        # the BLAS expansion leaves a distance of a point to itself above 0;
+        # the kernel is that of the exact distances, whose diagonal is 0
         vectors = np.random.default_rng(3).normal(size=(12, 3))
-        dists = np.linalg.norm(vectors[:, None] - vectors[None], axis=2)
-        np.fill_diagonal(dists, 1e-7)       # as a BLAS expansion can leave it
-        k, ref = kernel_from_distances(dists, r=3), gaussian_kernel(vectors, r=3)
-        assert k.bandwidth["rule"] == ref.bandwidth["rule"]
-        assert k.bandwidth["value"] == pytest.approx(ref.bandwidth["value"], rel=1e-14)
-        np.testing.assert_allclose(k.entries, ref.entries, rtol=1e-13)
+        assert np.diag(cdist(vectors, vectors)).any()
+        dists = exact_distances(vectors, "euclidean")
+        sigma = nn_bandwidth(dists, 3)
+        k = gaussian_kernel(vectors, r=3)
+        assert k.bandwidth["rule"] == "mean-3nn"
+        assert k.bandwidth["value"] == pytest.approx(sigma, rel=1e-14)
+        np.testing.assert_allclose(k.entries, np.exp(-(dists / sigma) ** 2), rtol=1e-13)
 
 
 class TestMarkovNormalize:

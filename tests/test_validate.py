@@ -430,6 +430,29 @@ class TestNeighborSmoothness:
         result = neighbor_smoothness(k, np.ones(12))
         assert result.degenerate
 
+    @pytest.mark.parametrize("n", [67, 324, 2 * TILE + 1])
+    def test_tiles_give_the_averages_of_the_whole_matrix(self, n):
+        # where the last tile is one row, NumPy takes a dot product in place
+        # of the matrix-vector product, whose last bits can differ
+        rng = np.random.default_rng(n)
+        k = gaussian_kernel(rng.normal(size=(n, 4)), r=10)
+        f = rng.normal(size=n)
+        weights = k.entries.copy()
+        np.fill_diagonal(weights, 0.0)
+        expected = (weights / weights.sum(axis=1)[:, None]) @ f
+        got = neighbor_smoothness(k, f).averages
+        if n % TILE == 1:
+            np.testing.assert_allclose(got, expected, rtol=1e-14)
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+    def test_a_point_with_no_affinity_to_the_others_is_an_error(self):
+        entries = np.eye(TILE + 3)
+        entries[:TILE, :TILE] = 0.5
+        np.fill_diagonal(entries, 1.0)
+        with pytest.raises(ValidationError, match="zero affinity to all others"):
+            neighbor_smoothness(Kernel(entries=entries), np.arange(TILE + 3.0))
+
 
 def test_validation_report_round_trip(tmp_path):
     report = ValidationReport()
