@@ -104,13 +104,13 @@ class TreeConfig:
         return max(1, min(d, int(math.floor(math.log2(n))) + 1)) if n > 1 else 1
 
 
-def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> tuple[spectral.Kernel, tuple]:
+def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> spectral.Kernel:
     """Cosine affinity over jointly observed entries, mapped onto [0, 1].
 
-    Returns the kernel (cosine c becomes (c + 1) / 2, unit diagonal) and the
-    flagged pairs.  A pair with empty joint support is a hard error (the
-    reference set is supposed to guarantee overlap); a pair where either
-    restricted norm is 0 gets cosine 0 and is flagged.
+    Cosine c becomes (c + 1) / 2, and the diagonal is 1.  A pair with empty
+    joint support is a hard error (the reference set is supposed to
+    guarantee overlap); a pair where either restricted norm is 0 gets
+    cosine 0.
     """
     rows = d.values[omega.indices]
     mask = d.mask[omega.indices]
@@ -129,9 +129,6 @@ def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> tuple[spectral.Kernel
     denom = sq * sq.T
     del sq
     np.sqrt(denom, out=denom)
-    zero_norm = denom <= 0
-    np.fill_diagonal(zero_norm, False)
-    flagged = [tuple(p) for p in np.argwhere(np.triu(zero_norm, 1))] if zero_norm.any() else []
 
     # the cosine, (c + 1) / 2 and the unit diagonal, all in one buffer
     entries = filled @ filled.T
@@ -143,40 +140,33 @@ def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> tuple[spectral.Kernel
     entries += 1.0
     entries *= 0.5
     np.fill_diagonal(entries, 1.0)
-    return spectral.Kernel(entries=entries), tuple(flagged)
+    return spectral.Kernel(entries=entries)
 
 
 def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float):
     """Bottom-up average-linkage merging with ~dyadic size targets.
 
     Returns partitions at folder counts 2^(depth-1), ..., 2, 1 (finest
-    first).  Each merge joins the active pair of minimum average linkage
-    among those whose merged size fits under the cap, ceil(balance_factor *
-    n / target) and at least 2, doubled while no pair fits.  Ties within
-    1e-12 break on the smallest sorted pair of first members, and the band
-    is chained: scanning pairs in ascending linkage (row-major among equal
-    values), an accepted tie moves the reference linkage up to its own, so
-    the band can reach 1e-12 past each winner in turn.
+    first).  Each merge joins the pair of minimum average linkage among
+    those whose merged size fits under the cap, ceil(balance_factor * n /
+    target) and at least 2, doubled while no pair fits.  Of the pairs within
+    1e-12 of that minimum the first in index order wins; a folder lives at
+    the index of its first member, so this is the pair of smallest first
+    members.
 
     Cost: O(n) per merge plus O(n^2) per cap change.  The eligible linkages
     (upper triangle; inf where a folder is gone or the pair is over the cap)
     and each row's minimum are updated from the merged pair's row and column
-    alone.  Selection scans only the pairs within a window of the global
-    minimum, stable-sorted as in a sort of all eligible pairs.  The trees
-    are byte-identical to that full sort only if the chained band is
-    replayed exactly, and a chain can pass any fixed window; so when the scan
-    reaches the window's end without leaving the band, the window widens to
-    the current winner + 1e-12 and the scan repeats.
+    alone.
     """
     if not np.all(np.isfinite(coords)):
         raise InternalError("agglomeration needs finite coordinates")
     n = coords.shape[0]
     dist = spectral.exact_distances(coords, "euclidean")
-    np.fill_diagonal(dist, np.inf)
+    np.fill_diagonal(dist, np.inf)        # a gone folder's row and column are inf too
 
     folders: list[tuple[int, ...] | None] = [(i,) for i in range(n)]
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
     targets = [2 ** (l - 1) for l in range(depth, 0, -1)]
     targets = [t for t in targets if t <= n]
 
@@ -184,13 +174,13 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
     count = n
     for target in targets:
         cap = max(2.0, math.ceil(balance_factor * n / target))
-        linkage, low, low_at = _eligible_linkage(dist, sizes, active, cap)
+        linkage, low, low_at = _eligible_linkage(dist, sizes, cap)
         while count > target:
-            pair = _select_pair(linkage, low, low_at, folders)
+            pair = _select_pair(linkage, low)
             while pair is None:
                 cap *= 2.0
-                linkage, low, low_at = _eligible_linkage(dist, sizes, active, cap)
-                pair = _select_pair(linkage, low, low_at, folders)
+                linkage, low, low_at = _eligible_linkage(dist, sizes, cap)
+                pair = _select_pair(linkage, low)
             i, j = pair                                  # i < j
             merged = tuple(sorted(folders[i] + folders[j]))
             # Lance-Williams update for average linkage
@@ -204,10 +194,9 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
             folders[i] = merged
             folders[j] = None
             sizes[i] = ni + nj
-            active[j] = False
             count -= 1
 
-            fits = active & (sizes + sizes[i] <= cap)
+            fits = sizes + sizes[i] <= cap
             linkage[:i, i] = np.where(fits[:i], dist[:i, i], np.inf)
             linkage[i, i + 1:] = np.where(fits[i + 1:], dist[i, i + 1:], np.inf)
             linkage[j, :] = np.inf
@@ -221,53 +210,27 @@ def _balanced_agglomerate(coords: np.ndarray, depth: int, balance_factor: float)
             lower = np.flatnonzero(linkage[:i, i] < low[:i])
             low[lower] = linkage[lower, i]
             low_at[lower] = i
-        part = sorted((f for f, alive in zip(folders, active) if alive and f is not None),
-                      key=lambda f: f[0])
-        snapshots.append(tuple(part))
+        snapshots.append(tuple(f for f in folders if f is not None))
     return snapshots
 
 
-def _eligible_linkage(dist, sizes, active, cap):
-    """Upper-triangle linkages of active pairs that fit under the cap, inf
+def _eligible_linkage(dist, sizes, cap):
+    """Upper-triangle linkages of the pairs that fit under the cap, inf
     elsewhere; with each row's minimum and a column that attains it."""
-    fits = np.triu(active[:, None] & active[None, :]
-                   & (sizes[:, None] + sizes[None, :] <= cap), 1)
+    fits = np.triu(sizes[:, None] + sizes[None, :] <= cap, 1)
     linkage = np.where(fits, dist, np.inf)
     low_at = linkage.argmin(axis=1)
     return linkage, linkage[np.arange(len(low_at)), low_at], low_at
 
 
-def _select_pair(linkage, low, low_at, folders):
-    """The pair the chained-tie scan of _balanced_agglomerate picks; None if none fits.
-
-    When one row's minimum lies in the first band and no other entry of
-    that row does, that minimum is the only pair in the band and wins.
-    """
-    window = low.min() + 1e-12
-    if not np.isfinite(window):
+def _select_pair(linkage, low):
+    """The first pair in index order whose linkage lies within 1e-12 of the
+    least; None if none fits."""
+    band = low.min() + 1e-12
+    if not np.isfinite(band):
         return None
-    rows = np.flatnonzero(low <= window)
-    if len(rows) == 1 and np.count_nonzero(linkage[rows[0]] <= window) == 1:
-        return rows[0], low_at[rows[0]]
-    while True:
-        block = linkage[rows]
-        r, c = np.nonzero(block <= window)                 # row-major, as the full scan
-        vals = block[r, c]
-        best = None
-        best_d = np.inf
-        best_key = None
-        for o in np.argsort(vals, kind="stable"):
-            a, b = rows[r[o]], c[o]
-            d = vals[o]
-            if d > best_d + 1e-12 and best is not None:
-                return best
-            key = tuple(sorted((folders[a][0], folders[b][0])))
-            if best is None or d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and key < best_key):
-                best, best_d, best_key = (a, b), d, key
-        if best_d + 1e-12 <= window:       # the next pair lies past the band
-            return best
-        window = best_d + 1e-12
-        rows = np.flatnonzero(low <= window)
+    i = int(np.argmax(low <= band))
+    return i, int(np.argmax(linkage[i] <= band))
 
 
 def build_partition_tree(kernel: spectral.Kernel, cfg: TreeConfig | None = None,
@@ -282,11 +245,7 @@ def build_partition_tree(kernel: spectral.Kernel, cfg: TreeConfig | None = None,
     q = max(1, min(cfg.embed_dim, n - 1))
     emb = spectral.diffusion_embed(kernel, d=q, t=1.0)
     snapshots = _balanced_agglomerate(emb.coordinates, depth, cfg.balance_factor)
-
-    levels = tuple(reversed(snapshots))        # root first
-    if len(levels[0]) != 1:                    # degenerate guard
-        levels = ((tuple(range(n)),),) + levels
-    return PartitionTree(axis=axis, levels=levels)
+    return PartitionTree(axis=axis, levels=tuple(reversed(snapshots)))   # root first
 
 
 def _folder_stats(tree: PartitionTree, vectors: np.ndarray, beta: float):
@@ -395,7 +354,7 @@ def coupled_refine(omega: ReferenceSet, d: DataMatrix, iters: int = 2,
     cfg = cfg or TreeConfig()
 
     rows = d.values[omega.indices]
-    a_pts, _ = cosine_affinity(omega, d)
+    a_pts = cosine_affinity(omega, d)
 
     points_tree = obs_tree = None
     for _ in range(iters):

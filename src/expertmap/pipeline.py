@@ -464,8 +464,19 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
     loaded = _pseudopoints(ws)
     d, omega, points_tree, _, level, ps = loaded
-    by_id = ws.read_json("truth.json", "truth file",
-                         lambda truth: dict(zip(truth["point_ids"], truth["ground_truth"])))
+
+    def parse(truth: JsonArtifact) -> dict:
+        ids, values = truth["point_ids"], truth["ground_truth"]
+        if len(ids) != len(values):
+            raise ValidationError(f"{truth.where} has {len(ids)} point_ids but "
+                                  f"{len(values)} ground_truth values")
+        by_id = dict(zip(ids, values))
+        missing = [d.point_ids[i] for i in omega.indices if d.point_ids[i] not in by_id]
+        if missing:
+            raise ValidationError(f"{truth.where} has no ground truth for reference "
+                                  f"point {missing[0]!r}")
+        return by_id
+    by_id = ws.read_json("truth.json", "truth file", parse)
     gt = np.asarray([by_id[d.point_ids[i]] for i in omega.indices])
 
     lo, hi = ws.cfg["pseudopoints"]["score_min"], ws.cfg["pseudopoints"]["score_max"]

@@ -258,6 +258,45 @@ def test_stage_names_a_table_that_lacks_a_column(chain, tmp_path, capsys, stage,
     assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
 
 
+def auto_on_truth(chain, tmp_path, capsys, edit):
+    """Exit code and stderr of 'pseudopoints auto' after ``edit`` of the
+    truth file's object, with the file's path."""
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / "truth.json"
+    truth = json.loads(path.read_text())
+    edit(truth)
+    path.write_text(json.dumps(truth))
+    capsys.readouterr()
+    code = cli.main(["--config", str(config), "--out", str(work), "pseudopoints", "auto"])
+    return code, capsys.readouterr().err, path
+
+
+def test_auto_names_a_reference_point_the_truth_file_lacks(chain, tmp_path, capsys):
+    _, out, _, _ = chain
+    first = json.loads((out / "reference.json").read_text())["indices"][0]
+    pid = load_matrix(out / "preprocessed.csv").point_ids[first]
+
+    def drop(truth):
+        k = truth["point_ids"].index(pid)
+        del truth["point_ids"][k], truth["ground_truth"][k]
+    code, err, path = auto_on_truth(chain, tmp_path, capsys, drop)
+    assert code == 1
+    assert err.startswith(f"error: truth file {path} has no ground truth for reference "
+                          f"point {pid!r}; ")
+    assert err.rstrip().endswith("rerun 'synth' to rewrite it")
+
+
+def test_auto_rejects_truth_lists_of_unequal_length(chain, tmp_path, capsys):
+    code, err, path = auto_on_truth(chain, tmp_path, capsys,
+                                    lambda truth: truth["ground_truth"].pop())
+    assert code == 1
+    n = CONFIG["synth"]["n_points"]
+    assert err.startswith(f"error: truth file {path} has {n} point_ids but {n - 1} "
+                          "ground_truth values; ")
+    assert err.rstrip().endswith("rerun 'synth' to rewrite it")
+
+
 def test_import_copies_a_labels_file_from_outside_the_workspace(chain, tmp_path):
     config, out, _, first = chain
     work = shutil.copytree(out, tmp_path / "out")

@@ -36,23 +36,23 @@ NA = np.nan
 class TestCosineAffinity:
     def test_hand_support_restricted(self):
         d = matrix_from([[1.0, 2.0, NA], [2.0, 4.0, 5.0]])
-        a, _ = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(full_reference(d), d)
         # over the shared support {0, 1}: 10 / (sqrt(5) * sqrt(20)) = 1
         assert a.entries[0, 1] == pytest.approx(1.0)
 
     def test_hand_orthogonal(self):
         d = matrix_from([[1.0, 0.0, NA], [0.0, 1.0, 3.0]])
-        a, _ = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(full_reference(d), d)
         assert a.entries[0, 1] == pytest.approx(0.5)    # cosine 0 -> (0 + 1) / 2
 
     def test_hand_opposite(self):
         d = matrix_from([[1.0, 2.0, NA], [-2.0, -4.0, 1.0]])
-        a, _ = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(full_reference(d), d)
         assert a.entries[0, 1] == pytest.approx(0.0)    # cosine -1 -> 0
 
     def test_self_affinity_is_one(self):
         d = matrix_from([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        a, _ = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(full_reference(d), d)
         assert a.entries[0, 1] == pytest.approx(1.0)
         np.testing.assert_array_equal(np.diag(a.entries), 1.0)
 
@@ -63,7 +63,7 @@ class TestCosineAffinity:
         # keep joint support nonempty: first two columns always observed
         values[:, :2] = rng.normal(size=(25, 2))
         d = matrix_from(values)
-        a, _ = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(full_reference(d), d)
         assert np.max(np.abs(a.entries - a.entries.T)) <= 1e-12
         assert a.entries.min() >= 0.0 and a.entries.max() <= 1.0
 
@@ -72,11 +72,10 @@ class TestCosineAffinity:
         with pytest.raises(ValidationError, match="no"):
             cosine_affinity(full_reference(d), d)
 
-    def test_zero_restricted_norm_flagged(self):
+    def test_zero_restricted_norm_gives_cosine_zero(self):
         d = matrix_from([[0.0, 0.0], [1.0, 2.0]])
-        a, flagged = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(full_reference(d), d)
         assert a.entries[0, 1] == 0.5                   # cosine forced to 0
-        assert (0, 1) in flagged
 
 
 def pair_block_affinity():
@@ -138,70 +137,32 @@ class TestBuildPartitionTree:
 
 
 def agglomerate_oracle(coords, depth, balance_factor):
-    """Reference agglomeration: a stable argsort of every active pair per merge."""
+    """Reference agglomeration: per merge, a scan of every live pair that
+    fits under the cap; of those within 1e-12 of the least linkage, the
+    first in index order."""
     n = coords.shape[0]
     dist = cdist(coords, coords)
-    np.fill_diagonal(dist, np.inf)
-
     folders = [(i,) for i in range(n)]
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    targets = [2 ** (l - 1) for l in range(depth, 0, -1)]
-    targets = [t for t in targets if t <= n]
+    a, b = np.triu_indices(n, 1)                       # row-major: index order
 
     snapshots = []
-    count = n
-    for target in targets:
+    for target in [2 ** (l - 1) for l in range(depth, 0, -1) if 2 ** (l - 1) <= n]:
         cap = max(2.0, math.ceil(balance_factor * n / target))
-        while count > target:
-            pair = best_pair_oracle(dist, sizes, active, folders, cap)
-            while pair is None:
+        while sum(f is not None for f in folders) > target:
+            live = np.array([f is not None for f in folders])
+            while not (ok := live[a] & live[b] & (sizes[a] + sizes[b] <= cap)).any():
                 cap *= 2.0
-                pair = best_pair_oracle(dist, sizes, active, folders, cap)
-            i, j = pair
-            merged = tuple(sorted(folders[i] + folders[j]))
+            vals = dist[a[ok], b[ok]]
+            k = np.flatnonzero(vals <= vals.min() + 1e-12)[0]
+            i, j = a[ok][k], b[ok][k]
             # Lance-Williams update for average linkage
             ni, nj = sizes[i], sizes[j]
-            new_row = (ni * dist[i] + nj * dist[j]) / (ni + nj)
-            dist[i, :] = new_row
-            dist[:, i] = new_row
-            dist[i, i] = np.inf
-            dist[j, :] = np.inf
-            dist[:, j] = np.inf
-            folders[i] = merged
-            folders[j] = None
+            dist[i, :] = dist[:, i] = (ni * dist[i] + nj * dist[j]) / (ni + nj)
+            folders[i], folders[j] = tuple(sorted(folders[i] + folders[j])), None
             sizes[i] = ni + nj
-            active[j] = False
-            count -= 1
-        part = sorted((f for f, alive in zip(folders, active) if alive and f is not None),
-                      key=lambda f: f[0])
-        snapshots.append(tuple(part))
+        snapshots.append(tuple(f for f in folders if f is not None))
     return snapshots
-
-
-def best_pair_oracle(dist, sizes, active, folders, cap):
-    """Minimum-linkage active pair whose merged size fits under the cap."""
-    idx = np.flatnonzero(active)
-    best = None
-    best_d = np.inf
-    best_key = None
-    sub = dist[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    if len(iu[0]) == 0:
-        return None
-    vals = sub[iu]
-    order = np.argsort(vals, kind="stable")
-    for o in order:
-        a, b = idx[iu[0][o]], idx[iu[1][o]]
-        if sizes[a] + sizes[b] > cap:
-            continue
-        d = vals[o]
-        if d > best_d + 1e-12 and best is not None:
-            break
-        key = tuple(sorted((folders[a][0], folders[b][0])))
-        if best is None or d < best_d - 1e-12 or (abs(d - best_d) <= 1e-12 and key < best_key):
-            best, best_d, best_key = (a, b), d, key
-    return best
 
 
 def grid(*sides):
@@ -213,9 +174,11 @@ AGGLOMERATION_INPUTS = {
     "random150": lambda rng: rng.normal(size=(150, 10)),
     "random324": lambda rng: rng.normal(size=(324, 10)),
     "grid_exact_ties": lambda rng: grid(10, 15),
-    # distances within the 1e-12 band but not equal: chained ties
+    # distances within the 1e-12 band but not equal
     "grid_jitter": lambda rng: grid(5, 6, 4) + 1e-14 * rng.normal(size=(120, 3)),
     "identical": lambda rng: np.ones((40, 3)),
+    "identical300": lambda rng: np.ones((300, 3)),
+    "triplicates": lambda rng: np.repeat(rng.normal(size=(100, 10)), 3, axis=0),
 }
 
 
@@ -228,12 +191,12 @@ def test_agglomeration_matches_full_sort_oracle(name, balance_factor):
             == agglomerate_oracle(coords, depth, balance_factor))
 
 
-def test_chained_ties_reach_past_the_first_window():
-    # pair linkages 1 + 1.2e-12, 1 + 0.6e-12 and 1: each within 1e-12 of the
-    # next, so the scan from (4, 5) chains through (2, 3) to (0, 1)
+def test_ties_break_on_the_first_pair_in_index_order():
+    # pair linkages 1 + 1.2e-12, 1 + 0.6e-12 and 1: (2, 3) and (4, 5) lie
+    # within 1e-12 of the least and (2, 3) comes first; (0, 1) never does
     coords = np.array([0.0, 1.0 + 1.2e-12, 100.0, 101.0 + 0.6e-12, 300.0, 301.0])[:, None]
     finest = _balanced_agglomerate(coords, depth=3, balance_factor=1.5)[0]
-    assert finest == ((0, 1), (2, 3), (4,), (5,))
+    assert finest == ((0,), (1,), (2, 3), (4, 5))
     assert finest == agglomerate_oracle(coords, 3, 1.5)[0]
 
 

@@ -54,6 +54,7 @@ BUILDERS = {
     "spectral_dimension": (1.5, lambda a: (validate.spectral_dimension, a["kernel"])),
     "neighbor_smoothness": (0.5, lambda a: (validate.neighbor_smoothness, a["kernel"],
                                             a["x"][:, 0])),
+    "build_partition_tree": (3.5, lambda a: (cogeometry.build_partition_tree, a["kernel"])),
 }
 
 
