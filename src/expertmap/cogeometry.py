@@ -1,8 +1,8 @@
 """Coupled partition trees, tree-based EMD, and tree-driven imputation.
 
-Both axes of the reference matrix get a hierarchical partition: points are
-grouped by affinity, observations by how they co-vary across points, and each
-tree refines the affinity used to build the other.  The observation tree also
+Both axes of the reference matrix get a hierarchical partition, each built
+once: points are grouped by their cosine affinity, and observations by the
+tree EMD of their values over the points tree.  The observation tree also
 drives imputation of missing entries (deepest folder with an observed
 sibling).
 """
@@ -340,29 +340,17 @@ def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
     return out
 
 
-def coupled_refine(omega: ReferenceSet, d: DataMatrix, iters: int = 2,
-                   cfg: TreeConfig | None = None):
-    """Alternate point/observation trees, refining affinities with tree EMD.
+def coupled_refine(omega: ReferenceSet, d: DataMatrix, cfg: TreeConfig | None = None):
+    """Points tree from the cosine affinity, then observation tree from the
+    tree EMD of the columns imputed against the points tree.
 
-    Each round: points tree from the current point affinity, observation
-    EMD affinity (columns imputed against the points tree), observation
-    tree, then a fresh point EMD affinity (rows imputed against the
-    observation tree).  Runs a fixed number of rounds, no convergence test.
+    Each tree is built once.  Returns (points tree, observation tree, the
+    cosine affinity the points tree is built from).
     """
-    if iters < 1:
-        raise ValidationError(f"iters must be >= 1, got {iters}")
     cfg = cfg or TreeConfig()
-
-    rows = d.values[omega.indices]
     a_pts = cosine_affinity(omega, d)
-
-    points_tree = obs_tree = None
-    for _ in range(iters):
-        points_tree = build_partition_tree(a_pts, cfg, axis="points")
-        cols = impute_matrix(rows.T, points_tree)          # observations over points
-        a_obs = emd_affinity(points_tree, cols, cfg.beta)
-        obs_tree = build_partition_tree(a_obs, cfg, axis="observations")
-        full_rows = impute_matrix(rows, obs_tree)
-        a_pts = emd_affinity(obs_tree, full_rows, cfg.beta)
-
+    points_tree = build_partition_tree(a_pts, cfg, axis="points")
+    cols = impute_matrix(d.values[omega.indices].T, points_tree)   # observations over points
+    a_obs = emd_affinity(points_tree, cols, cfg.beta)
+    obs_tree = build_partition_tree(a_obs, cfg, axis="observations")
     return points_tree, obs_tree, a_pts

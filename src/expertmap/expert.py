@@ -100,8 +100,9 @@ def export_centroids(ps: PseudopointSet, path, flip: np.ndarray) -> None:
 def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
                   score_max: float = 10.0) -> dict[int, float]:
     """Read back the score column: one score in [score_min, score_max] per
-    folder id, and every folder must carry one."""
+    folder id, and every folder must carry one, on one row."""
     scores: dict[int, float] = {}
+    listed: set[int] = set()
     problems: list[str] = []
     with open_csv(path) as fh:
         reader = csv.DictReader(fh)
@@ -118,6 +119,10 @@ def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
             if fid not in ps.folder_ids:
                 problems.append(f"unknown folder {fid}")
                 continue
+            if fid in listed:
+                problems.append(f"folder {fid}: listed more than once")
+                continue
+            listed.add(fid)
             if not raw:
                 continue    # treated as missing below
             try:

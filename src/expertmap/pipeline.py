@@ -36,8 +36,7 @@ from .spectral import cdist
 DEFAULT_CONFIG = {
     "paths": {"out": "out", "data": "data.csv", "schema": None, "labels": "labels.csv"},
     "eta": None,                      # default floor(0.1 * m)
-    "tree": {"depth": None, "iters": 2, "beta": 1.0,
-             "balance_factor": 1.5, "embed_dim": 10},
+    "tree": {"depth": None, "beta": 1.0, "balance_factor": 1.5, "embed_dim": 10},
     "pseudopoints": {"level": 6, "score_min": 1.0, "score_max": 10.0},
     "net": {"k": 100, "epochs": 220, "learning_rate": 1.0, "pretrain_epochs": 60,
             "master_seed": 7, "h1": [30, 70], "h2": [15, 35],
@@ -204,9 +203,17 @@ class Workspace:
 
     def read_json(self, name: str, what: str, parse):
         """``read`` with ``parse`` of the artifact's JSON object, a
-        JsonArtifact; ``what`` names the file in errors."""
-        return self.read(name, lambda path: parse(
-            JsonArtifact(read_json_object(path, what), f"{what} {path}")))
+        JsonArtifact; ``what`` names the file in errors, and a value that
+        ``parse`` cannot convert (a TypeError or ValueError) is a
+        ValidationError that names it."""
+        def parse_object(path):
+            obj = JsonArtifact(read_json_object(path, what), f"{what} {path}")
+            try:
+                return parse(obj)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{obj.where} is malformed "
+                                      f"({type(exc).__name__}: {exc})") from None
+        return self.read(name, parse_object)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +412,7 @@ def run_preprocess(ws: Workspace) -> None:
 def run_organize(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
     cfg = _tree_config(ws.cfg)
-    points_tree, obs_tree, affinity = cogeometry.coupled_refine(
-        omega, d, iters=ws.cfg["tree"]["iters"], cfg=cfg)
+    points_tree, obs_tree, affinity = cogeometry.coupled_refine(omega, d, cfg)
     points_tree.save(ws.path("points_tree.json"))
     obs_tree.save(ws.path("obs_tree.json"))
     np.save(ws.path("affinity.npy"), affinity.entries)

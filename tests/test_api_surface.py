@@ -16,6 +16,11 @@ both count for every function ``f``), and ``Cls(...)`` counts for
 ``Cls.__init__``.  A call passes a parameter by keyword, or by position
 when it has enough positional arguments; ``*args`` and ``**kwargs`` pass
 everything of their kind.
+
+A key of ``DEFAULT_CONFIG`` that no code reads is a knob that does nothing.
+That check is syntactic too: a leaf is read when some code in ``src/``
+subscripts with its name or passes its name first to ``.get``, and a
+``synth`` key when it names a ``SynthConfig`` field.
 """
 
 from __future__ import annotations
@@ -148,3 +153,61 @@ def test_the_check_sees_an_unused_function(tmp_path):
                       "    def named(self):\n        return 2\n\n"
                       "    def idle(self):\n        return 3\n")
     assert unused_functions([module], [module]) == ["probe.unused", "probe.Box.idle"]
+
+
+def config_leaves(config: dict, prefix: str = ""):
+    """Dotted name of every leaf of a nested config."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def read_keys(program) -> set[str]:
+    """Every string the program subscripts with or passes first to ``.get``."""
+    keys = set()
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and node.args):
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.add(key.value)
+    return keys
+
+
+def synth_fields(program) -> set[str]:
+    """The fields of every ``SynthConfig`` dataclass the program defines."""
+    return {stmt.target.id for path in program
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) and node.name == "SynthConfig"
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+
+
+def unread_config_keys(config: dict, program) -> list[str]:
+    # synth passes its section whole to SynthConfig(**...)
+    read, fields = read_keys(program), synth_fields(program)
+    return [leaf for leaf in config_leaves(config)
+            if leaf.split(".")[-1] not in (fields if leaf.startswith("synth.") else read)]
+
+
+def test_every_config_key_is_read_by_the_program():
+    from expertmap.pipeline import DEFAULT_CONFIG
+    unread = unread_config_keys(DEFAULT_CONFIG, sorted(LIBRARY.glob("*.py")))
+    assert not unread, f"config keys that no code in src/ reads: {unread}"
+
+
+def test_the_check_sees_an_unread_config_key(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("CONFIG = {'tree': {'depth': 1, 'iters': 2}, 'eta': None,\n"
+                      "          'synth': {'seed': 7, 'gone': 1}}\n\n"
+                      "class SynthConfig:\n    seed: int = 7\n\n"
+                      "def read(cfg):\n    return cfg['tree']['depth'], cfg.get('eta')\n")
+    config = {"tree": {"depth": 1, "iters": 2}, "eta": None, "synth": {"seed": 7, "gone": 1}}
+    assert unread_config_keys(config, [module]) == ["tree.iters", "synth.gone"]

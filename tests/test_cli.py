@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import expertmap
-from expertmap import cli, expert, netens, pipeline, whiten
+from expertmap import cli, cogeometry, expert, netens, pipeline, whiten
 from expertmap.cogeometry import PartitionTree
 from expertmap.dataset import ReferenceSet, load_matrix
 from expertmap.errors import ParseError, ValidationError
@@ -107,6 +107,30 @@ def test_auto_extracts_pseudopoints_once(chain, tmp_path, monkeypatch):
     assert len(calls) == 1
     for name in ("labels.csv", "label_function.csv"):
         assert hashlib.sha256((work / name).read_bytes()).hexdigest() == first[name]
+
+
+def test_organize_builds_each_tree_once(chain, tmp_path, monkeypatch):
+    config, out, _, first = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    calls = Counter()
+    for name in ("build_partition_tree", "emd_affinity"):
+        def counted(*args, _call=getattr(cogeometry, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(cogeometry, name, counted)
+    ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
+    pipeline.run_organize(ws)
+    assert calls == {"build_partition_tree": 2, "emd_affinity": 1}
+    for name in ("points_tree.json", "obs_tree.json", "affinity.npy"):
+        assert hashlib.sha256((work / name).read_bytes()).hexdigest() == first[name]
+    # affinity.npy holds the cosine affinity that the points tree is built from
+    d = load_matrix(work / "preprocessed.csv")
+    omega = ReferenceSet(indices=np.asarray(
+        json.loads((work / "reference.json").read_text())["indices"]))
+    expected = cogeometry.cosine_affinity(omega, d).entries
+    saved = np.load(work / "affinity.npy")
+    assert saved.dtype == expected.dtype and saved.shape == expected.shape
+    assert saved.tobytes() == expected.tobytes()
 
 
 def test_auto_labels_record_the_truth_they_came_from(chain):
@@ -217,6 +241,27 @@ def test_stage_names_a_json_file_that_lacks_a_key(chain, tmp_path, capsys, stage
     assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {path} has no key '{key}'; " in err
+    assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
+
+
+@pytest.mark.parametrize("stage, name, where, producer", [
+    (["organize"], "reference.json", ("indices", 0), "preprocess"),
+    (["pseudopoints", "export"], "points_tree.json", ("levels", -1, 0, 0), "organize")],
+    ids=["reference_index", "tree_member"])
+def test_stage_names_a_json_file_with_a_value_it_cannot_convert(chain, tmp_path, capsys,
+                                                                stage, name, where, producer):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / name
+    obj = node = json.loads(path.read_text())
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = "x"       # an index where the file holds integers
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work)] + stage) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {path} is malformed (ValueError: " in err
     assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
 
 
@@ -849,6 +894,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "synth"]) == 1
     assert "'net.epochz'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # organize builds each tree once; there are no rounds to count
+    config.write_text(json.dumps({"tree": {"iters": 2}}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "organize"]) == 1
+    assert "unknown config key 'tree.iters'" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="'paths.outdir'"):
         pipeline.load_config(overrides={"paths.outdir": "x"})
     with pytest.raises(ValidationError, match="'paths.schema.x'"):

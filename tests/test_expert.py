@@ -172,6 +172,20 @@ class TestLabelRoundTrip:
         with pytest.raises(ValidationError, match="unknown folder 99"):
             import_labels(filled, ps)
 
+    def test_folder_listed_twice_rejected(self, tmp_path):
+        # the last score would otherwise win without a word
+        _, _, ps, path = self.build(tmp_path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[-1] = "5"
+        rows.append(rows[1][:-1] + ["9"])
+        filled = tmp_path / "filled.csv"
+        with open(filled, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValidationError, match="folder 0: listed more than once"):
+            import_labels(filled, ps)
+
     def test_empty_pseudopoint_set_cannot_export(self, tmp_path):
         from expertmap.expert import PseudopointSet
         ps = PseudopointSet(folder_ids=(), centroids=np.zeros((0, 2)),
