@@ -40,6 +40,19 @@ significant digits, which give back its float32 value to the bit (see
 ``_weights_to_json``).  Weights and dropout masks are still drawn in
 float64 from the net's generator, so a net starts where a float64 net with
 the same seed would, to float32 precision.
+
+An epoch of either training loop, ``train_backprop`` with
+``loss_and_gradients`` and ``_train_dae_layer``, makes few NumPy calls and
+keeps the bits of one fresh array per product, reduction and parameter:
+the rank-1 gradient ``dz3 V`` is a broadcast product, which forms each
+entry by one product as the matrix product with K = 1 did; the loss sums by
+``np.add.reduce``, the reduction that ``np.mean`` and ``np.sum`` run; a
+net's parameters are views of one flat buffer and their gradients views of
+another, written in place by ``out=``, so the update ``step *= lr; theta -=
+step`` is elementwise the update of each parameter on its own; and the
+dropout draws go into one buffer by ``rng.random(out=...)``, the stream that
+drawing by shape gives, and a dropped input has its bits cleared, which
+makes it the +0.0 that writing 0.0 through a boolean index made.
 """
 
 from __future__ import annotations
@@ -105,9 +118,11 @@ class TrainingRecord:
     """How train_ensemble went; returned beside the ensemble, never saved in it."""
 
     reports: tuple[TrainReport, ...]   # one per kept net, in net order
+    seconds: tuple[float, ...]         # _train_net's wall time, per kept net
     retried: tuple[int, ...]           # net indices kept at half the learning rate
     checks: tuple[tuple[int, float | None], ...]   # (nets trained, agreement
                                        # or None if the check raised), per check
+    check_seconds: tuple[float, ...]   # wall time of each check
     workers: int                       # processes that trained nets, the caller included
     children_max_rss_mb: float         # largest peak RSS of any child this process
                                        # has waited for so far, helpers included
@@ -179,8 +194,10 @@ def forward_batch(net: Net, X: np.ndarray):
     return H1, H2, f
 
 
-def loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float):
-    """Full-batch loss C + mu*sum(W^2) and gradients for every parameter.
+def loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float,
+                       grads: dict) -> tuple[float, float]:
+    """Full-batch loss C + mu*sum(W^2) and its cost C; the gradient of each
+    parameter is written into ``grads[name]``, an array of its shape.
 
     A loss that overflows comes back non-finite, without a warning; the
     caller decides what that means.
@@ -189,28 +206,32 @@ def loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float):
     H1, H2, f = forward_batch(net, X)
     err = f - g
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = float(np.mean(err ** 2))
-        penalty = mu * (np.sum(net.W1 ** 2) + np.sum(net.W2 ** 2) + np.sum(net.V ** 2))
+        cost = float(np.add.reduce(np.square(err)) / n)
+        penalty = mu * (np.add.reduce(np.square(net.W1), axis=None)
+                        + np.add.reduce(np.square(net.W2), axis=None)
+                        + np.add.reduce(np.square(net.V), axis=None))
     loss = cost + float(penalty)
 
+    dW1, db1, dW2, db2, dV, db3 = (grads[name] for name in PARAMS)
     dz3 = (2.0 / n) * err                            # (n,)
     dz3 *= f
     dz3 *= 1.0 - f
-    dV = dz3[None, :] @ H2 + 2.0 * mu * net.V
-    db3 = np.array([dz3.sum()])
-    dZ2 = dz3[:, None] @ net.V                       # dH2, (n, h2)
+    np.matmul(dz3[None, :], H2, out=dV)
+    dV += 2.0 * mu * net.V
+    np.add.reduce(dz3, axis=0, keepdims=True, out=db3)
+    dZ2 = dz3[:, None] * net.V                       # dH2, (n, h2)
     dZ2 *= H2
     dZ2 *= 1.0 - H2
-    dW2 = dZ2.T @ H1 + 2.0 * mu * net.W2
-    db2 = dZ2.sum(axis=0)
+    np.matmul(dZ2.T, H1, out=dW2)
+    dW2 += 2.0 * mu * net.W2
+    np.add.reduce(dZ2, axis=0, out=db2)
     dZ1 = dZ2 @ net.W2                               # dH1, (n, h1)
     dZ1 *= H1
     dZ1 *= 1.0 - H1
-    dW1 = dZ1.T @ X + 2.0 * mu * net.W1
-    db1 = dZ1.sum(axis=0)
-
-    grads = {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "V": dV, "b3": db3}
-    return loss, cost, grads
+    np.matmul(dZ1.T, X, out=dW1)
+    dW1 += 2.0 * mu * net.W1
+    np.add.reduce(dZ1, axis=0, out=db1)
+    return loss, cost
 
 
 def _check_labels(X: np.ndarray, g01: np.ndarray) -> None:
@@ -220,28 +241,40 @@ def _check_labels(X: np.ndarray, g01: np.ndarray) -> None:
         raise ValidationError("row count of data and labels differ")
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive pieces of the 1-d ``flat``, one of each shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
 def train_backprop(net: Net, X: np.ndarray, g01: np.ndarray) -> tuple[Net, TrainReport]:
     """Gradient descent on the combined loss; raises on non-finite loss.
 
     Epochs, learning rate and weight decay come from ``net.hyper``.  The
     labels are cast to the dtype of ``X``.  The parameters are copied once
-    and then updated in place.
+    into one flat buffer and their gradients go into another, so that an
+    epoch's update is two calls.
     """
     g01 = np.asarray(g01, dtype=X.dtype)
     _check_labels(X, g01)
     epochs, lr, mu = net.hyper.epochs, net.hyper.learning_rate, net.hyper.weight_decay
 
-    params = {name: getattr(net, name).copy() for name in PARAMS}
-    current = replace(net, **params)
+    shapes = [getattr(net, name).shape for name in PARAMS]
+    theta = np.concatenate([getattr(net, name) for name in PARAMS], axis=None)
+    step = np.empty_like(theta)
+    current = replace(net, **dict(zip(PARAMS, _views(theta, shapes))))
+    grads = dict(zip(PARAMS, _views(step, shapes)))
     for epoch in range(epochs):
-        loss, _, grads = loss_and_gradients(current, X, g01, mu)
+        loss, _ = loss_and_gradients(current, X, g01, mu, grads)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite at epoch {epoch} "
                                    f"(learning rate {lr})", epoch=epoch, learning_rate=lr)
-        for name, p in params.items():
-            g = grads[name]
-            g *= lr
-            p -= g
+        step *= lr
+        theta -= step
 
     final_cost = float(np.mean((forward_batch(current, X)[2] - g01) ** 2))
     if not np.isfinite(final_cost):
@@ -255,37 +288,48 @@ def _train_dae_layer(inputs: np.ndarray, W: np.ndarray, b: np.ndarray,
                      rng: np.random.Generator):
     """One denoising layer: corrupt, encode with sigmoid, decode linearly.
 
-    The decoder is drawn in float64 from ``rng`` and trained in the dtype of
-    ``inputs``.
+    The decoder is drawn in float64 from ``rng``; the layer is trained in
+    the dtype of ``inputs``, with W, b, the decoder D and its bias c in one
+    flat buffer and their gradients in another.
     """
     n, width = inputs.shape
     h = W.shape[0]
-    D = _glorot(rng, width, h).astype(inputs.dtype)
-    c = np.zeros(width, dtype=inputs.dtype)
-    W, b = W.copy(), b.copy()
-    corrupted = np.empty_like(inputs)
+    shapes = [(h, width), (h,), (width, h), (width,)]
+    theta = np.concatenate((W, b, _glorot(rng, width, h), np.zeros(width)), axis=None,
+                           dtype=inputs.dtype)
+    step = np.empty_like(theta)
+    W, b, D, c = _views(theta, shapes)
+    dW, db, dD, dc = _views(step, shapes)
+    # an input is dropped by clearing its bits: it becomes +0.0, as writing
+    # 0.0 through a boolean index made it, with no branch on a random mask
+    bits = np.dtype(f"u{inputs.itemsize}")
+    corrupted = inputs.copy()
+    draws = np.empty(inputs.shape)
+    kept = np.empty(inputs.shape, dtype=bits)
+    scale = 2.0 / (n * width)
     for epoch in range(epochs):
-        np.copyto(corrupted, inputs)
         if dropout_rate > 0:
-            corrupted[rng.random(inputs.shape) < dropout_rate] = 0.0
+            rng.random(out=draws)
+            np.less(draws, dropout_rate, out=kept)   # 1 where dropped
+            kept -= 1                                # 0 there, every bit set elsewhere
+            np.bitwise_and(inputs.view(bits), kept, out=corrupted.view(bits))
         H = _affine_sigmoid(corrupted, W, b)
         recon = H @ D.T
         recon += c
-        if not np.all(np.isfinite(recon)):
+        if not np.isfinite(recon).all():
             raise TrainingDiverged("autoencoder reconstruction non-finite",
                                    epoch=epoch, learning_rate=lr)
         diff = np.subtract(recon, inputs, out=recon)
-        diff *= 2.0 / (n * width)
-        dD = diff.T @ H
-        dc = diff.sum(axis=0)
+        diff *= scale
+        np.matmul(diff.T, H, out=dD)
+        np.add.reduce(diff, axis=0, out=dc)
         dZ = diff @ D                                # dH, (n, h)
         dZ *= H
         dZ *= 1.0 - H
-        dW = dZ.T @ corrupted
-        db = dZ.sum(axis=0)
-        for p, g in ((W, dW), (b, db), (D, dD), (c, dc)):
-            g *= lr
-            p -= g
+        np.matmul(dZ.T, corrupted, out=dW)
+        np.add.reduce(dZ, axis=0, out=db)
+        step *= lr
+        theta -= step
     return W, b
 
 
@@ -342,9 +386,11 @@ def _train_net(Xt: np.ndarray, gt: np.ndarray, pretrain_epochs: int, net: Net,
     Both tries begin from the same weights and generator state, as if the net
     were drawn afresh at the lower rate.  Training runs in float32 on float32
     roundings of the rows, labels and started weights; the net comes back in
-    float64.  Returns (net, report, retried) from the first try that
-    converged, or None when both diverged.
+    float64.  Returns (net, report, retried, seconds) from the first try
+    that converged, where seconds is the wall time of this call, or None when
+    both diverged.
     """
+    began = time.perf_counter()
     Xt, gt = Xt.astype(np.float32), gt.astype(np.float32)
     net = _cast_net(net, np.float32)
     for retried in (False, True):
@@ -356,21 +402,32 @@ def _train_net(Xt: np.ndarray, gt: np.ndarray, pretrain_epochs: int, net: Net,
             trained, report = train_backprop(trained, Xt, gt)
         except TrainingDiverged:
             continue
-        return _cast_net(trained, np.float64), report, retried
+        return (_cast_net(trained, np.float64), report, retried,
+                time.perf_counter() - began)
+    return None
+
+
+def blas_threads() -> int | None:
+    """The threads a process's BLAS takes, as set by the variables BLAS
+    libraries read when they load: the first of OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS and OMP_NUM_THREADS that holds a positive whole number,
+    or None when none does and BLAS takes every core."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
     return None
 
 
 def worker_count() -> int:
     """Processes that may compute at once: one for each share of the cores
-    that the BLAS of a process takes.  A process's BLAS threads are set by
-    the variables BLAS libraries read when they load; with none set, BLAS
-    takes every core and the count is 1."""
+    that the BLAS of a process takes (``blas_threads``); with BLAS taking
+    every core the count is 1."""
+    threads = blas_threads()
+    if threads is None:
+        return 1
     cores = len(os.sched_getaffinity(0))
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return cores // min(int(value), cores)
-    return 1
+    return cores // min(threads, cores)
 
 
 def _rounds(K: int):
@@ -531,6 +588,7 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     workers = min(K, worker_count())
     results: list = []
     checks: list[tuple[int, float | None]] = []
+    check_seconds: list[float] = []
     waited = 0.0
     earlier = None
     with (forked_pool(workers - 1, training) if workers > 1
@@ -544,8 +602,10 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
             current = NetEnsemble(nets=tuple(result[0] for result in results if result),
                                   master_seed=master_seed)
             if earlier is not None and h < K and not _too_many_failed(results):
+                began = time.perf_counter()
                 agreement, converged = _run_check(check, earlier, current)
                 checks.append((h, agreement))
+                check_seconds.append(time.perf_counter() - began)
                 if converged:
                     break
             earlier = current
@@ -555,13 +615,14 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     if _too_many_failed(results):
         raise ValidationError(f"{len(failed)} of {len(results)} nets diverged: {failed}")
     kept = [result for result in results if result is not None]
-    ensemble = NetEnsemble(nets=tuple(net for net, _, _ in kept), master_seed=master_seed,
+    ensemble = NetEnsemble(nets=tuple(net for net, *_ in kept), master_seed=master_seed,
                            failed=tuple(failed))
     record = TrainingRecord(
-        reports=tuple(report for _, report, _ in kept),
+        reports=tuple(report for _, report, *_ in kept),
+        seconds=tuple(seconds for *_, seconds in kept),
         retried=tuple(i for i, result in enumerate(results) if result and result[2]),
-        checks=tuple(checks), workers=workers, children_max_rss_mb=children_rss,
-        waited_s=waited)
+        checks=tuple(checks), check_seconds=tuple(check_seconds), workers=workers,
+        children_max_rss_mb=children_rss, waited_s=waited)
     return ensemble, record
 
 

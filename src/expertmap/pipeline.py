@@ -288,8 +288,22 @@ def read_embedding(ws: Workspace, name: str) -> tuple[list[str], spectral.Embedd
 
 def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
     d = ws.read("preprocessed.csv", lambda path: load_matrix(path, ws.cfg["paths"].get("schema")))
-    omega = ws.read_json("reference.json", "reference file", lambda ref: ReferenceSet(
-        indices=np.asarray(ref["indices"], dtype=np.int64)))
+
+    def parse(ref: JsonArtifact) -> ReferenceSet:
+        # the row indices preprocess wrote: whole numbers in ascending order,
+        # each a row of preprocessed.csv
+        indices = ref["indices"]
+        for k, i in enumerate(indices):
+            if type(i) is not int:
+                raise ValueError(f"index {i!r} at position {k} is not a whole number")
+            if not 0 <= i < d.n_points:
+                raise ValueError(f"index {i} at position {k} is outside the "
+                                 f"{d.n_points} rows of preprocessed.csv")
+            if k and i <= indices[k - 1]:
+                raise ValueError(f"index {i} at position {k} does not follow "
+                                 f"{indices[k - 1]} in ascending order")
+        return ReferenceSet(indices=np.asarray(indices, dtype=np.int64))
+    omega = ws.read_json("reference.json", "reference file", parse)
     return d, omega
 
 
@@ -520,14 +534,16 @@ def run_train(ws: Workspace) -> None:
     write_table(ws.path("ranking.csv"), RANKING_HEADER,
                 _rows(lf.point_ids, np.column_stack((f01, lf.to_label_scale(f01)))))
     diagnostics = {"nets": [{"index": net.hyper.seed, "final_cost": report.final_cost,
-                             "epochs": report.epochs_run}
-                            for net, report in zip(ensemble.nets, record.reports)],
+                             "epochs": report.epochs_run, "seconds": seconds}
+                            for net, report, seconds in zip(ensemble.nets, record.reports,
+                                                            record.seconds)],
                    "retried": list(record.retried), "failed": list(ensemble.failed),
                    "cap": int(net_cfg["k"]),
                    "stopped_at": ensemble.k + len(ensemble.failed),
-                   "checks": [{"nets": nets, "overlap": overlap}
-                              for nets, overlap in record.checks],
-                   "workers": record.workers,
+                   "checks": [{"nets": nets, "overlap": overlap, "seconds": seconds}
+                              for (nets, overlap), seconds in zip(record.checks,
+                                                                  record.check_seconds)],
+                   "workers": record.workers, "blas_threads": netens.blas_threads(),
                    "children_max_rss_mb": record.children_max_rss_mb,
                    "waited_s": record.waited_s}
     ws.record("train", {"ensemble.json": diagnostics})

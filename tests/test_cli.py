@@ -265,6 +265,30 @@ def test_stage_names_a_json_file_with_a_value_it_cannot_convert(chain, tmp_path,
     assert err.rstrip().endswith(f"rerun '{producer}' to rewrite it")
 
 
+@pytest.mark.parametrize("position, value, why", [
+    (-1, 99999, "index 99999 at position {k} is outside the 150 rows of preprocessed.csv"),
+    (1, "x + 0.5", "index {v!r} at position 1 is not a whole number"),
+    (2, "repeat", "index {v} at position 2 does not follow {v} in ascending order"),
+    (0, -1, "index -1 at position 0 is outside the 150 rows of preprocessed.csv")],
+    ids=["out_of_range", "fraction", "repeated", "negative"])
+def test_organize_refuses_a_reference_index_preprocess_cannot_write(chain, tmp_path, capsys,
+                                                                     position, value, why):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    path = work / "reference.json"
+    obj = json.loads(path.read_text())
+    indices = obj["indices"]
+    k = position % len(indices)
+    indices[k] = {"x + 0.5": indices[k] + 0.5, "repeat": indices[k - 1]}.get(value, value)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), "organize"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: reference file {path} is malformed (ValueError: "
+                          + why.format(k=k, v=indices[k]) + ")")
+    assert err.rstrip().endswith("rerun 'preprocess' to rewrite it")
+
+
 @pytest.mark.parametrize("cell", ["", "abc"], ids=["empty", "abc"])
 @pytest.mark.parametrize("stage, name, producer", [
     ("standardize", "embedding.csv", "embed"),
@@ -770,7 +794,8 @@ def test_train_sidecar_carries_the_training_record(chain):
     k, epochs = CONFIG["net"]["k"], CONFIG["net"]["epochs"]
     assert [net["index"] for net in diagnostics["nets"]] == list(range(k))
     assert all(net["epochs"] == epochs and 0.0 <= net["final_cost"] <= 1.0
-               for net in diagnostics["nets"])
+               and net["seconds"] > 0.0 for net in diagnostics["nets"])
+    assert diagnostics["blas_threads"] == netens.blas_threads()
     assert diagnostics["retried"] == [] and diagnostics["failed"] == []
     assert 1 <= diagnostics["workers"] <= k
     # a helper process ran, so some child's peak RSS has been seen
@@ -786,16 +811,22 @@ def test_train_sidecar_records_the_round_checks(chain, tmp_path, monkeypatch,
                                                 threshold, checked, stopped):
     # net.k is a cap: out of reach, the geometry is checked after 30 and 40
     # nets and all 50 train; at 0, train stops at the first check
+    # the sidecar records the BLAS threads the environment sets
     _, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
     config = tmp_path / "cap.json"
     config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], "k": 50}}))
     monkeypatch.setattr(pipeline, "CONVERGED_OVERLAP", threshold)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert cli.main(["--config", str(config), "--out", str(work), "train"]) == 0
     diagnostics = json.loads((work / "ensemble.json.meta.json").read_text())["diagnostics"]
     assert (diagnostics["cap"], diagnostics["stopped_at"]) == (50, stopped)
     assert [check["nets"] for check in diagnostics["checks"]] == checked
-    assert all(0.0 < check["overlap"] <= 1.0 for check in diagnostics["checks"])
+    assert all(0.0 < check["overlap"] <= 1.0 and check["seconds"] > 0.0
+               for check in diagnostics["checks"])
+    assert len(diagnostics["nets"]) == stopped and diagnostics["blas_threads"] == 2
     assert len(json.loads((work / "ensemble.json").read_text())["nets"]) == stopped
 
 

@@ -124,7 +124,8 @@ class TestGradients:
         worst = 0.0
         for trial in range(10):
             net = random_net(3, 2, 2, seed=trial, scale=1.5)
-            _, _, grads = loss_and_gradients(net, X, g, mu)
+            grads = {name: np.empty_like(getattr(net, name)) for name in netens.PARAMS}
+            loss_and_gradients(net, X, g, mu, grads)
             for name in grads:
                 arr = getattr(net, name)
                 for idx in np.ndindex(arr.shape):
@@ -134,7 +135,8 @@ class TestGradients:
                         probe = Net(**{**{k: getattr(net, k) for k in
                                           ("W1", "b1", "W2", "b2", "V", "b3")},
                                        name: patched}, hyper=net.hyper)
-                        return loss_and_gradients(probe, X, g, mu)[0]
+                        return loss_and_gradients(probe, X, g, mu,
+                                                  copy.deepcopy(grads))[0]
                     numeric = (loss_at(arr[idx] + step) - loss_at(arr[idx] - step)) / (2 * step)
                     denom = max(abs(numeric), abs(grads[name][idx]), 1e-8)
                     worst = max(worst, abs(numeric - grads[name][idx]) / denom)
@@ -227,6 +229,177 @@ def cast_net(net: Net, dtype) -> Net:
                V=net.V.astype(dtype), b3=net.b3.astype(dtype), hyper=net.hyper)
 
 
+# The epoch code the training loops had before their parameters and
+# gradients moved into flat buffers, kept as their oracle: a fresh array for
+# each product, reduction and gradient, the rank-1 gradient as a matrix
+# product, dropout masks drawn by shape, and each parameter updated on its
+# own.  The loops must keep its bits.
+
+def oracle_loss_and_gradients(net: Net, X: np.ndarray, g: np.ndarray, mu: float):
+    n = X.shape[0]
+    H1, H2, f = forward_batch(net, X)
+    err = f - g
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = float(np.mean(err ** 2))
+        penalty = mu * (np.sum(net.W1 ** 2) + np.sum(net.W2 ** 2) + np.sum(net.V ** 2))
+    loss = cost + float(penalty)
+
+    dz3 = (2.0 / n) * err
+    dz3 *= f
+    dz3 *= 1.0 - f
+    dV = dz3[None, :] @ H2 + 2.0 * mu * net.V
+    db3 = np.array([dz3.sum()])
+    dZ2 = dz3[:, None] @ net.V
+    dZ2 *= H2
+    dZ2 *= 1.0 - H2
+    dW2 = dZ2.T @ H1 + 2.0 * mu * net.W2
+    db2 = dZ2.sum(axis=0)
+    dZ1 = dZ2 @ net.W2
+    dZ1 *= H1
+    dZ1 *= 1.0 - H1
+    dW1 = dZ1.T @ X + 2.0 * mu * net.W1
+    db1 = dZ1.sum(axis=0)
+
+    grads = {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "V": dV, "b3": db3}
+    return loss, cost, grads
+
+
+def oracle_train_backprop(net: Net, X: np.ndarray, g01: np.ndarray):
+    g01 = np.asarray(g01, dtype=X.dtype)
+    epochs, lr, mu = net.hyper.epochs, net.hyper.learning_rate, net.hyper.weight_decay
+    params = {name: getattr(net, name).copy() for name in netens.PARAMS}
+    current = replace(net, **params)
+    for epoch in range(epochs):
+        loss, _, grads = oracle_loss_and_gradients(current, X, g01, mu)
+        if not np.isfinite(loss):
+            raise TrainingDiverged("loss non-finite", epoch=epoch, learning_rate=lr)
+        for name, p in params.items():
+            g = grads[name]
+            g *= lr
+            p -= g
+    final_cost = float(np.mean((forward_batch(current, X)[2] - g01) ** 2))
+    if not np.isfinite(final_cost):
+        raise TrainingDiverged("cost non-finite", epoch=epochs, learning_rate=lr)
+    return current, netens.TrainReport(final_cost=final_cost, epochs_run=epochs)
+
+
+def oracle_train_dae_layer(inputs, W, b, dropout_rate, epochs, lr, rng):
+    n, width = inputs.shape
+    h = W.shape[0]
+    D = netens._glorot(rng, width, h).astype(inputs.dtype)
+    c = np.zeros(width, dtype=inputs.dtype)
+    W, b = W.copy(), b.copy()
+    corrupted = np.empty_like(inputs)
+    for epoch in range(epochs):
+        np.copyto(corrupted, inputs)
+        if dropout_rate > 0:
+            corrupted[rng.random(inputs.shape) < dropout_rate] = 0.0
+        H = netens._affine_sigmoid(corrupted, W, b)
+        recon = H @ D.T
+        recon += c
+        if not np.all(np.isfinite(recon)):
+            raise TrainingDiverged("reconstruction non-finite", epoch=epoch, learning_rate=lr)
+        diff = np.subtract(recon, inputs, out=recon)
+        diff *= 2.0 / (n * width)
+        dD = diff.T @ H
+        dc = diff.sum(axis=0)
+        dZ = diff @ D
+        dZ *= H
+        dZ *= 1.0 - H
+        dW = dZ.T @ corrupted
+        db = dZ.sum(axis=0)
+        for p, g in ((W, dW), (b, db), (D, dD), (c, dc)):
+            g *= lr
+            p -= g
+    return W, b
+
+
+def oracle_train_net(Xt, gt, pretrain_epochs, net, rng):
+    """_train_net on the oracle's loops: (net, report, retried) or None."""
+    Xt, gt = Xt.astype(np.float32), gt.astype(np.float32)
+    net = cast_net(net, np.float32)
+    for retried in (False, True):
+        if retried:
+            net = replace(net, hyper=replace(net.hyper,
+                                             learning_rate=net.hyper.learning_rate * 0.5))
+        try:
+            layer_rng = copy.deepcopy(rng)
+            lr, rate = net.hyper.learning_rate, net.hyper.dropout_rate
+            W1, b1 = oracle_train_dae_layer(Xt, net.W1, net.b1, rate, pretrain_epochs, lr,
+                                            layer_rng)
+            H1 = netens._affine_sigmoid(Xt, W1, b1)
+            W2, b2 = oracle_train_dae_layer(H1, net.W2, net.b2, rate, pretrain_epochs, lr,
+                                            layer_rng)
+            trained, report = oracle_train_backprop(replace(net, W1=W1, b1=b1, W2=W2, b2=b2),
+                                                    Xt, gt)
+        except TrainingDiverged:
+            continue
+        return cast_net(trained, np.float64), report, retried
+    return None
+
+
+def net_bytes(net: Net) -> list[bytes]:
+    return [getattr(net, name).tobytes() for name in netens.PARAMS]
+
+
+@pytest.fixture(scope="module")
+def synth_rows():
+    """324 standardized rows of 60 features and their labels in [0, 1]."""
+    data, truth, _ = synth.generate(synth.SynthConfig(n_points=324, missing_rate=0.0))
+    X = (data.values - data.values.mean(axis=0)) / data.values.std(axis=0)
+    return X, (truth - truth.min()) / (truth.max() - truth.min())
+
+
+class TestEpochsKeepTheOracleBits:
+    """The training loops against the oracle's, bit for bit, at 324 rows
+    (the regular BLAS path) and at 60 (below 80 rows)."""
+
+    @pytest.mark.parametrize("rows", [324, 60])
+    def test_loss_and_gradients_of_a_float32_net(self, synth_rows, rows):
+        X, g = synth_rows
+        net, _ = netens._start_net(X.shape[1], HyperRanges(), 7, 200, 0.5, 3)
+        net = cast_net(net, np.float32)
+        X, g = X[:rows].astype(np.float32), g[:rows].astype(np.float32)
+        self.assert_same_bits(net, X, g, 3e-3)
+
+    def test_loss_and_gradients_of_a_tiny_float64_net(self):
+        rng = np.random.default_rng(3)
+        X, g = rng.normal(size=(12, 3)), rng.uniform(size=12)
+        for seed in range(5):
+            self.assert_same_bits(random_net(3, 2, 2, seed=seed, scale=1.5), X, g, 1e-3)
+
+    @staticmethod
+    def assert_same_bits(net, X, g, mu):
+        grads = {name: np.full_like(getattr(net, name), np.nan) for name in netens.PARAMS}
+        loss, cost = loss_and_gradients(net, X, g, mu, grads)
+        want_loss, want_cost, want = oracle_loss_and_gradients(net, X, g, mu)
+        assert (loss.hex(), cost.hex()) == (want_loss.hex(), want_cost.hex())
+        for name in netens.PARAMS:
+            assert grads[name].dtype == want[name].dtype, name
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("rows", [324, 60])
+    def test_train_net_matches_the_oracle_loop(self, synth_rows, rows):
+        # nets 0, 2 and 3 drop inputs, net 1 is rerun with no dropout, and
+        # net 0 at rate 48 diverges and is kept at 24
+        X, g = synth_rows
+        X, g = X[:rows], g[:rows]
+        seen = []
+        for i, rate, dropout in [(0, 0.5, None), (2, 0.5, None), (3, 0.5, None),
+                                 (1, 0.5, 0.0), (0, 48.0, None)]:
+            net, rng = netens._start_net(X.shape[1], HyperRanges(), 7, 30, rate, i)
+            if dropout is not None:
+                net = replace(net, hyper=replace(net.hyper, dropout_rate=dropout))
+            oracle_rng = copy.deepcopy(rng)
+            trained, report, retried, seconds = netens._train_net(X, g, 10, net, rng)
+            want, want_report, want_retried = oracle_train_net(X, g, 10, net, oracle_rng)
+            assert net_bytes(trained) == net_bytes(want)
+            assert (report, retried) == (want_report, want_retried) and seconds > 0.0
+            seen.append((net.hyper.dropout_rate > 0, retried))
+        assert seen[:3] == [(True, False)] * 3
+        assert seen[3:] == [(False, False), (True, True)]
+
+
 def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
                           hyper_ranges: HyperRanges | None = None,
                           master_seed: int = 0,
@@ -280,7 +453,7 @@ def test_float32_training_within_tolerance_of_float64():
     g = (truth - truth.min()) / (truth.max() - truth.min())
     for i in range(2):
         net, rng = netens._start_net(X.shape[1], HyperRanges(), 3, 200, 0.5, i)
-        trained32, _, retried = netens._train_net(X, g, 60, net, rng)
+        trained32, _, retried, _ = netens._train_net(X, g, 60, net, rng)
         trained64 = pretrain_autoencoder(net, X, 60, copy.deepcopy(rng))
         trained64, _ = train_backprop(trained64, X, g)
         assert not retried and trained32.W1.dtype == np.float64
