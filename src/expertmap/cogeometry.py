@@ -91,17 +91,11 @@ class PartitionTree:
         write_json(path, self.to_json())
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    depth: int | None = None       # default ceil(log2(n)) - 1
-    balance_factor: float = 1.5    # folder size cap = factor * axis/target
-    embed_dim: int = 10
-    beta: float = 1.0              # EMD level-weight exponent
-
-    def depth_for(self, n: int) -> int:
-        d = self.depth if self.depth is not None else max(1, math.ceil(math.log2(n)) - 1)
-        # finest level cannot have more folders than members
-        return max(1, min(d, int(math.floor(math.log2(n))) + 1)) if n > 1 else 1
+def depth_for(n: int, depth: int | None) -> int:
+    """The tree depth for an axis of n: ``depth``, or ceil(log2(n)) - 1 when
+    None, capped so the finest level has no more folders than members."""
+    d = depth if depth is not None else max(1, math.ceil(math.log2(n)) - 1)
+    return max(1, min(d, int(math.floor(math.log2(n))) + 1)) if n > 1 else 1
 
 
 def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> spectral.Kernel:
@@ -233,57 +227,49 @@ def _select_pair(linkage, low):
     return i, int(np.argmax(linkage[i] <= band))
 
 
-def build_partition_tree(kernel: spectral.Kernel, cfg: TreeConfig | None = None,
+# diffusion coordinates a tree agglomerates on, and the folder size cap
+# (as a multiple of axis size / folder count) of the agglomeration
+TREE_EMBED_DIM = 10
+BALANCE_FACTOR = 1.5
+
+
+def build_partition_tree(kernel: spectral.Kernel, depth: int | None,
                          axis: str = "points") -> PartitionTree:
-    """Diffusion-embed the kernel, then agglomerate into a ~dyadic tree."""
-    cfg = cfg or TreeConfig()
+    """Diffusion-embed the kernel, then agglomerate into a ~dyadic tree of
+    ``depth_for(kernel.size, depth)`` levels."""
     n = kernel.size
-    depth = cfg.depth_for(n)
+    depth = depth_for(n, depth)
     if depth == 1 or n == 1:
         return PartitionTree(axis=axis, levels=((tuple(range(n)),),))
 
-    q = max(1, min(cfg.embed_dim, n - 1))
+    q = max(1, min(TREE_EMBED_DIM, n - 1))
     emb = spectral.diffusion_embed(kernel, d=q, t=1.0)
-    snapshots = _balanced_agglomerate(emb.coordinates, depth, cfg.balance_factor)
+    snapshots = _balanced_agglomerate(emb.coordinates, depth, BALANCE_FACTOR)
     return PartitionTree(axis=axis, levels=tuple(reversed(snapshots)))   # root first
-
-
-def _folder_stats(tree: PartitionTree, vectors: np.ndarray, beta: float):
-    """NaN-aware folder means and EMD weights for a batch of vectors.
-
-    Returns (means, weights): means is (n_vectors, total_folders) with NaN
-    where a folder has no observed entries; weights carry the
-    2^(beta*(l-L)) * |folder| factor per folder column.
-    """
-    n_vec, width = vectors.shape
-    if width != tree.size:
-        raise ValidationError(f"vector length {width} does not match tree axis {tree.size}")
-    obs = np.isfinite(vectors)
-    filled = np.where(obs, vectors, 0.0)
-
-    means_blocks = []
-    weights = []
-    L = tree.depth
-    for l in range(1, L + 1):
-        folders = tree.folders_at(l)
-        ind = tree.indicator(l)
-        sums = filled @ ind
-        counts = obs.astype(float) @ ind
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = np.where(counts > 0, sums / np.maximum(counts, 1.0), np.nan)
-        means_blocks.append(means)
-        level_w = 2.0 ** (beta * (l - L))
-        weights.extend(level_w * len(folder) for folder in folders)
-    return np.concatenate(means_blocks, axis=1), np.asarray(weights)
 
 
 def emd_distance_matrix(tree: PartitionTree, vectors: np.ndarray,
                         beta: float = 1.0) -> np.ndarray:
-    """All pairwise tree-EMD distances; vectors must be complete (no NaN)."""
+    """All pairwise tree-EMD distances; vectors must be complete (no NaN).
+
+    Each vector becomes its folder means at every level l of L, each
+    weighted by 2^(beta*(l-L)) * |folder|; the distance is the L1 distance
+    of those.
+    """
     if not np.all(np.isfinite(vectors)):
         raise ValidationError("emd_distance_matrix requires complete vectors; impute first")
-    means, weights = _folder_stats(tree, vectors, beta)
-    return spectral.exact_distances(means * weights, "cityblock")
+    if vectors.shape[1] != tree.size:
+        raise ValidationError(f"vector length {vectors.shape[1]} does not match "
+                              f"tree axis {tree.size}")
+    L = tree.depth
+    blocks = []
+    for l in range(1, L + 1):
+        sizes = np.array([len(folder) for folder in tree.folders_at(l)], dtype=float)
+        means = vectors @ tree.indicator(l)
+        means /= sizes
+        means *= 2.0 ** (beta * (l - L)) * sizes
+        blocks.append(means)
+    return spectral.exact_distances(np.concatenate(blocks, axis=1), "cityblock")
 
 
 def emd_affinity(tree: PartitionTree, vectors: np.ndarray, beta: float = 1.0) -> spectral.Kernel:
@@ -340,17 +326,17 @@ def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
     return out
 
 
-def coupled_refine(omega: ReferenceSet, d: DataMatrix, cfg: TreeConfig | None = None):
+def coupled_refine(omega: ReferenceSet, d: DataMatrix, depth: int | None, beta: float):
     """Points tree from the cosine affinity, then observation tree from the
-    tree EMD of the columns imputed against the points tree.
+    tree EMD (level-weight exponent ``beta``) of the columns imputed against
+    the points tree; ``depth`` as in ``build_partition_tree``.
 
     Each tree is built once.  Returns (points tree, observation tree, the
     cosine affinity the points tree is built from).
     """
-    cfg = cfg or TreeConfig()
     a_pts = cosine_affinity(omega, d)
-    points_tree = build_partition_tree(a_pts, cfg, axis="points")
+    points_tree = build_partition_tree(a_pts, depth, axis="points")
     cols = impute_matrix(d.values[omega.indices].T, points_tree)   # observations over points
-    a_obs = emd_affinity(points_tree, cols, cfg.beta)
-    obs_tree = build_partition_tree(a_obs, cfg, axis="observations")
+    a_obs = emd_affinity(points_tree, cols, beta)
+    obs_tree = build_partition_tree(a_obs, depth, axis="observations")
     return points_tree, obs_tree, a_pts

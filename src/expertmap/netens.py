@@ -307,29 +307,35 @@ def _train_dae_layer(inputs: np.ndarray, W: np.ndarray, b: np.ndarray,
     draws = np.empty(inputs.shape)
     kept = np.empty(inputs.shape, dtype=bits)
     scale = 2.0 / (n * width)
-    for epoch in range(epochs):
-        if dropout_rate > 0:
-            rng.random(out=draws)
-            np.less(draws, dropout_rate, out=kept)   # 1 where dropped
-            kept -= 1                                # 0 there, every bit set elsewhere
-            np.bitwise_and(inputs.view(bits), kept, out=corrupted.view(bits))
-        H = _affine_sigmoid(corrupted, W, b)
-        recon = H @ D.T
-        recon += c
-        if not np.isfinite(recon).all():
-            raise TrainingDiverged("autoencoder reconstruction non-finite",
-                                   epoch=epoch, learning_rate=lr)
-        diff = np.subtract(recon, inputs, out=recon)
-        diff *= scale
-        np.matmul(diff.T, H, out=dD)
-        np.add.reduce(diff, axis=0, out=dc)
-        dZ = diff @ D                                # dH, (n, h)
-        dZ *= H
-        dZ *= 1.0 - H
-        np.matmul(dZ.T, corrupted, out=dW)
-        np.add.reduce(dZ, axis=0, out=db)
-        step *= lr
-        theta -= step
+    # an overflow leaves a non-finite reconstruction, which the check below
+    # raises on, so it is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            if dropout_rate > 0:
+                rng.random(out=draws)
+                np.less(draws, dropout_rate, out=kept)   # 1 where dropped
+                kept -= 1                                # 0 there, every bit set elsewhere
+                np.bitwise_and(inputs.view(bits), kept, out=corrupted.view(bits))
+            H = _affine_sigmoid(corrupted, W, b)
+            recon = H @ D.T
+            recon += c
+            if not np.isfinite(recon).all():
+                raise TrainingDiverged("autoencoder reconstruction non-finite",
+                                       epoch=epoch, learning_rate=lr)
+            diff = np.subtract(recon, inputs, out=recon)
+            diff *= scale
+            np.matmul(diff.T, H, out=dD)
+            np.add.reduce(diff, axis=0, out=dc)
+            dZ = diff @ D                                # dH, (n, h)
+            dZ *= H
+            dZ *= 1.0 - H
+            np.matmul(dZ.T, corrupted, out=dW)
+            np.add.reduce(dZ, axis=0, out=db)
+            step *= lr
+            theta -= step
+    if not np.isfinite(theta).all():
+        raise TrainingDiverged("autoencoder weights non-finite after the last epoch",
+                               epoch=epochs, learning_rate=lr)
     return W, b
 
 

@@ -36,15 +36,14 @@ from .spectral import cdist
 DEFAULT_CONFIG = {
     "paths": {"out": "out", "data": "data.csv", "schema": None, "labels": "labels.csv"},
     "eta": None,                      # default floor(0.1 * m)
-    "tree": {"depth": None, "beta": 1.0, "balance_factor": 1.5, "embed_dim": 10},
+    "tree": {"depth": None, "beta": 1.0},
     "pseudopoints": {"level": 6, "score_min": 1.0, "score_max": 10.0},
     "net": {"k": 100, "epochs": 220, "learning_rate": 1.0, "pretrain_epochs": 60,
             "master_seed": 7, "h1": [30, 70], "h2": [15, 35],
             "dropout": [0.0, 0.3], "weight_decay": [1e-5, 1e-2]},
     "kernel": {"r": 10},
     "embedding": {"d": 8, "t": 1.0},
-    "whiten": {"k": None, "pinv_tol": 1e-6},
-    "validate": {"neighbors": 10, "bins": 18},
+    "whiten": {"k": None},
     "synth": {"n_points": 600, "intrinsic_dim": 2, "n_relevant_features": 40,
               "n_noise_features": 20, "n_clusters": 3,
               "cluster_spread_ratios": [1.0, 1.0, 0.1], "missing_rate": 0.1,
@@ -58,7 +57,12 @@ def merge_config(overrides: dict | None) -> dict:
         out = dict(base)
         for key, value in (over or {}).items():
             if key not in base:
-                raise ValidationError(f"unknown config key {prefix + key!r}")
+                # of an unknown section, the first key it sets is named
+                name = prefix + key
+                while isinstance(value, dict) and value:
+                    sub, value = next(iter(value.items()))
+                    name += f".{sub}"
+                raise ValidationError(f"unknown config key {name!r}")
             if isinstance(base[key], dict):
                 if not isinstance(value, dict):
                     raise ValidationError(f"config key {prefix + key!r} must be an object")
@@ -311,12 +315,6 @@ def _load_tree(ws: Workspace, name: str) -> cogeometry.PartitionTree:
     return ws.read_json(name, "partition tree file", cogeometry.PartitionTree.from_json)
 
 
-def _tree_config(cfg: dict) -> cogeometry.TreeConfig:
-    t = cfg["tree"]
-    return cogeometry.TreeConfig(depth=t["depth"], balance_factor=t["balance_factor"],
-                                 embed_dim=t["embed_dim"], beta=t["beta"])
-
-
 def _reference_rows(ws: Workspace) -> tuple[DataMatrix, ReferenceSet,
                                               cogeometry.PartitionTree, np.ndarray]:
     """The preprocessed data, its reference set, the observation tree and
@@ -385,8 +383,7 @@ def _round_check(ws: Workspace, filled: np.ndarray):
 
 
 def _local_moments(ws: Workspace, emb: spectral.Embedding) -> whiten.LocalMoments:
-    return whiten.local_moments(emb, k=ws.cfg["whiten"]["k"],
-                                pinv_tol=float(ws.cfg["whiten"]["pinv_tol"]))
+    return whiten.local_moments(emb, k=ws.cfg["whiten"]["k"])
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +422,8 @@ def run_preprocess(ws: Workspace) -> None:
 
 def run_organize(ws: Workspace) -> None:
     d, omega = _load_preprocessed(ws)
-    cfg = _tree_config(ws.cfg)
-    points_tree, obs_tree, affinity = cogeometry.coupled_refine(omega, d, cfg)
+    points_tree, obs_tree, affinity = cogeometry.coupled_refine(
+        omega, d, ws.cfg["tree"]["depth"], ws.cfg["tree"]["beta"])
     points_tree.save(ws.path("points_tree.json"))
     obs_tree.save(ws.path("obs_tree.json"))
     np.save(ws.path("affinity.npy"), affinity.entries)
@@ -816,8 +813,7 @@ def run_validate(ws: Workspace) -> None:
     # per-feature smoothness in the DNN diffusion space
     features = {name: filled[:, k] for k, name in enumerate(d.feature_names)}
     features["quality_function"] = lf.values
-    table = validate.feature_lipschitz(emb.coordinates, features,
-                                       n_neighbors=ws.cfg["validate"]["neighbors"])
+    table = validate.feature_lipschitz(emb.coordinates, features)
     report.add_table("lipschitz", ["feature", "lipschitz_constant"],
                      [[name, _fmt(val)] for name, val in table.rows])
     report.add_section("lipschitz", {
@@ -825,8 +821,7 @@ def run_validate(ws: Workspace) -> None:
         "degenerate": list(table.degenerate)})
 
     # affinity histograms split by label agreement
-    hist = validate.affinity_histograms(dnn_kernel.entries, lf.values,
-                                        bins=ws.cfg["validate"]["bins"])
+    hist = validate.affinity_histograms(dnn_kernel.entries, lf.values)
     report.add_table("histograms", ["threshold", "count_unequal", "ratio",
                                     "survivors_unequal", "survivors_equal"],
                      [[_fmt(hist.thresholds[i]), int(hist.hist_unequal[i]),

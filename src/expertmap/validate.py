@@ -21,8 +21,12 @@ from .spectral import (Kernel, _conjugate, markov_normalize, nearest_neighbours,
 DIMENSION_CUTOFF = 0.01
 # lowest bin edge and threshold of the affinity histograms
 AFFINITY_FLOOR = 0.1
+# bins of the affinity histograms, between AFFINITY_FLOOR and 1
+HISTOGRAM_BINS = 18
 # score-range bins per ranking in the confusion table
 CONFUSION_BINS = 4
+# nearest neighbours of each point whose slopes the Lipschitz table takes
+LIPSCHITZ_NEIGHBORS = 10
 # rounding allowance of the separation bound
 SEPARATION_SLACK = 1e-9
 
@@ -42,17 +46,16 @@ class LipschitzTable:
         raise KeyError(name)
 
 
-def feature_lipschitz(coords: np.ndarray, features: dict[str, np.ndarray],
-                      n_neighbors: int = 10) -> LipschitzTable:
+def feature_lipschitz(coords: np.ndarray, features: dict[str, np.ndarray]) -> LipschitzTable:
     """Largest |f(x)-f(y)| / ||x-y|| over neighbor pairs, per feature.
 
     Features are normalized by their range first; the estimate is restricted
-    to each point's nearest neighbors (the all-pairs max is dominated by
-    near-duplicate points).
+    to each point's LIPSCHITZ_NEIGHBORS nearest neighbors (the all-pairs max
+    is dominated by near-duplicate points).
     """
     coords = np.asarray(coords, dtype=float)
     n = coords.shape[0]
-    kk = min(n_neighbors, n - 1)
+    kk = min(LIPSCHITZ_NEIGHBORS, n - 1)
     near, gaps = nearest_neighbours(coords, kk, exclude_self=True)
     pair_i = np.repeat(np.arange(n), kk)
     pair_j = near.ravel()
@@ -155,8 +158,7 @@ class AffinityHistograms:
     survivors_equal: np.ndarray    # per threshold: equal-label pairs with affinity > t
 
 
-def affinity_histograms(entries: np.ndarray, g: np.ndarray,
-                        bins: int = 18) -> AffinityHistograms:
+def affinity_histograms(entries: np.ndarray, g: np.ndarray) -> AffinityHistograms:
     """Survival ratio of affinities across unequal- vs equal-label pairs.
 
     Over the distinct pairs x < y, ``ratio[i]`` is P_neq(t) / P_eq(t) at
@@ -167,8 +169,9 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray,
     that ignores the labels, below 1 where the kernel separates points the
     experts rate differently.
 
-    AFFINITY_FLOOR is the lowest bin edge and the lowest threshold; the
-    histogram of unequal-label affinities counts only values at or above it.
+    AFFINITY_FLOOR is the lowest bin edge and the lowest threshold, and
+    HISTOGRAM_BINS equal bins span it to 1; the histogram of unequal-label
+    affinities counts only values at or above it.
     The denominators of P_neq and P_eq count every pair of each kind,
     sub-floor ones included.
 
@@ -181,11 +184,11 @@ def affinity_histograms(entries: np.ndarray, g: np.ndarray,
     a = np.asarray(entries, dtype=float)
     g = np.asarray(g, dtype=float)
     n = a.shape[0]
-    edges = np.linspace(AFFINITY_FLOOR, 1.0, bins + 1)
+    edges = np.linspace(AFFINITY_FLOOR, 1.0, HISTOGRAM_BINS + 1)
     thresholds = edges[:-1]
-    hist_unequal = np.zeros(bins, dtype=np.int64)
-    survivors_unequal = np.zeros(bins, dtype=int)
-    survivors_equal = np.zeros(bins, dtype=int)
+    hist_unequal = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+    survivors_unequal = np.zeros(HISTOGRAM_BINS, dtype=int)
+    survivors_equal = np.zeros(HISTOGRAM_BINS, dtype=int)
     n_neq = n_eq = 0
     # every count is a sum over the pairs, so the upper triangle is read a
     # row tile at a time

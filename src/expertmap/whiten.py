@@ -25,12 +25,17 @@ class LocalMoments:
     sigma_pinv: np.ndarray      # (n, d, d)
 
 
-def _eigh_pinv(mats: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
+# eigenvalues at or below this fraction of a covariance's largest are
+# dropped from its pseudoinverse
+PINV_TOL = 1e-6
+
+
+def _eigh_pinv(mats: np.ndarray) -> np.ndarray:
     """PSD pseudoinverses of a stack of matrices via eigendecomposition, each
-    with a relative cutoff on its own lambda_max."""
+    with the relative cutoff PINV_TOL on its own lambda_max."""
     vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
     top = vals.max(axis=-1, initial=0.0, keepdims=True)
-    keep = vals > rel_tol * top
+    keep = vals > PINV_TOL * top
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     pinv = (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     # no positive eigenvalue: the pseudoinverse is +0, where the product
@@ -39,8 +44,7 @@ def _eigh_pinv(mats: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
     return pinv
 
 
-def local_moments(emb: Embedding, k: int | None = None,
-                  pinv_tol: float = 1e-6) -> LocalMoments:
+def local_moments(emb: Embedding, k: int | None = None) -> LocalMoments:
     """k-NN moments around every point of the embedding (population 1/k).
 
     ``k`` None means max(2d + 2, 20), enough to make a d-dimensional
@@ -68,7 +72,7 @@ def local_moments(emb: Embedding, k: int | None = None,
         blocks -= mu[rows, None, :]
         cov = np.swapaxes(blocks, 1, 2) @ blocks
         cov /= k
-        pinv[rows] = _eigh_pinv(cov, pinv_tol)
+        pinv[rows] = _eigh_pinv(cov)
     return LocalMoments(mu=mu, sigma_pinv=pinv)
 
 

@@ -925,16 +925,24 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "synth"]) == 1
     assert "'net.epochz'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # organize builds each tree once; there are no rounds to count
-    config.write_text(json.dumps({"tree": {"iters": 2}}))
-    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "organize"]) == 1
-    assert "unknown config key 'tree.iters'" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="'paths.outdir'"):
         pipeline.load_config(overrides={"paths.outdir": "x"})
     with pytest.raises(ValidationError, match="'paths.schema.x'"):
         pipeline.load_config(overrides={"paths.schema.x": 1})
     with pytest.raises(ValidationError, match="config key 'net' must be an object"):
         pipeline.merge_config({"net": 3})
+
+
+# keys a config file may still carry: organize builds each tree once, and the
+# other five are module constants (README, --config)
+@pytest.mark.parametrize("key", ["tree.iters", "tree.embed_dim", "tree.balance_factor",
+                                 "whiten.pinv_tol", "validate.neighbors", "validate.bins"])
+def test_a_retired_config_key_is_rejected(key, tmp_path, capsys):
+    section, leaf = key.split(".")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {leaf: 2}}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "organize"]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_seed_level_and_k_nets_override_the_config_file(chain, tmp_path, monkeypatch):

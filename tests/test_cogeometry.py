@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from expertmap.cogeometry import (PartitionTree, TreeConfig, _balanced_agglomerate,
-                                  build_partition_tree,
+from expertmap.cogeometry import (PartitionTree, _balanced_agglomerate,
+                                  build_partition_tree, depth_for,
                                   cosine_affinity, coupled_refine, emd_affinity,
                                   emd_distance_matrix, impute_matrix)
 from expertmap.dataset import DataMatrix, ReferenceSet, select_reference
@@ -89,7 +89,7 @@ def pair_block_affinity():
 class TestBuildPartitionTree:
     def test_recovers_best_two_partition(self):
         a = pair_block_affinity()
-        tree = build_partition_tree(a, TreeConfig(depth=2))
+        tree = build_partition_tree(a, 2)
         level2 = set(tree.folders_at(2))
 
         # brute-force oracle: the pair split maximizing within-folder affinity
@@ -102,14 +102,14 @@ class TestBuildPartitionTree:
         assert level2 == best
 
     def test_depth_one_single_root(self):
-        tree = build_partition_tree(pair_block_affinity(), TreeConfig(depth=1))
+        tree = build_partition_tree(pair_block_affinity(), 1)
         assert tree.depth == 1
         assert tree.folders_at(1) == ((0, 1, 2, 3),)
 
     def test_identical_rows_satisfy_invariants(self):
         n = 8
         a = Kernel(entries=np.ones((n, n)))
-        tree = build_partition_tree(a, TreeConfig(depth=3))
+        tree = build_partition_tree(a, 3)
         # construction of PartitionTree revalidates nesting/cover invariants
         assert tree.depth >= 2
         assert sum(len(f) for f in tree.folders_at(tree.depth)) == n
@@ -117,7 +117,7 @@ class TestBuildPartitionTree:
     def test_invariants_on_random_affinity(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(30, 3))
-        tree = build_partition_tree(gaussian_kernel(pts, r=5), TreeConfig(depth=4))
+        tree = build_partition_tree(gaussian_kernel(pts, r=5), 4)
         assert tree.depth == 4
         for level in range(1, 5):
             assert len(tree.folders_at(level)) <= 2 ** (level - 1)
@@ -129,7 +129,7 @@ class TestBuildPartitionTree:
             Kernel(entries=entries)
 
     def test_json_round_trip(self, tmp_path):
-        tree = build_partition_tree(pair_block_affinity(), TreeConfig(depth=2))
+        tree = build_partition_tree(pair_block_affinity(), 2)
         path = tmp_path / "tree.json"
         tree.save(path)
         again = PartitionTree.from_json(json.loads(path.read_text()))
@@ -186,7 +186,7 @@ AGGLOMERATION_INPUTS = {
 @pytest.mark.parametrize("name", sorted(AGGLOMERATION_INPUTS))
 def test_agglomeration_matches_full_sort_oracle(name, balance_factor):
     coords = AGGLOMERATION_INPUTS[name](np.random.default_rng(11))
-    depth = TreeConfig().depth_for(len(coords))
+    depth = depth_for(len(coords), None)
     assert (_balanced_agglomerate(coords, depth, balance_factor)
             == agglomerate_oracle(coords, depth, balance_factor))
 
@@ -236,7 +236,7 @@ class TestTreeEmd:
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(3)
-        tree = build_partition_tree(pair_block_affinity(), TreeConfig(depth=2))
+        tree = build_partition_tree(pair_block_affinity(), 2)
         tree = PartitionTree(axis="observations", levels=tree.levels)
         dist = emd_distance_matrix(tree, rng.normal(size=(60, 4)))
         # [x, y, z]: d(x, z) <= d(x, y) + d(y, z) over every triple
@@ -264,7 +264,7 @@ class TestCoupledRefine:
     def test_recovers_planted_blocks(self):
         d = planted_blocks()
         omega = full_reference(d)
-        points_tree, obs_tree, affinity = coupled_refine(omega, d, TreeConfig(depth=2))
+        points_tree, obs_tree, affinity = coupled_refine(omega, d, 2, 1.0)
         assert set(points_tree.folders_at(2)) == {tuple(range(12)), tuple(range(12, 24))}
         assert set(obs_tree.folders_at(2)) == {tuple(range(4)), tuple(range(4, 8))}
         assert affinity.entries.min() >= 0.0 and affinity.entries.max() <= 1.0
@@ -277,8 +277,8 @@ class TestCoupledRefine:
                               feature_names=d.feature_names,
                               point_ids=tuple(d.point_ids[i] for i in perm),
                               group_of=d.group_of, weight_of=d.weight_of)
-        tree_a = coupled_refine(full_reference(d), d, TreeConfig(depth=2))[0]
-        tree_b = coupled_refine(full_reference(permuted), permuted, TreeConfig(depth=2))[0]
+        tree_a = coupled_refine(full_reference(d), d, 2, 1.0)[0]
+        tree_b = coupled_refine(full_reference(permuted), permuted, 2, 1.0)[0]
         original = {frozenset(f) for f in tree_a.folders_at(2)}
         mapped = {frozenset(perm[list(f)].tolist()) for f in tree_b.folders_at(2)}
         assert original == mapped
@@ -291,7 +291,7 @@ class TestCoupledRefine:
         values[holes] = NA
         d2 = matrix_from(values)
         omega = select_reference(d2, d2.n_features)
-        points_tree, obs_tree, _ = coupled_refine(omega, d2, TreeConfig(depth=2))
+        points_tree, obs_tree, _ = coupled_refine(omega, d2, 2, 1.0)
         assert set(points_tree.folders_at(2)) == {tuple(range(12)), tuple(range(12, 24))}
 
 

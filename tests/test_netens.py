@@ -400,6 +400,30 @@ class TestEpochsKeepTheOracleBits:
         assert seen[3:] == [(False, False), (True, True)]
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_pretraining_raises_only_training_diverged():
+    # at rate 40 each net's pretraining overflows; the overflow is caught as
+    # divergence, and the net is retried at 20 or given up, with no warning
+    data, truth, _ = synth.generate(synth.SynthConfig(n_points=600, missing_rate=0.0, seed=7))
+    X = (data.values - data.values.mean(axis=0)) / data.values.std(axis=0)
+    g = (truth - truth.min()) / (truth.max() - truth.min())
+    results = [netens._train_net(X[:324], g[:324], 20,
+                                 *netens._start_net(60, HyperRanges(), 7, 60, 40.0, i))
+               for i in range(6)]
+    assert all(result is None or result[2] for result in results)
+    assert None in results
+
+
+@pytest.mark.filterwarnings("error")
+def test_pretraining_weights_that_overflow_on_the_last_epoch_diverge():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20, 5)).astype(np.float32)
+    net = cast_net(random_net(5, 4, 3), np.float32)
+    with pytest.raises(TrainingDiverged) as err:
+        netens._train_dae_layer(X, net.W1, net.b1, 0.0, 1, 1e300, rng)
+    assert err.value.epoch == 1
+
+
 def train_ensemble_oracle(X: np.ndarray, g01: np.ndarray, K: int,
                           hyper_ranges: HyperRanges | None = None,
                           master_seed: int = 0,

@@ -1,6 +1,7 @@
 """The stage table and the cross-kernel distance routine of the pipeline."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -42,14 +43,35 @@ def test_the_readme_lists_each_stage_s_artifacts():
     assert readme_stage_table() == pipeline.STAGES
 
 
+def benchmark_constant(script: str, name: str):
+    """The literal value of the module-level ``name`` in perfbench/``script``."""
+    tree = ast.parse((ROOT / "perfbench" / script).read_text(encoding="utf-8"))
+    (value,) = (ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
+    return value
+
+
 def test_the_benchmark_checks_each_stage_s_artifacts():
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
-    (artifacts,) = (ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    and [getattr(t, "id", None) for t in node.targets] == ["ARTIFACTS"])
+    artifacts = benchmark_constant("run.py", "ARTIFACTS")
     # the benchmark names a stage with underscores for spaces
     artifacts = {stage.replace("_", " "): names for stage, names in artifacts.items()}
     assert artifacts == {stage: pipeline.STAGES[stage] for stage in artifacts}
+
+
+def test_each_function_the_benchmark_wraps_exists():
+    # chain.py looks each one up by name before the first stage runs, so a
+    # missing one fails every benchmark run
+    wrapped = [(f"expertmap.{module}", fn)
+               for module, fns in benchmark_constant("chain.py", "LAYERS").items()
+               for fn in fns]
+    wrapped += [("expertmap.pipeline", fn)
+                for fn in benchmark_constant("chain.py", "STAGE_FUNCTIONS") + ("cdist",)]
+    missing = [f"{module}.{fn}" for module, fn in wrapped
+               if not callable(getattr(importlib.import_module(module), fn, None))]
+    missing += [f"pipeline.Workspace.{method}" for method in ("require", "record")
+                if not callable(getattr(pipeline.Workspace, method, None))]
+    assert missing == []
 
 
 def test_cdist_matches_scipy():

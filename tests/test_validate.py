@@ -39,8 +39,7 @@ class TestFeatureLipschitz:
 
     def test_linear_function_on_line(self):
         coords = np.array([[0.0], [1.0], [2.0]])
-        table = feature_lipschitz(coords, {"f": np.array([0.0, 1.0, 2.0])},
-                                  n_neighbors=2)
+        table = feature_lipschitz(coords, {"f": np.array([0.0, 1.0, 2.0])})
         # |df| / |dx| = 1 before normalization; range 2 halves it
         assert table.constant("f") == pytest.approx(0.5)
 
@@ -57,7 +56,7 @@ class TestFeatureLipschitz:
         rng = np.random.default_rng(2)
         coords = rng.normal(size=(25, 3))
         x = rng.normal(size=25)
-        local = feature_lipschitz(coords, {"x": x}, n_neighbors=10)
+        local = feature_lipschitz(coords, {"x": x})
         # oracle: the largest range-normalized slope over all distinct pairs
         i, j = np.triu_indices(25, k=1)
         slopes = (np.abs(x[i] - x[j]) / np.ptp(x)
