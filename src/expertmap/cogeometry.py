@@ -106,10 +106,11 @@ def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> spectral.Kernel:
     guarantee overlap); a pair where either restricted norm is 0 gets
     cosine 0.
     """
-    rows = d.values[omega.indices]
+    filled = d.values[omega.indices]      # gathered: a copy of the rows
     mask = d.mask[omega.indices]
-    filled = np.where(mask, rows, 0.0)
+    filled[~mask] = 0.0
     msk = mask.astype(float)
+    del mask
 
     support = msk @ msk.T
     np.fill_diagonal(support, 1.0)
@@ -120,15 +121,25 @@ def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> spectral.Kernel:
     del support
 
     sq = (filled ** 2) @ msk.T            # |x_j|^2 restricted to supp(x_j) & supp(x_k)
-    denom = sq * sq.T
-    del sq
-    np.sqrt(denom, out=denom)
+    del msk
 
-    # the cosine, (c + 1) / 2 and the unit diagonal, all in one buffer
+    # the cosine, (c + 1) / 2 and the unit diagonal, all in one buffer.  The
+    # norms' product sqrt(sq[j, k] sq[k, j]) is formed a tile pair at a time,
+    # once for both tiles: IEEE multiplication commutes, so each tile's
+    # quotients have the bits a whole n x n product would give them
     entries = filled @ filled.T
-    np.divide(entries, denom, out=entries, where=denom > 0)
-    entries[denom <= 0] = 0.0
-    del denom
+    tiles = spectral.row_tiles(len(entries))
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            denom = sq[rows, cols] * sq[cols, rows].T
+            np.sqrt(denom, out=denom)
+            blocks = [(entries[rows, cols], denom)]
+            if cols != rows:
+                blocks.append((entries[cols, rows], denom.T))
+            for block, norms in blocks:
+                np.divide(block, norms, out=block, where=norms > 0)
+                block[norms <= 0] = 0.0
+    del sq
     spectral._symmetrize(entries)
     np.clip(entries, -1.0, 1.0, out=entries)
     entries += 1.0

@@ -12,10 +12,12 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import shutil
+import types
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -78,7 +80,55 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = merge_config(cfg)
     if overrides:
         cfg = merge_config_into(cfg, overrides)
+    check_config_types(cfg)
     return cfg
+
+
+# The type of each config key whose default is null, as a value of it: the
+# key takes null or a value of that type.
+NULLABLE = {"eta": 0, "tree.depth": 0, "whiten.k": 0, "paths.schema": ""}
+# A list key whose length another key sets (synth.n_clusters), which
+# SynthConfig checks; every other list key takes as many values as its default.
+ANY_LENGTH = {"synth.cluster_spread_ratios"}
+TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+              str: ("a string", "strings")}
+
+
+def check_config_types(cfg: dict) -> None:
+    """Refuse, with a ValidationError that names it, the first leaf of the
+    merged config ``cfg`` whose value does not have the type of its default:
+    an int takes an int and no bool, a float an int or a float, a string a
+    string, and a list a list of such values, as many as its default holds
+    (see ANY_LENGTH).  A key whose default is null takes null or the type
+    NULLABLE gives it."""
+    def fits(value, default, name) -> bool:
+        if default is None:
+            return value is None or fits(value, NULLABLE[name], name)
+        if isinstance(default, list):
+            return (type(value) is list
+                    and (name in ANY_LENGTH or len(value) == len(default))
+                    and all(fits(v, default[0], name) for v in value))
+        if type(default) is float:
+            return type(value) in (int, float)
+        return type(value) is type(default)
+
+    def described(default, name) -> str:
+        if default is None:
+            return "null or " + described(NULLABLE[name], name)
+        if isinstance(default, list):
+            count = "" if name in ANY_LENGTH else f"{len(default)} "
+            return f"a list of {count}{TYPE_NAMES[type(default[0])][1]}"
+        return TYPE_NAMES[type(default)][0]
+
+    def check(node: dict, base: dict, prefix: str) -> None:
+        for key, default in base.items():
+            name, value = prefix + key, node[key]
+            if isinstance(default, dict):
+                check(value, default, f"{name}.")
+            elif not fits(value, default, name):
+                raise ValidationError(f"config key {name!r} must be "
+                                      f"{described(default, name)}, not {json.dumps(value)}")
+    check(cfg, DEFAULT_CONFIG, "")
 
 
 def merge_config_into(cfg: dict, overrides: dict) -> dict:
@@ -139,7 +189,8 @@ class Workspace:
     fetched with ``require`` or wrote with ``record``, with the hash it had
     then, and ``record`` lists all of them as the new artifact's inputs.
     Each file is hashed once per stage: when first checked or read, and
-    again only when the stage records a new version of it.
+    again only when the stage records a new version of it.  What ``read``
+    parses outlives the instance, in the process's read memo.
     """
 
     def __init__(self, outdir, cfg: dict):
@@ -195,29 +246,75 @@ class Workspace:
         self.inputs[name] = self._hash(name)
         return path
 
-    def read(self, name: str, parse):
-        """``parse(path)`` of the artifact ``name``, fetched as ``require``
-        does; a ParseError or ValidationError that ``parse`` raises says which
-        stage to rerun to rewrite the file."""
-        path = self.require(name)
-        try:
-            return parse(path)
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{exc}; rerun '{PRODUCER[name]}' to rewrite it") from None
+    def read(self, name: str, parse, *args):
+        """``parse(path, *args)`` of the artifact ``name``, fetched as
+        ``require`` does; a ParseError or ValidationError that ``parse``
+        raises says which stage to rerun to rewrite the file.
 
-    def read_json(self, name: str, what: str, parse):
-        """``read`` with ``parse`` of the artifact's JSON object, a
-        JsonArtifact; ``what`` names the file in errors, and a value that
-        ``parse`` cannot convert (a TypeError or ValueError) is a
-        ValidationError that names it."""
-        def parse_object(path):
-            obj = JsonArtifact(read_json_object(path, what), f"{what} {path}")
+        The value is kept read-only (``_read_only``) in the process's read
+        memo, keyed by the sha256 that ``require`` took, ``parse`` itself and
+        ``args``, which must be hashable but for a dict, which keys by its
+        JSON.  So a later read of the same bytes by the same parser with the
+        same arguments, in any stage of this process, returns it without
+        opening the file.  The memo holds one value per artifact name, the
+        last one parsed; a parse that raises leaves nothing in it.
+        """
+        path = self.require(name)
+        key = (self.inputs[name], parse,
+               tuple(json.dumps(a, sort_keys=True) if isinstance(a, dict) else a
+                     for a in args))
+        held = _PARSED.pop(name, None)       # an older version is freed before the parse
+        if held is None or held[0] != key:
             try:
-                return parse(obj)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{obj.where} is malformed "
-                                      f"({type(exc).__name__}: {exc})") from None
-        return self.read(name, parse_object)
+                value = _read_only(parse(path, *args))
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{exc}; rerun '{PRODUCER[name]}' to rewrite it") from None
+            held = (key, value)
+        _PARSED[name] = held
+        return held[1]
+
+    def read_json(self, name: str, what: str, parse, *args):
+        """``read`` with ``parse(obj, *args)`` of the artifact's JSON object
+        ``obj``, a JsonArtifact; ``what`` names the file in errors, and a
+        value that ``parse`` cannot convert (a TypeError or ValueError) is a
+        ValidationError that names it."""
+        return self.read(name, _parse_json, what, parse, *args)
+
+
+# The read memo of Workspace.read: artifact name -> (key, parsed value).  It
+# belongs to the process, not to a Workspace, because each stage makes its
+# own Workspace and the values are for the stages after it; its key holds
+# every input of the parse, so any Workspace may share it.
+_PARSED: dict[str, tuple[tuple, object]] = {}
+
+
+def _read_only(value):
+    """``value``, a fresh parse, made read-only for the read memo, in place
+    where it can be: each array in it loses its write flag, each dict
+    becomes a read-only view and each list a tuple, within tuples, dicts and
+    dataclass fields too."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        return types.MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    elif isinstance(value, (list, tuple)):
+        return tuple(map(_read_only, value))
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            # setting a frozen field is safe here: no one else holds the value yet
+            object.__setattr__(value, f.name, _read_only(getattr(value, f.name)))
+    return value
+
+
+def _parse_json(path, what: str, parse, *args):
+    """``parse(obj, *args)`` of the JSON object in ``path``; see
+    ``Workspace.read_json``."""
+    obj = JsonArtifact(read_json_object(path, what), f"{what} {path}")
+    try:
+        return parse(obj, *args)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{obj.where} is malformed "
+                              f"({type(exc).__name__}: {exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -247,67 +344,81 @@ def write_embedding(path_csv, path_json, ids, emb: spectral.Embedding) -> None:
                            "standardized": emb.standardized})
 
 
+def _parse_table(path, columns: tuple[str, ...]) -> DataMatrix:
+    """The CSV table in ``path``, read by ``load_matrix``.  A missing column
+    of ``columns``, those the caller reads by name, and a cell that is not a
+    number, an empty one included, are errors that name the file."""
+    table = load_matrix(path)
+    for column in columns:
+        if column not in table.feature_names:
+            raise ValidationError(f"{path} has no column {column!r}")
+    if not table.mask.all():
+        row, col = np.argwhere(~table.mask)[0]
+        raise ValidationError(f"{path}: row {row + 2}: no value in column "
+                              f"{table.feature_names[col]!r}")
+    return table
+
+
 def _read_table(ws: Workspace, name: str, columns: tuple[str, ...]) -> DataMatrix:
-    """The CSV artifact ``name``, read by ``load_matrix`` through ``ws.read``.
-    A missing column of ``columns``, those the caller reads by name, and a
-    cell that is not a number, an empty one included, are errors that name
-    the file."""
-    def parse(path) -> DataMatrix:
-        table = load_matrix(path)
-        for column in columns:
-            if column not in table.feature_names:
-                raise ValidationError(f"{path} has no column {column!r}")
-        if not table.mask.all():
-            row, col = np.argwhere(~table.mask)[0]
-            raise ValidationError(f"{path}: row {row + 2}: no value in column "
-                                  f"{table.feature_names[col]!r}")
-        return table
-    return ws.read(name, parse)
+    """The CSV artifact ``name``, parsed by ``_parse_table`` through ``ws.read``."""
+    return ws.read(name, _parse_table, columns)
+
+
+def _embedding_parts(meta: JsonArtifact, coords: tuple[str, ...]):
+    """The eigenvalues, their powers lambda^t, t, the bandwidth and the
+    standardized flag in an embedding file whose table has the columns
+    ``coords``.  A power that is 0 gives no eigenvector back, and is an
+    error that names its coordinate."""
+    vals = np.asarray(meta["eigenvalues"])
+    scale = spectral.signed_power(vals, meta["t"])
+    if not scale.all():
+        i = int(np.flatnonzero(scale == 0)[0])
+        raise ValidationError(f"{meta.where}: coordinate {coords[i]!r} has eigenvalue "
+                              f"{float(vals[i])!r}, whose power t = {meta['t']!r} is 0, "
+                              "so its eigenvector cannot be recovered")
+    return vals, scale, meta["t"], meta.get("bandwidth", {}), meta.get("standardized", False)
 
 
 def read_embedding(ws: Workspace, name: str) -> tuple[list[str], spectral.Embedding]:
-    """The embedding in the artifacts ``name``.csv and ``name``.json.
-
-    The eigenvectors are the stored coordinates over lambda^t; a coordinate
-    whose lambda^t is 0 gives none back, and is an error that names it.
-    """
+    """The embedding in the artifacts ``name``.csv and ``name``.json; the
+    eigenvectors are the stored coordinates over lambda^t."""
     table = _read_table(ws, f"{name}.csv", ())
-
-    def parse(meta: JsonArtifact) -> spectral.Embedding:
-        vals = np.asarray(meta["eigenvalues"])
-        scale = spectral.signed_power(vals, meta["t"])
-        if not scale.all():
-            i = int(np.flatnonzero(scale == 0)[0])
-            raise ValidationError(f"{meta.where}: coordinate {table.feature_names[i]!r} has "
-                                  f"eigenvalue {float(vals[i])!r}, whose power t = "
-                                  f"{meta['t']!r} is 0, so its eigenvector cannot be recovered")
-        return spectral.Embedding(eigenvalues=vals, eigenvectors=table.values / scale[None, :],
-                                  t=meta["t"], bandwidth=meta.get("bandwidth", {}),
-                                  standardized=meta.get("standardized", False))
-    return list(table.point_ids), ws.read_json(f"{name}.json", "embedding file", parse)
+    vals, scale, t, bandwidth, standardized = ws.read_json(
+        f"{name}.json", "embedding file", _embedding_parts, table.feature_names)
+    return list(table.point_ids), spectral.Embedding(
+        eigenvalues=vals, eigenvectors=table.values / scale[None, :], t=t,
+        bandwidth=bandwidth, standardized=standardized)
 
 
 # ---------------------------------------------------------------------------
 # shared loading logic
 
-def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
-    d = ws.read("preprocessed.csv", lambda path: load_matrix(path, ws.cfg["paths"].get("schema")))
+def _reference(ref: JsonArtifact, n_points: int) -> tuple[ReferenceSet, np.ndarray]:
+    """The reference set and the polarity flips in the reference file of a
+    preprocessed matrix of ``n_points`` rows."""
+    # the row indices preprocess wrote: whole numbers in ascending order,
+    # each a row of preprocessed.csv
+    indices = ref["indices"]
+    for k, i in enumerate(indices):
+        if type(i) is not int:
+            raise ValueError(f"index {i!r} at position {k} is not a whole number")
+        if not 0 <= i < n_points:
+            raise ValueError(f"index {i} at position {k} is outside the "
+                             f"{n_points} rows of preprocessed.csv")
+        if k and i <= indices[k - 1]:
+            raise ValueError(f"index {i} at position {k} does not follow "
+                             f"{indices[k - 1]} in ascending order")
+    return (ReferenceSet(indices=np.asarray(indices, dtype=np.int64)),
+            np.asarray(ref["polarity_flips"], dtype=bool))
 
-    def parse(ref: JsonArtifact) -> ReferenceSet:
-        # the row indices preprocess wrote: whole numbers in ascending order,
-        # each a row of preprocessed.csv
-        indices = ref["indices"]
-        for k, i in enumerate(indices):
-            if type(i) is not int:
-                raise ValueError(f"index {i!r} at position {k} is not a whole number")
-            if not 0 <= i < d.n_points:
-                raise ValueError(f"index {i} at position {k} is outside the "
-                                 f"{d.n_points} rows of preprocessed.csv")
-            if k and i <= indices[k - 1]:
-                raise ValueError(f"index {i} at position {k} does not follow "
-                                 f"{indices[k - 1]} in ascending order")
-        return ReferenceSet(indices=np.asarray(indices, dtype=np.int64))
-    omega = ws.read_json("reference.json", "reference file", parse)
+
+def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
+    schema = ws.cfg["paths"].get("schema")
+    if schema is not None:
+        # read here, so that the schema's content, not its path, keys the read
+        schema = read_json_object(schema, "schema file")
+    d = ws.read("preprocessed.csv", load_matrix, schema)
+    omega, _ = ws.read_json("reference.json", "reference file", _reference, d.n_points)
     return d, omega
 
 
@@ -441,9 +552,8 @@ def _pseudopoints(ws: Workspace):
 
 def run_pseudopoints_export(ws: Workspace) -> None:
     """Centroid CSV for the expert, shown in the input data's original signs."""
-    *_, ps = _pseudopoints(ws)
-    flips = ws.read_json("reference.json", "reference file",
-                         lambda ref: np.asarray(ref["polarity_flips"], dtype=bool))
+    d, *_, ps = _pseudopoints(ws)
+    _, flips = ws.read_json("reference.json", "reference file", _reference, d.n_points)
     expert.export_centroids(ps, ws.path("pseudopoints.csv"), flip=flips)
     # centroid cells no member observes, filled from the observation tree
     ws.record("pseudopoints export",
@@ -477,24 +587,29 @@ def _import_labels(ws: Workspace, loaded, labels_path) -> None:
         shutil.copyfile(labels_file, ws.path("labels.csv"))
 
 
+def _truth(truth: JsonArtifact, ref_ids: tuple[str, ...]) -> dict:
+    """Point id -> ground truth, from the truth file; it must hold one for
+    each of ``ref_ids``, the reference points' ids."""
+    ids, values = truth["point_ids"], truth["ground_truth"]
+    if len(ids) != len(values):
+        raise ValidationError(f"{truth.where} has {len(ids)} point_ids but "
+                              f"{len(values)} ground_truth values")
+    by_id = dict(zip(ids, values))
+    missing = [pid for pid in ref_ids if pid not in by_id]
+    if missing:
+        raise ValidationError(f"{truth.where} has no ground truth for reference "
+                              f"point {missing[0]!r}")
+    return by_id
+
+
 def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
     loaded = _pseudopoints(ws)
     d, omega, points_tree, _, level, ps = loaded
 
-    def parse(truth: JsonArtifact) -> dict:
-        ids, values = truth["point_ids"], truth["ground_truth"]
-        if len(ids) != len(values):
-            raise ValidationError(f"{truth.where} has {len(ids)} point_ids but "
-                                  f"{len(values)} ground_truth values")
-        by_id = dict(zip(ids, values))
-        missing = [d.point_ids[i] for i in omega.indices if d.point_ids[i] not in by_id]
-        if missing:
-            raise ValidationError(f"{truth.where} has no ground truth for reference "
-                                  f"point {missing[0]!r}")
-        return by_id
-    by_id = ws.read_json("truth.json", "truth file", parse)
-    gt = np.asarray([by_id[d.point_ids[i]] for i in omega.indices])
+    ref_ids = tuple(d.point_ids[i] for i in omega.indices)
+    by_id = ws.read_json("truth.json", "truth file", _truth, ref_ids)
+    gt = np.asarray([by_id[pid] for pid in ref_ids])
 
     lo, hi = ws.cfg["pseudopoints"]["score_min"], ws.cfg["pseudopoints"]["score_max"]
     folder_means = np.array([gt[list(folder)].mean()

@@ -404,6 +404,121 @@ def test_each_stage_hashes_each_file_once(chain, tmp_path, monkeypatch):
         assert again["inputs"] == first["inputs"], meta.name
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls by the
+    file name of their first argument; returns the Counter."""
+    calls = Counter()
+    real = getattr(module, name)
+
+    def counted(path, *args):
+        calls[Path(path).name] += 1
+        return real(path, *args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_chain_in_one_process_parses_each_artifact_once(chain, tmp_path, monkeypatch):
+    # from an empty read memo, as in a process of its own: each stage after
+    # the first that reads a file reuses its parse
+    config, out, _, first = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    pipeline._PARSED.clear()
+    tables = count_calls(monkeypatch, pipeline, "load_matrix")
+    ensembles = count_calls(monkeypatch, netens, "load_ensemble")
+    for stage in STAGES[1:]:
+        args = [a.format(out=work) for a in stage]
+        assert cli.main(["--config", str(config), "--out", str(work)] + args) == 0, stage
+    assert tables == {name: 1 for name in ("data.csv", "preprocessed.csv", "label_function.csv",
+                                           "embedding.csv", "std_embedding.csv", "ranking.csv")}
+    assert ensembles == {"ensemble.json": 1}
+    assert artifact_hashes(work) == first
+
+
+def test_a_rewritten_artifact_is_parsed_again(chain, tmp_path, monkeypatch):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    calls = []
+    real = pipeline._reference
+    monkeypatch.setattr(pipeline, "_reference",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def reference_rows():
+        ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
+        return len(pipeline._load_preprocessed(ws)[1].indices)
+    before = reference_rows()
+    assert reference_rows() == before and len(calls) == 1
+    # a larger eta takes more points into the reference set
+    assert cli.main(["--config", str(config), "--out", str(work), "preprocess"]) == 0
+    eta = json.loads((work / "reference.json").read_text())["eta"]
+    edited = tmp_path / "eta.json"
+    edited.write_text(json.dumps({**CONFIG, "eta": eta + 2}))
+    assert cli.main(["--config", str(edited), "--out", str(work), "preprocess"]) == 0
+    assert reference_rows() > before and len(calls) == 2
+
+
+def test_an_artifact_edited_after_its_parse_is_still_refused(chain, tmp_path, capsys):
+    config, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    assert cli.main(["--config", str(config), "--out", str(work), "organize"]) == 0
+    path = work / "preprocessed.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][1] = "0.5"
+    write_rows(path, rows)
+    capsys.readouterr()
+    assert cli.main(["--config", str(config), "--out", str(work), "pseudopoints", "export"]) == 1
+    err = capsys.readouterr().err
+    assert "'reference.json' is stale: its input 'preprocessed.csv' has changed" in err
+
+
+def test_a_parse_that_raises_is_not_kept(chain, tmp_path):
+    config, out, _, _ = chain
+    ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
+    calls = []
+
+    def parse(path):
+        calls.append(path)
+        if len(calls) == 1:
+            raise ParseError(f"{path}: not yet")
+        return load_matrix(path)
+    with pytest.raises(ParseError, match="not yet; rerun 'train' to rewrite it"):
+        ws.read("ranking.csv", parse)
+    assert ws.read("ranking.csv", parse).n_points == ws.read("ranking.csv", parse).n_points
+    assert len(calls) == 2
+
+
+def test_the_same_bytes_with_another_schema_are_parsed_again(chain, tmp_path, monkeypatch):
+    config, out, _, _ = chain
+    calls = count_calls(monkeypatch, pipeline, "load_matrix")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"weights": {"default": 2.0}}))
+
+    def weights(schema_path):
+        ws = pipeline.Workspace(out, pipeline.load_config(
+            config, {"paths.out": str(out), "paths.schema": schema_path}))
+        return dict(pipeline._load_preprocessed(ws)[0].weight_of)
+    assert weights(None) == weights(None) == {"default": 1.0}
+    assert calls["preprocessed.csv"] == 1
+    assert weights(str(schema)) == {"default": 2.0}
+    assert calls["preprocessed.csv"] == 2
+    # the memo holds one version of each artifact: the last one parsed
+    assert weights(None) == {"default": 1.0}
+    assert calls["preprocessed.csv"] == 3
+
+
+def test_a_kept_parse_is_read_only(chain):
+    config, out, _, _ = chain
+    ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
+    d, omega = pipeline._load_preprocessed(ws)
+    ensemble = ws.read("ensemble.json", netens.load_ensemble)
+    for array in (d.values, d.mask, omega.indices, ensemble.nets[0].W1):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        d.weight_of["default"] = 3.0
+    assert d is pipeline._load_preprocessed(ws)[0]
+
+
 def test_extend_sidecar_carries_its_diagnostics(chain):
     _, out, _, _ = chain
     meta = json.loads((out / "extended_embedding.csv.meta.json").read_text())
@@ -510,8 +625,11 @@ def write_rows(path, rows):
 
 
 def extend_peak_bytes(work, config, new_points, run):
-    """The tracemalloc peak of run_extend on a fresh copy of ``work`` at ``run``."""
+    """The tracemalloc peak of run_extend on a fresh copy of ``work`` at ``run``,
+    with the read memo empty, as in a process of its own: each run parses
+    the artifacts it reads."""
     run = shutil.copytree(work, run)
+    pipeline._PARSED.clear()
     tracemalloc.start()
     try:
         run_extend_on(run, config, new_points)
@@ -943,6 +1061,19 @@ def test_a_retired_config_key_is_rejected(key, tmp_path, capsys):
     config.write_text(json.dumps({section: {leaf: 2}}))
     assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "organize"]) == 1
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, leaf, value, expected", [
+    ("tree", "depth", 3.5, "null or an integer, not 3.5"),
+    ("tree", "beta", "x", 'a number, not "x"'),
+    ("net", "k", True, "an integer, not true")])
+def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, section, leaf, value,
+                                                  expected):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {leaf: value}}))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "organize"]) == 1
+    assert capsys.readouterr().err == (f"error: config key '{section}.{leaf}' must be "
+                                       f"{expected}\n")
 
 
 def test_seed_level_and_k_nets_override_the_config_file(chain, tmp_path, monkeypatch):

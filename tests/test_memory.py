@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from expertmap import cogeometry, netens, spectral, validate, whiten
+from expertmap.dataset import DataMatrix, ReferenceSet
 
 N = 512
 
@@ -41,12 +42,21 @@ def inputs():
     tree = cogeometry.PartitionTree(axis="observations", levels=(
         (tuple(range(16)),), (tuple(range(8)), tuple(range(8, 16))),
         tuple(tuple(range(a, a + 4)) for a in range(0, 16, 4))))
+    values = rng.normal(size=(N, 60))
+    mask = rng.random(values.shape) >= 0.1
+    values[~mask] = np.nan
+    data = DataMatrix(values=values, mask=mask, feature_names=tuple(f"f{k}" for k in range(60)),
+                      point_ids=tuple(map(str, range(N))), group_of={}, weight_of={})
     return {"x": x, "kernel": kernel, "emb": emb, "lm": whiten.local_moments(emb),
-            "tree": tree, "vectors": rng.normal(size=(N, 16))}
+            "tree": tree, "vectors": rng.normal(size=(N, 16)), "data": data,
+            "omega": ReferenceSet(indices=np.arange(N))}
 
 
 BUILDERS = {
     "gaussian_kernel": (1.5, lambda a: (spectral.gaussian_kernel, a["x"], 10)),
+    # its floor is 2 + m / n: the zero-filled rows beside the norms and the
+    # cosines; 2.19 was measured, and 2.49 with a whole n x n denominator
+    "cosine_affinity": (2.25, lambda a: (cogeometry.cosine_affinity, a["omega"], a["data"])),
     "emd_affinity": (3.0, lambda a: (cogeometry.emd_affinity, a["tree"], a["vectors"])),
     "standardized_kernel": (1.5, lambda a: (whiten.standardized_kernel, a["emb"], a["lm"])),
     "diffusion_embed": (2.5, lambda a: (spectral.diffusion_embed, a["kernel"], 6)),
