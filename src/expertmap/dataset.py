@@ -52,7 +52,6 @@ class DataMatrix:
     point_ids: tuple[str, ...]
     group_of: dict[str, str]
     weight_of: dict[str, float]
-    degenerate: tuple[str, ...] = ()
 
     @property
     def n_points(self) -> int:
@@ -420,7 +419,7 @@ def preprocess(d: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:
     """
     m = d.n_features
     means, sds, weights = np.zeros(m), np.zeros(m), np.empty(m)
-    degenerate = set(d.degenerate)
+    degenerate = set()
     for k, name in enumerate(d.feature_names):
         col = d.values[d.mask[:, k], k]
         if len(col) == 0:
@@ -443,6 +442,5 @@ def preprocess(d: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:
     flip = depolarize(unit.transform(d.values, d.mask), d.mask)
     params = replace(unit, flip=flip, weights=weights,
                      degenerate=tuple(sorted(degenerate)))
-    processed = replace(d, values=params.transform(d.values, d.mask),
-                        degenerate=params.degenerate)
+    processed = replace(d, values=params.transform(d.values, d.mask))
     return processed, params

@@ -14,23 +14,22 @@ says otherwise), so with one BLAS thread every core trains a net, and with
 one per core the calling process trains them all.  A forked helper keeps this
 process's BLAS threading, so every net is computed with the same threading,
 which the last bits of a matrix product depend on, and it starts with the
-training rows, the labels and the pretraining epochs already in memory.  The
-calling process draws each net's hyperparameters and initial weights from
-the net's own generator, seeded with [master_seed, i], and the rest of that
-generator goes with the net to whichever process trains it; the nets are
-collected in index order.  So the ensemble is the same to the byte whatever
-the number of processes.
+training rows, the labels and the pretraining epochs already in memory.
+Whichever process trains net i draws its hyperparameters and initial
+weights from the net's own generator, seeded with [master_seed, i], so a
+net depends on its index alone; the nets are collected in index order.  So
+the ensemble is the same to the byte whatever the number of processes.
 
 The nets are trained in rounds: nets 0 to 19 first, then ten at a time, up
-to K.  The helper pool stays up across rounds, and each round's nets are
-drawn at its start.  Within a round the helpers take the nets from the
-first up and the calling process takes them from the last down, and a
-helper is handed its next net only when it hands one back (see
-``_train_round``).  After each round the calling process alone decides
-whether to stop, from the nets trained so far and those trained before the
-round (see ``train_ensemble``).
-Those nets are the same to the byte whatever the number of processes, so
-the decision, and with it the ensemble, is too.
+to K.  The helper pool stays up across rounds.  Every process, the calling
+one included, takes the next index from one counter that they share and
+trains that net, until the round's nets are all taken (see
+``_take_nets``).  So each net is trained once, and no process waits while
+a net of the round is left.  After each round the calling process alone
+decides whether to stop, from the nets trained so far and those trained
+before the round (see ``train_ensemble``).  Those nets are the same to the
+byte whatever the number of processes, so the decision, and with it the
+ensemble, is too.
 
 Each net is trained in float32: its started weights, the training rows and
 the labels are rounded to float32 once, every product and update of the
@@ -57,7 +56,6 @@ makes it the +0.0 that writing 0.0 through a boolean index made.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import copy
 import json
@@ -67,7 +65,6 @@ import re
 import resource
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -477,61 +474,31 @@ def forked_pool(workers: int, state):
         pool.shutdown(cancel_futures=True)
 
 
-def _train_in_helper(net: Net, rng: np.random.Generator):
-    """_train_net in a helper, whose state is (training rows, labels,
-    pretraining epochs)."""
-    return _train_net(*helper_state, net, rng)
+def _take_nets(end: int, state=None) -> list:
+    """Train nets until the counter reaches ``end``: take its value as the
+    next net's index and add one, under its lock, then start that net and
+    train it.  Returns (index, result) for each net this process trained.
 
-
-def _train_round(pool, helpers: int, train_net, starts: list) -> tuple[list, float]:
-    """_train_net's result for each started net, in order, and the seconds
-    this process then waited for the helpers.
-
-    Each of the ``helpers`` processes in ``pool`` is handed a net, from the
-    first up, and its next one only when it hands one back; this process
-    trains the nets from the last down, each one not yet handed out.  So each
-    net is trained once, by whichever process comes to it first, and none
-    waits behind a helper's current net while this process could train it.
-    A helper is handed its next net in a done-callback, which runs on the
-    pool's own thread and submits under the lock that ends the handout: once
-    a helper's net has raised or this process has stopped, no net is handed
-    out, and the error is raised from that net's result.
+    ``state`` is (counter, train_net), where train_net(i) is _train_net's
+    result for net i; a helper's is its helper_state, which it holds through
+    the fork, since a shared counter cannot be sent to it.  An error raised
+    while a net is trained sets the counter to ``end``, so that no process
+    takes another net, and is raised.
     """
-    import threading
-
-    lock = threading.Lock()
-    todo = collections.deque(range(len(starts)))    # the nets not yet handed out
-    futures = {}
-    stopped = False
-
-    def hand_out(done) -> None:
-        nonlocal stopped
-        with lock:
-            if done is not None and (done.cancelled() or done.exception() is not None):
-                stopped = True
-            if stopped or not todo:
-                return
-            i = todo.popleft()
-            futures[i] = future = pool.submit(_train_in_helper, *starts[i])
-        future.add_done_callback(hand_out)
-
-    results: list = [None] * len(starts)
-    try:
-        for _ in range(helpers):
-            hand_out(None)
-        while True:
-            with lock:
-                if stopped or not todo:
-                    break
-                i = todo.pop()
-            results[i] = train_net(*starts[i])
-    finally:
-        with lock:
-            stopped = True
-    began = time.perf_counter()
-    for i, future in sorted(futures.items()):
-        results[i] = future.result()
-    return results, time.perf_counter() - began
+    counter, train_net = state or helper_state
+    trained = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            if i >= end:
+                return trained
+            counter.value = i + 1
+        try:
+            trained.append((i, train_net(i)))
+        except BaseException:
+            with counter.get_lock():
+                counter.value = end
+            raise
 
 
 def _run_check(check, earlier: NetEnsemble, current: NetEnsemble) -> tuple[float | None, bool]:
@@ -589,22 +556,30 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
         raise ValidationError("empty training set after excluding imputed rows")
     _check_labels(Xt, gt)
 
-    training = (Xt, gt, pretrain_epochs)
-    train_net = partial(_train_net, *training)
+    from multiprocessing import get_context
+
+    def train_net(i: int):
+        return _train_net(Xt, gt, pretrain_epochs, *_start_net(
+            X.shape[1], ranges, master_seed, epochs, learning_rate, i))
+    # a counter of the next net to take: a round takes every net up to its
+    # end, so it leaves the counter at the next round's first net
+    state = (get_context("fork").Value("q", 0), train_net)
     workers = min(K, worker_count())
     results: list = []
     checks: list[tuple[int, float | None]] = []
     check_seconds: list[float] = []
     waited = 0.0
     earlier = None
-    with (forked_pool(workers - 1, training) if workers > 1
+    with (forked_pool(workers - 1, state) if workers > 1
           else contextlib.nullcontext()) as pool:
         for lo, h in _rounds(K):
-            trained, wait = _train_round(pool, workers - 1, train_net, [
-                _start_net(X.shape[1], ranges, master_seed, epochs, learning_rate, i)
-                for i in range(lo, h)])
-            results += trained
-            waited += wait
+            tasks = [pool.submit(_take_nets, h) for _ in range(workers - 1)]
+            trained = dict(_take_nets(h, state))
+            began = time.perf_counter()
+            for future in tasks:
+                trained.update(future.result())
+            waited += time.perf_counter() - began
+            results += [trained[i] for i in range(lo, h)]
             current = NetEnsemble(nets=tuple(result[0] for result in results if result),
                                   master_seed=master_seed)
             if earlier is not None and h < K and not _too_many_failed(results):

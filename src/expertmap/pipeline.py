@@ -87,6 +87,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 # The type of each config key whose default is null, as a value of it: the
 # key takes null or a value of that type.
 NULLABLE = {"eta": 0, "tree.depth": 0, "whiten.k": 0, "paths.schema": ""}
+# The least value of each integer key that has one; null, where a key
+# takes it, is not held to it.
+LEAST = {"kernel.r": 1, "whiten.k": 1, "net.epochs": 0}
 # A list key whose length another key sets (synth.n_clusters), which
 # SynthConfig checks; every other list key takes as many values as its default.
 ANY_LENGTH = {"synth.cluster_spread_ratios"}
@@ -100,7 +103,8 @@ def check_config_types(cfg: dict) -> None:
     an int takes an int and no bool, a float an int or a float, a string a
     string, and a list a list of such values, as many as its default holds
     (see ANY_LENGTH).  A key whose default is null takes null or the type
-    NULLABLE gives it."""
+    NULLABLE gives it.  A key in LEAST takes no integer below its least
+    value."""
     def fits(value, default, name) -> bool:
         if default is None:
             return value is None or fits(value, NULLABLE[name], name)
@@ -128,6 +132,9 @@ def check_config_types(cfg: dict) -> None:
             elif not fits(value, default, name):
                 raise ValidationError(f"config key {name!r} must be "
                                       f"{described(default, name)}, not {json.dumps(value)}")
+            elif name in LEAST and value is not None and value < LEAST[name]:
+                raise ValidationError(f"config key {name!r} must be at least "
+                                      f"{LEAST[name]}, not {value}")
     check(cfg, DEFAULT_CONFIG, "")
 
 
@@ -957,11 +964,7 @@ def run_validate(ws: Workspace) -> None:
 
     # baseline rankings and agreement
     rowsum = validate.row_sum_rank(d)[omega.indices]
-    imputed = DataMatrix(values=filled, mask=np.ones_like(filled, dtype=bool),
-                         feature_names=d.feature_names,
-                         point_ids=tuple(d.point_ids[i] for i in omega.indices),
-                         group_of=d.group_of, weight_of=d.weight_of)
-    weights, nnls_scores, kkt = validate.nnls_rank(imputed, f01)
+    weights, nnls_scores, kkt = validate.nnls_rank(filled, f01)
     f_score = lf.to_label_scale(f01)
     conf = validate.confusion(lf.values, f_score)
     report.add_section("baselines", {

@@ -371,12 +371,12 @@ def nnls(a: np.ndarray, b: np.ndarray):
     return x, kkt
 
 
-def nnls_rank(d: DataMatrix, target: np.ndarray):
-    """Nonnegative least-squares weights fitting ``target`` from the features.
+def nnls_rank(design: np.ndarray, target: np.ndarray):
+    """Nonnegative least-squares weights fitting ``target`` from the
+    feature columns of ``design``.
 
     Rows must be complete (imputed beforehand).
     """
-    design = d.values
     if not np.all(np.isfinite(design)):
         raise ValidationError("NNLS needs complete rows; impute missing entries first")
     weights, kkt = nnls(design, np.asarray(target, dtype=float))

@@ -1076,6 +1076,24 @@ def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, section, lea
                                        f"{expected}\n")
 
 
+@pytest.mark.parametrize("key, value, least, stage", [
+    ("kernel.r", 0, 1, "embed"), ("kernel.r", -2, 1, "embed"),
+    ("whiten.k", 0, 1, "standardize"), ("whiten.k", -3, 1, "standardize"),
+    ("net.epochs", -1, 0, "train")])
+def test_a_config_integer_below_its_least_exits_1(chain, tmp_path, capsys, key, value, least,
+                                                  stage):
+    # each of these ran to exit 0 on a bandwidth or an epoch count that means
+    # nothing, or crashed in an eigensolve
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    section, leaf = key.split(".")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, section: {**CONFIG.get(section, {}), leaf: value}}))
+    assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
+    assert capsys.readouterr().err == (f"error: config key {key!r} must be at least {least}, "
+                                       f"not {value}\n")
+
+
 def test_seed_level_and_k_nets_override_the_config_file(chain, tmp_path, monkeypatch):
     config, _, _, _ = chain         # net.k 5, pseudopoints.level 4, the default seeds
     seen = []

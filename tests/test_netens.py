@@ -607,104 +607,139 @@ class TestPoolMatchesSerialLoop:
             train_ensemble(X, g[:-1], check=never, K=3, hyper_ranges=small_ranges())
 
 
-def sleeper(seconds):
-    """A _train_net that sleeps and returns (net, pid); a helper passes it the
-    training tuple first, this process only the start."""
-    def train_net(*args):
-        time.sleep(seconds)
-        return args[-2], os.getpid()
-    return train_net
+def started(log) -> list[tuple[int, int]]:
+    """(pid, net) of each net started, in the order they were written to
+    ``log``."""
+    if not log.exists():
+        return []
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def fake_nets(monkeypatch, log, here, helper):
+    """Make train_ensemble's nets ints: starting net i appends "<pid> <i>" to
+    ``log`` and gives i, and training it calls ``here(i)`` in this process or
+    ``helper(i)`` in a helper and gives (i, pid, False, 0.0), which is
+    _train_net's (net, report, retried, seconds) with the pid as report."""
+    parent = os.getpid()
+
+    def start_net(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[-1]}\n")
+        return args[-1], None
+
+    def train_net(Xt, gt, pretrain_epochs, net, rng):
+        (here if os.getpid() == parent else helper)(net)
+        return net, os.getpid(), False, 0.0
+    monkeypatch.setattr(netens, "_start_net", start_net)
+    monkeypatch.setattr(netens, "_train_net", train_net)
+
+
+def wait_for_a_helper(log):
+    """Wait until a process other than this one has started a net."""
+    deadline = time.monotonic() + 30
+    while all(pid == os.getpid() for pid, _ in started(log)):
+        assert time.monotonic() < deadline, "no helper started a net"
+        time.sleep(0.001)
 
 
 class TestHandout:
-    """Which process trains which net of a round."""
+    """Which process trains which net of a round, as each takes the next
+    index from the shared counter."""
 
     @pytest.fixture(autouse=True)
     def two_processes(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(netens.os, "sched_getaffinity", lambda pid: {0, 1})
 
-    @pytest.mark.parametrize("helper_s, here_s, by_helper, min_wait", [
-        (1.0, 0.01, [0], 0.5),          # the helper holds net 0 while this process trains the rest
-        (0.02, 1.0, list(range(7)), 0.0),   # the helper is handed net after net
-    ])
-    def test_each_net_once_in_order(self, monkeypatch, helper_s, here_s, by_helper, min_wait):
-        monkeypatch.setattr(netens, "_train_net", sleeper(helper_s))
-        here = []
+    @pytest.mark.parametrize("slow_here", [False, True], ids=["slow_helper", "slow_here"])
+    def test_each_net_once_in_order(self, monkeypatch, tmp_path, slow_here):
+        # the slow process's nets take 1 s and the other's 10 ms: the slow
+        # one trains one net of the round while the other trains the rest,
+        # and this process waits for the helper only when the helper is slow
+        log = tmp_path / "started.log"
 
-        def train_here(net, rng):
-            here.append(net)
-            return sleeper(here_s)(net, rng)
-        starts = [(i, None) for i in range(8)]
-        with netens.forked_pool(1, (None, None, None)) as pool:
-            results, waited = netens._train_round(pool, 1, train_here, starts)
-        assert [net for net, _ in results] == list(range(8))
-        helper = [net for net, pid in results if pid != os.getpid()]
-        assert helper == by_helper
-        assert here == [i for i in reversed(range(8)) if i not in by_helper]
-        assert waited >= min_wait
+        def fast(i):
+            wait_for_a_helper(log)
+            time.sleep(0.01)
+
+        def slow(i):
+            time.sleep(1.0)
+        fake_nets(monkeypatch, log, here=slow if slow_here else fast,
+                  helper=fast if slow_here else slow)
+        X, g = separable_toy(seed=43)
+        e, record = train_ensemble(X, g, K=8, check=never)
+        assert e.nets == tuple(range(8)) and record.workers == 2
+        # each net is started once, by the process that trains it, and each
+        # process takes its nets in index order
+        assert dict((net, pid) for pid, net in started(log)) == dict(zip(e.nets, record.reports))
+        assert len(started(log)) == 8
+        for pid in set(record.reports):
+            assert [net for p, net in started(log) if p == pid] == \
+                [net for net, p in zip(e.nets, record.reports) if p == pid]
+        slow_pid = os.getpid() if slow_here else (set(record.reports) - {os.getpid()}).pop()
+        assert record.reports.count(slow_pid) == 1
+        assert (record.waited_s > 0.5) == (not slow_here)
         assert multiprocessing.active_children() == []
 
-    def test_more_helpers_than_cores_train_each_net_once(self, monkeypatch):
-        # three helpers on two cores, nets of a few ms, and a short switch
-        # interval: a lost update to the handout would train a net twice or
-        # leave one out
-        monkeypatch.setattr(netens, "_train_net", sleeper(0.003))
-        here = []
+    def test_more_helpers_than_cores_train_each_net_once(self, tmp_path):
+        # three helpers and this process on two cores, nets of 1-3 ms, and a
+        # short switch interval: a lost update to the counter would train a
+        # net twice or leave one out
+        log = tmp_path / "started.log"
 
-        def train_here(net, rng):
-            here.append(net)
-            return sleeper(0.001)(net, rng)
+        def train_net(i):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {i}\n")
+            time.sleep(0.001 * (1 + i % 3))
+            return os.getpid()
+        state = (multiprocessing.get_context("fork").Value("q", 0), train_net)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with netens.forked_pool(3, (None, None, None)) as pool:
-                for _ in range(3):
-                    results, _ = netens._train_round(pool, 3, train_here,
-                                                     [(i, None) for i in range(40)])
-                    helper = [net for net, pid in results if pid != os.getpid()]
-                    assert [net for net, _ in results] == list(range(40))
-                    assert sorted(helper + here) == list(range(40))
-                    here.clear()
+            with netens.forked_pool(3, state) as pool:
+                for lo, h in netens._rounds(40):
+                    tasks = [pool.submit(netens._take_nets, h) for _ in range(3)]
+                    trained = netens._take_nets(h, state)
+                    for task in tasks:
+                        trained += task.result(timeout=60)
+                    assert sorted(i for i, _ in trained) == list(range(lo, h))
         finally:
             sys.setswitchinterval(interval)
+        assert sorted(net for _, net in started(log)) == list(range(40))
         assert multiprocessing.active_children() == []
 
-    def test_no_net_is_handed_out_after_a_helper_error(self, monkeypatch, tmp_path, caplog):
-        log = tmp_path / "helper.log"
+    def test_no_net_is_handed_out_after_a_helper_error(self, monkeypatch, tmp_path):
+        # this process trains its first net until the helper's first net
+        # has raised; then neither process starts another
+        log = tmp_path / "started.log"
 
-        def train_net(*args):
-            with open(log, "a") as fh:
-                fh.write(f"{args[-2]}\n")
-            if args[-2] == 0:
-                raise RuntimeError("net 0 broke")
-            return sleeper(0.2)(*args)
-        monkeypatch.setattr(netens, "_train_net", train_net)
-        here = []
+        def here(i):
+            wait_for_a_helper(log)
+            time.sleep(0.3)
 
-        def train_here(net, rng):
-            here.append(net)
-            return sleeper(0.5)(net, rng)
-        with pytest.raises(RuntimeError, match="net 0 broke"):
-            with netens.forked_pool(1, (None, None, None)) as pool:
-                netens._train_round(pool, 1, train_here, [(i, None) for i in range(8)])
-        assert log.read_text() == "0\n" and here == [7]
+        def helper(i):
+            raise RuntimeError(f"net {i} broke")
+        fake_nets(monkeypatch, log, here=here, helper=helper)
+        X, g = separable_toy(seed=44)
+        with pytest.raises(RuntimeError, match="broke"):
+            train_ensemble(X, g, K=8, check=never)
+        pids = [pid for pid, _ in started(log)]
+        assert len(pids) == 2 and os.getpid() in pids and len(set(pids)) == 2
         assert multiprocessing.active_children() == []
-        assert not [r for r in caplog.records if "callback" in r.getMessage()]
 
-    def test_an_error_in_a_helper_fails_train_and_leaves_no_child(self, monkeypatch, caplog):
-        # the helper is handed net 0 first
-        real = netens._train_net
+    def test_an_error_in_net_0_fails_train_and_leaves_no_child(self, monkeypatch, tmp_path):
+        # every process appends each net it starts to the log
+        log = tmp_path / "started.log"
+        real, real_start = netens._train_net, netens._start_net
 
         def train_net(Xt, gt, pretrain_epochs, net, rng):
             if net.hyper.seed == 0:
                 raise RuntimeError("net 0 broke")
             return real(Xt, gt, pretrain_epochs, net, rng)
-        started = []
-        real_start = netens._start_net
 
         def start_net(*args):
-            started.append(args[-1])
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {args[-1]}\n")
             return real_start(*args)
         monkeypatch.setattr(netens, "_train_net", train_net)
         monkeypatch.setattr(netens, "_start_net", start_net)
@@ -712,9 +747,11 @@ class TestHandout:
         with pytest.raises(RuntimeError, match="net 0 broke"):
             train_ensemble(X, g, K=45, check=never, hyper_ranges=small_ranges(), epochs=15,
                            pretrain_epochs=3)
-        assert max(started) == 19
+        # a net is started only when a process takes it, so few of the
+        # round's 20 nets start before net 0 raises, and none past them
+        nets = [net for _, net in started(log)]
+        assert 0 in nets and max(nets) <= 19 and len(nets) < 20
         assert multiprocessing.active_children() == []
-        assert not [r for r in caplog.records if "callback" in r.getMessage()]
 
 
 class TestStoppingRule:

@@ -378,13 +378,9 @@ sys.modules["scipy"] = None
 sys.path.insert(0, {src!r})
 import numpy as np
 from expertmap import validate
-from expertmap.dataset import DataMatrix
 rng = np.random.default_rng(5)
 values = rng.normal(size=(40, 6))
-d = DataMatrix(values=values, mask=np.ones_like(values, dtype=bool),
-               feature_names=tuple("abcdef"), point_ids=tuple(map(str, range(40))),
-               group_of={{}}, weight_of={{}})
-weights, _, kkt = validate.nnls_rank(d, values @ {truth!r})
+weights, _, kkt = validate.nnls_rank(values, values @ {truth!r})
 print(json.dumps([weights.tolist(), kkt]))
 """
         truth = [1.0, 0.0, 2.0, 0.0, 0.5, 0.0]
@@ -396,9 +392,8 @@ print(json.dumps([weights.tolist(), kkt]))
         assert kkt <= 1e-9
 
     def test_nnls_rank_requires_complete_rows(self):
-        d = matrix_from([[1.0, np.nan], [2.0, 3.0]])
         with pytest.raises(ValidationError, match="impute"):
-            nnls_rank(d, np.array([1.0, 2.0]))
+            nnls_rank(np.array([[1.0, np.nan], [2.0, 3.0]]), np.array([1.0, 2.0]))
 
 
 class TestConfusion:
