@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, ReferenceSet, write_json
+from .dataset import DataMatrix, write_json
 from .errors import InternalError, ValidationError
 from . import spectral
 
@@ -98,19 +98,17 @@ def depth_for(n: int, depth: int | None) -> int:
     return max(1, min(d, int(math.floor(math.log2(n))) + 1)) if n > 1 else 1
 
 
-def cosine_affinity(omega: ReferenceSet, d: DataMatrix) -> spectral.Kernel:
-    """Cosine affinity over jointly observed entries, mapped onto [0, 1].
+def cosine_affinity(ref: DataMatrix) -> spectral.Kernel:
+    """Cosine affinity of the reference rows ``ref`` over jointly observed
+    entries, mapped onto [0, 1].
 
     Cosine c becomes (c + 1) / 2, and the diagonal is 1.  A pair with empty
     joint support is a hard error (the reference set is supposed to
     guarantee overlap); a pair where either restricted norm is 0 gets
     cosine 0.
     """
-    filled = d.values[omega.indices]      # gathered: a copy of the rows
-    mask = d.mask[omega.indices]
-    filled[~mask] = 0.0
-    msk = mask.astype(float)
-    del mask
+    filled = np.where(ref.mask, ref.values, 0.0)
+    msk = ref.mask.astype(float)
 
     support = msk @ msk.T
     np.fill_diagonal(support, 1.0)
@@ -337,17 +335,17 @@ def impute_matrix(rows: np.ndarray, tree: PartitionTree) -> np.ndarray:
     return out
 
 
-def coupled_refine(omega: ReferenceSet, d: DataMatrix, depth: int | None, beta: float):
-    """Points tree from the cosine affinity, then observation tree from the
-    tree EMD (level-weight exponent ``beta``) of the columns imputed against
-    the points tree; ``depth`` as in ``build_partition_tree``.
+def coupled_refine(ref: DataMatrix, depth: int | None, beta: float):
+    """Points tree from the cosine affinity of the reference rows ``ref``, then
+    observation tree from the tree EMD (level-weight exponent ``beta``) of the
+    columns imputed against the points tree; ``depth`` as in ``build_partition_tree``.
 
     Each tree is built once.  Returns (points tree, observation tree, the
     cosine affinity the points tree is built from).
     """
-    a_pts = cosine_affinity(omega, d)
+    a_pts = cosine_affinity(ref)
     points_tree = build_partition_tree(a_pts, depth, axis="points")
-    cols = impute_matrix(d.values[omega.indices].T, points_tree)   # observations over points
+    cols = impute_matrix(ref.values.T, points_tree)   # observations over points
     a_obs = emd_affinity(points_tree, cols, beta)
     obs_tree = build_partition_tree(a_obs, depth, axis="observations")
     return points_tree, obs_tree, a_pts

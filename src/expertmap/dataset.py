@@ -65,13 +65,10 @@ class DataMatrix:
         """Number of unobserved entries per point."""
         return (~self.mask).sum(axis=1)
 
-
-@dataclass(frozen=True)
-class ReferenceSet:
-    """Points with at most eta unobserved entries, sorted ascending; eta is
-    the threshold ``select_reference`` was given."""
-
-    indices: np.ndarray
+    def rows(self, indices: np.ndarray) -> "DataMatrix":
+        """The points at ``indices``, gathered: a copy of their rows."""
+        return replace(self, values=self.values[indices], mask=self.mask[indices],
+                       point_ids=tuple(self.point_ids[i] for i in indices))
 
 
 def read_json_object(path, what: str, object_hook=None) -> dict:
@@ -358,8 +355,9 @@ def depolarize(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _fix_sign(eigvecs[:, -1]) < 0.0
 
 
-def select_reference(d: DataMatrix, eta: int) -> ReferenceSet:
-    """All points with at most ``eta`` unobserved entries."""
+def select_reference(d: DataMatrix, eta: int) -> np.ndarray:
+    """The indices, ascending, of all points with at most ``eta`` unobserved
+    entries: the reference set."""
     if not 0 <= eta <= d.n_features:
         raise ValidationError(f"eta must be in [0, {d.n_features}], got {eta}")
     missing = d.missing_counts()
@@ -367,7 +365,7 @@ def select_reference(d: DataMatrix, eta: int) -> ReferenceSet:
     if len(indices) == 0:
         raise ValidationError(f"no point has <= {eta} missing entries "
                               f"(minimum observed is {int(missing.min())}); increase eta")
-    return ReferenceSet(indices=indices)
+    return indices
 
 
 @dataclass(frozen=True)

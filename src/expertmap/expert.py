@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cogeometry import PartitionTree, impute_matrix
-from .dataset import DataMatrix, ReferenceSet, open_csv, write_table
+from .dataset import DataMatrix, open_csv, write_table
 from .errors import InternalError, ValidationError
 
 
@@ -46,18 +46,18 @@ class LabelFunction:
         return lo + np.asarray(rescaled_values, dtype=float) * (hi - lo)
 
 
-def extract_pseudopoints(tree: PartitionTree, level: int, omega: ReferenceSet,
-                         d: DataMatrix, obs_tree: PartitionTree) -> PseudopointSet:
-    """Centroids over observed entries of every folder at ``level``.
+def extract_pseudopoints(tree: PartitionTree, level: int, ref: DataMatrix,
+                         obs_tree: PartitionTree) -> PseudopointSet:
+    """Centroids over observed entries of every folder at ``level``, a
+    folder's members being rows of ``ref``, the reference rows.
 
     A centroid cell that no member observes is filled by imputing the
     partial centroid against the observation tree and flagged.
     """
     folders = tree.folders_at(level)
-    rows = d.values[omega.indices]
-    mask = d.mask[omega.indices]
+    rows, mask = ref.values, ref.mask
 
-    centroids = np.empty((len(folders), d.n_features))
+    centroids = np.empty((len(folders), ref.n_features))
     counts = []
     imputed_cells: list[tuple[int, int]] = []
     for j, folder in enumerate(folders):
@@ -77,7 +77,7 @@ def extract_pseudopoints(tree: PartitionTree, level: int, omega: ReferenceSet,
 
     return PseudopointSet(folder_ids=tuple(range(len(folders))),
                           centroids=centroids, member_counts=tuple(counts),
-                          feature_names=d.feature_names,
+                          feature_names=ref.feature_names,
                           imputed_cells=tuple(imputed_cells))
 
 
@@ -145,22 +145,22 @@ def import_labels(path, ps: PseudopointSet, score_min: float = 1.0,
 
 
 def propagate_labels(scores: dict[int, float], tree: PartitionTree, level: int,
-                     omega: ReferenceSet, d: DataMatrix) -> LabelFunction:
-    """Assign each reference point its folder's score; rescale into [0, 1].
+                     ref: DataMatrix) -> LabelFunction:
+    """Assign each reference point, a row of ``ref``, its folder's score;
+    rescale into [0, 1].
 
     ``scores`` must hold a score for every folder at ``level``, as
     ``import_labels`` checks.
     """
-    g = np.empty(len(omega.indices))
+    g = np.empty(ref.n_points)
     folder_of = tree.folder_of(level)
-    for pos in range(len(omega.indices)):
+    for pos in range(ref.n_points):
         g[pos] = scores[int(folder_of[pos])]
 
-    ids = tuple(d.point_ids[i] for i in omega.indices)
     lo, hi = float(g.min()), float(g.max())
     if hi > lo:
         rescaled = (g - lo) / (hi - lo)
-        return LabelFunction(point_ids=ids, values=g, rescaled=rescaled,
+        return LabelFunction(point_ids=ref.point_ids, values=g, rescaled=rescaled,
                              scale=(lo, hi))
-    return LabelFunction(point_ids=ids, values=g, rescaled=np.full_like(g, 0.5),
+    return LabelFunction(point_ids=ref.point_ids, values=g, rescaled=np.full_like(g, 0.5),
                          degenerate=True, scale=(lo, hi))

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import shutil
 import types
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cogeometry, expert, netens, spectral, synth as synthmod, validate, whiten
-from .dataset import (DataMatrix, JsonArtifact, ReferenceSet, StandardizationParams,
+from .dataset import (DataMatrix, JsonArtifact, StandardizationParams,
                       formatted_cells, iter_matrix, load_matrix, preprocess, read_json_object,
                       save_matrix, select_reference, staged, write_json, write_table)
 from .errors import ParseError, ValidationError
@@ -53,13 +54,16 @@ DEFAULT_CONFIG = {
 }
 
 
-def merge_config(overrides: dict | None) -> dict:
-    """DEFAULT_CONFIG updated from nested overrides; an unknown key is an error."""
+def merge_config(overrides: dict, base: dict = DEFAULT_CONFIG) -> dict:
+    """``base``, a merged config, updated from nested overrides; an unknown
+    key, or one under a key that is not a section, is an error."""
     def deep(base, over, prefix):
         out = dict(base)
-        for key, value in (over or {}).items():
-            if key not in base:
-                # of an unknown section, the first key it sets is named
+        for key, value in over.items():
+            if key not in base or (isinstance(value, dict) and value
+                                   and not isinstance(base[key], dict)):
+                # of an unknown section or a leaf given keys, the first key
+                # it sets is named
                 name = prefix + key
                 while isinstance(value, dict) and value:
                     sub, value = next(iter(value.items()))
@@ -72,14 +76,17 @@ def merge_config(overrides: dict | None) -> dict:
             else:
                 out[key] = value
         return out
-    return deep(DEFAULT_CONFIG, overrides or {}, "")
+    return deep(base, overrides, "")
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    cfg = {} if path is None else read_json_object(path, "config file")
-    cfg = merge_config(cfg)
-    if overrides:
-        cfg = merge_config_into(cfg, overrides)
+    """The config file at ``path`` merged into DEFAULT_CONFIG, then each of
+    ``overrides``, a dotted key and its value, merged into that."""
+    cfg = merge_config({} if path is None else read_json_object(path, "config file"))
+    for dotted, value in (overrides or {}).items():
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        cfg = merge_config(value, cfg)
     check_config_types(cfg)
     return cfg
 
@@ -87,9 +94,15 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 # The type of each config key whose default is null, as a value of it: the
 # key takes null or a value of that type.
 NULLABLE = {"eta": 0, "tree.depth": 0, "whiten.k": 0, "paths.schema": ""}
-# The least value of each integer key that has one; null, where a key
-# takes it, is not held to it.
-LEAST = {"kernel.r": 1, "whiten.k": 1, "net.epochs": 0}
+# The least value of each number key that has one, and of each end of a
+# range key; null, where a key takes it, is not held to it.
+LEAST = {"kernel.r": 1, "whiten.k": 1, "net.epochs": 0, "net.h1": 1, "net.h2": 1,
+         "net.dropout": 0}
+# The value that each end of a range key must be above, or below.
+ABOVE = {"net.weight_decay": 0}
+BELOW = {"net.dropout": 1}
+# The ranges [lo, hi], lo <= hi, that train draws each net's hyperparameters from
+RANGES = ("net.h1", "net.h2", "net.dropout", "net.weight_decay")
 # A list key whose length another key sets (synth.n_clusters), which
 # SynthConfig checks; every other list key takes as many values as its default.
 ANY_LENGTH = {"synth.cluster_spread_ratios"}
@@ -103,8 +116,9 @@ def check_config_types(cfg: dict) -> None:
     an int takes an int and no bool, a float an int or a float, a string a
     string, and a list a list of such values, as many as its default holds
     (see ANY_LENGTH).  A key whose default is null takes null or the type
-    NULLABLE gives it.  A key in LEAST takes no integer below its least
-    value."""
+    NULLABLE gives it.  A value, or each end of a range, must keep the
+    bounds of LEAST, ABOVE and BELOW, and a range must not end below its
+    start."""
     def fits(value, default, name) -> bool:
         if default is None:
             return value is None or fits(value, NULLABLE[name], name)
@@ -124,6 +138,16 @@ def check_config_types(cfg: dict) -> None:
             return f"a list of {count}{TYPE_NAMES[type(default[0])][1]}"
         return TYPE_NAMES[type(default)][0]
 
+    def short_of(value, name) -> str | None:
+        """The bound of the key ``name`` that ``value`` does not keep, if any."""
+        if name in LEAST and not value >= LEAST[name]:
+            return f"at least {LEAST[name]}"
+        if name in ABOVE and not value > ABOVE[name]:
+            return f"above {ABOVE[name]}"
+        if name in BELOW and not value < BELOW[name]:
+            return f"below {BELOW[name]}"
+        return None
+
     def check(node: dict, base: dict, prefix: str) -> None:
         for key, default in base.items():
             name, value = prefix + key, node[key]
@@ -132,24 +156,15 @@ def check_config_types(cfg: dict) -> None:
             elif not fits(value, default, name):
                 raise ValidationError(f"config key {name!r} must be "
                                       f"{described(default, name)}, not {json.dumps(value)}")
-            elif name in LEAST and value is not None and value < LEAST[name]:
-                raise ValidationError(f"config key {name!r} must be at least "
-                                      f"{LEAST[name]}, not {value}")
+            elif name in RANGES:
+                bound = short_of(value[0], name) or short_of(value[1], name)
+                if bound or not value[0] <= value[1]:
+                    what = f"have each end {bound}" if bound else "not end below its start"
+                    raise ValidationError(f"config key {name!r} must {what}, "
+                                          f"not {json.dumps(value)}")
+            elif value is not None and (bound := short_of(value, name)):
+                raise ValidationError(f"config key {name!r} must be {bound}, not {value}")
     check(cfg, DEFAULT_CONFIG, "")
-
-
-def merge_config_into(cfg: dict, overrides: dict) -> dict:
-    """A copy of cfg with dotted-key overrides; a key cfg lacks is an error."""
-    out = json.loads(json.dumps(cfg))
-    for dotted, value in overrides.items():
-        node = out
-        *parents, leaf = dotted.split(".")
-        for part in parents:
-            node = node.get(part) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or leaf not in node:
-            raise ValidationError(f"unknown config key {dotted!r}")
-        node[leaf] = value
-    return out
 
 
 def config_hash(cfg: dict) -> str:
@@ -400,9 +415,9 @@ def read_embedding(ws: Workspace, name: str) -> tuple[list[str], spectral.Embedd
 # ---------------------------------------------------------------------------
 # shared loading logic
 
-def _reference(ref: JsonArtifact, n_points: int) -> tuple[ReferenceSet, np.ndarray]:
-    """The reference set and the polarity flips in the reference file of a
-    preprocessed matrix of ``n_points`` rows."""
+def _reference(ref: JsonArtifact, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reference set's row indices and the polarity flips in the
+    reference file of a preprocessed matrix of ``n_points`` rows."""
     # the row indices preprocess wrote: whole numbers in ascending order,
     # each a row of preprocessed.csv
     indices = ref["indices"]
@@ -415,32 +430,35 @@ def _reference(ref: JsonArtifact, n_points: int) -> tuple[ReferenceSet, np.ndarr
         if k and i <= indices[k - 1]:
             raise ValueError(f"index {i} at position {k} does not follow "
                              f"{indices[k - 1]} in ascending order")
-    return (ReferenceSet(indices=np.asarray(indices, dtype=np.int64)),
+    return (np.asarray(indices, dtype=np.int64),
             np.asarray(ref["polarity_flips"], dtype=bool))
 
 
-def _load_preprocessed(ws: Workspace) -> tuple[DataMatrix, ReferenceSet]:
+def _load_reference(ws: Workspace) -> tuple[DataMatrix, np.ndarray]:
+    """The reference rows of the preprocessed data, gathered, and the
+    polarity flips, read from preprocessed.csv and reference.json in that
+    order."""
     schema = ws.cfg["paths"].get("schema")
     if schema is not None:
         # read here, so that the schema's content, not its path, keys the read
         schema = read_json_object(schema, "schema file")
     d = ws.read("preprocessed.csv", load_matrix, schema)
-    omega, _ = ws.read_json("reference.json", "reference file", _reference, d.n_points)
-    return d, omega
+    indices, flips = ws.read_json("reference.json", "reference file", _reference, d.n_points)
+    return d.rows(indices), flips
 
 
 def _load_tree(ws: Workspace, name: str) -> cogeometry.PartitionTree:
     return ws.read_json(name, "partition tree file", cogeometry.PartitionTree.from_json)
 
 
-def _reference_rows(ws: Workspace) -> tuple[DataMatrix, ReferenceSet,
-                                              cogeometry.PartitionTree, np.ndarray]:
-    """The preprocessed data, its reference set, the observation tree and
-    the reference rows imputed from that tree, read from preprocessed.csv,
-    reference.json and obs_tree.json in that order."""
-    d, omega = _load_preprocessed(ws)
+def _reference_rows(ws: Workspace) -> tuple[DataMatrix, cogeometry.PartitionTree,
+                                              np.ndarray]:
+    """The reference rows, the observation tree and the reference rows
+    imputed from that tree, read from preprocessed.csv, reference.json and
+    obs_tree.json in that order."""
+    ref, _ = _load_reference(ws)
     obs_tree = _load_tree(ws, "obs_tree.json")
-    return d, omega, obs_tree, cogeometry.impute_matrix(d.values[omega.indices], obs_tree)
+    return ref, obs_tree, cogeometry.impute_matrix(ref.values, obs_tree)
 
 
 def _load_label_function(ws: Workspace) -> expert.LabelFunction:
@@ -529,19 +547,19 @@ def run_preprocess(ws: Workspace) -> None:
     eta = ws.cfg["eta"]
     if eta is None:
         eta = int(0.1 * raw.n_features)
-    omega = select_reference(processed, eta)
+    indices = select_reference(processed, eta)
 
     save_matrix(processed, ws.path("preprocessed.csv"))
     write_json(ws.path("scaler.json"), params.to_json())
-    write_json(ws.path("reference.json"), {"eta": eta, "indices": omega.indices.tolist(),
+    write_json(ws.path("reference.json"), {"eta": eta, "indices": indices.tolist(),
                                            "polarity_flips": params.flip.astype(int).tolist()})
     ws.record("preprocess")
 
 
 def run_organize(ws: Workspace) -> None:
-    d, omega = _load_preprocessed(ws)
+    ref, _ = _load_reference(ws)
     points_tree, obs_tree, affinity = cogeometry.coupled_refine(
-        omega, d, ws.cfg["tree"]["depth"], ws.cfg["tree"]["beta"])
+        ref, ws.cfg["tree"]["depth"], ws.cfg["tree"]["beta"])
     points_tree.save(ws.path("points_tree.json"))
     obs_tree.save(ws.path("obs_tree.json"))
     np.save(ws.path("affinity.npy"), affinity.entries)
@@ -549,18 +567,17 @@ def run_organize(ws: Workspace) -> None:
 
 
 def _pseudopoints(ws: Workspace):
-    d, omega = _load_preprocessed(ws)
+    ref, flips = _load_reference(ws)
     points_tree = _load_tree(ws, "points_tree.json")
     obs_tree = _load_tree(ws, "obs_tree.json")
     level = min(int(ws.cfg["pseudopoints"]["level"]), points_tree.depth)
-    ps = expert.extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
-    return d, omega, points_tree, obs_tree, level, ps
+    ps = expert.extract_pseudopoints(points_tree, level, ref, obs_tree=obs_tree)
+    return ref, flips, points_tree, level, ps
 
 
 def run_pseudopoints_export(ws: Workspace) -> None:
     """Centroid CSV for the expert, shown in the input data's original signs."""
-    d, *_, ps = _pseudopoints(ws)
-    _, flips = ws.read_json("reference.json", "reference file", _reference, d.n_points)
+    _, flips, *_, ps = _pseudopoints(ws)
     expert.export_centroids(ps, ws.path("pseudopoints.csv"), flip=flips)
     # centroid cells no member observes, filled from the observation tree
     ws.record("pseudopoints export",
@@ -574,7 +591,7 @@ def run_pseudopoints_import(ws: Workspace, labels_path) -> None:
 
 def _import_labels(ws: Workspace, loaded, labels_path) -> None:
     """Import step on what ``_pseudopoints`` already loaded."""
-    d, omega, points_tree, _, level, ps = loaded
+    ref, _, points_tree, level, ps = loaded
     ws.require("pseudopoints.csv")
     labels_path = labels_path or ws.cfg["paths"]["labels"]
     labels_file = Path(labels_path)
@@ -587,7 +604,7 @@ def _import_labels(ws: Workspace, loaded, labels_path) -> None:
     scores = expert.import_labels(labels_file, ps,
                                   score_min=ws.cfg["pseudopoints"]["score_min"],
                                   score_max=ws.cfg["pseudopoints"]["score_max"])
-    lf = expert.propagate_labels(scores, points_tree, level, omega, d)
+    lf = expert.propagate_labels(scores, points_tree, level, ref)
     write_table(ws.path("label_function.csv"), ["point_id", "g_score", "g_rescaled"],
                 _rows(lf.point_ids, np.column_stack((lf.values, lf.rescaled))))
     if labels_file != ws.path("labels.csv"):
@@ -595,28 +612,32 @@ def _import_labels(ws: Workspace, loaded, labels_path) -> None:
 
 
 def _truth(truth: JsonArtifact, ref_ids: tuple[str, ...]) -> dict:
-    """Point id -> ground truth, from the truth file; it must hold one for
-    each of ``ref_ids``, the reference points' ids."""
+    """Point id -> ground truth, from the truth file; it must hold a finite
+    number, an int or a float but no bool, for each of ``ref_ids``, the
+    reference points' ids."""
     ids, values = truth["point_ids"], truth["ground_truth"]
     if len(ids) != len(values):
         raise ValidationError(f"{truth.where} has {len(ids)} point_ids but "
                               f"{len(values)} ground_truth values")
     by_id = dict(zip(ids, values))
-    missing = [pid for pid in ref_ids if pid not in by_id]
-    if missing:
-        raise ValidationError(f"{truth.where} has no ground truth for reference "
-                              f"point {missing[0]!r}")
+    for pid in ref_ids:
+        if pid not in by_id:
+            raise ValidationError(f"{truth.where} has no ground truth for reference "
+                                  f"point {pid!r}")
+        value = by_id[pid]
+        if not (type(value) is int or (type(value) is float and math.isfinite(value))):
+            raise ValidationError(f"{truth.where}: the ground truth of reference point "
+                                  f"{pid!r} is {json.dumps(value)}, not a finite number")
     return by_id
 
 
 def run_pseudopoints_auto(ws: Workspace) -> None:
     """Label folders from the ground-truth sidecar (synthetic runs only)."""
     loaded = _pseudopoints(ws)
-    d, omega, points_tree, _, level, ps = loaded
+    ref, _, points_tree, level, ps = loaded
 
-    ref_ids = tuple(d.point_ids[i] for i in omega.indices)
-    by_id = ws.read_json("truth.json", "truth file", _truth, ref_ids)
-    gt = np.asarray([by_id[pid] for pid in ref_ids])
+    by_id = ws.read_json("truth.json", "truth file", _truth, ref.point_ids)
+    gt = np.asarray([by_id[pid] for pid in ref.point_ids])
 
     lo, hi = ws.cfg["pseudopoints"]["score_min"], ws.cfg["pseudopoints"]["score_max"]
     folder_means = np.array([gt[list(folder)].mean()
@@ -634,7 +655,7 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
 
 
 def run_train(ws: Workspace) -> None:
-    d, omega, _, filled = _reference_rows(ws)
+    ref, _, filled = _reference_rows(ws)
     lf = _load_label_function(ws)
 
     net_cfg = ws.cfg["net"]
@@ -646,7 +667,7 @@ def run_train(ws: Workspace) -> None:
         master_seed=int(net_cfg["master_seed"]), epochs=int(net_cfg["epochs"]),
         learning_rate=float(net_cfg["learning_rate"]),
         pretrain_epochs=int(net_cfg["pretrain_epochs"]),
-        train_rows=d.mask[omega.indices].all(axis=1), check=_round_check(ws, filled))
+        train_rows=ref.mask.all(axis=1), check=_round_check(ws, filled))
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
     f01 = netens.ensemble_rank(ensemble, filled)
@@ -669,11 +690,10 @@ def run_train(ws: Workspace) -> None:
 
 
 def run_embed(ws: Workspace) -> None:
-    d, omega, _, filled = _reference_rows(ws)
+    ref, _, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
     emb = _diffusion(ws, _kernel(ws, netens.representation(ensemble, filled)))
-    ids = [d.point_ids[i] for i in omega.indices]
-    write_embedding(ws.path("embedding.csv"), ws.path("embedding.json"), ids, emb)
+    write_embedding(ws.path("embedding.csv"), ws.path("embedding.json"), ref.point_ids, emb)
     ws.record("embed")
 
 
@@ -714,21 +734,10 @@ def _slices(rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [rows])]
 
 
-@contextlib.contextmanager
-def _staged_tables(ws: Workspace, headers: dict[str, list[str]]):
-    """A text file for each artifact named in ``headers``, its header row
-    written, staged by ``dataset.staged``: the artifacts are replaced only
-    when the block exits cleanly."""
-    with staged(*map(ws.path, headers)) as files:
-        files = dict(zip(headers, files))
-        for name, header in headers.items():
-            csv.writer(files[name]).writerow(header)
-        yield files
-
-
 @dataclass(frozen=True)
 class _ExtendState:
-    """The reference state that each block of new points is extended on."""
+    """The reference state that each block of new points is extended on; a
+    helper holds it as netens.helper_state."""
     params: StandardizationParams
     obs_tree: cogeometry.PartitionTree
     ensemble: netens.NetEnsemble
@@ -739,14 +748,16 @@ class _ExtendState:
     lf: expert.LabelFunction
 
 
-def _extend_block(state: _ExtendState, ids, values, mask, files):
-    """Extend one block of new points and write its rows to ``files``, a
-    text stream for each extended_*.csv artifact.
+def _extend_block(ids, values, mask, state: _ExtendState | None = None):
+    """Extend one block of new points on ``state``, or on netens.helper_state
+    in a helper.
 
     Returns, for the cross kernel and the one-sided one, the largest of the
     block's nearest exponents (see run_extend) and how many of its points
-    have one above 1.
+    have one above 1; and the CSV text of the block's rows for each
+    extended_*.csv artifact, in STAGES order.
     """
+    state = state or netens.helper_state
     new_filled = cogeometry.impute_matrix(state.params.transform(values, mask), state.obs_tree)
     # the exponents d^2 / sigma^2, formed a slice at a time: only a slice's
     # representation is held
@@ -763,20 +774,14 @@ def _extend_block(state: _ExtendState, ids, values, mask, files):
     del cross
     psi, nearest_one_sided = whiten.extend_standardized(state.lm, state.emb, state.std_emb,
                                                         coords)
-    csv.writer(files["extended_embedding.csv"]).writerows(_rows(ids, coords))
-    csv.writer(files["extended_std_embedding.csv"]).writerows(_rows(ids, psi))
-    csv.writer(files["extended_ranking.csv"]).writerows(
-        _rows(ids, np.column_stack((f01, state.lf.to_label_scale(f01)))))
-    return {kind: (e.max(), int(np.count_nonzero(e > 1.0)))
-            for kind, e in (("cross", nearest_cross), ("one_sided", nearest_one_sided))}
-
-
-def _extend_in_helper(ids, values, mask):
-    """_extend_block in a helper, whose state is the _ExtendState: its
-    diagnostics and the text of its rows for each artifact it wrote to."""
-    files = collections.defaultdict(io.StringIO)
-    outcome = _extend_block(netens.helper_state, ids, values, mask, files)
-    return outcome, {name: fh.getvalue() for name, fh in files.items()}
+    texts = []
+    for table in (coords, psi, np.column_stack((f01, state.lf.to_label_scale(f01)))):
+        text = io.StringIO()
+        csv.writer(text).writerows(_rows(ids, table))
+        texts.append(text.getvalue())
+    nearest = {kind: (e.max(), int(np.count_nonzero(e > 1.0)))
+               for kind, e in (("cross", nearest_cross), ("one_sided", nearest_one_sided))}
+    return nearest, texts
 
 
 def run_extend(ws: Workspace, new_points_path) -> None:
@@ -786,7 +791,8 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     rows.  Each block is transformed, imputed and passed once through the
     ensemble; then its cross kernel on the reference representation, its
     Nystrom coordinates and its standardized extension are formed, and its
-    rows are appended to the three outputs (_extend_block).
+    rows are formatted as CSV text (_extend_block), which this process
+    appends to the three outputs.
 
     This process reads and parses the blocks, and extends the first one
     itself.  When netens.worker_count() allows more than one process, it
@@ -821,7 +827,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     """
     if not Path(new_points_path).is_file():
         raise ValidationError(f"new points file not found: {new_points_path}")
-    d, _, obs_tree, filled = _reference_rows(ws)
+    ref, obs_tree, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
     _, emb = read_embedding(ws, "embedding")
     _, std_emb = read_embedding(ws, "std_embedding")
@@ -842,41 +848,37 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     nearest_max = {"cross": -np.inf, "one_sided": -np.inf}
     beyond = {"cross": 0, "one_sided": 0}
 
-    def add(outcome) -> None:
-        for kind, (nearest, count) in outcome.items():
-            nearest_max[kind] = np.maximum(nearest_max[kind], nearest)
-            beyond[kind] += count
-
-    headers = {"extended_embedding.csv": _coords_header(emb.dim),
-               "extended_std_embedding.csv": _coords_header(std_emb.dim),
-               "extended_ranking.csv": RANKING_HEADER}
-    with _staged_tables(ws, headers) as files, contextlib.ExitStack() as stack:
+    with staged(*map(ws.path, STAGES["extend"])) as files, contextlib.ExitStack() as stack:
+        for fh, header in zip(files, (_coords_header(emb.dim), _coords_header(std_emb.dim),
+                                      RANKING_HEADER)):
+            csv.writer(fh).writerow(header)
         pool = None
         pending = collections.deque()     # the future of each block in flight
 
-        def settle():
-            outcome, texts = pending.popleft().result()
-            add(outcome)
-            for name, text in texts.items():
-                files[name].write(text)
+        def write(outcome, texts) -> None:
+            for kind, (nearest, count) in outcome.items():
+                nearest_max[kind] = np.maximum(nearest_max[kind], nearest)
+                beyond[kind] += count
+            for fh, text in zip(files, texts):
+                fh.write(text)
 
         for names, ids, values, mask in iter_matrix(new_points_path, EXTEND_BLOCK):
             first_block = n_new == 0
             n_new += len(ids)
-            mismatch = names != d.feature_names
+            mismatch = names != ref.feature_names
             empty += [pid for pid, seen in zip(ids, mask.any(axis=1).tolist()) if not seen]
             if mismatch or empty:
                 continue
             if first_block or workers == 1:
-                add(_extend_block(state, ids, values, mask, files))
+                write(*_extend_block(ids, values, mask, state))
                 continue
             if pool is None:
                 pool = stack.enter_context(netens.forked_pool(workers, state))
-            pending.append(pool.submit(_extend_in_helper, ids, values, mask))
+            pending.append(pool.submit(_extend_block, ids, values, mask))
             while len(pending) > workers:
-                settle()
+                write(*pending.popleft().result())
         while pending and not (mismatch or empty):
-            settle()
+            write(*pending.popleft().result())
 
         if mismatch:
             raise ValidationError("new-point features do not match the training data")
@@ -898,12 +900,13 @@ def run_extend(ws: Workspace, new_points_path) -> None:
 
 
 def run_validate(ws: Workspace) -> None:
-    d, omega, _, filled = _reference_rows(ws)
+    ref, _, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
     lf = _load_label_function(ws)
     ids, emb = read_embedding(ws, "embedding")
 
-    report = validate.ValidationReport()
+    sections: dict[str, dict] = {}
+    tables: dict[str, tuple[list[str], list[list]]] = {}    # name -> (header, rows)
 
     rep, f01 = netens.ensemble_forward(ensemble, filled)
     dnn_kernel = _kernel(ws, rep)
@@ -913,77 +916,73 @@ def run_validate(ws: Workspace) -> None:
     # neighborhood concentration under both metrics
     mass_dnn = validate.neighborhood_mass(dnn_kernel)
     mass_euc = validate.neighborhood_mass(euclid_kernel)
-    report.add_section("neighborhood_mass", {
+    sections["neighborhood_mass"] = {
         "dnn": {"mean": mass_dnn.mean, "sd": mass_dnn.sd},
-        "euclidean": {"mean": mass_euc.mean, "sd": mass_euc.sd}})
-    report.add_table("neighborhood_mass", ["point_id", "dnn_count", "euclid_count"],
-                     [[pid, int(mass_dnn.counts[i]), int(mass_euc.counts[i])]
-                      for i, pid in enumerate(ids)])
+        "euclidean": {"mean": mass_euc.mean, "sd": mass_euc.sd}}
+    tables["neighborhood_mass"] = (["point_id", "dnn_count", "euclid_count"],
+                                   [[pid, int(mass_dnn.counts[i]), int(mass_euc.counts[i])]
+                                    for i, pid in enumerate(ids)])
 
     # spectral dimensions; the euclidean kernel serves no other section
     dim_dnn, t_dnn, curve_dnn = validate.spectral_dimension(dnn_kernel)
     dim_euc, t_euc, curve_euc = validate.spectral_dimension(euclid_kernel)
     del euclid_kernel
-    report.add_section("spectral_dimension", {
+    sections["spectral_dimension"] = {
         "dnn": {"dim": dim_dnn, "t": t_dnn},
-        "euclidean": {"dim": dim_euc, "t": t_euc}})
+        "euclidean": {"dim": dim_euc, "t": t_euc}}
     n_curve = min(len(curve_dnn), len(curve_euc), 60)
-    report.add_table("eigencurve", ["index", "dnn", "euclidean"],
-                     [[i + 1, _fmt(curve_dnn[i]), _fmt(curve_euc[i])]
-                      for i in range(n_curve)])
+    tables["eigencurve"] = (["index", "dnn", "euclidean"],
+                            [[i + 1, _fmt(curve_dnn[i]), _fmt(curve_euc[i])]
+                             for i in range(n_curve)])
 
     # per-feature smoothness in the DNN diffusion space
-    features = {name: filled[:, k] for k, name in enumerate(d.feature_names)}
+    features = {name: filled[:, k] for k, name in enumerate(ref.feature_names)}
     features["quality_function"] = lf.values
     table = validate.feature_lipschitz(emb.coordinates, features)
-    report.add_table("lipschitz", ["feature", "lipschitz_constant"],
-                     [[name, _fmt(val)] for name, val in table.rows])
-    report.add_section("lipschitz", {
-        "quality_function": table.constant("quality_function"),
-        "degenerate": list(table.degenerate)})
+    tables["lipschitz"] = (["feature", "lipschitz_constant"],
+                           [[name, _fmt(val)] for name, val in table.rows])
+    sections["lipschitz"] = {"quality_function": table.constant("quality_function"),
+                             "degenerate": list(table.degenerate)}
 
     # affinity histograms split by label agreement
     hist = validate.affinity_histograms(dnn_kernel.entries, lf.values)
-    report.add_table("histograms", ["threshold", "count_unequal", "ratio",
-                                    "survivors_unequal", "survivors_equal"],
-                     [[_fmt(hist.thresholds[i]), int(hist.hist_unequal[i]),
-                       _fmt(hist.ratio[i]) if np.isfinite(hist.ratio[i]) else "",
-                       int(hist.survivors_unequal[i]), int(hist.survivors_equal[i])]
-                      for i in range(len(hist.thresholds))])
+    tables["histograms"] = (["threshold", "count_unequal", "ratio",
+                             "survivors_unequal", "survivors_equal"],
+                            [[_fmt(hist.thresholds[i]), int(hist.hist_unequal[i]),
+                              _fmt(hist.ratio[i]) if np.isfinite(hist.ratio[i]) else "",
+                              int(hist.survivors_unequal[i]), int(hist.survivors_equal[i])]
+                             for i in range(len(hist.thresholds))])
 
     # separation bound on the ensemble-averaged ranking
     scaling = float(np.mean([netens.layer_norm_product(net) for net in ensemble.nets]))
     record = validate.separation_bound_check(f01, lf.rescaled,
                                              layer_norm_product=scaling)
-    report.add_section("separation_bound", {
-        "lhs": record.lhs, "e_neq_g_gap": record.e_neq_g_gap,
-        "s_pairs": record.s_pairs, "max_factor": record.max_factor,
-        "cost": record.cost, "root_rhs": record.root_rhs, "rhs": record.rhs,
-        "rhs_scaled": record.rhs_scaled,
-        "holds": record.holds})
+    sections["separation_bound"] = dataclasses.asdict(record)
 
     # baseline rankings and agreement
-    rowsum = validate.row_sum_rank(d)[omega.indices]
+    rowsum = validate.row_sum_rank(ref)
     weights, nnls_scores, kkt = validate.nnls_rank(filled, f01)
     f_score = lf.to_label_scale(f01)
     conf = validate.confusion(lf.values, f_score)
-    report.add_section("baselines", {
+    sections["baselines"] = {
         "rowsum_corr_f": float(np.corrcoef(rowsum, f01)[0, 1]),
         "nnls_corr_f": float(np.corrcoef(nnls_scores, f01)[0, 1]),
         "nnls_kkt_residual": kkt,
         "nnls_weights": {name: float(weights[k])
-                         for k, name in enumerate(d.feature_names)
-                         if weights[k] > 0}})
+                         for k, name in enumerate(ref.feature_names)
+                         if weights[k] > 0}}
     bins = range(validate.CONFUSION_BINS)
-    report.add_table("confusion", ["initial_quartile"] + [f"final_q{j + 1}" for j in bins],
-                     [[i + 1] + [int(conf[i, j]) for j in bins] for i in bins])
+    tables["confusion"] = (["initial_quartile"] + [f"final_q{j + 1}" for j in bins],
+                           [[i + 1] + [int(conf[i, j]) for j in bins] for i in bins])
 
     smooth = validate.neighbor_smoothness(dnn_kernel, lf.values)
-    report.add_section("neighbor_smoothness", {
+    sections["neighbor_smoothness"] = {
         "correlation": smooth.correlation if not smooth.degenerate else None,
-        "degenerate": smooth.degenerate})
+        "degenerate": smooth.degenerate}
 
-    report.write(ws.outdir)
+    write_json(ws.path("validation.json"), {"sections": sections}, indent=1)
+    for name, (header, rows) in tables.items():
+        write_table(ws.path(f"{name}.csv"), header, rows)
     ws.record("validate")
 
 
@@ -1001,7 +1000,7 @@ def _join(ws: Workspace, name: str, table_ids, ids) -> np.ndarray:
 def run_report(ws: Workspace) -> None:
     """Plot-ready per-point join, by point id, of embeddings, rankings,
     labels and features."""
-    d, omega = _load_preprocessed(ws)
+    ref, _ = _load_reference(ws)
     ids, emb = read_embedding(ws, "embedding")
     std_ids, std_emb = read_embedding(ws, "std_embedding")
     lf = _load_label_function(ws)
@@ -1015,8 +1014,8 @@ def run_report(ws: Workspace) -> None:
     header = (["point_id", "g_score", "f_score"]
               + [f"coord_{i + 1}" for i in range(coords.shape[1])]
               + [f"std_coord_{i + 1}" for i in range(std_coords.shape[1])]
-              + list(d.feature_names))
-    features = formatted_cells(d.values[omega.indices], d.mask[omega.indices])
+              + list(ref.feature_names))
+    features = formatted_cells(ref.values, ref.mask)
     rows = ([pid, repr(g), repr(f), *map(repr, coord), *map(repr, std_coord), *feats]
             for pid, g, f, coord, std_coord, feats
             in zip(ids, g_scores, f_scores, coords.tolist(),

@@ -7,12 +7,11 @@ serialize for external tools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, write_json, write_table
+from .dataset import DataMatrix
 from .errors import BoundViolation, ValidationError
 from .spectral import (Kernel, _conjugate, markov_normalize, nearest_neighbours, row_tiles,
                        signed_power)
@@ -437,25 +436,3 @@ def neighbor_smoothness(k: Kernel, f: np.ndarray) -> SmoothnessResult:
     corr = float(np.corrcoef(f, averages)[0, 1])
     return SmoothnessResult(averages=averages, correlation=corr, degenerate=False)
 
-
-# ---------------------------------------------------------------------------
-# report assembly
-
-@dataclass
-class ValidationReport:
-    sections: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)   # name -> (header, rows)
-
-    def add_section(self, name: str, payload: dict) -> None:
-        self.sections[name] = payload
-
-    def add_table(self, name: str, header: list[str], rows: list[list]) -> None:
-        self.tables[name] = (header, rows)
-
-    def write(self, outdir) -> None:
-        """validation.json and one CSV per table in ``outdir``."""
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_json(outdir / "validation.json", {"sections": self.sections}, indent=1)
-        for name, (header, rows) in self.tables.items():
-            write_table(outdir / f"{name}.csv", header, rows)

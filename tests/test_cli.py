@@ -20,7 +20,7 @@ import pytest
 import expertmap
 from expertmap import cli, cogeometry, expert, netens, pipeline, whiten
 from expertmap.cogeometry import PartitionTree
-from expertmap.dataset import ReferenceSet, load_matrix
+from expertmap.dataset import load_matrix
 from expertmap.errors import ParseError, ValidationError
 from expertmap.expert import extract_pseudopoints
 
@@ -77,12 +77,11 @@ def test_exported_centroids_carry_original_polarity(chain):
     flips = np.asarray(ref["polarity_flips"], dtype=bool)
     assert flips.any()
 
-    d = load_matrix(out / "preprocessed.csv")
-    omega = ReferenceSet(indices=np.asarray(ref["indices"]))
+    d = load_matrix(out / "preprocessed.csv").rows(ref["indices"])
     points_tree, obs_tree = (PartitionTree.from_json(json.loads((out / name).read_text()))
                              for name in ("points_tree.json", "obs_tree.json"))
     level = min(CONFIG["pseudopoints"]["level"], points_tree.depth)
-    ps = extract_pseudopoints(points_tree, level, omega, d, obs_tree=obs_tree)
+    ps = extract_pseudopoints(points_tree, level, d, obs_tree=obs_tree)
 
     with open(out / "pseudopoints.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -124,10 +123,9 @@ def test_organize_builds_each_tree_once(chain, tmp_path, monkeypatch):
     for name in ("points_tree.json", "obs_tree.json", "affinity.npy"):
         assert hashlib.sha256((work / name).read_bytes()).hexdigest() == first[name]
     # affinity.npy holds the cosine affinity that the points tree is built from
-    d = load_matrix(work / "preprocessed.csv")
-    omega = ReferenceSet(indices=np.asarray(
-        json.loads((work / "reference.json").read_text())["indices"]))
-    expected = cogeometry.cosine_affinity(omega, d).entries
+    d = load_matrix(work / "preprocessed.csv").rows(
+        json.loads((work / "reference.json").read_text())["indices"])
+    expected = cogeometry.cosine_affinity(d).entries
     saved = np.load(work / "affinity.npy")
     assert saved.dtype == expected.dtype and saved.shape == expected.shape
     assert saved.tobytes() == expected.tobytes()
@@ -356,6 +354,26 @@ def test_auto_names_a_reference_point_the_truth_file_lacks(chain, tmp_path, caps
     assert err.rstrip().endswith("rerun 'synth' to rewrite it")
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("high", '"high"'), (None, "null"), ([1], "[1]"), (True, "true"),
+    (float("nan"), "NaN"), (float("inf"), "Infinity")])
+def test_auto_refuses_a_reference_truth_that_is_not_a_finite_number(chain, tmp_path, capsys,
+                                                                   value, shown):
+    # a string, null or a list crashed auto, true was read as 1, one NaN
+    # scored every folder alike and Infinity failed on labels.csv
+    _, out, _, _ = chain
+    first = json.loads((out / "reference.json").read_text())["indices"][0]
+    pid = load_matrix(out / "preprocessed.csv").point_ids[first]
+
+    def spoil(truth):
+        truth["ground_truth"][truth["point_ids"].index(pid)] = value
+    code, err, path = auto_on_truth(chain, tmp_path, capsys, spoil)
+    assert code == 1
+    assert err.startswith(f"error: truth file {path}: the ground truth of reference point "
+                          f"{pid!r} is {shown}, not a finite number; ")
+    assert err.rstrip().endswith("rerun 'synth' to rewrite it")
+
+
 def test_auto_rejects_truth_lists_of_unequal_length(chain, tmp_path, capsys):
     code, err, path = auto_on_truth(chain, tmp_path, capsys,
                                     lambda truth: truth["ground_truth"].pop())
@@ -444,7 +462,7 @@ def test_a_rewritten_artifact_is_parsed_again(chain, tmp_path, monkeypatch):
 
     def reference_rows():
         ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
-        return len(pipeline._load_preprocessed(ws)[1].indices)
+        return pipeline._load_reference(ws)[0].n_points
     before = reference_rows()
     assert reference_rows() == before and len(calls) == 1
     # a larger eta takes more points into the reference set
@@ -496,7 +514,7 @@ def test_the_same_bytes_with_another_schema_are_parsed_again(chain, tmp_path, mo
     def weights(schema_path):
         ws = pipeline.Workspace(out, pipeline.load_config(
             config, {"paths.out": str(out), "paths.schema": schema_path}))
-        return dict(pipeline._load_preprocessed(ws)[0].weight_of)
+        return dict(pipeline._load_reference(ws)[0].weight_of)
     assert weights(None) == weights(None) == {"default": 1.0}
     assert calls["preprocessed.csv"] == 1
     assert weights(str(schema)) == {"default": 2.0}
@@ -509,14 +527,16 @@ def test_the_same_bytes_with_another_schema_are_parsed_again(chain, tmp_path, mo
 def test_a_kept_parse_is_read_only(chain):
     config, out, _, _ = chain
     ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
-    d, omega = pipeline._load_preprocessed(ws)
+    d = ws.read("preprocessed.csv", pipeline.load_matrix, None)
+    indices, _ = ws.read_json("reference.json", "reference file", pipeline._reference,
+                              d.n_points)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
-    for array in (d.values, d.mask, omega.indices, ensemble.nets[0].W1):
+    for array in (d.values, d.mask, indices, ensemble.nets[0].W1):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     with pytest.raises(TypeError):
         d.weight_of["default"] = 3.0
-    assert d is pipeline._load_preprocessed(ws)[0]
+    assert d is ws.read("preprocessed.csv", pipeline.load_matrix, None)
 
 
 def test_extend_sidecar_carries_its_diagnostics(chain):
@@ -1094,6 +1114,32 @@ def test_a_config_integer_below_its_least_exits_1(chain, tmp_path, capsys, key, 
                                        f"not {value}\n")
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("h1", [70, 30], "not end below its start"),
+    ("h2", [0, 0], "have each end at least 1"),
+    ("dropout", [0, 1.5], "have each end below 1"),
+    ("dropout", [-0.1, 0.2], "have each end at least 0"),
+    ("weight_decay", [0, 0.01], "have each end above 0")])
+def test_a_net_range_train_cannot_draw_from_exits_1(chain, tmp_path, capsys, key, value,
+                                                    expected):
+    # train crashed on h1 and weight_decay ("low >= high", "math domain
+    # error") and ran to exit 0 on h2 and both dropouts
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "net": {**CONFIG["net"], key: value}}))
+    assert cli.main(["--config", str(config), "--out", str(work), "train"]) == 1
+    assert capsys.readouterr().err == (f"error: config key 'net.{key}' must {expected}, "
+                                       f"not {json.dumps(value)}\n")
+
+
+def test_a_net_range_may_hold_one_value():
+    ranges = {"h1": [1, 1], "h2": [3, 3], "dropout": [0.0, 0.0], "weight_decay": [1e-9, 1e-9]}
+    assert pipeline.load_config(overrides={f"net.{key}": value
+                                           for key, value in ranges.items()})["net"] == {
+        **pipeline.DEFAULT_CONFIG["net"], **ranges}
+
+
 def test_seed_level_and_k_nets_override_the_config_file(chain, tmp_path, monkeypatch):
     config, _, _, _ = chain         # net.k 5, pseudopoints.level 4, the default seeds
     seen = []
@@ -1133,6 +1179,29 @@ def test_validate_stage(chain):
     ws = pipeline.Workspace(out, pipeline.load_config(config, {"paths.out": str(out)}))
     pipeline.run_validate(ws)
     assert cli.main(["--config", str(config), "--out", str(out), "validate"]) == 0
+
+
+def test_validate_writes_its_sections_and_tables(chain, tmp_path):
+    config, out, _, first = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    for name in pipeline.STAGES["validate"]:
+        for path in (work / name, work / f"{name}.meta.json"):
+            path.unlink()
+    before = {path.name for path in work.iterdir()}
+    assert cli.main(["--config", str(config), "--out", str(work), "validate"]) == 0
+    tables = {"neighborhood_mass", "eigencurve", "lipschitz", "histograms", "confusion"}
+    written = {"validation.json", *(f"{name}.csv" for name in tables)}
+    assert {path.name for path in work.iterdir()} - before == (
+        written | {f"{name}.meta.json" for name in written})
+    assert artifact_hashes(work) == first
+    # the config hash is the sidecars' to record: it covers paths.out
+    payload = json.loads((work / "validation.json").read_text())
+    assert set(payload) == {"schema_version", "sections"} and payload["schema_version"] == 1
+    assert set(payload["sections"]) == {"neighborhood_mass", "spectral_dimension", "lipschitz",
+                                        "separation_bound", "baselines", "neighbor_smoothness"}
+    for name in tables:
+        body = (work / f"{name}.csv").read_bytes()
+        assert body.endswith(b"\r\n") and body.count(b"\n") == body.count(b"\r\n") > 1, name
 
 
 def read_rows(path):

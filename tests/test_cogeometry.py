@@ -10,7 +10,7 @@ from expertmap.cogeometry import (PartitionTree, _balanced_agglomerate,
                                   build_partition_tree, depth_for,
                                   cosine_affinity, coupled_refine, emd_affinity,
                                   emd_distance_matrix, impute_matrix)
-from expertmap.dataset import DataMatrix, ReferenceSet, select_reference
+from expertmap.dataset import DataMatrix, select_reference
 from expertmap.errors import InternalError, ValidationError
 from expertmap.spectral import Kernel, gaussian_kernel
 
@@ -26,33 +26,29 @@ def matrix_from(values):
                       weight_of={"default": 1.0})
 
 
-def full_reference(d):
-    return ReferenceSet(indices=np.arange(d.n_points))
-
-
 NA = np.nan
 
 
 class TestCosineAffinity:
     def test_hand_support_restricted(self):
         d = matrix_from([[1.0, 2.0, NA], [2.0, 4.0, 5.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(d)
         # over the shared support {0, 1}: 10 / (sqrt(5) * sqrt(20)) = 1
         assert a.entries[0, 1] == pytest.approx(1.0)
 
     def test_hand_orthogonal(self):
         d = matrix_from([[1.0, 0.0, NA], [0.0, 1.0, 3.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(d)
         assert a.entries[0, 1] == pytest.approx(0.5)    # cosine 0 -> (0 + 1) / 2
 
     def test_hand_opposite(self):
         d = matrix_from([[1.0, 2.0, NA], [-2.0, -4.0, 1.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(d)
         assert a.entries[0, 1] == pytest.approx(0.0)    # cosine -1 -> 0
 
     def test_self_affinity_is_one(self):
         d = matrix_from([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(d)
         assert a.entries[0, 1] == pytest.approx(1.0)
         np.testing.assert_array_equal(np.diag(a.entries), 1.0)
 
@@ -63,18 +59,18 @@ class TestCosineAffinity:
         # keep joint support nonempty: first two columns always observed
         values[:, :2] = rng.normal(size=(25, 2))
         d = matrix_from(values)
-        a = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(d)
         assert np.max(np.abs(a.entries - a.entries.T)) <= 1e-12
         assert a.entries.min() >= 0.0 and a.entries.max() <= 1.0
 
     def test_empty_joint_support_is_hard_error(self):
         d = matrix_from([[1.0, NA], [NA, 2.0]])
         with pytest.raises(ValidationError, match="no"):
-            cosine_affinity(full_reference(d), d)
+            cosine_affinity(d)
 
     def test_zero_restricted_norm_gives_cosine_zero(self):
         d = matrix_from([[0.0, 0.0], [1.0, 2.0]])
-        a = cosine_affinity(full_reference(d), d)
+        a = cosine_affinity(d)
         assert a.entries[0, 1] == 0.5                   # cosine forced to 0
 
 
@@ -263,8 +259,7 @@ def planted_blocks(n_per=12, m_per=4, seed=4, sep=5.0):
 class TestCoupledRefine:
     def test_recovers_planted_blocks(self):
         d = planted_blocks()
-        omega = full_reference(d)
-        points_tree, obs_tree, affinity = coupled_refine(omega, d, 2, 1.0)
+        points_tree, obs_tree, affinity = coupled_refine(d, 2, 1.0)
         assert set(points_tree.folders_at(2)) == {tuple(range(12)), tuple(range(12, 24))}
         assert set(obs_tree.folders_at(2)) == {tuple(range(4)), tuple(range(4, 8))}
         assert affinity.entries.min() >= 0.0 and affinity.entries.max() <= 1.0
@@ -277,8 +272,8 @@ class TestCoupledRefine:
                               feature_names=d.feature_names,
                               point_ids=tuple(d.point_ids[i] for i in perm),
                               group_of=d.group_of, weight_of=d.weight_of)
-        tree_a = coupled_refine(full_reference(d), d, 2, 1.0)[0]
-        tree_b = coupled_refine(full_reference(permuted), permuted, 2, 1.0)[0]
+        tree_a = coupled_refine(d, 2, 1.0)[0]
+        tree_b = coupled_refine(permuted, 2, 1.0)[0]
         original = {frozenset(f) for f in tree_a.folders_at(2)}
         mapped = {frozenset(perm[list(f)].tolist()) for f in tree_b.folders_at(2)}
         assert original == mapped
@@ -290,8 +285,8 @@ class TestCoupledRefine:
         holes = rng.random(values.shape) < 0.1
         values[holes] = NA
         d2 = matrix_from(values)
-        omega = select_reference(d2, d2.n_features)
-        points_tree, obs_tree, _ = coupled_refine(omega, d2, 2, 1.0)
+        ref = d2.rows(select_reference(d2, d2.n_features))
+        points_tree, obs_tree, _ = coupled_refine(ref, 2, 1.0)
         assert set(points_tree.folders_at(2)) == {tuple(range(12)), tuple(range(12, 24))}
 
 

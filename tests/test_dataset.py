@@ -354,12 +354,11 @@ class TestSelectReference:
     def test_eta_m_takes_everything(self):
         mask = np.array([[True, False], [False, False], [True, True]])
         d = make_matrix(np.ones((3, 2)), mask)
-        np.testing.assert_array_equal(select_reference(d, 2).indices, [0, 1, 2])
+        np.testing.assert_array_equal(select_reference(d, 2), [0, 1, 2])
 
     def test_eta_zero_fully_observed(self):
         d = make_matrix(np.ones((4, 3)))
-        ref = select_reference(d, 0)
-        np.testing.assert_array_equal(ref.indices, [0, 1, 2, 3])
+        np.testing.assert_array_equal(select_reference(d, 0), [0, 1, 2, 3])
 
     def test_ninety_percent_reported_subset(self):
         # CMS-shaped: m features, rows planted with known missing counts;
@@ -371,8 +370,7 @@ class TestSelectReference:
         for i, c in enumerate(counts):
             mask[i, :c] = False
         d = make_matrix(np.ones((len(counts), m)), mask)
-        ref = select_reference(d, int(0.1 * m))
-        np.testing.assert_array_equal(ref.indices, [0, 1, 2])
+        np.testing.assert_array_equal(select_reference(d, int(0.1 * m)), [0, 1, 2])
 
     def test_monotone_in_eta(self):
         rng = np.random.default_rng(11)
@@ -381,7 +379,7 @@ class TestSelectReference:
         prev: set = set()
         for eta in range(9):
             try:
-                current = set(select_reference(d, eta).indices.tolist())
+                current = set(select_reference(d, eta).tolist())
             except ValidationError:
                 current = set()
             assert prev <= current

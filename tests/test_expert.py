@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expertmap.cogeometry import PartitionTree
-from expertmap.dataset import DataMatrix, ReferenceSet
+from expertmap.dataset import DataMatrix
 from expertmap.errors import ValidationError
 from expertmap.expert import (export_centroids, extract_pseudopoints,
                               import_labels, propagate_labels)
@@ -32,14 +32,10 @@ def dyadic_tree(n, depth, axis="points"):
     return PartitionTree(axis=axis, levels=tuple(levels))
 
 
-def full_reference(d):
-    return ReferenceSet(indices=np.arange(d.n_points))
-
-
 def pseudopoints(tree, level, d):
     """Pseudopoints of a complete matrix, whose observation tree is never used."""
     obs_tree = PartitionTree(axis="observations", levels=((tuple(range(d.n_features)),),))
-    return extract_pseudopoints(tree, level, full_reference(d), d, obs_tree)
+    return extract_pseudopoints(tree, level, d, obs_tree)
 
 
 class TestExtractPseudopoints:
@@ -73,7 +69,7 @@ class TestExtractPseudopoints:
         tree = dyadic_tree(4, depth=2)
         obs_tree = PartitionTree(axis="observations",
                                  levels=(((0, 1, 2),), ((0,), (1, 2))))
-        ps = extract_pseudopoints(tree, 2, full_reference(d), d, obs_tree=obs_tree)
+        ps = extract_pseudopoints(tree, 2, d, obs_tree=obs_tree)
         # folder {0,1} never observes feature 1: imputed from feature 2's folder
         assert (0, 1) in ps.imputed_cells
         assert ps.centroids[0, 1] == pytest.approx(6.0)   # mean of q2 values 5,7
@@ -202,38 +198,38 @@ class TestPropagate:
 
     def test_two_folders_split_evenly(self):
         d, tree, scores = self.setup_case([1.0, 10.0])
-        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
+        lf = propagate_labels(scores, tree, 2, d)
         values, counts = np.unique(lf.values, return_counts=True)
         np.testing.assert_array_equal(values, [1.0, 10.0])
         np.testing.assert_array_equal(counts, [3, 3])
 
     def test_rescale_hits_zero_and_one(self):
         d, tree, scores = self.setup_case([2.0, 8.0])
-        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
+        lf = propagate_labels(scores, tree, 2, d)
         assert lf.rescaled.min() == 0.0 and lf.rescaled.max() == 1.0
         assert not lf.degenerate
 
     def test_constant_scores_pin_half(self):
         d, tree, scores = self.setup_case([4.0, 4.0])
-        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
+        lf = propagate_labels(scores, tree, 2, d)
         np.testing.assert_array_equal(lf.rescaled, 0.5)
         assert lf.degenerate
 
     def test_constant_on_folders(self):
         d, tree, scores = self.setup_case([3.0, 9.0], n=10)
-        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
+        lf = propagate_labels(scores, tree, 2, d)
         for j, folder in enumerate(tree.folders_at(2)):
             folder_values = lf.values[list(folder)]
             assert np.all(folder_values == scores[j])
 
     def test_rescale_preserves_order(self):
         d, tree, scores = self.setup_case([2.5, 7.5], n=8)
-        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
+        lf = propagate_labels(scores, tree, 2, d)
         order_raw = np.argsort(lf.values, kind="stable")
         order_rescaled = np.argsort(lf.rescaled, kind="stable")
         np.testing.assert_array_equal(order_raw, order_rescaled)
 
     def test_label_scale_round_trip(self):
         d, tree, scores = self.setup_case([2.0, 8.0])
-        lf = propagate_labels(scores, tree, 2, full_reference(d), d)
+        lf = propagate_labels(scores, tree, 2, d)
         np.testing.assert_allclose(lf.to_label_scale(lf.rescaled), lf.values)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from expertmap import cogeometry, netens, spectral, validate, whiten
-from expertmap.dataset import DataMatrix, ReferenceSet
+from expertmap.dataset import DataMatrix
 
 N = 512
 
@@ -48,15 +48,14 @@ def inputs():
     data = DataMatrix(values=values, mask=mask, feature_names=tuple(f"f{k}" for k in range(60)),
                       point_ids=tuple(map(str, range(N))), group_of={}, weight_of={})
     return {"x": x, "kernel": kernel, "emb": emb, "lm": whiten.local_moments(emb),
-            "tree": tree, "vectors": rng.normal(size=(N, 16)), "data": data,
-            "omega": ReferenceSet(indices=np.arange(N))}
+            "tree": tree, "vectors": rng.normal(size=(N, 16)), "data": data}
 
 
 BUILDERS = {
     "gaussian_kernel": (1.5, lambda a: (spectral.gaussian_kernel, a["x"], 10)),
     # its floor is 2 + m / n: the zero-filled rows beside the norms and the
     # cosines; 2.19 was measured, and 2.49 with a whole n x n denominator
-    "cosine_affinity": (2.25, lambda a: (cogeometry.cosine_affinity, a["omega"], a["data"])),
+    "cosine_affinity": (2.25, lambda a: (cogeometry.cosine_affinity, a["data"])),
     "emd_affinity": (3.0, lambda a: (cogeometry.emd_affinity, a["tree"], a["vectors"])),
     "standardized_kernel": (1.5, lambda a: (whiten.standardized_kernel, a["emb"], a["lm"])),
     "diffusion_embed": (2.5, lambda a: (spectral.diffusion_embed, a["kernel"], 6)),

@@ -13,7 +13,7 @@ from expertmap import validate
 from expertmap.dataset import DataMatrix
 from expertmap.errors import BoundViolation, ValidationError
 from expertmap.spectral import TILE, Kernel, gaussian_kernel
-from expertmap.validate import (ValidationReport, affinity_histograms, confusion,
+from expertmap.validate import (affinity_histograms, confusion,
                                 feature_lipschitz, neighbor_smoothness,
                                 neighborhood_mass, nnls, nnls_rank, row_sum_rank,
                                 separation_bound_check, spectral_dimension)
@@ -446,17 +446,3 @@ class TestNeighborSmoothness:
         np.fill_diagonal(entries, 1.0)
         with pytest.raises(ValidationError, match="zero affinity to all others"):
             neighbor_smoothness(Kernel(entries=entries), np.arange(TILE + 3.0))
-
-
-def test_validation_report_round_trip(tmp_path):
-    report = ValidationReport()
-    report.add_section("stats", {"mean": 1.5})
-    report.add_table("numbers", ["idx", "value"], [[1, 2.0], [2, 4.0]])
-    report.write(tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["numbers.csv", "validation.json"]
-    with open(tmp_path / "validation.json") as fh:
-        payload = json.load(fh)
-    # the config hash is the sidecars' to record: it covers paths.out
-    assert payload == {"schema_version": 1, "sections": {"stats": {"mean": 1.5}}}
-    body = (tmp_path / "numbers.csv").read_bytes()
-    assert body == b"idx,value\r\n1,2.0\r\n2,4.0\r\n"
