@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import shutil
 import types
 from dataclasses import dataclass
@@ -36,135 +37,123 @@ from .spectral import cdist
 # ---------------------------------------------------------------------------
 # configuration
 
-DEFAULT_CONFIG = {
-    "paths": {"out": "out", "data": "data.csv", "schema": None, "labels": "labels.csv"},
-    "eta": None,                      # default floor(0.1 * m)
-    "tree": {"depth": None, "beta": 1.0},
-    "pseudopoints": {"level": 6, "score_min": 1.0, "score_max": 10.0},
-    "net": {"k": 100, "epochs": 220, "learning_rate": 1.0, "pretrain_epochs": 60,
-            "master_seed": 7, "h1": [30, 70], "h2": [15, 35],
-            "dropout": [0.0, 0.3], "weight_decay": [1e-5, 1e-2]},
-    "kernel": {"r": 10},
-    "embedding": {"d": 8, "t": 1.0},
-    "whiten": {"k": None},
-    "synth": {"n_points": 600, "intrinsic_dim": 2, "n_relevant_features": 40,
-              "n_noise_features": 20, "n_clusters": 3,
-              "cluster_spread_ratios": [1.0, 1.0, 0.1], "missing_rate": 0.1,
-              "polarity_flip_rate": 0.15, "label_noise": 0.0, "seed": 7},
+@dataclass(frozen=True)
+class Key:
+    """A config key's default, and what a value of it must be: of the type
+    of the default (an int takes no bool, a float an int too), null or of
+    ``kind`` where the default is null, or a list of as many such values as
+    the default holds unless ``any_length``.  A number, or each end of a
+    ``span`` [lo, hi], must be at least ``least``, above ``above`` and below
+    ``below``, where given, and a span must not end below its start."""
+    default: object
+    kind: type | None = None
+    least: float | None = None
+    above: float | None = None
+    below: float | None = None
+    span: bool = False
+    any_length: bool = False
+
+    def check(self, name: str, value) -> None:
+        """Refuse ``value`` of the key ``name`` unless it keeps this row."""
+        listed = isinstance(self.default, list)
+        kind = self.kind or type(self.default[0] if listed else self.default)
+        kinds = (int, float) if kind is float else (kind,)
+        one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                     str: ("a string", "strings")}[kind]
+        if listed:
+            count = "" if self.any_length else f"{len(self.default)} "
+            wanted = f"a list of {count}{many}"
+            ok = (type(value) is list and all(type(v) in kinds for v in value)
+                  and (self.any_length or len(value) == len(self.default)))
+        else:
+            wanted = ("null or " if self.default is None else "") + one
+            ok = type(value) in kinds or (value is None and self.default is None)
+        if not ok:
+            raise ValidationError(f"config key {name!r} must be {wanted}, "
+                                  f"not {json.dumps(value)}")
+        if value is None:
+            return
+        bounds = ((self.least, "at least", operator.ge), (self.above, "above", operator.gt),
+                  (self.below, "below", operator.lt))
+        # tested as "not kept", so that a NaN is refused
+        short = [f"{words} {bound}" for v in (value if self.span else [value])
+                 for bound, words, kept in bounds if bound is not None and not kept(v, bound)]
+        if self.span and (short or not value[0] <= value[1]):
+            what = f"have each end {short[0]}" if short else "not end below its start"
+            raise ValidationError(f"config key {name!r} must {what}, not {json.dumps(value)}")
+        if short:
+            raise ValidationError(f"config key {name!r} must be {short[0]}, not {value}")
+
+
+# Every config key, by its dotted name, and its row
+KEYS = {
+    "paths.out": Key("out"), "paths.data": Key("data.csv"), "paths.schema": Key(None, str),
+    "paths.labels": Key("labels.csv"),
+    "eta": Key(None, int),                                 # null: floor(0.1 * m)
+    "tree.depth": Key(None, int), "tree.beta": Key(1.0),
+    "pseudopoints.level": Key(6), "pseudopoints.score_min": Key(1.0),
+    "pseudopoints.score_max": Key(10.0),
+    "net.k": Key(100), "net.epochs": Key(220, least=0), "net.learning_rate": Key(1.0, above=0),
+    "net.pretrain_epochs": Key(60, least=0), "net.master_seed": Key(7, least=0),
+    # the ranges that train draws each net's hyperparameters from
+    "net.h1": Key([30, 70], least=1, span=True), "net.h2": Key([15, 35], least=1, span=True),
+    "net.dropout": Key([0.0, 0.3], least=0, below=1, span=True),
+    "net.weight_decay": Key([1e-5, 1e-2], above=0, span=True),
+    "kernel.r": Key(10, least=1),
+    "embedding.d": Key(8), "embedding.t": Key(1.0),
+    "whiten.k": Key(None, int, least=1),
+    # synth passes its section to SynthConfig, which checks it; the length of
+    # its one tuple, a value per cluster, is set by another field
+    **{f"synth.{name}": Key(list(v), any_length=True) if type(v) is tuple else Key(v)
+       for name, v in dataclasses.asdict(synthmod.SynthConfig()).items()},
 }
 
 
-def merge_config(overrides: dict, base: dict = DEFAULT_CONFIG) -> dict:
-    """``base``, a merged config, updated from nested overrides; an unknown
-    key, or one under a key that is not a section, is an error."""
-    def deep(base, over, prefix):
-        out = dict(base)
-        for key, value in over.items():
-            if key not in base or (isinstance(value, dict) and value
-                                   and not isinstance(base[key], dict)):
-                # of an unknown section or a leaf given keys, the first key
-                # it sets is named
-                name = prefix + key
-                while isinstance(value, dict) and value:
-                    sub, value = next(iter(value.items()))
-                    name += f".{sub}"
-                raise ValidationError(f"unknown config key {name!r}")
-            if isinstance(base[key], dict):
-                if not isinstance(value, dict):
-                    raise ValidationError(f"config key {prefix + key!r} must be an object")
-                out[key] = deep(base[key], value, f"{prefix}{key}.")
-            else:
-                out[key] = value
-        return out
-    return deep(base, overrides, "")
-
-
-def load_config(path=None, overrides: dict | None = None) -> dict:
-    """The config file at ``path`` merged into DEFAULT_CONFIG, then each of
-    ``overrides``, a dotted key and its value, merged into that."""
-    cfg = merge_config({} if path is None else read_json_object(path, "config file"))
-    for dotted, value in (overrides or {}).items():
-        for key in reversed(dotted.split(".")):
-            value = {key: value}
-        cfg = merge_config(value, cfg)
-    check_config_types(cfg)
+def _nested(flat: dict) -> dict:
+    """The nested config of ``flat``, dotted keys and their values."""
+    cfg: dict = {}
+    for name, value in flat.items():
+        *sections, leaf = name.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
     return cfg
 
 
-# The type of each config key whose default is null, as a value of it: the
-# key takes null or a value of that type.
-NULLABLE = {"eta": 0, "tree.depth": 0, "whiten.k": 0, "paths.schema": ""}
-# The least value of each number key that has one, and of each end of a
-# range key; null, where a key takes it, is not held to it.
-LEAST = {"kernel.r": 1, "whiten.k": 1, "net.epochs": 0, "net.h1": 1, "net.h2": 1,
-         "net.dropout": 0}
-# The value that each end of a range key must be above, or below.
-ABOVE = {"net.weight_decay": 0}
-BELOW = {"net.dropout": 1}
-# The ranges [lo, hi], lo <= hi, that train draws each net's hyperparameters from
-RANGES = ("net.h1", "net.h2", "net.dropout", "net.weight_decay")
-# A list key whose length another key sets (synth.n_clusters), which
-# SynthConfig checks; every other list key takes as many values as its default.
-ANY_LENGTH = {"synth.cluster_spread_ratios"}
-TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-              str: ("a string", "strings")}
+DEFAULT_CONFIG = _nested({name: key.default for name, key in KEYS.items()})
 
 
-def check_config_types(cfg: dict) -> None:
-    """Refuse, with a ValidationError that names it, the first leaf of the
-    merged config ``cfg`` whose value does not have the type of its default:
-    an int takes an int and no bool, a float an int or a float, a string a
-    string, and a list a list of such values, as many as its default holds
-    (see ANY_LENGTH).  A key whose default is null takes null or the type
-    NULLABLE gives it.  A value, or each end of a range, must keep the
-    bounds of LEAST, ABOVE and BELOW, and a range must not end below its
-    start."""
-    def fits(value, default, name) -> bool:
-        if default is None:
-            return value is None or fits(value, NULLABLE[name], name)
-        if isinstance(default, list):
-            return (type(value) is list
-                    and (name in ANY_LENGTH or len(value) == len(default))
-                    and all(fits(v, default[0], name) for v in value))
-        if type(default) is float:
-            return type(value) in (int, float)
-        return type(value) is type(default)
+def _leaves(node: dict, prefix: str = ""):
+    """(dotted key, value) of each leaf that ``node``, a nested config or
+    dotted keys and their values, sets; an unknown key, or a section given
+    a value that is not an object, is an error."""
+    for key, value in node.items():
+        name = prefix + key
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, f"{name}.")
+        elif name in KEYS:
+            yield name, value
+        elif not any(k.startswith(f"{name}.") for k in KEYS):
+            raise ValidationError(f"unknown config key {name!r}")
+        elif not isinstance(value, dict):
+            raise ValidationError(f"config key {name!r} must be an object")
 
-    def described(default, name) -> str:
-        if default is None:
-            return "null or " + described(NULLABLE[name], name)
-        if isinstance(default, list):
-            count = "" if name in ANY_LENGTH else f"{len(default)} "
-            return f"a list of {count}{TYPE_NAMES[type(default[0])][1]}"
-        return TYPE_NAMES[type(default)][0]
 
-    def short_of(value, name) -> str | None:
-        """The bound of the key ``name`` that ``value`` does not keep, if any."""
-        if name in LEAST and not value >= LEAST[name]:
-            return f"at least {LEAST[name]}"
-        if name in ABOVE and not value > ABOVE[name]:
-            return f"above {ABOVE[name]}"
-        if name in BELOW and not value < BELOW[name]:
-            return f"below {BELOW[name]}"
-        return None
-
-    def check(node: dict, base: dict, prefix: str) -> None:
-        for key, default in base.items():
-            name, value = prefix + key, node[key]
-            if isinstance(default, dict):
-                check(value, default, f"{name}.")
-            elif not fits(value, default, name):
-                raise ValidationError(f"config key {name!r} must be "
-                                      f"{described(default, name)}, not {json.dumps(value)}")
-            elif name in RANGES:
-                bound = short_of(value[0], name) or short_of(value[1], name)
-                if bound or not value[0] <= value[1]:
-                    what = f"have each end {bound}" if bound else "not end below its start"
-                    raise ValidationError(f"config key {name!r} must {what}, "
-                                          f"not {json.dumps(value)}")
-            elif value is not None and (bound := short_of(value, name)):
-                raise ValidationError(f"config key {name!r} must be {bound}, not {value}")
-    check(cfg, DEFAULT_CONFIG, "")
+def load_config(path=None, overrides: dict | None = None) -> dict:
+    """DEFAULT_CONFIG updated from the config file at ``path``, then from
+    ``overrides``, dotted keys and their values, each value checked against
+    its key's row of KEYS."""
+    cfg = {name: key.default for name, key in KEYS.items()}
+    cfg.update(_leaves({} if path is None else read_json_object(path, "config file")))
+    cfg.update(_leaves(overrides or {}))
+    for name, value in cfg.items():
+        KEYS[name].check(name, value)
+    lo, hi = cfg["pseudopoints.score_min"], cfg["pseudopoints.score_max"]
+    if not lo < hi:
+        raise ValidationError(f"config key 'pseudopoints.score_max' must be above "
+                              f"pseudopoints.score_min ({lo}), not {hi}")
+    return _nested(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -438,7 +427,7 @@ def _load_reference(ws: Workspace) -> tuple[DataMatrix, np.ndarray]:
     """The reference rows of the preprocessed data, gathered, and the
     polarity flips, read from preprocessed.csv and reference.json in that
     order."""
-    schema = ws.cfg["paths"].get("schema")
+    schema = ws.cfg["paths"]["schema"]
     if schema is not None:
         # read here, so that the schema's content, not its path, keys the read
         schema = read_json_object(schema, "schema file")
@@ -479,7 +468,7 @@ def _kernel(ws: Workspace, rows: np.ndarray) -> spectral.Kernel:
 
 def _diffusion(ws: Workspace, kernel: spectral.Kernel) -> spectral.Embedding:
     """The raw diffusion map of ``kernel`` at ``embedding.d`` and ``embedding.t``."""
-    return spectral.diffusion_embed(kernel, d=int(ws.cfg["embedding"]["d"]),
+    return spectral.diffusion_embed(kernel, d=ws.cfg["embedding"]["d"],
                                     t=float(ws.cfg["embedding"]["t"]))
 
 
@@ -541,7 +530,7 @@ def run_preprocess(ws: Workspace) -> None:
         src = candidate if candidate.exists() else src
     if not src.exists():
         raise ValidationError(f"input data file not found: {src}")
-    raw = load_matrix(src, ws.cfg["paths"].get("schema"))
+    raw = load_matrix(src, ws.cfg["paths"]["schema"])
 
     processed, params = preprocess(raw)
     eta = ws.cfg["eta"]
@@ -570,7 +559,7 @@ def _pseudopoints(ws: Workspace):
     ref, flips = _load_reference(ws)
     points_tree = _load_tree(ws, "points_tree.json")
     obs_tree = _load_tree(ws, "obs_tree.json")
-    level = min(int(ws.cfg["pseudopoints"]["level"]), points_tree.depth)
+    level = min(ws.cfg["pseudopoints"]["level"], points_tree.depth)
     ps = expert.extract_pseudopoints(points_tree, level, ref, obs_tree=obs_tree)
     return ref, flips, points_tree, level, ps
 
@@ -644,7 +633,8 @@ def run_pseudopoints_auto(ws: Workspace) -> None:
                              for folder in points_tree.folders_at(level)])
     span = folder_means.max() - folder_means.min()
     if span > 0:
-        scores = lo + (folder_means - folder_means.min()) / span * (hi - lo)
+        # clipped: lo + (hi - lo) need not round to hi, which the import refuses
+        scores = np.clip(lo + (folder_means - folder_means.min()) / span * (hi - lo), lo, hi)
     else:
         scores = np.full_like(folder_means, 0.5 * (lo + hi))
 
@@ -663,10 +653,9 @@ def run_train(ws: Workspace) -> None:
                                 dropout=tuple(net_cfg["dropout"]),
                                 weight_decay=tuple(net_cfg["weight_decay"]))
     ensemble, record = netens.train_ensemble(
-        filled, lf.rescaled, K=int(net_cfg["k"]), hyper_ranges=ranges,
-        master_seed=int(net_cfg["master_seed"]), epochs=int(net_cfg["epochs"]),
-        learning_rate=float(net_cfg["learning_rate"]),
-        pretrain_epochs=int(net_cfg["pretrain_epochs"]),
+        filled, lf.rescaled, K=net_cfg["k"], hyper_ranges=ranges,
+        master_seed=net_cfg["master_seed"], epochs=net_cfg["epochs"],
+        learning_rate=float(net_cfg["learning_rate"]), pretrain_epochs=net_cfg["pretrain_epochs"],
         train_rows=ref.mask.all(axis=1), check=_round_check(ws, filled))
     netens.save_ensemble(ensemble, ws.path("ensemble.json"))
 
@@ -678,8 +667,7 @@ def run_train(ws: Workspace) -> None:
                             for net, report, seconds in zip(ensemble.nets, record.reports,
                                                             record.seconds)],
                    "retried": list(record.retried), "failed": list(ensemble.failed),
-                   "cap": int(net_cfg["k"]),
-                   "stopped_at": ensemble.k + len(ensemble.failed),
+                   "cap": net_cfg["k"], "stopped_at": ensemble.k + len(ensemble.failed),
                    "checks": [{"nets": nets, "overlap": overlap, "seconds": seconds}
                               for (nets, overlap), seconds in zip(record.checks,
                                                                   record.check_seconds)],
@@ -699,9 +687,8 @@ def run_embed(ws: Workspace) -> None:
 
 def run_standardize(ws: Workspace) -> None:
     ids, emb = read_embedding(ws, "embedding")
-    kernel = whiten.standardized_kernel(emb, _local_moments(ws, emb),
-                                        r=int(ws.cfg["kernel"]["r"]))
-    std = whiten.standardized_embedding(kernel, d=int(ws.cfg["embedding"]["d"]),
+    kernel = whiten.standardized_kernel(emb, _local_moments(ws, emb), r=ws.cfg["kernel"]["r"])
+    std = whiten.standardized_embedding(kernel, d=ws.cfg["embedding"]["d"],
                                         t=float(ws.cfg["embedding"]["t"]))
     write_embedding(ws.path("std_embedding.csv"), ws.path("std_embedding.json"), ids, std)
     # reported, never asserted: where the kernel's entries above 1e-12 fall

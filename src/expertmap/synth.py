@@ -46,6 +46,8 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be positive, got {value}")
         if self.n_noise_features < 0:
             raise ValidationError("n_noise_features must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_clusters > self.n_points:
             raise ValidationError("more clusters than points")
         if len(self.cluster_spread_ratios) != self.n_clusters:

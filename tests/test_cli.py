@@ -1068,7 +1068,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     with pytest.raises(ValidationError, match="'paths.schema.x'"):
         pipeline.load_config(overrides={"paths.schema.x": 1})
     with pytest.raises(ValidationError, match="config key 'net' must be an object"):
-        pipeline.merge_config({"net": 3})
+        pipeline.load_config(overrides={"net": 3})
 
 
 # keys a config file may still carry: organize builds each tree once, and the
@@ -1083,10 +1083,15 @@ def test_a_retired_config_key_is_rejected(key, tmp_path, capsys):
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+# a value out of its key's bounds is refused as one of the wrong type is:
+# train ran to exit 0 by gradient ascent on learning_rate -1.0, and auto wrote
+# labels.csv from a reversed score range before its own import refused it
 @pytest.mark.parametrize("section, leaf, value, expected", [
     ("tree", "depth", 3.5, "null or an integer, not 3.5"),
     ("tree", "beta", "x", 'a number, not "x"'),
-    ("net", "k", True, "an integer, not true")])
+    ("net", "k", True, "an integer, not true"),
+    ("net", "learning_rate", -1.0, "above 0, not -1.0"),
+    ("pseudopoints", "score_max", 0.5, "above pseudopoints.score_min (1.0), not 0.5")])
 def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, section, leaf, value,
                                                   expected):
     config = tmp_path / "config.json"
@@ -1099,11 +1104,12 @@ def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, section, lea
 @pytest.mark.parametrize("key, value, least, stage", [
     ("kernel.r", 0, 1, "embed"), ("kernel.r", -2, 1, "embed"),
     ("whiten.k", 0, 1, "standardize"), ("whiten.k", -3, 1, "standardize"),
-    ("net.epochs", -1, 0, "train")])
+    ("net.epochs", -1, 0, "train"), ("net.pretrain_epochs", -1, 0, "train"),
+    ("net.master_seed", -1, 0, "train")])
 def test_a_config_integer_below_its_least_exits_1(chain, tmp_path, capsys, key, value, least,
                                                   stage):
     # each of these ran to exit 0 on a bandwidth or an epoch count that means
-    # nothing, or crashed in an eigensolve
+    # nothing, or crashed in an eigensolve or in default_rng
     _, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
     section, leaf = key.split(".")
@@ -1112,6 +1118,46 @@ def test_a_config_integer_below_its_least_exits_1(chain, tmp_path, capsys, key, 
     assert cli.main(["--config", str(config), "--out", str(work), stage]) == 1
     assert capsys.readouterr().err == (f"error: config key {key!r} must be at least {least}, "
                                        f"not {value}\n")
+
+
+def test_a_negative_synth_seed_exits_1(tmp_path, capsys):
+    # default_rng raised "expected non-negative integer", an internal error
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_points": 40, "seed": -1}}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out), "synth"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert cli.main(["--out", str(out), "--seed", "-1", "synth"]) == 1
+    assert capsys.readouterr().err == ("error: config key 'net.master_seed' must be at least 0, "
+                                       "not -1\n")
+    assert not (out / "data.csv").exists()
+
+
+def test_auto_refuses_a_reversed_score_range_before_it_writes(chain, tmp_path, capsys):
+    # it wrote labels.csv, refused its own scores and left train a stale input
+    _, out, _, first = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "pseudopoints": {
+        "level": 4, "score_min": 10.0, "score_max": 1.0}}))
+    assert cli.main(["--config", str(config), "--out", str(work), "pseudopoints", "auto"]) == 1
+    assert capsys.readouterr().err == ("error: config key 'pseudopoints.score_max' must be "
+                                       "above pseudopoints.score_min (10.0), not 1.0\n")
+    assert artifact_hashes(work) == first
+
+
+def test_auto_scores_a_range_whose_ends_do_not_add_exactly(chain, tmp_path):
+    # -1.7 + (0.3 - -1.7) is 0.30000000000000004: the top folder's score was
+    # outside the range, and auto's own import refused it
+    _, out, _, _ = chain
+    work = shutil.copytree(out, tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "pseudopoints": {
+        "level": 4, "score_min": -1.7, "score_max": 0.3}}))
+    assert cli.main(["--config", str(config), "--out", str(work), "pseudopoints", "auto"]) == 0
+    with open(work / "labels.csv", newline="") as fh:
+        scores = [float(row["score"]) for row in csv.DictReader(fh)]
+    assert (min(scores), max(scores)) == (-1.7, 0.3)
 
 
 @pytest.mark.parametrize("key, value, expected", [
@@ -1163,6 +1209,11 @@ def test_seed_draws_the_data_that_synth_seed_draws(tmp_path):
     by_flag = synth("flag", {}, "--seed", "11")
     assert by_flag == synth("config", {"seed": 11})
     assert by_flag["data.csv"] != synth("default", {})["data.csv"]
+
+
+def test_the_default_config_hash_is_kept():
+    # every sidecar records it: the defaults, however built, keep their hash
+    assert pipeline.config_hash(pipeline.load_config()) == "f509e3db874d1601"
 
 
 def test_config_keys_written_by_the_benchmark_load(tmp_path):
