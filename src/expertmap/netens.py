@@ -176,16 +176,12 @@ def _affine_sigmoid(A: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sigmoid(Z, out=Z)
 
 
-def _first_layer(net: Net, X: np.ndarray) -> np.ndarray:
-    """The first-layer activations H1 of a 2-d batch."""
-    if X.shape[1] != net.n_inputs:
-        raise ValidationError(f"input width {X.shape[1]} != net input {net.n_inputs}")
-    return _affine_sigmoid(X, net.W1, net.b1)
-
-
 def forward_batch(net: Net, X: np.ndarray):
     """Activations for a batch: (H1, H2, f) with f in (0, 1)."""
-    H1 = _first_layer(net, np.atleast_2d(X))
+    X = np.atleast_2d(X)
+    if X.shape[1] != net.n_inputs:
+        raise ValidationError(f"input width {X.shape[1]} != net input {net.n_inputs}")
+    H1 = _affine_sigmoid(X, net.W1, net.b1)
     H2 = _affine_sigmoid(H1, net.W2, net.b2)
     f = _affine_sigmoid(H2, net.V, net.b3).ravel()
     return H1, H2, f
@@ -607,9 +603,12 @@ def train_ensemble(X: np.ndarray, g01: np.ndarray, K: int,
     return ensemble, record
 
 
-def ensemble_forward(e: NetEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One forward pass of every net: (representation, mean output), for a
-    caller that needs both; each has the bits of its own function's result.
+def representation(e: NetEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass of every net: (representation, mean output).
+
+    The representation is the nets' first-layer activations, concatenated
+    in fixed net order into one preallocated array; the mean output is
+    still on the [0, 1] training scale.
     """
     X = np.atleast_2d(X)
     rep = np.empty((X.shape[0], e.representation_dim))
@@ -620,22 +619,6 @@ def ensemble_forward(e: NetEnsemble, X: np.ndarray) -> tuple[np.ndarray, np.ndar
         rep[:, col:col + H1.shape[1]] = H1
         col += H1.shape[1]
     return rep, np.mean(outputs, axis=0)
-
-
-def representation(e: NetEnsemble, X: np.ndarray) -> np.ndarray:
-    """Concatenated first-layer activations, fixed net order.
-
-    Each net's activations are written into one preallocated array and
-    dropped; no second or third layer is computed.
-    """
-    X = np.atleast_2d(X)
-    rep = np.empty((X.shape[0], e.representation_dim))
-    col = 0
-    for net in e.nets:
-        H1 = _first_layer(net, X)
-        rep[:, col:col + H1.shape[1]] = H1
-        col += H1.shape[1]
-    return rep
 
 
 def ensemble_rank(e: NetEnsemble, X: np.ndarray) -> np.ndarray:

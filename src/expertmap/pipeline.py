@@ -42,9 +42,10 @@ class Key:
     """A config key's default, and what a value of it must be: of the type
     of the default (an int takes no bool, a float an int too), null or of
     ``kind`` where the default is null, or a list of as many such values as
-    the default holds unless ``any_length``.  A number, or each end of a
-    ``span`` [lo, hi], must be at least ``least``, above ``above`` and below
-    ``below``, where given, and a span must not end below its start."""
+    the default holds unless ``any_length``.  A float, in a list or not, must
+    be finite.  A number, or each end of a ``span`` [lo, hi], must be at least
+    ``least``, above ``above`` and below ``below``, where given, and a span
+    must not end below its start."""
     default: object
     kind: type | None = None
     least: float | None = None
@@ -73,6 +74,9 @@ class Key:
                                   f"not {json.dumps(value)}")
         if value is None:
             return
+        # JSON's NaN and Infinity parse to floats of the right type
+        if not all(math.isfinite(v) for v in (value if listed else [value]) if type(v) is float):
+            raise ValidationError(f"config key {name!r} must be finite, not {json.dumps(value)}")
         bounds = ((self.least, "at least", operator.ge), (self.above, "above", operator.gt),
                   (self.below, "below", operator.lt))
         # tested as "not kept", so that a NaN is refused
@@ -90,7 +94,7 @@ KEYS = {
     "paths.out": Key("out"), "paths.data": Key("data.csv"), "paths.schema": Key(None, str),
     "paths.labels": Key("labels.csv"),
     "eta": Key(None, int),                                 # null: floor(0.1 * m)
-    "tree.depth": Key(None, int), "tree.beta": Key(1.0),
+    "tree.depth": Key(None, int, least=1), "tree.beta": Key(1.0),
     "pseudopoints.level": Key(6), "pseudopoints.score_min": Key(1.0),
     "pseudopoints.score_max": Key(10.0),
     "net.k": Key(100), "net.epochs": Key(220, least=0), "net.learning_rate": Key(1.0, above=0),
@@ -494,7 +498,7 @@ def _round_check(ws: Workspace, filled: np.ndarray):
 
     def embedding(e: netens.NetEnsemble) -> np.ndarray:
         if e.k not in last:
-            rep = netens.representation(e, filled)
+            rep = netens.representation(e, filled)[0]
             coords = _diffusion(ws, _kernel(ws, rep)).coordinates
             last.clear()
             last[e.k] = coords
@@ -680,7 +684,7 @@ def run_train(ws: Workspace) -> None:
 def run_embed(ws: Workspace) -> None:
     ref, _, filled = _reference_rows(ws)
     ensemble = ws.read("ensemble.json", netens.load_ensemble)
-    emb = _diffusion(ws, _kernel(ws, netens.representation(ensemble, filled)))
+    emb = _diffusion(ws, _kernel(ws, netens.representation(ensemble, filled)[0]))
     write_embedding(ws.path("embedding.csv"), ws.path("embedding.json"), ref.point_ids, emb)
     ws.record("embed")
 
@@ -751,7 +755,7 @@ def _extend_block(ids, values, mask, state: _ExtendState | None = None):
     cross = np.empty((len(new_filled), len(state.rep_ref)))
     f01 = np.empty(len(new_filled))
     for rows in _slices(len(new_filled)):
-        rep_new, f01[rows] = netens.ensemble_forward(state.ensemble, new_filled[rows])
+        rep_new, f01[rows] = netens.representation(state.ensemble, new_filled[rows])
         distances = cdist(rep_new, state.rep_ref)
         np.square(distances, out=cross[rows])
         del rep_new, distances
@@ -822,7 +826,7 @@ def run_extend(ws: Workspace, new_points_path) -> None:
     params = ws.read_json("scaler.json", "scaler file", StandardizationParams.from_json)
 
     state = _ExtendState(params=params, obs_tree=obs_tree, ensemble=ensemble,
-                         rep_ref=netens.representation(ensemble, filled), emb=emb,
+                         rep_ref=netens.representation(ensemble, filled)[0], emb=emb,
                          std_emb=std_emb, lm=_local_moments(ws, emb), lf=lf)
 
     workers = netens.worker_count()
@@ -895,7 +899,7 @@ def run_validate(ws: Workspace) -> None:
     sections: dict[str, dict] = {}
     tables: dict[str, tuple[list[str], list[list]]] = {}    # name -> (header, rows)
 
-    rep, f01 = netens.ensemble_forward(ensemble, filled)
+    rep, f01 = netens.representation(ensemble, filled)
     dnn_kernel = _kernel(ws, rep)
     del rep
     euclid_kernel = _kernel(ws, filled)

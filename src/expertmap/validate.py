@@ -234,9 +234,10 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
                            layer_norm_product: float | None = None) -> SeparationRecord:
     """Check sqrt(E_neq f-gap^2) >= sqrt(E_neq g-gap^2) - 2 sqrt(max_factor C).
 
-    E_neq averages over the S ordered pairs (x, y) with g(x) != g(y), S_i
-    counts the points whose label is not i, max_factor = max_i S_i n / S
-    and C = mean (g - f)^2.  Proof: write e = g - f.  Over the unequal-label
+    E_neq averages over the S = n^2 - sum_i n_i^2 ordered pairs (x, y) with
+    g(x) != g(y), where n_i points have label i; S_i = n - n_i counts the
+    points whose label is not i, max_factor = max_i S_i n / S and
+    C = mean (g - f)^2.  Proof: write e = g - f.  Over the unequal-label
     pairs, (e_x - e_y)^2 <= 2 (e_x^2 + e_y^2), and each x is in S_g(x) pairs
     as either member, so E_neq (e_x - e_y)^2 <= (4 / S) sum_x S_g(x) e_x^2
     <= 4 max_factor C.  Since f-gap = g-gap - e-gap, Minkowski's inequality
@@ -255,7 +256,8 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
     if f.shape != g.shape:
         raise ValidationError("f and g must cover the same points")
     n = len(g)
-    s_pairs = sum(int(np.count_nonzero(g[rows, None] != g[None, :])) for rows in row_tiles(n))
+    counts = np.unique(g, return_counts=True)[1].tolist()   # n_i, points labelled i
+    s_pairs = n * n - sum(c * c for c in counts)
     if s_pairs == 0:
         raise ValidationError("labels are constant; no unequal-label pairs")
 
@@ -263,9 +265,7 @@ def separation_bound_check(f_values: np.ndarray, g_values: np.ndarray,
     lhs = float(_unequal_label_gaps(f, g, gaps).mean())
     e_g = float(_unequal_label_gaps(g, g, gaps).mean())
     cost = float(np.mean((g - f) ** 2))
-    classes = np.unique(g)
-    s_i = {float(c): int((g != c).sum()) for c in classes}
-    max_factor = max(s_i.values()) * n / s_pairs
+    max_factor = (n - min(counts)) * n / s_pairs
     root_rhs = math.sqrt(e_g) - 2.0 * math.sqrt(max_factor * cost)
     rhs = e_g - 2.0 * max_factor * cost
     rhs_scaled = rhs / layer_norm_product if layer_norm_product else None

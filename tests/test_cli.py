@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -909,12 +910,12 @@ def test_extend_places_a_far_point(chain, tmp_path, monkeypatch):
         rows = list(csv.reader(fh))[:2]
     rows[1][0] = "far"
     write_rows(tmp_path / "far.csv", rows)
-    real = netens.ensemble_forward
+    real = netens.representation
 
     def far_forward(e, X):
         rep, mean = real(e, X)
         return (rep + 1e3 * rep.std(), mean) if len(X) == 1 else (rep, mean)
-    monkeypatch.setattr(netens, "ensemble_forward", far_forward)
+    monkeypatch.setattr(netens, "representation", far_forward)
     run_extend_on(work, config, tmp_path / "far.csv")
     for name in ("extended_embedding.csv", "extended_std_embedding.csv"):
         coords = read_coordinates(work / name)
@@ -1083,15 +1084,20 @@ def test_a_retired_config_key_is_rejected(key, tmp_path, capsys):
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-# a value out of its key's bounds is refused as one of the wrong type is:
-# train ran to exit 0 by gradient ascent on learning_rate -1.0, and auto wrote
-# labels.csv from a reversed score range before its own import refused it
+# a value out of its key's bounds, or a non-finite number, is refused as one
+# of the wrong type is: train ran to exit 0 by gradient ascent on
+# learning_rate -1.0, and auto wrote labels.csv from a reversed score range,
+# or of nan scores from a score_min of -Infinity, before its own import
+# refused it
 @pytest.mark.parametrize("section, leaf, value, expected", [
     ("tree", "depth", 3.5, "null or an integer, not 3.5"),
     ("tree", "beta", "x", 'a number, not "x"'),
     ("net", "k", True, "an integer, not true"),
     ("net", "learning_rate", -1.0, "above 0, not -1.0"),
-    ("pseudopoints", "score_max", 0.5, "above pseudopoints.score_min (1.0), not 0.5")])
+    ("pseudopoints", "score_max", 0.5, "above pseudopoints.score_min (1.0), not 0.5"),
+    ("pseudopoints", "score_min", -math.inf, "finite, not -Infinity"),
+    ("tree", "beta", math.nan, "finite, not NaN"),
+    ("net", "learning_rate", math.inf, "finite, not Infinity")])
 def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, section, leaf, value,
                                                   expected):
     config = tmp_path / "config.json"
@@ -1105,11 +1111,11 @@ def test_a_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, section, lea
     ("kernel.r", 0, 1, "embed"), ("kernel.r", -2, 1, "embed"),
     ("whiten.k", 0, 1, "standardize"), ("whiten.k", -3, 1, "standardize"),
     ("net.epochs", -1, 0, "train"), ("net.pretrain_epochs", -1, 0, "train"),
-    ("net.master_seed", -1, 0, "train")])
+    ("net.master_seed", -1, 0, "train"), ("tree.depth", 0, 1, "organize")])
 def test_a_config_integer_below_its_least_exits_1(chain, tmp_path, capsys, key, value, least,
                                                   stage):
-    # each of these ran to exit 0 on a bandwidth or an epoch count that means
-    # nothing, or crashed in an eigensolve or in default_rng
+    # each of these ran to exit 0 on a bandwidth, an epoch count or a tree
+    # depth that means nothing, or crashed in an eigensolve or in default_rng
     _, out, _, _ = chain
     work = shutil.copytree(out, tmp_path / "out")
     section, leaf = key.split(".")
@@ -1366,13 +1372,25 @@ def test_csv_that_is_not_utf8_exits_1(chain, tmp_path, capsys, stage):
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
 
 
-def test_validate_runs_the_ensemble_once(chain, tmp_path, monkeypatch):
+@pytest.mark.parametrize("stage", ["embed", "validate", "extend"])
+def test_a_stage_runs_the_ensemble_once(chain, tmp_path, monkeypatch, stage):
+    # one pass over the reference rows, and for extend one more per slice of
+    # its one block of the chain's new points; none takes the lean rank path
     config, out, _, _ = chain
+    use_workers(monkeypatch, 1)
     work = shutil.copytree(out, tmp_path / "out")
     calls = []
-    real = netens.ensemble_forward
-    monkeypatch.setattr(netens, "ensemble_forward",
-                        lambda e, X: calls.append(len(X)) or real(e, X))
+
+    def counted(name, real):
+        return lambda e, X: calls.append(name) or real(e, X)
+    for name in ("representation", "ensemble_rank"):
+        monkeypatch.setattr(netens, name, counted(name, getattr(netens, name)))
     ws = pipeline.Workspace(work, pipeline.load_config(config, {"paths.out": str(work)}))
-    pipeline.run_validate(ws)
-    assert len(calls) == 1
+    if stage == "extend":
+        pipeline.run_extend(ws, work / "data.csv")
+        n_new = len(load_matrix(work / "data.csv").point_ids)
+        assert n_new <= pipeline.EXTEND_BLOCK
+        assert calls == ["representation"] * (1 + len(pipeline._slices(n_new)))
+    else:
+        getattr(pipeline, f"run_{stage}")(ws)
+        assert calls == ["representation"]

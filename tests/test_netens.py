@@ -19,8 +19,7 @@ from scipy.special import expit as sigmoid
 from expertmap import netens, synth
 from expertmap.errors import InternalError, TrainingDiverged, ValidationError
 from expertmap.spectral import neighbour_overlap
-from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper,
-                              ensemble_forward, ensemble_rank,
+from expertmap.netens import (HyperRanges, Net, NetEnsemble, NetHyper, ensemble_rank,
                               forward_batch, init_net, load_ensemble, loss_and_gradients,
                               pretrain_autoencoder, representation, sample_hyper,
                               save_ensemble, train_backprop, train_ensemble)
@@ -481,8 +480,8 @@ def test_float32_training_within_tolerance_of_float64():
         trained64 = pretrain_autoencoder(net, X, 60, copy.deepcopy(rng))
         trained64, _ = train_backprop(trained64, X, g)
         assert not retried and trained32.W1.dtype == np.float64
-        rep32, mean32 = ensemble_forward(NetEnsemble((trained32,), 0), X)
-        rep64, mean64 = ensemble_forward(NetEnsemble((trained64,), 0), X)
+        rep32, mean32 = representation(NetEnsemble((trained32,), 0), X)
+        rep64, mean64 = representation(NetEnsemble((trained64,), 0), X)
         np.testing.assert_allclose(rep32, rep64, rtol=0, atol=1e-4)
         np.testing.assert_allclose(mean32, mean64, rtol=0, atol=1e-5)
 
@@ -770,8 +769,8 @@ class TestStoppingRule:
         neighbours by the two ensembles' representations of X, converged at
         ``threshold``."""
         def check(earlier, current):
-            overlap = neighbour_overlap(representation(earlier, X),
-                                        representation(current, X), neighbours)
+            overlap = neighbour_overlap(representation(earlier, X)[0],
+                                        representation(current, X)[0], neighbours)
             return overlap, overlap >= threshold
         return check
 
@@ -865,7 +864,7 @@ class TestEnsemble:
         X, g = separable_toy(seed=20)
         e, _ = train_ensemble(X, g, check=never, K=1, hyper_ranges=small_ranges(),
                               master_seed=5, epochs=30, pretrain_epochs=10)
-        rep = representation(e, X)
+        rep = representation(e, X)[0]
         h1 = forward_batch(e.nets[0], X)[0]
         np.testing.assert_array_equal(rep, h1)
 
@@ -882,7 +881,7 @@ class TestEnsemble:
         e, _ = train_ensemble(X, g, check=never, K=3, hyper_ranges=small_ranges(),
                               master_seed=2, epochs=10, pretrain_epochs=5)
         widths = [net.W1.shape[0] for net in e.nets]
-        assert representation(e, X).shape == (len(X), sum(widths))
+        assert representation(e, X)[0].shape == (len(X), sum(widths))
 
     def test_persistence_round_trip(self, tmp_path):
         X, g = separable_toy(seed=23)
@@ -894,7 +893,7 @@ class TestEnsemble:
         for net, net_again in zip(e.nets, again.nets, strict=True):
             assert net_again.hyper == net.hyper
             assert_bit_equal(net_again, net)
-        np.testing.assert_array_equal(representation(e, X), representation(again, X))
+        np.testing.assert_array_equal(representation(e, X)[0], representation(again, X)[0])
 
     @pytest.mark.usefixtures("no_pool")
     def test_k_must_be_positive(self):
@@ -1018,7 +1017,7 @@ class TestEnsembleFile:
 
 
 class TestOneForwardPass:
-    """ensemble_forward against the forms that ran every net once per output."""
+    """representation against the forms that ran every net once per output."""
 
     @staticmethod
     def ensemble(m=6):
@@ -1029,43 +1028,31 @@ class TestOneForwardPass:
     def test_bit_equal_to_concatenate_and_mean(self):
         e = self.ensemble()
         X = np.random.default_rng(30).normal(size=(57, 6))
-        rep, mean = ensemble_forward(e, X)
+        rep, mean = representation(e, X)
         concat = np.concatenate([forward_batch(net, X)[0] for net in e.nets], axis=1)
         averaged = np.mean([forward_batch(net, X)[2] for net in e.nets], axis=0)
         assert rep.tobytes() == concat.tobytes() and rep.shape == concat.shape
         assert mean.tobytes() == averaged.tobytes()
-        assert representation(e, X).tobytes() == concat.tobytes()
         assert ensemble_rank(e, X).tobytes() == averaged.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 57])
     def test_representation_and_rank_have_the_bits_of_one_pass(self, rows):
         e = self.ensemble()
         X = np.random.default_rng(32).normal(size=(rows, 6))
-        rep, mean = ensemble_forward(e, X)
-        got = representation(e, X)
-        assert got.shape == rep.shape and got.tobytes() == rep.tobytes()
+        _, mean = representation(e, X)
         got = ensemble_rank(e, X)
         assert got.shape == mean.shape and got.tobytes() == mean.tobytes()
 
-    def test_representation_computes_no_second_layer(self, monkeypatch):
-        calls = []
-        real = netens._affine_sigmoid
-        monkeypatch.setattr(netens, "_affine_sigmoid",
-                            lambda A, W, b: calls.append(W.shape) or real(A, W, b))
-        e = self.ensemble()
-        representation(e, np.zeros((3, 6)))
-        assert calls == [net.W1.shape for net in e.nets]
-
     def test_width_is_checked_by_each(self):
         e = self.ensemble()
-        for fn in (representation, ensemble_rank, ensemble_forward):
+        for fn in (representation, ensemble_rank):
             with pytest.raises(ValidationError, match="input width 5 != net input 6"):
                 fn(e, np.zeros((2, 5)))
 
     def test_single_row(self):
         e = self.ensemble()
         x = np.random.default_rng(31).normal(size=6)
-        rep, mean = ensemble_forward(e, x)
+        rep, mean = representation(e, x)
         assert rep.shape == (1, e.representation_dim) and mean.shape == (1,)
         assert ensemble_rank(e, x).tobytes() == np.mean(
             [forward_batch(net, x)[2] for net in e.nets], axis=0).tobytes()
